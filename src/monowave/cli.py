@@ -33,11 +33,12 @@ from .directions import (
 from .field import (
     CoefficientSet,
     MonochromaticWave,
+    PlaneWaveSum,
     bessel_j,
     make_wave,
 )
 from .gaussian import child_rng, measure_from_partition, uniform_measure
-from .grid import ScalarGrid, plane_wave_grid, sample_on_grid
+from .grid import ScalarGrid, sample_on_grid
 from .growth import characteristic_function, doubling_tail, small_value_fraction
 from .nodal import (
     DegenerateSampleError,
@@ -589,7 +590,7 @@ def _run_fig1(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
     half = 20.0
     n = int(round(2 * half / cfg.h)) + 1
     origin = np.array([-half, -half])
-    vals = plane_wave_grid(freqs, coeffs, origin, (n, n), cfg.h)
+    vals = PlaneWaveSum(freqs, coeffs).on_grid(origin, (n, n), cfg.h)
     grid = ScalarGrid(dim=2, origin=origin, spacing=cfg.h, shape=(n, n), values=vals)
     geom = nodal_volume(grid)
 

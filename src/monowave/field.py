@@ -1,8 +1,11 @@
-"""Deterministic wave evaluation: f, window restrictions, phi, wave packets, kernels.
+"""Plane-wave sums: the PlaneWaveSum kernel, waves, windows, packets, kernels.
 
-The wave is f(x) = (2N)^{-1/2} * sum over |n| <= N of a_n e(<r_n, x>) with
-e(t) = exp(2*pi*i*t), a_{-n} = conj(a_n), r_{-n} = -r_n. Every evaluator here
-reduces that sum to its real form, so results are exactly real.
+Every field in the package is a PlaneWaveSum, F(x) = Re sum_j c_j e(<v_j, x>)
+with e(t) = exp(2*pi*i*t), evaluated pointwise (value, gradient) or on a
+regular lattice (on_grid, through plane_wave_grid). The deterministic wave is
+f(x) = (2N)^{-1/2} * sum over |n| <= N of a_n e(<r_n, x>) with
+a_{-n} = conj(a_n), r_{-n} = -r_n; MonochromaticWave folds it to the one-sided
+form c_n = sqrt(2/N) a_n, so results are exactly real.
 """
 
 from __future__ import annotations
@@ -40,31 +43,84 @@ def all_ones_coefficients(N: int) -> CoefficientSet:
     return CoefficientSet(N, np.ones(N, dtype=complex))
 
 
-@dataclass
-class MonochromaticWave:
-    """Finite symmetric plane-wave sum; a weak solution of Delta f = -4 pi^2 f."""
+class PlaneWaveSum:
+    """F(x) = Re sum_j c_j e(<v_j, x>): the one kernel behind waves and Gaussian draws.
 
-    dirs: DirectionSet
-    coeffs: CoefficientSet
+    value and gradient evaluate pointwise (last axis of x is the coordinate
+    axis); on_grid fills a regular lattice through the separable factorization
+    of plane_wave_grid.
+    """
 
-    def __post_init__(self):
-        if self.coeffs.count != self.dirs.count:
-            raise ValueError("coefficient count must match direction count")
+    def __init__(self, freqs, amps):
+        self.freqs = np.asarray(freqs, dtype=float)  # (J, m)
+        self.amps = np.asarray(amps)  # (J,), complex or real
 
     @property
     def dim(self) -> int:
-        return self.dirs.dim
+        return self.freqs.shape[1]
 
     def plane_waves(self):
-        """One-sided complex form: f(x) = Re sum_n c_n e(<r_n, x>), c_n = sqrt(2/N) a_n."""
-        c = np.sqrt(2.0 / self.dirs.count) * self.coeffs.values
-        return self.dirs.vectors, c
+        """(freqs, amps) of the one-sided form."""
+        return self.freqs, self.amps
 
-    def value(self, x):
-        return eval_f(self, x)
+    def value(self, x) -> np.ndarray | float:
+        x = _check_dim(self, x)
+        phases = TWO_PI * (x @ self.freqs.T)
+        val = np.cos(phases) @ self.amps.real - np.sin(phases) @ self.amps.imag
+        return float(val) if val.ndim == 0 else val
 
-    def gradient(self, x):
-        return eval_grad_f(self, x)
+    __call__ = value
+
+    def gradient(self, x) -> np.ndarray:
+        """Exact term-by-term gradient, shape x.shape."""
+        x = _check_dim(self, x)
+        phases = TWO_PI * (x @ self.freqs.T)
+        s = -np.sin(phases) * self.amps.real - np.cos(phases) * self.amps.imag
+        return TWO_PI * (s @ self.freqs)
+
+    def on_grid(self, origin, shape, h: float) -> np.ndarray:
+        """Values at origin + h * index over a grid of the given shape."""
+        return plane_wave_grid(self.freqs, self.amps, origin, shape, h)
+
+
+def plane_wave_grid(freqs: np.ndarray, coeffs: np.ndarray, origin, shape, h: float) -> np.ndarray:
+    """Re sum_j c_j exp(2 pi i <v_j, x>) on a regular grid, factored per axis.
+
+    exp(2 pi i v.x) splits into a product of per-axis phase vectors, so the
+    grid fill is a (chunked) complex matrix product instead of pointwise
+    trigonometry; values match pointwise evaluation to rounding.
+    """
+    origin = np.asarray(origin, dtype=float)
+    m = len(shape)
+    axes = []
+    for a in range(m):
+        coords = origin[a] + h * np.arange(shape[a])
+        axes.append(np.exp(2j * np.pi * np.outer(freqs[:, a], coords)))  # (J, n_a)
+    if m == 2:
+        return ((axes[0] * coeffs[:, None]).T @ axes[1]).real
+    out = np.zeros((shape[0], shape[1] * shape[2]))
+    step = 128
+    for lo in range(0, len(coeffs), step):
+        u = axes[0][lo : lo + step] * coeffs[lo : lo + step, None]
+        vw = (
+            axes[1][lo : lo + step, :, None] * axes[2][lo : lo + step, None, :]
+        ).reshape(-1, shape[1] * shape[2])
+        out += (u.T @ vw).real
+    return out.reshape(shape)
+
+
+class MonochromaticWave(PlaneWaveSum):
+    """Finite symmetric plane-wave sum; a weak solution of Delta f = -4 pi^2 f.
+
+    One-sided complex form: f(x) = Re sum_n c_n e(<r_n, x>), c_n = sqrt(2/N) a_n.
+    """
+
+    def __init__(self, dirs: DirectionSet, coeffs: CoefficientSet):
+        if coeffs.count != dirs.count:
+            raise ValueError("coefficient count must match direction count")
+        super().__init__(dirs.vectors, np.sqrt(2.0 / dirs.count) * coeffs.values)
+        self.dirs = dirs
+        self.coeffs = coeffs
 
 
 def make_wave(dirs: DirectionSet, coeffs: CoefficientSet | None = None, seed: int = 0,
@@ -79,29 +135,11 @@ def make_wave(dirs: DirectionSet, coeffs: CoefficientSet | None = None, seed: in
     return MonochromaticWave(dirs, coeffs)
 
 
-def _check_dim(wave: MonochromaticWave, x: np.ndarray) -> np.ndarray:
+def _check_dim(field: PlaneWaveSum, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != wave.dirs.dim:
-        raise ValueError("point dimension does not match the wave")
+    if x.shape[-1] != field.dim:
+        raise ValueError("point dimension does not match the field")
     return x
-
-
-def eval_f(wave: MonochromaticWave, x) -> np.ndarray | float:
-    """f at one point or a batch of points (last axis is the coordinate axis)."""
-    x = _check_dim(wave, x)
-    freqs, c = wave.plane_waves()
-    phases = TWO_PI * (x @ freqs.T)
-    val = np.cos(phases) @ c.real - np.sin(phases) @ c.imag
-    return float(val) if val.ndim == 0 else val
-
-
-def eval_grad_f(wave: MonochromaticWave, x) -> np.ndarray:
-    """Exact term-by-term gradient of f."""
-    x = _check_dim(wave, x)
-    freqs, c = wave.plane_waves()
-    phases = TWO_PI * (x @ freqs.T)
-    s = -np.sin(phases) * c.real - np.cos(phases) * c.imag
-    return TWO_PI * (s @ freqs)
 
 
 @dataclass
@@ -111,7 +149,6 @@ class ObservationWindow:
     center: np.ndarray
     W: float
     R: float
-    s: int = 0
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
@@ -119,24 +156,14 @@ class ObservationWindow:
             raise ValueError("need W < R")
         if np.linalg.norm(self.center) > self.R:
             raise ValueError("window center lies outside B(R)")
-        if self.s < 0:
-            raise ValueError("smoothness order must be >= 0")
 
 
-def eval_window(wave: MonochromaticWave, window: ObservationWindow, y) -> np.ndarray | float:
-    """F_x(y) = f(x + y) by shifted phase accumulation.
-
-    The base phases <r_n, x> are formed once per call, so batched y probes
-    reuse them; values agree with direct eval_f(x + y) to rounding.
-    """
+def eval_window(wave: PlaneWaveSum, window: ObservationWindow, y) -> np.ndarray | float:
+    """F_x(y) = f(x + y) for probe points y in the window ball."""
     y = _check_dim(wave, y)
     if np.any(np.linalg.norm(y, axis=-1) > window.W):
         raise ValueError("probe point outside the window ball")
-    freqs, c = wave.plane_waves()
-    base = freqs @ window.center
-    phases = TWO_PI * (y @ freqs.T + base)
-    val = np.cos(phases) @ c.real - np.sin(phases) @ c.imag
-    return float(val) if val.ndim == 0 else val
+    return wave.value(window.center + y)
 
 
 def _signed_coeffs(wave: MonochromaticWave) -> tuple[np.ndarray, np.ndarray]:
@@ -286,42 +313,24 @@ def bessel_j(nu: float, z) -> np.ndarray | float:
 # Covariance kernels
 
 
-@dataclass
-class KernelSpec:
-    """Normalized covariance kernel of a spectral measure; kernel(0) = 1."""
-
-    measure: object  # SpectralMeasure
-    lambda_index: float
-    norm_constant: float
-
-
-def kernel_spec(measure) -> KernelSpec:
-    m = measure.dim
-    lam = (m - 2) / 2.0
-    # C_m = Gamma(m/2) 2^lambda makes the uniform kernel equal 1 at 0
-    c_m = math.gamma(m / 2.0) * 2.0**lam
-    return KernelSpec(measure=measure, lambda_index=lam, norm_constant=c_m)
-
-
-def covariance_kernel(spec, tau) -> np.ndarray | float:
-    """E[F(x) conj(F(y))] at lag tau = x - y; accepts a KernelSpec or a measure."""
-    if not isinstance(spec, KernelSpec):
-        spec = kernel_spec(spec)
+def covariance_kernel(measure, tau) -> np.ndarray | float:
+    """E[F(x) conj(F(y))] at lag tau = x - y for a spectral measure; kernel(0) = 1."""
     tau = np.asarray(tau, dtype=float)
     scalar = tau.ndim == 1
     tau = np.atleast_2d(tau)
-    meas = spec.measure
-    if meas.kind == "atomic":
-        val = np.cos(TWO_PI * (tau @ meas.atoms.T)) @ meas.weights
+    if measure.kind == "atomic":
+        val = PlaneWaveSum(measure.atoms, measure.weights).value(tau)
     else:
-        m = meas.dim
+        m = measure.dim
+        lam = (m - 2) / 2.0
+        # C_m = Gamma(m/2) 2^lambda makes the uniform kernel equal 1 at 0
+        c_m = math.gamma(m / 2.0) * 2.0**lam
         w = TWO_PI * np.linalg.norm(tau, axis=-1)
-        lam = spec.lambda_index
         val = np.empty_like(w)
         tiny = w < 1e-6
         # series limit: C_m J_lam(w)/w^lam -> 1 - w^2/(2m) + O(w^4)
         val[tiny] = 1.0 - w[tiny] ** 2 / (2.0 * m)
         big = ~tiny
         if np.any(big):
-            val[big] = spec.norm_constant * bessel_j(lam, w[big]) / w[big] ** lam
+            val[big] = c_m * bessel_j(lam, w[big]) / w[big] ** lam
     return float(val[0]) if scalar else val

@@ -1,8 +1,9 @@
 """Gaussian comparison fields and the nondegeneracy check.
 
-Atomic measures sample F(y) = sum_k sqrt(2 w_k) [g_k cos(2 pi <z_k, y>) +
-h_k sin(2 pi <z_k, y>)] over one representative per +- atom pair; the uniform
-measure is approximated by M random plane waves with uniform phases.
+Every draw is a PlaneWaveSum. Atomic measures sample F(y) = sum_k sqrt(2 w_k)
+[g_k cos(2 pi <z_k, y>) + h_k sin(2 pi <z_k, y>)] over one representative per
++- atom pair; the uniform measure is approximated by M random plane waves with
+uniform phases.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .field import PlaneWaveSum
 from .partition import SpherePartition, positive_side
 
 TWO_PI = 2 * np.pi
@@ -103,36 +105,7 @@ def measure_from_partition(part: SpherePartition) -> SpectralMeasure:
     )
 
 
-@dataclass
-class GaussianRealization:
-    """One sampled field; evaluation is a pure function of the probe point."""
-
-    kind: str
-    dim: int
-    seed: int
-    freqs: np.ndarray  # (J, m)
-    coeffs: np.ndarray  # complex; F(y) = Re sum_j c_j e(<v_j, y>)
-
-    def plane_waves(self):
-        return self.freqs, self.coeffs
-
-    def value(self, y) -> np.ndarray | float:
-        y = np.asarray(y, dtype=float)
-        phases = TWO_PI * (y @ self.freqs.T)
-        val = np.cos(phases) @ self.coeffs.real - np.sin(phases) @ self.coeffs.imag
-        return float(val) if val.ndim == 0 else val
-
-    def __call__(self, y):
-        return self.value(y)
-
-    def gradient(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        phases = TWO_PI * (y @ self.freqs.T)
-        s = -np.sin(phases) * self.coeffs.real - np.cos(phases) * self.coeffs.imag
-        return TWO_PI * (s @ self.freqs)
-
-
-def sample_atomic(measure: SpectralMeasure, seed: int) -> GaussianRealization:
+def sample_atomic(measure: SpectralMeasure, seed: int) -> PlaneWaveSum:
     """Draw g_k, h_k iid N(0,1) per positive atom; E|c_k|^2 = 1 normalization."""
     if measure.kind != "atomic":
         raise ValueError("sample_atomic needs an atomic measure")
@@ -141,12 +114,10 @@ def sample_atomic(measure: SpectralMeasure, seed: int) -> GaussianRealization:
     g = rng.standard_normal(len(reps))
     h = rng.standard_normal(len(reps))
     coeffs = np.sqrt(2.0 * measure.weights[reps]) * (g - 1j * h)
-    return GaussianRealization(
-        kind="atomic", dim=measure.dim, seed=seed, freqs=measure.atoms[reps], coeffs=coeffs
-    )
+    return PlaneWaveSum(measure.atoms[reps], coeffs)
 
 
-def sample_uniform(m: int, M: int = 1024, seed: int = 0) -> GaussianRealization:
+def sample_uniform(m: int, M: int = 1024, seed: int = 0) -> PlaneWaveSum:
     """F(y) = sqrt(2/M) sum_j cos(2 pi <xi_j, y> + phi_j), xi uniform on the sphere."""
     if M < 16:
         raise ValueError("fewer than 16 plane waves is too degenerate")
@@ -155,7 +126,7 @@ def sample_uniform(m: int, M: int = 1024, seed: int = 0) -> GaussianRealization:
     xi /= np.linalg.norm(xi, axis=1, keepdims=True)
     phi = rng.uniform(0.0, TWO_PI, M)
     coeffs = math.sqrt(2.0 / M) * np.exp(1j * phi)
-    return GaussianRealization(kind="uniform", dim=m, seed=seed, freqs=xi, coeffs=coeffs)
+    return PlaneWaveSum(xi, coeffs)
 
 
 @dataclass
@@ -181,36 +152,39 @@ def _sphere_mesh(m: int, radius: float, h: float) -> np.ndarray:
     )
 
 
-def check_nondegenerate(evaluator, W: float, h: float = 0.05, tau0: float = 1e-3) -> NondegeneracyReport:
+def check_nondegenerate(field: PlaneWaveSum, W: float, h: float = 0.05,
+                        tau0: float = 1e-3) -> NondegeneracyReport:
     """Probe |g| + |grad g| over B(W+1) and the spherical part on the boundary of B(W).
 
-    A fail is a valid report: the thresholded minima are a finite-sample
-    convention, not an almost-sure statement.
+    The bulk points h Z^m within B(W+1) form a lattice, so g and each partial
+    derivative (the same sum with coefficients 2 pi i v_a c) come from m + 1
+    grid fills. A fail is a valid report: the thresholded minima are a
+    finite-sample convention, not an almost-sure statement.
     """
     if h > 0.1:
         raise ValueError("need h <= 0.1 for the nondegeneracy probe")
     if tau0 <= 0:
         raise ValueError("threshold must be positive")
-    m = evaluator.dim if hasattr(evaluator, "dim") else evaluator.dirs.dim
+    m = field.dim
 
     coords = h * np.arange(-np.ceil((W + 1) / h), np.ceil((W + 1) / h) + 1)
-    mesh = np.meshgrid(*([coords] * m), indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in mesh], axis=-1)
-    pts = pts[np.linalg.norm(pts, axis=1) <= W + 1]
-    min_bulk = np.inf
-    for lo in range(0, len(pts), 1 << 13):  # bound the phase-matrix footprint
-        block = pts[lo : lo + (1 << 13)]
-        psi = np.abs(evaluator.value(block)) + np.linalg.norm(
-            evaluator.gradient(block), axis=-1
-        )
-        min_bulk = min(min_bulk, float(psi.min()))
+    pts = np.stack(np.meshgrid(*([coords] * m), indexing="ij"), axis=-1)
+    inside = np.linalg.norm(pts, axis=-1) <= W + 1
+    origin, shape = pts[(0,) * m], inside.shape
+    freqs, c = field.plane_waves()
+    grad_sq = sum(
+        PlaneWaveSum(freqs, TWO_PI * 1j * freqs[:, a] * c).on_grid(origin, shape, h) ** 2
+        for a in range(m)
+    )
+    psi = np.abs(field.on_grid(origin, shape, h)) + np.sqrt(grad_sq)
+    min_bulk = float(psi[inside].min())
 
     sph = _sphere_mesh(m, W, h)
     min_sph = np.inf
-    for lo in range(0, len(sph), 1 << 13):
+    for lo in range(0, len(sph), 1 << 13):  # bound the phase-matrix footprint
         block = sph[lo : lo + (1 << 13)]
-        vals_s = evaluator.value(block)
-        grads_s = evaluator.gradient(block)
+        vals_s = field.value(block)
+        grads_s = field.gradient(block)
         radial = (np.sum(block * grads_s, axis=-1) / W**2)[:, None] * block
         slashed = np.abs(vals_s) + np.linalg.norm(grads_s - radial, axis=-1)
         min_sph = min(min_sph, float(slashed.min()))

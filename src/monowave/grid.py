@@ -1,5 +1,8 @@
 """Regular grids over balls: sampling, finite differences, masks, binary dumps.
 
+Plane-wave sums are filled through PlaneWaveSum.on_grid; plane_wave_grid
+(defined in field) is re-exported here.
+
 Values are stored flat in row-major order; every consumer (labeling, meshing)
 shares the same index arithmetic: flat = i1*n2*n3 + i2*n3 + i3.
 """
@@ -9,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .field import PlaneWaveSum, plane_wave_grid  # noqa: F401  (plane_wave_grid is re-exported)
 
 MAX_SPACING = 0.25  # unit wavelength: coarser grids alias
 
@@ -61,9 +66,9 @@ class ScalarGrid:
 def sample_on_grid(evaluator, center, radius: float, h: float) -> ScalarGrid:
     """Sample a field on the axis-aligned box circumscribing B(center, radius).
 
-    The evaluator is either an object exposing plane_waves() (wave or Gaussian
-    realization; evaluated through an exact separable per-axis factorization)
-    or any callable mapping point batches (..., m) to values.
+    The evaluator is either a PlaneWaveSum (wave or Gaussian draw, filled
+    through its exact separable per-axis factorization) or any callable
+    mapping point batches (..., m) to values.
     """
     center = np.asarray(center, dtype=float)
     m = center.size
@@ -77,9 +82,8 @@ def sample_on_grid(evaluator, center, radius: float, h: float) -> ScalarGrid:
     n = int(np.ceil(2 * radius / h - 1e-9)) + 1
     shape = (n,) * m
     origin = center - radius
-    if hasattr(evaluator, "plane_waves"):
-        freqs, coeffs = evaluator.plane_waves()
-        vals = plane_wave_grid(freqs, coeffs, origin, shape, h)
+    if isinstance(evaluator, PlaneWaveSum):
+        vals = evaluator.on_grid(origin, shape, h)
     else:
         axes = [origin[a] + h * np.arange(n) for a in range(m)]
         pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
@@ -96,32 +100,6 @@ def sample_on_grid(evaluator, center, radius: float, h: float) -> ScalarGrid:
         ball_center=center,
         ball_radius=radius,
     )
-
-
-def plane_wave_grid(freqs: np.ndarray, coeffs: np.ndarray, origin, shape, h: float) -> np.ndarray:
-    """Re sum_j c_j exp(2 pi i <v_j, x>) on a regular grid, factored per axis.
-
-    exp(2 pi i v.x) splits into a product of per-axis phase vectors, so the
-    grid fill is a (chunked) complex matrix product instead of pointwise
-    trigonometry; values match pointwise evaluation to rounding.
-    """
-    origin = np.asarray(origin, dtype=float)
-    m = len(shape)
-    axes = []
-    for a in range(m):
-        coords = origin[a] + h * np.arange(shape[a])
-        axes.append(np.exp(2j * np.pi * np.outer(freqs[:, a], coords)))  # (J, n_a)
-    if m == 2:
-        return ((axes[0] * coeffs[:, None]).T @ axes[1]).real
-    out = np.zeros((shape[0], shape[1] * shape[2]))
-    step = 128
-    for lo in range(0, len(coeffs), step):
-        u = axes[0][lo : lo + step] * coeffs[lo : lo + step, None]
-        vw = (
-            axes[1][lo : lo + step, :, None] * axes[2][lo : lo + step, None, :]
-        ).reshape(-1, shape[1] * shape[2])
-        out += (u.T @ vw).real
-    return out.reshape(shape)
 
 
 def finite_diff_gradient(grid: ScalarGrid) -> np.ndarray:

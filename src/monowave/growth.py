@@ -48,7 +48,7 @@ def _lattice_ball(center: np.ndarray, radius: float, h: float) -> np.ndarray:
     return np.concatenate([pts, center[None, :]])
 
 
-def doubling_index(evaluator, x, W: float, density: int = 20) -> float:
+def doubling_index(field, x, W: float, density: int = 20) -> float:
     """log of sup|f| over B(x, 2 sqrt(m) W) against sup|f| over B(x, W), plus 1."""
     if W < 1:
         raise ValueError("need W >= 1")
@@ -58,7 +58,7 @@ def doubling_index(evaluator, x, W: float, density: int = 20) -> float:
     m = len(x)
     kappa = scaling_factor(m)
     pts = _lattice_ball(x, kappa * W, 1.0 / density)
-    vals = np.abs(np.asarray(evaluator.value(pts) if hasattr(evaluator, "value") else evaluator(pts)))
+    vals = np.abs(field.value(pts))
     inner = vals[np.linalg.norm(pts - x, axis=1) <= W]
     sup_inner = float(inner.max())
     sup_outer = float(vals.max())

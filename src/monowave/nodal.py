@@ -674,7 +674,6 @@ def _piece_tag(z: _ZeroSet, p: int) -> str:
 
 def classify_topology(
     dec: NodalDecomposition,
-    geom: NodalGeometry | None = None,
     classes: set[str] | None = None,
     tree_code: str | None = None,
 ) -> TopologySummary:
@@ -684,7 +683,6 @@ def classify_topology(
     tree_code: count interior sign components whose nesting subtree has this
     canonical code.
     """
-    del geom  # measures are not needed for classification
     z = dec._ensure_zero()
     tags = {
         p: _piece_tag(z, p) for p in range(z.npieces) if not z.piece_boundary[p]

@@ -15,7 +15,6 @@ import numpy as np
 from . import nodal
 from .field import MonochromaticWave, covariance_kernel, eval_bk
 from .gaussian import (
-    GaussianRealization,
     SpectralMeasure,
     check_nondegenerate,
     child_rng,

@@ -2,20 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monowave.directions import DirectionSet, empirical_measure, generate_uniform_directions
 from monowave.field import (
     CoefficientSet,
     ObservationWindow,
+    PlaneWaveSum,
     all_ones_coefficients,
     bessel_j,
     covariance_kernel,
     eval_bk,
-    eval_f,
-    eval_grad_f,
     eval_phi,
     eval_window,
-    kernel_spec,
     make_wave,
     random_phase_coefficients,
 )
@@ -63,7 +63,7 @@ def test_value_batches_match_scalars():
     batch = w.value(pts)
     singles = np.array([w.value(p) for p in pts])
     assert np.allclose(batch, singles, atol=1e-13)
-    assert eval_f(w, pts[0]) == w.value(pts[0])
+    assert w(pts[0]) == w.value(pts[0])
 
 
 def test_wave_solves_helmholtz():
@@ -85,14 +85,52 @@ def test_wave_solves_helmholtz():
 def test_gradient_matches_finite_differences():
     w = make_wave(generate_uniform_directions(2, 10, 6), seed=1)
     x = np.array([0.7, -2.3])
-    g = eval_grad_f(w, x)
+    g = w.gradient(x)
     h = 1e-6
     for a in range(2):
         e = np.zeros(2)
         e[a] = h
         fd = (w.value(x + e) - w.value(x - e)) / (2 * h)
         assert g[a] == pytest.approx(fd, abs=1e-6)
-    assert np.allclose(w.gradient(x), g)
+    assert np.allclose(w.gradient(x[None, :])[0], g)
+
+
+def _random_sum(seed: int, m: int) -> tuple[PlaneWaveSum, np.ndarray, tuple, float]:
+    """A random unit-frequency sum of O(1) size, plus a lattice to fill it on."""
+    rng = np.random.default_rng(seed)
+    J = int(rng.integers(1, 65))
+    freqs = rng.standard_normal((J, m))
+    freqs /= np.linalg.norm(freqs, axis=1, keepdims=True)
+    amps = math.sqrt(1.0 / J) * (rng.standard_normal(J) + 1j * rng.standard_normal(J))
+    origin = rng.uniform(-10.0, 10.0, m)
+    shape = tuple(int(n) for n in rng.integers(2, 12, m))
+    return PlaneWaveSum(freqs, amps), origin, shape, float(rng.uniform(0.02, 0.25))
+
+
+def _lattice(origin, shape, h) -> np.ndarray:
+    axes = [origin[a] + h * np.arange(shape[a]) for a in range(len(shape))]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
+def test_on_grid_matches_pointwise_value(seed, m):
+    F, origin, shape, h = _random_sum(seed, m)
+    grid = F.on_grid(origin, shape, h)
+    assert grid.shape == shape
+    assert np.max(np.abs(grid - F.value(_lattice(origin, shape, h)))) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
+def test_derivative_sums_on_grid_match_gradient(seed, m):
+    # d/dx_a Re sum c e(<v, x>) = Re sum (2 pi i v_a c) e(<v, x>)
+    F, origin, shape, h = _random_sum(seed, m)
+    grad = F.gradient(_lattice(origin, shape, h))
+    freqs, c = F.plane_waves()
+    for a in range(m):
+        part = PlaneWaveSum(freqs, 2j * math.pi * freqs[:, a] * c).on_grid(origin, shape, h)
+        assert np.max(np.abs(part - grad[..., a])) < 1e-12 * 2 * math.pi
 
 
 def test_window_evaluation():
@@ -155,7 +193,7 @@ def test_eval_phi_collapses_to_the_wave_when_nothing_is_dropped():
     part = build_partition(dirs, 64, 1e-9)
     win = ObservationWindow(center=np.array([3.7, -1.2]), W=2.0, R=50.0)
     phi0 = eval_phi(w, part, win, np.zeros(2))
-    assert phi0 == pytest.approx(eval_f(w, win.center), abs=1e-12)
+    assert phi0 == pytest.approx(w.value(win.center), abs=1e-12)
 
 
 def test_bessel_frozen_values():
@@ -190,9 +228,6 @@ def test_covariance_kernels():
     mu = empirical_measure(cos_dirs)
     tau = np.array([0.37, 5.0])
     assert covariance_kernel(mu, tau) == pytest.approx(math.cos(2 * math.pi * 0.37), rel=1e-12)
-    spec = kernel_spec(mu)
-    assert spec.lambda_index == 0.0
-    assert spec.norm_constant == pytest.approx(1.0, rel=1e-15)
     # kernel(0) = 1 in both regimes
     assert covariance_kernel(uniform_measure(3), np.zeros(3)) == pytest.approx(1.0, rel=1e-12)
     assert covariance_kernel(mu, np.zeros(2)) == pytest.approx(1.0, rel=1e-15)

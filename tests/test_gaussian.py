@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monowave.directions import generate_uniform_directions, empirical_measure
-from monowave.field import bessel_j
+from monowave.field import PlaneWaveSum, bessel_j
 from monowave.gaussian import (
     SpectralMeasure,
     check_nondegenerate,
@@ -117,18 +119,39 @@ def test_check_nondegenerate(cosine_wave):
     rep = check_nondegenerate(cosine_wave, 4.0, 0.1)
     assert rep.passed
     assert rep.min_bulk > rep.threshold
-
-    class Flat:
-        dim = 2
-
-        def value(self, p):
-            return np.zeros(len(np.atleast_2d(p)))
-
-        def gradient(self, p):
-            return np.zeros_like(np.atleast_2d(np.asarray(p, dtype=float)))
-
-    assert not check_nondegenerate(Flat(), 4.0, 0.1).passed
+    flat = PlaneWaveSum(np.array([[1.0, 0.0]]), np.zeros(1, dtype=complex))
+    assert not check_nondegenerate(flat, 4.0, 0.1).passed
     with pytest.raises(ValueError):
         check_nondegenerate(cosine_wave, 4.0, h=0.2)
     with pytest.raises(ValueError):
         check_nondegenerate(cosine_wave, 4.0, 0.1, tau0=0.0)
+
+
+def _pointwise_min_bulk(F, W: float, h: float) -> float:
+    """Oracle: min of |F| + |grad F| over h Z^m within B(W+1), point by point."""
+    coords = h * np.arange(-np.ceil((W + 1) / h), np.ceil((W + 1) / h) + 1)
+    mesh = np.meshgrid(*([coords] * F.dim), indexing="ij")
+    pts = np.stack([g.reshape(-1) for g in mesh], axis=-1)
+    pts = pts[np.linalg.norm(pts, axis=1) <= W + 1]
+    min_bulk = np.inf
+    for lo in range(0, len(pts), 1 << 13):
+        block = pts[lo : lo + (1 << 13)]
+        psi = np.abs(F.value(block)) + np.linalg.norm(F.gradient(block), axis=-1)
+        min_bulk = min(min_bulk, float(psi.min()))
+    return min_bulk
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("atomic", [False, True])
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_check_nondegenerate_bulk_matches_pointwise(m, atomic, seed):
+    if atomic:
+        mu = empirical_measure(generate_uniform_directions(m, 32, seed % 1000))
+        F = sample_atomic(mu, seed)
+    else:
+        F = sample_uniform(m, 64, seed)
+    W, h = (3.0, 0.1) if m == 2 else (1.5, 0.1)
+    rep = check_nondegenerate(F, W, h)
+    ref = _pointwise_min_bulk(F, W, h)
+    assert rep.min_bulk == pytest.approx(ref, rel=1e-12)

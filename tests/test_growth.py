@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from monowave.directions import generate_uniform_directions
-from monowave.field import make_wave
+from monowave.field import PlaneWaveSum, make_wave
 from monowave.growth import (
     DoublingStats,
     characteristic_function,
@@ -32,8 +32,9 @@ def test_doubling_index_of_cosine(cosine_wave):
 
 
 def test_doubling_index_degenerate_field():
+    flat = PlaneWaveSum(np.array([[1.0, 0.0]]), np.zeros(1, dtype=complex))
     with pytest.raises(DegenerateSampleError):
-        doubling_index(lambda pts: np.zeros(len(pts)), np.zeros(2), 1.0)
+        doubling_index(flat, np.zeros(2), 1.0)
 
 
 def test_doubling_tail_statistics():
