@@ -88,7 +88,9 @@ def plane_wave_grid(freqs: np.ndarray, coeffs: np.ndarray, origin, shape, h: flo
 
     exp(2 pi i v.x) splits into a product of per-axis phase vectors, so the
     grid fill is a (chunked) complex matrix product instead of pointwise
-    trigonometry; values match pointwise evaluation to rounding.
+    trigonometry; values match pointwise evaluation to rounding. A (K, J)
+    stack of coefficient vectors gives K grids, shape (K, *shape), that share
+    the phase tables.
     """
     origin = np.asarray(origin, dtype=float)
     m = len(shape)
@@ -96,17 +98,21 @@ def plane_wave_grid(freqs: np.ndarray, coeffs: np.ndarray, origin, shape, h: flo
     for a in range(m):
         coords = origin[a] + h * np.arange(shape[a])
         axes.append(np.exp(2j * np.pi * np.outer(freqs[:, a], coords)))  # (J, n_a)
-    if m == 2:
-        return ((axes[0] * coeffs[:, None]).T @ axes[1]).real
-    out = np.zeros((shape[0], shape[1] * shape[2]))
+    stack = np.atleast_2d(coeffs)
+    out = np.zeros((len(stack), shape[0], int(np.prod(shape[1:]))))
     step = 128
-    for lo in range(0, len(coeffs), step):
-        u = axes[0][lo : lo + step] * coeffs[lo : lo + step, None]
-        vw = (
-            axes[1][lo : lo + step, :, None] * axes[2][lo : lo + step, None, :]
-        ).reshape(-1, shape[1] * shape[2])
-        out += (u.T @ vw).real
-    return out.reshape(shape)
+    for k, c in enumerate(stack):
+        if m == 2:
+            out[k] = ((axes[0] * c[:, None]).T @ axes[1]).real
+        else:
+            for lo in range(0, len(c), step):
+                u = axes[0][lo : lo + step] * c[lo : lo + step, None]
+                vw = (
+                    axes[1][lo : lo + step, :, None] * axes[2][lo : lo + step, None, :]
+                ).reshape(-1, shape[1] * shape[2])
+                out[k] += (u.T @ vw).real
+    out = out.reshape(len(stack), *shape)
+    return out if np.ndim(coeffs) == 2 else out[0]
 
 
 class MonochromaticWave(PlaneWaveSum):

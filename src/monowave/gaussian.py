@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import PlaneWaveSum
+from .field import PlaneWaveSum, plane_wave_grid
 from .partition import SpherePartition, positive_side
 
 TWO_PI = 2 * np.pi
@@ -49,6 +49,10 @@ class SpectralMeasure:
         if abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValueError("atom weights must sum to 1 within 1e-12")
         self._pair = self._match_antipodes()
+        reps = {i if positive_side(self.atoms[i]) else j
+                for i, j in enumerate(self._pair) if i <= j}
+        self._reps = np.array(sorted(reps), dtype=np.intp)
+        self._reps.flags.writeable = False
         self.hyperplane_ok = np.linalg.matrix_rank(self.atoms) == self.dim
 
     def _match_antipodes(self) -> np.ndarray:
@@ -69,12 +73,8 @@ class SpectralMeasure:
         return pair
 
     def positive_representatives(self) -> np.ndarray:
-        """One index per +- pair, chosen by the last-nonzero-coordinate sign rule."""
-        reps = []
-        for i, j in enumerate(self._pair):
-            if i < j or (i == j):
-                reps.append(i if positive_side(self.atoms[i]) else j)
-        return np.asarray(sorted(set(reps)), dtype=np.intp)
+        """One index per +- pair, chosen by the last-nonzero-coordinate sign rule (read-only)."""
+        return self._reps
 
 
 def uniform_measure(m: int) -> SpectralMeasure:
@@ -158,8 +158,9 @@ def check_nondegenerate(field: PlaneWaveSum, W: float, h: float = 0.05,
 
     The bulk points h Z^m within B(W+1) form a lattice, so g and each partial
     derivative (the same sum with coefficients 2 pi i v_a c) come from m + 1
-    grid fills. A fail is a valid report: the thresholded minima are a
-    finite-sample convention, not an almost-sure statement.
+    grid fills that share one set of phase tables. A fail is a valid report:
+    the thresholded minima are a finite-sample convention, not an almost-sure
+    statement.
     """
     if h > 0.1:
         raise ValueError("need h <= 0.1 for the nondegeneracy probe")
@@ -172,11 +173,9 @@ def check_nondegenerate(field: PlaneWaveSum, W: float, h: float = 0.05,
     inside = np.linalg.norm(pts, axis=-1) <= W + 1
     origin, shape = pts[(0,) * m], inside.shape
     freqs, c = field.plane_waves()
-    grad_sq = sum(
-        PlaneWaveSum(freqs, TWO_PI * 1j * freqs[:, a] * c).on_grid(origin, shape, h) ** 2
-        for a in range(m)
-    )
-    psi = np.abs(field.on_grid(origin, shape, h)) + np.sqrt(grad_sq)
+    val, *grads = plane_wave_grid(freqs, np.vstack([c, TWO_PI * 1j * freqs.T * c]),
+                                  origin, shape, h)
+    psi = np.abs(val) + np.sqrt(sum(g**2 for g in grads))
     min_bulk = float(psi[inside].min())
 
     sph = _sphere_mesh(m, W, h)

@@ -10,6 +10,7 @@ classes (circles in 2D, genus in 3D) for the zero pieces.
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
@@ -116,8 +117,13 @@ def _shell(grid: ScalarGrid, band: float = 1.0) -> np.ndarray:
 
 
 def label_domains(grid: ScalarGrid) -> NodalDecomposition:
-    """Union-find over orthogonally adjacent same-sign in-mask vertices."""
-    cached = grid.__dict__.get("_nodal_dec")
+    """Union-find over orthogonally adjacent same-sign in-mask vertices.
+
+    The grid caches the result by weak reference: it is reused while a caller
+    holds it, and grid and decomposition form no reference cycle.
+    """
+    ref = grid.__dict__.get("_nodal_dec")
+    cached = ref() if ref is not None else None
     if cached is not None:
         return cached
 
@@ -226,7 +232,7 @@ def label_domains(grid: ScalarGrid) -> NodalDecomposition:
         interior_count=int(np.sum(~touches)),
         boundary_count=int(np.sum(touches)),
     )
-    grid.__dict__["_nodal_dec"] = dec
+    grid.__dict__["_nodal_dec"] = weakref.ref(dec)
     return dec
 
 

@@ -16,7 +16,7 @@ from monowave.gaussian import (
     sample_uniform,
     uniform_measure,
 )
-from monowave.partition import build_partition
+from monowave.partition import build_partition, positive_side
 
 
 def _ball_points(rng, m, radius, n):
@@ -48,6 +48,23 @@ def test_spectral_measure_validation():
                           weights=np.full(4, 0.25))
     assert mu2.hyperplane_ok
     assert len(mu2.positive_representatives()) == 2
+
+
+def test_positive_representatives_are_cached_and_read_only():
+    mu = empirical_measure(generate_uniform_directions(2, 64, 5))
+    fresh = sorted({i if positive_side(mu.atoms[i]) else j
+                    for i, j in enumerate(mu._pair) if i <= j})
+    reps = mu.positive_representatives()
+    assert reps is mu.positive_representatives()
+    assert np.array_equal(reps, fresh) and reps.dtype == np.intp
+    with pytest.raises(ValueError):
+        reps[0] = 0
+    # sample_atomic still draws one coefficient pair per representative
+    rng = np.random.default_rng(7)
+    g, h = rng.standard_normal(len(fresh)), rng.standard_normal(len(fresh))
+    freqs, amps = sample_atomic(mu, 7).plane_waves()
+    assert np.array_equal(freqs, mu.atoms[fresh])
+    assert np.array_equal(amps, np.sqrt(2.0 * mu.weights[fresh]) * (g - 1j * h))
 
 
 def test_uniform_measure():

@@ -60,6 +60,23 @@ def test_plane_wave_grid_against_direct_sum():
     assert np.max(np.abs(got.reshape(shape) - direct)) < 1e-12
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_plane_wave_grid_stack_matches_single_fills(m):
+    # a (K, J) stack shares the phase tables; each grid must equal its own fill
+    rng = np.random.default_rng(m)
+    freqs = rng.standard_normal((300, m))  # more terms than one 3D chunk
+    stack = rng.standard_normal((3, 300)) + 1j * rng.standard_normal((3, 300))
+    origin, shape, h = rng.standard_normal(m), (5, 6, 4)[:m], 0.11
+    got = plane_wave_grid(freqs, stack, origin, shape, h)
+    assert got.shape == (3, *shape)
+    axes = [origin[a] + h * np.arange(shape[a]) for a in range(m)]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
+    for k in range(3):
+        assert np.array_equal(got[k], plane_wave_grid(freqs, stack[k], origin, shape, h))
+        direct = (np.exp(2j * np.pi * (pts @ freqs.T)) @ stack[k]).real.reshape(shape)
+        assert np.max(np.abs(got[k] - direct)) < 1e-11
+
+
 def test_finite_diff_gradient():
     # linear field: both central and one-sided differences are exact
     g = sample_on_grid(lambda p: 2.0 * p[:, 0] - 3.0 * p[:, 1], np.zeros(2), 2.0, 0.1)

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from collections import deque
 
 import numpy as np
@@ -98,6 +100,22 @@ def test_label_domains_caches_and_is_deterministic(cosine_wave):
     assert label_domains(g) is dec1  # cached on the grid
     g2 = sample_on_grid(cosine_wave, np.zeros(2), 4.0, 0.05)
     assert np.array_equal(label_domains(g2).labels, dec1.labels)
+
+
+def test_decomposition_cache_leaves_no_cycle(cosine_wave):
+    # with the cyclic collector off, only reference counting can free the
+    # grid: the cached decomposition must not keep it alive
+    gc.disable()
+    try:
+        g = sample_on_grid(cosine_wave, np.zeros(2), 4.0, 0.05)
+        dec = label_domains(g)
+        nodal_volume(g)
+        assert label_domains(g) is dec
+        grid_ref = weakref.ref(g)
+        del dec, g
+        assert grid_ref() is None
+    finally:
+        gc.enable()
 
 
 def test_cosine_fixture_decomposition(cosine_wave):

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from monowave import stats
 from monowave.directions import generate_uniform_directions, empirical_measure
-from monowave.gaussian import SpectralMeasure, sample_atomic, uniform_measure
+from monowave.gaussian import SpectralMeasure, child_rng, sample_atomic, uniform_measure
 from monowave.grid import sample_on_grid
 from monowave.nodal import DegenerateSampleError
 from monowave.partition import build_partition
 from monowave.stats import (
+    _energy_statistics,
     bk_moment_report,
     covariance_compare,
     discrepancy_estimate,
@@ -171,3 +173,60 @@ def test_pushforward_distance(wave64):
     assert rep.meta["gaussian_indistinguishable"]
     assert rep.meta["energy"] <= rep.meta["threshold"]
     assert np.all(rep.meta["ks"] < 0.1)
+
+
+def _distances(pts):
+    return np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+
+
+@pytest.mark.parametrize("keep", [37, 400, 1000])
+def test_energy_statistics_against_fsum(keep):
+    rng = np.random.default_rng(keep)
+    pts = rng.standard_normal((2 * keep, 2))
+    labels = np.repeat([1.0, -1.0], keep)
+    signs = np.stack([labels] + [labels[rng.permutation(2 * keep)] for _ in range(2)], axis=1)
+    got = _energy_statistics(pts, signs)
+    D = _distances(pts)
+
+    def fmean(rows, cols):
+        return math.fsum(D[np.ix_(rows, cols)].ravel().tolist()) / keep**2
+
+    for col, val in zip(signs.T, got):
+        a, b = np.nonzero(col > 0)[0], np.nonzero(col < 0)[0]
+        exact = 2 * fmean(a, b) - fmean(a, a) - fmean(b, b)
+        assert abs(val - exact) <= 1e-14 * D.mean()
+
+
+def _energy_from_matrix(D, ia, ib):
+    # the former per-split gather, kept as the oracle for the streamed form
+    return 2 * D[np.ix_(ia, ib)].mean() - D[np.ix_(ia, ia)].mean() - D[np.ix_(ib, ib)].mean()
+
+
+def test_pushforward_null_matches_per_split_loop(wave64, monkeypatch):
+    seen = {}
+
+    def spy(pts, signs):
+        seen["pts"], seen["signs"] = pts, signs
+        return _energy_statistics(pts, signs)
+
+    monkeypatch.setattr(stats, "_energy_statistics", spy)
+    mu = empirical_measure(wave64.dirs)
+    keep, permutations, seed = 400, 100, 21
+    rep = pushforward_distance(wave64, 150.0, mu, [[0.0, 0.0], [0.3, 0.4]], 800, seed=seed,
+                               subsample=keep, permutations=permutations)
+
+    # replay the permutation stream the way the per-split loop consumed it
+    D = _distances(seen["pts"])
+    prng = child_rng(seed, 10**6)
+    prng.permutation(800)
+    energy = _energy_from_matrix(D, np.arange(keep), np.arange(keep, 2 * keep))
+    null = np.empty(permutations)
+    for i in range(permutations):
+        perm = prng.permutation(2 * keep)
+        assert np.all(seen["signs"][perm[:keep], i + 1] == 1.0)
+        null[i] = _energy_from_matrix(D, perm[:keep], perm[keep:])
+    tol = 1e-14 * D.mean()
+    assert abs(rep.meta["energy"] - energy) <= tol
+    assert abs(rep.meta["threshold"] - np.quantile(null, 0.95)) <= tol
+    assert seen["signs"].shape == (2 * keep, permutations + 1)
+    assert np.all(seen["signs"].sum(axis=0) == 0)
