@@ -78,6 +78,19 @@ class PlaneWaveSum:
         s = -np.sin(phases) * self.amps.real - np.cos(phases) * self.amps.imag
         return TWO_PI * (s @ self.freqs)
 
+    def value_and_gradient(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Batch value and gradient by the formulas above, from one cos and sin.
+
+        Both trig tables stay alive together, so value alone keeps its own
+        path with one table at a time.
+        """
+        x = _check_dim(self, x)
+        phases = TWO_PI * (x @ self.freqs.T)
+        cos = np.cos(phases)
+        sin = np.sin(phases, out=phases)  # the phases are not needed again
+        val = cos @ self.amps.real - sin @ self.amps.imag
+        return val, TWO_PI * ((-sin * self.amps.real - cos * self.amps.imag) @ self.freqs)
+
     def on_grid(self, origin, shape, h: float) -> np.ndarray:
         """Values at origin + h * index over a grid of the given shape."""
         return plane_wave_grid(self.freqs, self.amps, origin, shape, h)

@@ -182,8 +182,7 @@ def check_nondegenerate(field: PlaneWaveSum, W: float, h: float = 0.05,
     min_sph = np.inf
     for lo in range(0, len(sph), 1 << 13):  # bound the phase-matrix footprint
         block = sph[lo : lo + (1 << 13)]
-        vals_s = field.value(block)
-        grads_s = field.gradient(block)
+        vals_s, grads_s = field.value_and_gradient(block)
         radial = (np.sum(block * grads_s, axis=-1) / W**2)[:, None] * block
         slashed = np.abs(vals_s) + np.linalg.norm(grads_s - radial, axis=-1)
         min_sph = min(min_sph, float(slashed.min()))

@@ -9,7 +9,8 @@ shares the same index arithmetic: flat = i1*n2*n3 + i2*n3 + i3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +28,7 @@ class ScalarGrid:
     values: np.ndarray  # flat, row-major
     ball_center: np.ndarray | None = None
     ball_radius: float | None = None
+    _mask: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=float)
@@ -47,20 +49,50 @@ class ScalarGrid:
     def grid_values(self) -> np.ndarray:
         return self.values.reshape(self.shape)
 
-    def radii(self) -> np.ndarray:
-        """Distance of every vertex from the mask center (origin if unmasked)."""
+    def _squared_radii(self) -> np.ndarray:
         c = self.ball_center if self.ball_center is not None else np.zeros(self.dim)
-        sq = np.zeros(self.shape)
+        sq = 0.0  # broadcast axis by axis: only the last sum is grid-sized
         for a in range(self.dim):
             d = self.axis_coords(a) - c[a]
             sq = sq + (d**2).reshape([-1 if i == a else 1 for i in range(self.dim)])
-        return np.sqrt(sq)
+        return sq
+
+    def radii(self) -> np.ndarray:
+        """Distance of every vertex from the mask center (origin if unmasked)."""
+        return np.sqrt(self._squared_radii())
+
+    def within(self, r: float) -> np.ndarray:
+        """Boolean array of radii() <= r, compared in squares without any sqrt."""
+        return self._squared_radii() <= _squared_bound(r)
 
     def mask(self) -> np.ndarray:
-        """Boolean in-region array; all True when no ball mask is set."""
-        if self.ball_radius is None:
-            return np.ones(self.shape, dtype=bool)
-        return self.radii() <= self.ball_radius
+        """Boolean in-region array, read-only and computed once per grid.
+
+        All True when no ball mask is set.
+        """
+        if self._mask is None:
+            if self.ball_radius is None:
+                self._mask = np.ones(self.shape, dtype=bool)
+            else:
+                self._mask = self.within(self.ball_radius)
+            self._mask.flags.writeable = False
+        return self._mask
+
+
+def _squared_bound(r: float) -> float:
+    """Largest double s with sqrt(s) <= r (-inf if none).
+
+    sqrt is correctly rounded, hence monotone, so for every double s >= 0,
+    sqrt(s) <= r exactly when s <= _squared_bound(r).
+    """
+    if not r >= 0:
+        return -math.inf
+    s = r * r
+    while math.sqrt(s) > r:
+        s = math.nextafter(s, 0.0)
+    while s < math.inf and math.sqrt(math.nextafter(s, math.inf)) <= r:
+        s = math.nextafter(s, math.inf)
+    return s
 
 
 def sample_on_grid(evaluator, center, radius: float, h: float) -> ScalarGrid:

@@ -1,11 +1,12 @@
 """Nodal decompositions of sampled fields.
 
-Sign components come from union-find over orthogonally adjacent same-sign
-vertices (run-length encoded rows, so the label pass is O(V alpha)). The zero
-set is extracted per cell from the sign-case tables, measured by linear
-interpolation, and split into connected pieces by a second union-find over
-crossing grid edges. Downstream: nesting trees over components and topology
-classes (circles in 2D, genus in 3D) for the zero pieces.
+Sign components are the connected components of orthogonally adjacent
+same-sign vertices, found over run-length encoded rows by array hooking and
+pointer jumping (_connected). The zero set is extracted per cell from the
+sign-case tables, measured by linear interpolation, and split into connected
+pieces by a second _connected pass over crossing grid edges. Downstream:
+nesting trees over components and topology classes (circles in 2D, genus in
+3D) for the zero pieces.
 """
 
 from __future__ import annotations
@@ -27,30 +28,33 @@ class DegenerateSampleError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# union-find over explicit pair lists
+# connected components over explicit pair lists
 
 
 def _connected(n: int, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """Root array after uniting all (pa[i], pb[i]); plain list-based DSU."""
-    parent = list(range(n))
-    for a, b in zip(pa.tolist(), pb.tolist()):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        if a != b:
-            if a < b:
-                parent[b] = a
-            else:
-                parent[a] = b
-    p = np.asarray(parent, dtype=np.intp)
+    """Root array after uniting all (pa[i], pb[i]); each root is its component's minimum.
+
+    Array form of hooking and pointer jumping (Shiloach & Vishkin 1982): every
+    pair whose roots differ hooks the larger root under the smallest root it
+    meets (np.minimum.at), then pointer jumping flattens the forest, and pairs
+    already joined drop out. Parents never exceed their index, so each root is
+    the minimum index of its tree, as with the sequential union-find.
+    """
+    p = np.arange(n, dtype=np.intp)
+    pa = np.asarray(pa, dtype=np.intp)
+    pb = np.asarray(pb, dtype=np.intp)
     while True:
-        q = p[p]
-        if np.array_equal(q, p):
+        ra, rb = p[pa], p[pb]
+        split = ra != rb
+        if not split.any():
             return p
-        p = q
+        pa, pb, ra, rb = pa[split], pb[split], ra[split], rb[split]
+        np.minimum.at(p, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            q = p[p]
+            if np.array_equal(q, p):
+                break
+            p = q
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +109,7 @@ def _shell(grid: ScalarGrid, band: float = 1.0) -> np.ndarray:
     can sit up to sqrt(m) * h inside the sphere.
     """
     if grid.ball_radius is not None:
-        return grid.mask() & (grid.radii() > grid.ball_radius - band * grid.spacing)
+        return grid.mask() & ~grid.within(grid.ball_radius - band * grid.spacing)
     sh = np.zeros(grid.shape, dtype=bool)
     for a in range(grid.dim):
         sl: list = [slice(None)] * grid.dim
@@ -117,7 +121,7 @@ def _shell(grid: ScalarGrid, band: float = 1.0) -> np.ndarray:
 
 
 def label_domains(grid: ScalarGrid) -> NodalDecomposition:
-    """Union-find over orthogonally adjacent same-sign in-mask vertices.
+    """Components of orthogonally adjacent same-sign in-mask vertices.
 
     The grid caches the result by weak reference: it is reused while a caller
     holds it, and grid and decomposition form no reference cycle.
@@ -256,192 +260,105 @@ class _ZeroSet:
     element_measure: np.ndarray
 
 
-def _edge_endpoints_2d(gids, shape):
-    n0, n1 = shape
-    k0 = (n0 - 1) * n1
-    ax0 = gids < k0
+def _edge_blocks(shape) -> list[tuple[int, tuple[int, ...]]]:
+    """Grid-edge numbering: (first id, block shape) per axis.
+
+    The edges along axis a are numbered row-major over the vertex shape with
+    one fewer along a, after the edges along the lower axes.
+    """
+    blocks, first = [], 0
+    for a in range(len(shape)):
+        bshape = tuple(n - (d == a) for d, n in enumerate(shape))
+        blocks.append((first, bshape))
+        first += int(np.prod(bshape))
+    return blocks
+
+
+def _row_major_strides(shape) -> list[int]:
+    return [int(np.prod(shape[d + 1 :])) for d in range(len(shape))]
+
+
+def _edge_endpoints(gids: np.ndarray, shape) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the lower and upper vertex of each grid edge."""
     u = np.empty(len(gids), dtype=np.int64)
     v = np.empty(len(gids), dtype=np.int64)
-    g0 = gids[ax0]
-    u[ax0] = g0  # (bi * n1 + bj), endpoint (bi, bj)
-    v[ax0] = g0 + n1
-    g1 = gids[~ax0] - k0
-    bi = g1 // (n1 - 1)
-    bj = g1 - bi * (n1 - 1)
-    u[~ax0] = bi * n1 + bj
-    v[~ax0] = bi * n1 + bj + 1
+    for step, (first, bshape) in zip(_row_major_strides(shape), _edge_blocks(shape)):
+        sel = (gids >= first) & (gids < first + int(np.prod(bshape)))
+        u[sel] = np.ravel_multi_index(np.unravel_index(gids[sel] - first, bshape), shape)
+        v[sel] = u[sel] + step
     return u, v
 
 
-def _edge_endpoints_3d(gids, shape):
-    n0, n1, n2 = shape
-    k0 = (n0 - 1) * n1 * n2
-    k1 = k0 + n0 * (n1 - 1) * n2
-    u = np.empty(len(gids), dtype=np.int64)
-    v = np.empty(len(gids), dtype=np.int64)
-    a0 = gids < k0
-    a1 = (~a0) & (gids < k1)
-    a2 = gids >= k1
-    u[a0] = gids[a0]
-    v[a0] = gids[a0] + n1 * n2
-    g = gids[a1] - k0
-    bi = g // ((n1 - 1) * n2)
-    rem = g - bi * (n1 - 1) * n2
-    bj = rem // n2
-    bk = rem - bj * n2
-    u[a1] = (bi * n1 + bj) * n2 + bk
-    v[a1] = u[a1] + n2
-    g = gids[a2] - k1
-    bi = g // (n1 * (n2 - 1))
-    rem = g - bi * n1 * (n2 - 1)
-    bj = rem // (n2 - 1)
-    bk = rem - bj * (n2 - 1)
-    u[a2] = (bi * n1 + bj) * n2 + bk
-    v[a2] = u[a2] + 1
-    return u, v
+def _crossing_elements(grid: ScalarGrid, v: np.ndarray) -> np.ndarray:
+    """Grid-edge ids of the zero-set elements: (S, 2) segments in 2D, (T, 3) triangles in 3D.
 
-
-def _gather_segments(grid: ScalarGrid, v: np.ndarray):
-    """Per-cell crossing segments for 2D grids, vectorized over cells per case."""
-    n0, n1 = grid.shape
+    Cells with all corners in the mask are grouped by sign case, in case
+    order; each case contributes its table's elements in turn, each over the
+    case's cells in index order.
+    """
+    m = grid.dim
+    if m == 2:
+        table, edge_axis, edge_base = mct.SQUARE_CASES, mct.SQ_EDGE_AXIS, mct.SQ_EDGE_BASE
+    else:
+        table, edge_axis, edge_base = mct.CUBE_CASES, mct.EDGE_AXIS, mct.EDGE_BASE
+    cells = tuple(n - 1 for n in grid.shape)
     pos = v > 0
     mask = grid.mask()
-    cell_ok = mask[:-1, :-1] & mask[1:, :-1] & mask[:-1, 1:] & mask[1:, 1:]
-    case = (
-        pos[:-1, :-1].astype(np.int8)
-        + 2 * pos[1:, :-1]
-        + 4 * pos[:-1, 1:]
-        + 8 * pos[1:, 1:]
-    )
-    work = np.flatnonzero(cell_ok & (case > 0) & (case < 15))
-    case_w = case.reshape(-1)[work]
-    h = grid.spacing
-    n1c = n1 - 1
-
-    def edge_point(e, i, j):
-        ax = int(mct.SQ_EDGE_AXIS[e])
-        bx, by = mct.SQ_EDGE_BASE[e]
-        bi = i + bx
-        bj = j + by
-        va = v[bi, bj]
-        vb = v[bi + 1, bj] if ax == 0 else v[bi, bj + 1]
-        t = va / (va - vb)
-        x = grid.origin[0] + h * (bi + (t if ax == 0 else 0.0))
-        y = grid.origin[1] + h * (bj + (t if ax == 1 else 0.0))
-        gid = bi * n1 + bj if ax == 0 else (n0 - 1) * n1 + bi * n1c + bj
-        return gid, np.stack([x, y], axis=-1)
-
-    gid_a, gid_b, pts_a, pts_b = [], [], [], []
-    for cs in np.unique(case_w):
-        sel = work[case_w == cs]
-        i = sel // n1c
-        j = sel - i * n1c
-        for ea, eb in mct.SQUARE_CASES[cs]:
-            ga, pa = edge_point(ea, i, j)
-            gb, pb = edge_point(eb, i, j)
-            gid_a.append(ga)
-            gid_b.append(gb)
-            pts_a.append(pa)
-            pts_b.append(pb)
-    if not gid_a:
-        return np.empty((0, 2), dtype=np.int64), np.empty(0)
-    seg_gids = np.stack([np.concatenate(gid_a), np.concatenate(gid_b)], axis=1)
-    measure = np.linalg.norm(np.concatenate(pts_a) - np.concatenate(pts_b), axis=1)
-    return seg_gids, measure
-
-
-def _gather_triangles(grid: ScalarGrid, v: np.ndarray):
-    """Per-cell crossing triangles for 3D grids, vectorized over cells per case."""
-    n0, n1, n2 = grid.shape
-    pos = v > 0
-    mask = grid.mask()
-    cell_ok = np.ones((n0 - 1, n1 - 1, n2 - 1), dtype=bool)
-    case = np.zeros((n0 - 1, n1 - 1, n2 - 1), dtype=np.int16)
-    for c in range(8):
-        dx, dy, dz = mct.CORNER_OFFSETS[c]
-        sl = (slice(dx, n0 - 1 + dx), slice(dy, n1 - 1 + dy), slice(dz, n2 - 1 + dz))
+    cell_ok = np.ones(cells, dtype=bool)
+    case = np.zeros(cells, dtype=np.int16)
+    for c in range(2**m):  # corner c is offset along axis a by bit a of c
+        sl = tuple(slice(o, o + n) for o, n in zip(((c >> a) & 1 for a in range(m)), cells))
         cell_ok &= mask[sl]
         case += pos[sl].astype(np.int16) << c
-    work = np.flatnonzero(cell_ok & (case > 0) & (case < 255))
+    work = np.flatnonzero(cell_ok & (case > 0) & (case < 2 ** 2**m - 1))
     case_w = case.reshape(-1)[work]
-    h = grid.spacing
-    c1, c2 = n1 - 1, n2 - 1
-    off1 = (n0 - 1) * n1 * n2
-    off2 = off1 + n0 * (n1 - 1) * n2
 
-    def edge_point(e, i, j, k):
-        ax = int(mct.EDGE_AXIS[e])
-        bx, by, bz = mct.EDGE_BASE[e]
-        bi, bj, bk = i + bx, j + by, k + bz
-        va = v[bi, bj, bk]
-        if ax == 0:
-            vb = v[bi + 1, bj, bk]
-        elif ax == 1:
-            vb = v[bi, bj + 1, bk]
-        else:
-            vb = v[bi, bj, bk + 1]
-        t = va / (va - vb)
-        p = np.stack(
-            [
-                grid.origin[0] + h * (bi + (t if ax == 0 else 0.0)),
-                grid.origin[1] + h * (bj + (t if ax == 1 else 0.0)),
-                grid.origin[2] + h * (bk + (t if ax == 2 else 0.0)),
-            ],
-            axis=-1,
-        )
-        if ax == 0:
-            gid = (bi * n1 + bj) * n2 + bk
-        elif ax == 1:
-            gid = off1 + (bi * (n1 - 1) + bj) * n2 + bk
-        else:
-            gid = off2 + (bi * n1 + bj) * (n2 - 1) + bk
-        return gid, p
+    # id of the edge along axis a at vertex x: first_a + x . strides_a, so the
+    # edge e of a cell is the cell's id for axis(e) plus a fixed shift
+    blocks = _edge_blocks(grid.shape)
+    strides = np.array([_row_major_strides(bshape) for _, bshape in blocks])
+    cell_gid = np.array([f for f, _ in blocks])[:, None] + strides @ np.stack(np.unravel_index(work, cells))
+    shift = np.sum(edge_base * strides[edge_axis], axis=1)
 
-    tri_gids, tri_areas = [], []
-    for cs in np.unique(case_w):
-        sel = work[case_w == cs]
-        i = sel // (c1 * c2)
-        rem = sel - i * c1 * c2
-        j = rem // c2
-        k = rem - j * c2
-        tris = mct.CUBE_CASES[cs]
-        cache = {}
-        for e in np.unique(tris):
-            cache[int(e)] = edge_point(int(e), i, j, k)
-        for e0, e1, e2 in tris:
-            g0, p0 = cache[int(e0)]
-            g1, p1 = cache[int(e1)]
-            g2, p2 = cache[int(e2)]
-            area = 0.5 * np.linalg.norm(np.cross(p1 - p0, p2 - p0), axis=-1)
-            tri_gids.append(np.stack([g0, g1, g2], axis=1))
-            tri_areas.append(area)
-    if not tri_gids:
-        return np.empty((0, 3), dtype=np.int64), np.empty(0)
-    return np.concatenate(tri_gids), np.concatenate(tri_areas)
+    order = np.argsort(case_w, kind="stable")
+    cases, starts = np.unique(case_w[order], return_index=True)
+    rows = []
+    for cs, sel in zip(cases.tolist(), np.split(order, starts[1:])):
+        tab = np.asarray(table[cs])  # (elements, m) cell-edge numbers
+        gids = cell_gid[:, sel][edge_axis[tab]] + shift[tab][..., None]
+        rows.append(gids.transpose(0, 2, 1).reshape(-1, m))
+    return np.concatenate(rows) if rows else np.empty((0, m), dtype=np.int64)
+
+
+def _element_measures(points: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """Segment lengths (2D) or triangle areas (3D) from the elements' vertex points."""
+    p0 = points[elements[:, 0]]
+    if elements.shape[1] == 2:
+        return np.linalg.norm(p0 - points[elements[:, 1]], axis=1)
+    cross = np.cross(points[elements[:, 1]] - p0, points[elements[:, 2]] - p0)
+    return 0.5 * np.linalg.norm(cross, axis=-1)
 
 
 def _extract_zero_set(grid: ScalarGrid, labels: np.ndarray) -> _ZeroSet:
-    v = _clamped(grid)
-    if grid.dim == 2:
-        elem_gids, measure = _gather_segments(grid, v)
-    elif grid.dim == 3:
-        elem_gids, measure = _gather_triangles(grid, v)
-    else:
+    if grid.dim not in (2, 3):
         raise ValueError("zero-set extraction supports m in {2, 3} only")
-
-    uniq, inv = np.unique(elem_gids.reshape(-1), return_inverse=True)
-    elements = inv.reshape(elem_gids.shape).astype(np.intp)
+    v = _clamped(grid)
+    uniq, inv = np.unique(_crossing_elements(grid, v).reshape(-1), return_inverse=True)
+    elements = inv.reshape(-1, grid.dim).astype(np.intp, copy=False)
     U = len(uniq)
+    ends_u, ends_v = _edge_endpoints(uniq, grid.shape)
 
-    if grid.dim == 2:
-        ends_u, ends_v = _edge_endpoints_2d(uniq, grid.shape)
-        root = _connected(U, elements[:, 0], elements[:, 1])
-    else:
-        ends_u, ends_v = _edge_endpoints_3d(uniq, grid.shape)
-        pa = np.concatenate([elements[:, 0], elements[:, 0]])
-        pb = np.concatenate([elements[:, 1], elements[:, 2]])
-        root = _connected(U, pa, pb)
+    # crossing point per unique edge, by linear interpolation along it
+    vf = v.reshape(-1)
+    t = vf[ends_u] / (vf[ends_u] - vf[ends_v])
+    base = np.stack(np.unravel_index(ends_u, grid.shape), axis=-1).astype(float)
+    step = np.stack(np.unravel_index(ends_v, grid.shape), axis=-1) - base
+    edge_points = grid.origin + grid.spacing * (base + t[:, None] * step)
+    measure = _element_measures(edge_points, elements)
 
+    # an element's vertices lie in one piece
+    pa = np.concatenate([elements[:, 0]] * (grid.dim - 1))
+    root = _connected(U, pa, elements[:, 1:].T.reshape(-1))
     piece_roots, edge_piece = np.unique(root, return_inverse=True)
     npieces = len(piece_roots)
     elem_piece = edge_piece[elements[:, 0]] if U else np.empty(0, dtype=np.intp)
@@ -452,21 +369,31 @@ def _extract_zero_set(grid: ScalarGrid, labels: np.ndarray) -> _ZeroSet:
     piece_boundary = np.zeros(npieces, dtype=bool)
     np.logical_or.at(piece_boundary, edge_piece, edge_shell)
 
-    # crossing point per unique edge, recomputed from endpoint values
-    vf = v.reshape(-1)
-    t = vf[ends_u] / (vf[ends_u] - vf[ends_v])
-    base = np.stack(np.unravel_index(ends_u, grid.shape), axis=-1).astype(float)
-    step = np.stack(np.unravel_index(ends_v, grid.shape), axis=-1) - base
-    edge_points = grid.origin + grid.spacing * (base + t[:, None] * step)
-
+    # components on either side of each crossing edge, grouped through
+    # composite int64 keys (every crossing edge lies in the mask, so labels >= 0)
     lab_u = labels[ends_u]
     lab_v = labels[ends_v]
-    neigh: list[set] = [set() for _ in range(npieces)]
-    adjacency: dict[tuple[int, int], set] = defaultdict(set)
-    for p, a, b in zip(edge_piece.tolist(), lab_u.tolist(), lab_v.tolist()):
-        neigh[p].add(a)
-        neigh[p].add(b)
-        adjacency[(a, b) if a < b else (b, a)].add(p)
+    ncomp = int(labels.max()) + 1
+    piece_lab = np.unique(np.concatenate([edge_piece * ncomp + lab_u, edge_piece * ncomp + lab_v]))
+    piece_of, lab_of = np.divmod(piece_lab, ncomp)
+    bounds = np.searchsorted(piece_of, np.arange(npieces + 1)).tolist()
+    labs = lab_of.tolist()
+    piece_neighbors = tuple(frozenset(labs[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+
+    # opposite-sign pairs in order of first crossing edge, pieces sorted
+    pair_keys, first, pair_of_edge = np.unique(
+        np.minimum(lab_u, lab_v) * ncomp + np.maximum(lab_u, lab_v),
+        return_index=True,
+        return_inverse=True,
+    )
+    pair_of, piece_of = np.divmod(np.unique(pair_of_edge * npieces + edge_piece), npieces)
+    pieces = piece_of.tolist()
+    bounds = np.searchsorted(pair_of, np.arange(len(pair_keys) + 1)).tolist()
+    keys = pair_keys.tolist()
+    adjacency = {
+        divmod(keys[k], ncomp): tuple(pieces[bounds[k] : bounds[k + 1]])
+        for k in np.argsort(first).tolist()
+    }
 
     return _ZeroSet(
         dim=grid.dim,
@@ -476,8 +403,8 @@ def _extract_zero_set(grid: ScalarGrid, labels: np.ndarray) -> _ZeroSet:
         npieces=npieces,
         piece_measure=piece_measure,
         piece_boundary=piece_boundary,
-        piece_neighbors=tuple(frozenset(s) for s in neigh),
-        adjacency={k: tuple(sorted(s)) for k, s in adjacency.items()},
+        piece_neighbors=piece_neighbors,
+        adjacency=adjacency,
         elements=elements,
         element_piece=elem_piece,
         element_measure=measure,

@@ -240,3 +240,13 @@ def test_bessel_input_guards():
         bessel_j(11, 1.0)
     with pytest.raises(ValueError):
         bessel_j(0, -0.5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
+def test_value_and_gradient_equal_separate_calls(seed, m):
+    F, origin, shape, h = _random_sum(seed, m)
+    pts = _lattice(origin, shape, h).reshape(-1, m)
+    val, grad = F.value_and_gradient(pts)
+    assert val.tobytes() == F.value(pts).tobytes()
+    assert grad.tobytes() == F.gradient(pts).tobytes()

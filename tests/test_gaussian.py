@@ -9,6 +9,7 @@ from monowave.directions import generate_uniform_directions, empirical_measure
 from monowave.field import PlaneWaveSum, bessel_j
 from monowave.gaussian import (
     SpectralMeasure,
+    _sphere_mesh,
     check_nondegenerate,
     child_rng,
     measure_from_partition,
@@ -158,6 +159,20 @@ def _pointwise_min_bulk(F, W: float, h: float) -> float:
     return min_bulk
 
 
+def _separate_min_spherical(F, W: float, h: float) -> float:
+    """Oracle: the spherical minimum with value and gradient evaluated separately."""
+    sph = _sphere_mesh(F.dim, W, h)
+    min_sph = np.inf
+    for lo in range(0, len(sph), 1 << 13):
+        block = sph[lo : lo + (1 << 13)]
+        vals = F.value(block)
+        grads = F.gradient(block)
+        radial = (np.sum(block * grads, axis=-1) / W**2)[:, None] * block
+        slashed = np.abs(vals) + np.linalg.norm(grads - radial, axis=-1)
+        min_sph = min(min_sph, float(slashed.min()))
+    return min_sph
+
+
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("atomic", [False, True])
 @settings(max_examples=4, deadline=None)
@@ -172,3 +187,4 @@ def test_check_nondegenerate_bulk_matches_pointwise(m, atomic, seed):
     rep = check_nondegenerate(F, W, h)
     ref = _pointwise_min_bulk(F, W, h)
     assert rep.min_bulk == pytest.approx(ref, rel=1e-12)
+    assert rep.min_spherical == _separate_min_spherical(F, W, h)  # bitwise

@@ -1,12 +1,17 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monowave.directions import generate_uniform_directions
 from monowave.field import make_wave
 from monowave.grid import (
     ScalarGrid,
+    _squared_bound,
     finite_diff_gradient,
     plane_wave_grid,
     read_grid,
@@ -125,3 +130,56 @@ def test_box_grid_without_ball_mask():
     g = ScalarGrid(dim=2, origin=np.zeros(2), spacing=0.5, shape=(3, 4), values=vals)
     assert g.mask().all()
     assert np.array_equal(g.axis_coords(1), 0.5 * np.arange(4))
+
+
+def test_mask_is_computed_once_and_read_only():
+    g = sample_on_grid(lambda p: p[:, 0], np.array([0.3, -0.2, 0.1]), 1.5, 0.07)
+    mask = g.mask()
+    assert np.array_equal(mask, g.radii() <= g.ball_radius)
+    assert g.mask() is mask
+    assert not mask.flags.writeable
+    with pytest.raises(ValueError):
+        mask[0, 0, 0] = True
+    box = ScalarGrid(dim=2, origin=np.zeros(2), spacing=0.5, shape=(3, 4), values=np.zeros(12))
+    assert box.mask() is box.mask() and not box.mask().flags.writeable
+
+
+def test_mask_cache_leaves_no_cycle():
+    # with the cyclic collector off, reference counting alone must free the grid
+    gc.disable()
+    try:
+        g = sample_on_grid(lambda p: p[:, 0], np.zeros(2), 2.0, 0.1)
+        g.mask()
+        grid_ref = weakref.ref(g)
+        del g
+        assert grid_ref() is None
+    finally:
+        gc.enable()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
+    st.integers(-3, 3),
+)
+def test_squared_bound_reproduces_the_rounded_sqrt_comparison(r, ulps):
+    # s walks a few ulps either side of r * r, where rounding decides
+    s = r * r
+    for _ in range(abs(ulps)):
+        s = math.nextafter(s, math.inf if ulps > 0 else 0.0)
+    bound = _squared_bound(r)
+    assert (math.sqrt(s) <= r) == (s <= bound)
+    assert math.sqrt(bound) <= r < math.sqrt(math.nextafter(bound, math.inf))
+    assert _squared_bound(-r - 1e-300) == -math.inf
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
+def test_within_matches_radii(seed, m):
+    rng = np.random.default_rng(seed)
+    h = float(rng.uniform(0.03, 0.25))
+    g = sample_on_grid(lambda p: p[:, 0], rng.uniform(-2.0, 2.0, m), float(rng.uniform(h, 1.5)), h)
+    radii = g.radii()
+    # thresholds on the grid's own radii are where a rounding slip would show
+    for r in [*rng.choice(radii.reshape(-1), 5), g.ball_radius - h, g.ball_radius - 2 * h]:
+        assert np.array_equal(g.within(r), radii <= r)

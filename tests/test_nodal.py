@@ -5,9 +5,16 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
+from monowave import _mc_tables as mct
+from monowave import nodal
 from monowave.cli import bessel_zero_table
 from monowave.field import bessel_j
+from monowave.gaussian import sample_uniform
 from monowave.grid import ScalarGrid, sample_on_grid
 from monowave.nodal import (
     DegenerateSampleError,
@@ -250,3 +257,178 @@ def test_export_components_csv(tmp_path, cosine_wave):
     pd = tmp_path / "degenerate.csv"
     export_components_csv(decd, str(pd))
     assert len(pd.read_text().strip().splitlines()) == 1 + decd.total_components
+
+
+# ---------------------------------------------------------------------------
+# _connected against the former sequential union-find and scipy
+
+
+def list_dsu(n: int, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """Reference: the former list-based union-find, smaller root wins."""
+    parent = list(range(n))
+    for a, b in zip(pa.tolist(), pb.tolist()):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a != b:
+            if a < b:
+                parent[b] = a
+            else:
+                parent[a] = b
+    p = np.asarray(parent, dtype=np.intp)
+    while True:
+        q = p[p]
+        if np.array_equal(q, p):
+            return p
+        p = q
+
+
+def check_connected(n: int, pa, pb) -> None:
+    pa = np.asarray(pa, dtype=np.intp)
+    pb = np.asarray(pb, dtype=np.intp)
+    root = nodal._connected(n, pa, pb)
+    assert np.array_equal(root, list_dsu(n, pa, pb))
+    ncc, cc = connected_components(
+        coo_matrix((np.ones(len(pa)), (pa, pb)), shape=(n, n)), directed=False
+    )
+    smallest = np.full(ncc, n)
+    np.minimum.at(smallest, cc, np.arange(n))
+    assert np.array_equal(root, smallest[cc])  # same partition, roots are minima
+
+
+@st.composite
+def pair_graphs(draw):
+    n = draw(st.integers(1, 60))
+    k = draw(st.integers(0, 3 * n))
+    ends = st.lists(st.integers(0, n - 1), min_size=k, max_size=k)
+    return n, draw(ends), draw(ends)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_graphs())
+def test_connected_matches_list_dsu_and_scipy(graph):
+    check_connected(*graph)
+
+
+def test_connected_edge_cases():
+    check_connected(1, [], [])
+    check_connected(1, [0], [0])
+    check_connected(6, [], [])
+    check_connected(4, [2, 2], [2, 2])  # self-loops only
+    check_connected(5, [3, 1, 3, 4, 1], [1, 3, 1, 0, 3])  # duplicate pairs
+    # a long path numbered in reverse: hooking builds one chain n-1 -> ... -> 0,
+    # the deepest tree pointer jumping can meet
+    n = 50_000
+    hi = np.arange(n - 1, 0, -1)
+    check_connected(n, hi, hi - 1)
+    assert not nodal._connected(n, hi, hi - 1).any()
+    rng = np.random.default_rng(8)
+    check_connected(20_000, rng.integers(0, 20_000, 15_000), rng.integers(0, 20_000, 15_000))
+
+
+def set_loop_grouping(z, labels, shape):
+    """Reference: the former per-edge set loop for piece_neighbors and adjacency."""
+    ends = nodal._edge_endpoints(z.edge_ids, shape)
+    neigh = [set() for _ in range(z.npieces)]
+    adjacency: dict = {}
+    for p, a, b in zip(z.edge_piece.tolist(), labels[ends[0]].tolist(), labels[ends[1]].tolist()):
+        neigh[p].update((a, b))
+        adjacency.setdefault((a, b) if a < b else (b, a), set()).add(p)
+    return (
+        tuple(frozenset(s) for s in neigh),
+        [(k, tuple(sorted(s))) for k, s in adjacency.items()],
+    )
+
+
+@pytest.mark.parametrize("m, W, h", [(2, 5.0, 0.05), (3, 2.0, 0.08)])
+def test_zero_set_matches_list_dsu_and_set_loops(monkeypatch, m, W, h):
+    F = sample_uniform(m, 256, 12 + m)
+
+    def decompose():
+        g = sample_on_grid(F, np.full(m, 0.3), W, h)
+        dec = label_domains(g)
+        return g, dec, nodal_volume(g), dec._ensure_zero()
+
+    g, dec, geom, z = decompose()
+    with monkeypatch.context() as mp:
+        mp.setattr(nodal, "_connected", list_dsu)
+        _, ref_dec, ref_geom, ref = decompose()
+    assert np.array_equal(dec.labels, ref_dec.labels)
+    assert np.array_equal(z.edge_piece, ref.edge_piece)
+    assert z.piece_neighbors == ref.piece_neighbors
+    assert list(z.adjacency.items()) == list(ref.adjacency.items())
+    assert z.piece_measure.tobytes() == ref.piece_measure.tobytes()
+    assert geom.measures.tobytes() == ref_geom.measures.tobytes()
+
+    neigh, adjacency = set_loop_grouping(z, dec.labels, g.shape)
+    assert z.piece_neighbors == neigh
+    assert list(z.adjacency.items()) == adjacency  # first-occurrence key order
+    assert list(z.adjacency) != sorted(z.adjacency)  # so the order is tested
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("band", [1.0, 2.0])
+def test_shell_matches_radii(m, band):
+    rng = np.random.default_rng(m)
+    for _ in range(5):
+        h = float(rng.uniform(0.05, 0.2))
+        g = sample_on_grid(lambda p: p[:, 0], rng.uniform(-1.0, 1.0, m), float(rng.uniform(0.5, 1.5)), h)
+        ref = g.mask() & (g.radii() > g.ball_radius - band * g.spacing)
+        assert np.array_equal(nodal._shell(g, band), ref)
+
+
+def per_cell_elements(grid: ScalarGrid):
+    """Reference: edge ids and measures of the zero-set elements, cell by cell.
+
+    Rows are ordered by case, then table entry, then cell, like
+    _crossing_elements; edge ids follow the axis-block numbering.
+    """
+    m = grid.dim
+    v = np.where(np.abs(grid.grid_values()) < 1e-13, 1e-13, grid.grid_values())
+    mask = grid.mask()
+    if m == 2:
+        table, edge_axis, edge_base = mct.SQUARE_CASES, mct.SQ_EDGE_AXIS, mct.SQ_EDGE_BASE
+    else:
+        table, edge_axis, edge_base = mct.CUBE_CASES, mct.EDGE_AXIS, mct.EDGE_BASE
+    first, shapes = 0, []
+    for a in range(m):
+        shapes.append((first, tuple(n - (d == a) for d, n in enumerate(grid.shape))))
+        first += math.prod(shapes[-1][1])
+    rows = []
+    for cell in np.ndindex(*(n - 1 for n in grid.shape)):
+        corners = [tuple(x + ((c >> a) & 1) for a, x in enumerate(cell)) for c in range(2**m)]
+        if not all(mask[x] for x in corners):
+            continue
+        case = sum(1 << c for c, x in enumerate(corners) if v[x] > 0)
+        for k, element in enumerate(table[case] if 0 < case < 2 ** 2**m - 1 else ()):
+            ids, pts = [], []
+            for e in element:
+                ax = int(edge_axis[e])
+                lo = tuple(int(x + b) for x, b in zip(cell, edge_base[e]))
+                hi = tuple(x + (a == ax) for a, x in enumerate(lo))
+                t = v[lo] / (v[lo] - v[hi])
+                pts.append([grid.origin[a] + grid.spacing * (x + (t if a == ax else 0.0))
+                            for a, x in enumerate(lo)])
+                off, bshape = shapes[ax]
+                ids.append(off + int(np.ravel_multi_index(lo, bshape)))
+            if m == 2:
+                measure = math.dist(*pts)
+            else:
+                u, w = np.subtract(pts[1], pts[0]), np.subtract(pts[2], pts[0])
+                measure = 0.5 * math.hypot(*np.cross(u, w))
+            rows.append(((case, k), ids, measure))
+    rows.sort(key=lambda r: r[0])  # stable: cells stay in index order
+    return np.array([r[1] for r in rows]), np.array([r[2] for r in rows])
+
+
+@pytest.mark.parametrize("m, W, h", [(2, 2.0, 0.1), (3, 0.9, 0.1)])
+def test_crossing_elements_match_per_cell_loop(m, W, h):
+    g = sample_on_grid(sample_uniform(m, 64, 5 + m), np.full(m, 0.2), W, h)
+    z = label_domains(g)._ensure_zero()
+    ids, measures = per_cell_elements(g)
+    assert len(ids) > 20
+    assert np.array_equal(z.edge_ids[z.elements], ids)
+    assert np.allclose(z.element_measure, measures, rtol=1e-12, atol=0)
