@@ -98,7 +98,6 @@ def _to_float(key: str, val: str) -> float:
 
 _INT_KEYS = {"m", "N", "K", "seed", "samples", "trials", "p_max"}
 _FLOAT_KEYS = {"delta", "W", "R", "h", "t_max", "beta", "r", "wavenumber"}
-_STR_KEYS = {"command", "generator", "coeffs", "wave", "out"}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -157,7 +156,11 @@ def _need(cfg: ExperimentConfig, *names: str) -> None:
 
 
 def save_wave(wave: MonochromaticWave, path) -> None:
-    """Text format: "m N", N direction rows, then N coefficient rows "re im"."""
+    """The one wave text format, written by gen-wave and read for generator=file.
+
+    "m N", then N direction rows of m components, then N coefficient rows
+    "re im", all at 17 significant digits so a load/save cycle is exact.
+    """
     lines = [f"{wave.dirs.dim} {wave.dirs.count}"]
     for row in wave.dirs.vectors:
         lines.append(" ".join(f"{x:.17g}" for x in row))
@@ -183,7 +186,8 @@ def _resolve_dirs(cfg: ExperimentConfig) -> DirectionSet:
         if cfg.m != 2:
             raise ValueError("log-rational directions exist only for m=2")
         return log_rational_directions(cfg.N)
-    raise ValueError("generator=file carries its own directions; load the wave instead")
+    _need(cfg, "wave")
+    return load_wave(cfg.wave).dirs
 
 
 def _resolve_wave(cfg: ExperimentConfig) -> MonochromaticWave:
@@ -198,12 +202,10 @@ def _resolve_wave(cfg: ExperimentConfig) -> MonochromaticWave:
 
 def _resolve_measure(cfg: ExperimentConfig):
     if cfg.K is not None:
-        dirs = load_wave(cfg.wave).dirs if cfg.generator == "file" else _resolve_dirs(cfg)
-        return measure_from_partition(build_partition(dirs, cfg.K, cfg.delta))
+        return measure_from_partition(build_partition(_resolve_dirs(cfg), cfg.K, cfg.delta))
     if cfg.generator == "uniform":
         return uniform_measure(cfg.m)
-    dirs = load_wave(cfg.wave).dirs if cfg.generator == "file" else _resolve_dirs(cfg)
-    return empirical_measure(dirs)
+    return empirical_measure(_resolve_dirs(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +584,7 @@ def _run_fig1(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
     w = cfg.wavenumber
     if w <= 0:
         raise ValueError("wavenumber must be positive")
-    dirs = _resolve_dirs(cfg) if cfg.generator != "file" else load_wave(cfg.wave).dirs
+    dirs = _resolve_dirs(cfg)
     N = dirs.count
     freqs = dirs.vectors * (w / (2 * math.pi))
     coeffs = np.full(N, 1.0 / N, dtype=complex)

@@ -6,9 +6,7 @@ r_{-n} = -r_n is implicit everywhere downstream.
 
 from __future__ import annotations
 
-import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +21,6 @@ class DirectionSet:
     dim: int
     count: int
     vectors: np.ndarray  # shape (N, m)
-    gap_cache: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=float)
@@ -102,52 +99,6 @@ def log_rational_directions(N: int) -> DirectionSet:
     return DirectionSet(dim=2, count=N, vectors=vecs)
 
 
-def min_sum_gap(dirs: DirectionSet, T: int) -> dict[int, float]:
-    """Minimum norm of t-fold signed direction sums, t = 2..T.
-
-    For each t, minimizes ||r_{n_1} + ... + r_{n_t}|| over all multisets of
-    signed directions, excluding the exact cancellation patterns where the
-    multiset splits into antipodal pairs (possible only for even t). Cost
-    grows as (2N)^T, so T is capped at 4.
-    """
-    if T < 2:
-        raise ValueError("need T >= 2")
-    if T > 4:
-        raise ValueError("T > 4 refused: enumeration cost grows as (2N)^T")
-    N = dirs.count
-    signed = np.vstack([dirs.vectors, -dirs.vectors])
-    out: dict[int, float] = {}
-    for t in range(2, T + 1):
-        if t in dirs.gap_cache:
-            out[t] = dirs.gap_cache[t]
-            continue
-        best = math.inf
-        combos = itertools.combinations_with_replacement(range(2 * N), t)
-        for chunk in _chunks(combos, 1 << 16):
-            idx = np.array(chunk, dtype=np.intp)
-            # balance[n] = count(+n) - count(-n); all-zero rows cancel exactly
-            bal = np.zeros((len(idx), N), dtype=np.int64)
-            for col in range(t):
-                j = idx[:, col]
-                np.add.at(bal, (np.arange(len(idx)), j % N), np.where(j < N, 1, -1))
-            keep = np.any(bal != 0, axis=1)
-            if not np.any(keep):
-                continue
-            sums = signed[idx[keep]].sum(axis=1)
-            best = min(best, float(np.linalg.norm(sums, axis=1).min()))
-        out[t] = best
-        dirs.gap_cache[t] = best
-    return out
-
-
-def _chunks(it, size):
-    while True:
-        chunk = list(itertools.islice(it, size))
-        if not chunk:
-            return
-        yield chunk
-
-
 def empirical_measure(dirs: DirectionSet):
     """Atomic spectral measure with atoms at +-r_n, each of weight 1/(2N)."""
     from .gaussian import SpectralMeasure
@@ -155,20 +106,3 @@ def empirical_measure(dirs: DirectionSet):
     atoms = np.vstack([dirs.vectors, -dirs.vectors])
     weights = np.full(2 * dirs.count, 1.0 / (2 * dirs.count))
     return SpectralMeasure(kind="atomic", dim=dirs.dim, atoms=atoms, weights=weights)
-
-
-def save_directions(dirs: DirectionSet, path) -> None:
-    """Text format: first line "m N", then N lines of m components, 17 significant digits."""
-    lines = [f"{dirs.dim} {dirs.count}"]
-    for row in dirs.vectors:
-        lines.append(" ".join(f"{x:.17g}" for x in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_directions(path) -> DirectionSet:
-    with open(path) as fh:
-        head = fh.readline().split()
-        m, n = int(head[0]), int(head[1])
-        vecs = np.loadtxt(fh, dtype=float, max_rows=n).reshape(n, m)
-    return DirectionSet(dim=m, count=n, vectors=vecs)

@@ -1,4 +1,4 @@
-"""Plane-wave sums: the PlaneWaveSum kernel, waves, windows, packets, kernels.
+"""Plane-wave sums: the PlaneWaveSum kernel, waves, packets, kernels.
 
 Every field in the package is a PlaneWaveSum, F(x) = Re sum_j c_j e(<v_j, x>)
 with e(t) = exp(2*pi*i*t), evaluated pointwise (value, gradient) or on a
@@ -161,42 +161,6 @@ def _check_dim(field: PlaneWaveSum, x) -> np.ndarray:
     return x
 
 
-@dataclass
-class ObservationWindow:
-    """Ball B(center, W) inside the ambient ball B(R)."""
-
-    center: np.ndarray
-    W: float
-    R: float
-
-    def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=float)
-        if not self.W < self.R:
-            raise ValueError("need W < R")
-        if np.linalg.norm(self.center) > self.R:
-            raise ValueError("window center lies outside B(R)")
-
-
-def eval_window(wave: PlaneWaveSum, window: ObservationWindow, y) -> np.ndarray | float:
-    """F_x(y) = f(x + y) for probe points y in the window ball."""
-    y = _check_dim(wave, y)
-    if np.any(np.linalg.norm(y, axis=-1) > window.W):
-        raise ValueError("probe point outside the window ball")
-    return wave.value(window.center + y)
-
-
-def _signed_coeffs(wave: MonochromaticWave) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients and frequencies of the full signed atom list [r; -r]."""
-    a = wave.coeffs.values
-    atoms = np.vstack([wave.dirs.vectors, -wave.dirs.vectors])
-    return atoms, np.concatenate([a, np.conj(a)])
-
-
-def _check_partition(wave: MonochromaticWave, part: SpherePartition) -> None:
-    if part.dirs is not wave.dirs and not np.array_equal(part.dirs.vectors, wave.dirs.vectors):
-        raise ValueError("partition was not built from this wave's directions")
-
-
 def eval_bk(wave: MonochromaticWave, part: SpherePartition, x) -> np.ndarray:
     """Wave packets b_k(x) for k in the selected set, batched over x.
 
@@ -204,11 +168,14 @@ def eval_bk(wave: MonochromaticWave, part: SpherePartition, x) -> np.ndarray:
     Conjugate pairing b_{-k} = conj(b_k) holds because cell -k carries exactly
     the negated atoms with conjugated coefficients.
     """
-    _check_partition(wave, part)
+    if part.dirs is not wave.dirs and not np.array_equal(part.dirs.vectors, wave.dirs.vectors):
+        raise ValueError("partition was not built from this wave's directions")
     if len(part.selected) == 0:
         raise ValueError("no cell exceeds the mass threshold; degenerate partition")
     x = _check_dim(wave, x)
-    atoms, coeffs = _signed_coeffs(wave)
+    # the full signed atom list [r; -r] with coefficients [a; conj(a)]
+    atoms = np.vstack([wave.dirs.vectors, -wave.dirs.vectors])
+    coeffs = np.concatenate([wave.coeffs.values, np.conj(wave.coeffs.values)])
     two_n = 2 * wave.dirs.count
 
     order = np.argsort(part.atom_cells, kind="stable")
@@ -223,28 +190,6 @@ def eval_bk(wave: MonochromaticWave, part: SpherePartition, x) -> np.ndarray:
         norm = 1.0 / math.sqrt(two_n * part.masses[k])
         out[..., col] = norm * E[..., lo:hi].sum(axis=-1)
     return out
-
-
-def eval_phi(wave: MonochromaticWave, part: SpherePartition, window: ObservationWindow, y):
-    """phi_x(y) = sum over k in the selected set of b_k(x) mu_k^{1/2} e(<zeta_k, y>).
-
-    The +-k cell pairs combine to a real value; the imaginary residue is
-    asserted below 1e-10.
-    """
-    _check_partition(wave, part)
-    if len(part.selected) == 0:
-        raise ValueError("no cell exceeds the mass threshold; degenerate partition")
-    y = _check_dim(wave, y)
-    if np.any(np.linalg.norm(y, axis=-1) > window.W):
-        raise ValueError("probe point outside the window ball")
-    b = eval_bk(wave, part, window.center)
-    w = np.sqrt(part.masses[part.selected])
-    zeta = part.centers[part.selected]
-    val = np.exp(2j * np.pi * (y @ zeta.T)) @ (b * w)
-    if np.max(np.abs(np.atleast_1d(val).imag)) > 1e-10:
-        raise AssertionError("phi failed to combine to a real value")
-    out = val.real
-    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

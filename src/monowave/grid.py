@@ -1,4 +1,4 @@
-"""Regular grids over balls: sampling, finite differences, masks, binary dumps.
+"""Regular grids over balls: sampling and masks.
 
 Plane-wave sums are filled through PlaneWaveSum.on_grid; plane_wave_grid
 (defined in field) is re-exported here.
@@ -132,39 +132,3 @@ def sample_on_grid(evaluator, center, radius: float, h: float) -> ScalarGrid:
         ball_center=center,
         ball_radius=radius,
     )
-
-
-def finite_diff_gradient(grid: ScalarGrid) -> np.ndarray:
-    """Central differences in the interior, one-sided at the box faces.
-
-    Returns an array of shape (m,) + grid.shape.
-    """
-    if any(s < 3 for s in grid.shape):
-        raise ValueError("need at least 3 samples per axis")
-    parts = np.gradient(grid.grid_values(), grid.spacing)
-    if grid.dim == 1:
-        parts = [parts]
-    return np.stack(parts)
-
-
-def write_grid(grid: ScalarGrid, path) -> None:
-    """Dump format: ASCII header "m h shape... origin...", then little-endian float64."""
-    head = " ".join(
-        [str(grid.dim), f"{grid.spacing:.17g}"]
-        + [str(s) for s in grid.shape]
-        + [f"{x:.17g}" for x in grid.origin]
-    )
-    with open(path, "wb") as fh:
-        fh.write((head + "\n").encode("ascii"))
-        fh.write(grid.values.astype("<f8").tobytes())
-
-
-def read_grid(path) -> ScalarGrid:
-    with open(path, "rb") as fh:
-        head = fh.readline().decode("ascii").split()
-        m = int(head[0])
-        h = float(head[1])
-        shape = tuple(int(s) for s in head[2 : 2 + m])
-        origin = np.array([float(x) for x in head[2 + m : 2 + 2 * m]])
-        vals = np.frombuffer(fh.read(), dtype="<f8").copy()
-    return ScalarGrid(dim=m, origin=origin, spacing=h, shape=shape, values=vals)

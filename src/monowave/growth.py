@@ -17,6 +17,7 @@ from .gaussian import child_rng
 from .nodal import DegenerateSampleError
 
 TWO_PI = 2 * math.pi
+PROBE_DENSITY = 20  # doubling-index probe points per unit length
 
 
 def scaling_factor(m: int) -> float:
@@ -32,32 +33,31 @@ def _uniform_ball(rng: np.random.Generator, m: int, radius: float, n: int) -> np
 
 
 def _lattice_ball(center: np.ndarray, radius: float, h: float) -> np.ndarray:
-    """Absolute lattice h*Z^m clipped to the ball, plus the center itself.
+    """Absolute lattice h*Z^m clipped to the closed ball B(center, radius).
 
     Anchoring at multiples of h (not at the center) keeps the probe set
     consistent across centers and hits period-aligned extrema exactly.
     """
-    m = len(center)
     axes = [
         h * np.arange(math.floor((c - radius) / h), math.ceil((c + radius) / h) + 1)
         for c in center
     ]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([g.reshape(-1) for g in mesh], axis=-1)
-    pts = pts[np.linalg.norm(pts - center, axis=1) <= radius]
-    return np.concatenate([pts, center[None, :]])
+    return pts[np.linalg.norm(pts - center, axis=1) <= radius]
 
 
-def doubling_index(field, x, W: float, density: int = 20) -> float:
-    """log of sup|f| over B(x, 2 sqrt(m) W) against sup|f| over B(x, W), plus 1."""
+def doubling_index(field, x, W: float) -> float:
+    """log of sup|f| over B(x, 2 sqrt(m) W) against sup|f| over B(x, W), plus 1.
+
+    Probed on the lattice (1/PROBE_DENSITY) Z^m in the outer ball, plus x itself.
+    """
     if W < 1:
         raise ValueError("need W >= 1")
-    if density < 20:
-        raise ValueError("need at least 20 probe points per unit length")
     x = np.asarray(x, dtype=float)
     m = len(x)
     kappa = scaling_factor(m)
-    pts = _lattice_ball(x, kappa * W, 1.0 / density)
+    pts = np.concatenate([_lattice_ball(x, kappa * W, 1.0 / PROBE_DENSITY), x[None, :]])
     vals = np.abs(field.value(pts))
     inner = vals[np.linalg.norm(pts - x, axis=1) <= W]
     sup_inner = float(inner.max())
@@ -79,22 +79,15 @@ class DoublingStats:
         frac = np.mean(self.samples[None, ...] > np.atleast_1d(Q)[:, None], axis=1)
         return float(frac[0]) if Q.ndim == 0 else frac
 
-    @staticmethod
-    def reference_tail(Q, D: float) -> np.ndarray | float:
-        """Shape of the predicted tail bound: min(1, Q^-D + Q^{2D} e^-Q)."""
-        Q = np.asarray(Q, dtype=float)
-        val = np.minimum(1.0, Q**-D + Q ** (2 * D) * np.exp(-Q))
-        return float(val) if val.ndim == 0 else val
 
-
-def doubling_tail(wave: MonochromaticWave, R: float, W: float, n_samples: int, seed: int,
-                  density: int = 20) -> DoublingStats:
+def doubling_tail(wave: MonochromaticWave, R: float, W: float, n_samples: int,
+                  seed: int) -> DoublingStats:
     if R < 10 * W:
         raise ValueError("need R >= 10 W so windows decorrelate")
     m = wave.dirs.dim
     rng = child_rng(seed, 0)
     centers = _uniform_ball(rng, m, R, n_samples)
-    vals = np.array([doubling_index(wave, c, W, density) for c in centers])
+    vals = np.array([doubling_index(wave, c, W) for c in centers])
     return DoublingStats(W=W, kappa=scaling_factor(m), samples=vals)
 
 

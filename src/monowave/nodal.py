@@ -67,8 +67,6 @@ class ComponentRecord:
     sign: int  # +1 or -1
     size: int  # vertex count
     touches_boundary: bool
-    bbox_lo: np.ndarray  # vertex-coordinate bounds
-    bbox_hi: np.ndarray
 
 
 @dataclass
@@ -134,10 +132,9 @@ def label_domains(grid: ScalarGrid) -> NodalDecomposition:
     mask = grid.mask()
     if not mask.any():
         raise ValueError("mask selects no vertices")
-    pos = _clamped(grid) > 0
+    pos = grid.grid_values() > -TIE_EPS  # == _clamped(grid) > 0, without the copy
     shape = grid.shape
     L = shape[-1]
-    nlines = int(np.prod(shape[:-1], dtype=np.int64)) if grid.dim > 1 else 1
 
     key = np.where(mask, pos.astype(np.int8), np.int8(-1)).reshape(-1)
     change = np.empty(key.size, dtype=bool)
@@ -194,24 +191,11 @@ def label_domains(grid: ScalarGrid) -> NodalDecomposition:
     signs = np.zeros(ncomp, dtype=np.int8)
     signs[comp_of_run] = np.where(rkey > 0, 1, -1)
 
-    shell_flat = _shell(grid).reshape(-1)
-    cs = np.concatenate([[0], np.cumsum(shell_flat)])
-    run_shell = (cs[re_flat] - cs[rs_flat]) > 0
+    # the shell lies in the mask, so no shell vertex sits between one run's
+    # end and the next run's start
+    run_shell = np.logical_or.reduceat(_shell(grid).reshape(-1), rs_flat)
     touches = np.zeros(ncomp, dtype=bool)
     np.logical_or.at(touches, comp_of_run, run_shell)
-
-    # index-space bbox per component from run extents
-    lo_idx = np.full((ncomp, grid.dim), np.iinfo(np.int64).max, dtype=np.int64)
-    hi_idx = np.full((ncomp, grid.dim), np.iinfo(np.int64).min, dtype=np.int64)
-    if grid.dim == 2:
-        run_multi = [run_line]
-    else:
-        run_multi = [run_line // line_shape[1], run_line % line_shape[1]]
-    for a, arr in enumerate(run_multi):
-        np.minimum.at(lo_idx[:, a], comp_of_run, arr)
-        np.maximum.at(hi_idx[:, a], comp_of_run, arr)
-    np.minimum.at(lo_idx[:, -1], comp_of_run, run_s)
-    np.maximum.at(hi_idx[:, -1], comp_of_run, run_e - 1)
 
     total = int(lengths.sum())
     flat_idx = np.repeat(rs_flat, lengths) + (np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths))
@@ -224,8 +208,6 @@ def label_domains(grid: ScalarGrid) -> NodalDecomposition:
             sign=int(signs[i]),
             size=int(sizes[i]),
             touches_boundary=bool(touches[i]),
-            bbox_lo=grid.origin + grid.spacing * lo_idx[i],
-            bbox_hi=grid.origin + grid.spacing * hi_idx[i],
         )
         for i in range(ncomp)
     ]
@@ -415,14 +397,11 @@ def _extract_zero_set(grid: ScalarGrid, labels: np.ndarray) -> _ZeroSet:
 class NodalGeometry:
     dim: int
     measures: np.ndarray  # one entry per zero piece
-    boundary_flags: np.ndarray
     total: float
     covered_volume: float  # volume of the cells actually scanned
     segments: np.ndarray | None  # 2D: (S, 2, m) endpoint coords
-    segment_piece: np.ndarray | None
     vertices: np.ndarray | None  # 3D: welded mesh vertices (one per crossing edge)
     triangles: np.ndarray | None  # 3D: (T, 3) indices into vertices
-    triangle_piece: np.ndarray | None
 
     def __post_init__(self):
         if abs(self.total - float(np.sum(self.measures))) > 1e-9:
@@ -458,22 +437,19 @@ def nodal_volume(grid: ScalarGrid) -> NodalGeometry:
     dec = label_domains(grid)
     z = dec._ensure_zero()
     if grid.dim == 2:
-        segments, seg_piece = z.edge_points[z.elements], z.element_piece
-        vertices = triangles = tri_piece = None
+        segments = z.edge_points[z.elements]
+        vertices = triangles = None
     else:
-        segments = seg_piece = None
-        vertices, triangles, tri_piece = z.edge_points, z.elements, z.element_piece
+        segments = None
+        vertices, triangles = z.edge_points, z.elements
     return NodalGeometry(
         dim=grid.dim,
         measures=z.piece_measure.copy(),
-        boundary_flags=z.piece_boundary.copy(),
         total=float(np.sum(z.piece_measure)),
         covered_volume=_covered_volume(grid),
         segments=segments,
-        segment_piece=seg_piece,
         vertices=vertices,
         triangles=triangles,
-        triangle_piece=tri_piece,
     )
 
 
@@ -576,11 +552,8 @@ def build_nesting_tree(dec: NodalDecomposition) -> NestingTree:
 
 @dataclass
 class TopologySummary:
-    dim: int
     tags: dict[int, str]  # interior piece id -> class tag
     histogram: Counter
-    class_count: int | None = None
-    tree_count: int | None = None
 
 
 def _piece_tag(z: _ZeroSet, p: int) -> str:
@@ -605,33 +578,13 @@ def _piece_tag(z: _ZeroSet, p: int) -> str:
     return f"genus{(2 - chi) // 2}"
 
 
-def classify_topology(
-    dec: NodalDecomposition,
-    classes: set[str] | None = None,
-    tree_code: str | None = None,
-) -> TopologySummary:
-    """Class tags ("circle" / "genusG") for interior zero pieces, plus queries.
-
-    classes: count interior pieces whose tag lies in the set.
-    tree_code: count interior sign components whose nesting subtree has this
-    canonical code.
-    """
+def classify_topology(dec: NodalDecomposition) -> TopologySummary:
+    """Class tags ("circle" / "genusG") for interior zero pieces, and their histogram."""
     z = dec._ensure_zero()
     tags = {
         p: _piece_tag(z, p) for p in range(z.npieces) if not z.piece_boundary[p]
     }
-    hist = Counter(tags.values())
-    out = TopologySummary(dim=dec.grid.dim, tags=tags, histogram=hist)
-    if classes is not None:
-        out.class_count = sum(1 for t in tags.values() if t in classes)
-    if tree_code is not None:
-        tree = build_nesting_tree(dec)
-        out.tree_count = sum(
-            1
-            for c in dec.components
-            if not c.touches_boundary and tree.codes.get(c.id) == tree_code
-        )
-    return out
+    return TopologySummary(tags=tags, histogram=Counter(tags.values()))
 
 
 def export_components_csv(dec: NodalDecomposition, path: str) -> None:

@@ -22,7 +22,7 @@ from .gaussian import (
     sample_uniform,
 )
 from .grid import ScalarGrid, sample_on_grid
-from .growth import _uniform_ball
+from .growth import _lattice_ball, _uniform_ball
 from .nodal import DegenerateSampleError
 from .partition import SpherePartition
 
@@ -289,7 +289,7 @@ def _map_trials(fn, trials: int, workers: int) -> list:
 
 def ns_constant_estimate(sampler, W: float, trials: int, seed: int, h: float = 0.05,
                          m: int | None = None, with_topology: bool = False,
-                         nondegeneracy: bool = True, workers: int = 1) -> ConstantEstimate:
+                         workers: int = 1) -> ConstantEstimate:
     """Mean interior nodal-domain count per unit volume over sampled fields.
 
     Degenerate draws (failed nondegeneracy probe, unresolved adjacency) are
@@ -312,7 +312,7 @@ def ns_constant_estimate(sampler, W: float, trials: int, seed: int, h: float = 0
         try:
             # probe at the coarsest permitted pitch: it gates outliers, it is
             # not the measurement grid
-            if nondegeneracy and not check_nondegenerate(realization, W, 0.1).passed:
+            if not check_nondegenerate(realization, W, 0.1).passed:
                 raise DegenerateSampleError("nondegeneracy probe failed")
             g = sample_on_grid(realization, np.zeros(m), W, h)
             dec = nodal.label_domains(g)
@@ -444,11 +444,7 @@ def volume_sandwich_check(grid: ScalarGrid, R: float, r: float) -> ComparisonRep
     v_plus = clip.measure_in_ball(origin, R + r)
 
     spacing = r / 4.0
-    k = math.ceil(R / spacing)
-    axes = spacing * np.arange(-k, k + 1)
-    mesh = np.meshgrid(*([axes] * grid.dim), indexing="ij")
-    centers = np.stack([g.reshape(-1) for g in mesh], axis=-1)
-    centers = centers[np.linalg.norm(centers, axis=1) <= R]
+    centers = _lattice_ball(origin, R, spacing)
     total = 0.0
     for c in centers:
         total += clip.measure_in_ball(c, r)
@@ -469,12 +465,13 @@ def volume_sandwich_check(grid: ScalarGrid, R: float, r: float) -> ComparisonRep
     )
 
 
-def semilocal_count_check(wave: MonochromaticWave, R: float, W: float, h: float = 0.05,
-                          spacing: float | None = None, allowance: float = 5.0) -> ComparisonReport:
+def semilocal_count_check(wave: MonochromaticWave, R: float, W: float,
+                          h: float = 0.05) -> ComparisonReport:
     """Global count density vs the average over local windows of radius W.
 
-    The gap must be covered by the average boundary-component correction plus
-    an O(1/W) allowance.
+    The windows are centred on the lattice W Z^m inside B(R - W). The gap must
+    be covered by the average boundary-component correction plus an O(1/W)
+    allowance, 5 / W.
     """
     if R < 10 * W:
         raise ValueError("need R >= 10 W")
@@ -483,13 +480,7 @@ def semilocal_count_check(wave: MonochromaticWave, R: float, W: float, h: float 
     dec = nodal.label_domains(big)
     global_density = dec.interior_count / _ball_volume(m, R)
 
-    if spacing is None:
-        spacing = W
-    k = math.ceil((R - W) / spacing)
-    axes = spacing * np.arange(-k, k + 1)
-    mesh = np.meshgrid(*([axes] * m), indexing="ij")
-    centers = np.stack([g.reshape(-1) for g in mesh], axis=-1)
-    centers = centers[np.linalg.norm(centers, axis=1) <= R - W]
+    centers = _lattice_ball(np.zeros(m), R - W, W)
     vol_w = _ball_volume(m, W)
     local, boundary = [], []
     for c in centers:
@@ -500,7 +491,8 @@ def semilocal_count_check(wave: MonochromaticWave, R: float, W: float, h: float 
     local_mean = float(np.mean(local))
     correction = float(np.mean(boundary))
     gap = abs(global_density - local_mean)
-    tol = correction + allowance / W
+    allowance = 5.0 / W
+    tol = correction + allowance
     return ComparisonReport(
         name="semilocal-count",
         estimate=np.array([local_mean]),
@@ -510,7 +502,7 @@ def semilocal_count_check(wave: MonochromaticWave, R: float, W: float, h: float 
         tolerance=np.array([tol]),
         passed=gap <= tol,
         n_samples=len(centers),
-        meta={"gap": gap, "correction": correction, "allowance": allowance / W,
+        meta={"gap": gap, "correction": correction, "allowance": allowance,
               "R": R, "W": W},
     )
 

@@ -86,6 +86,13 @@ def test_gen_wave_round_trip(tmp_path):
     assert p2.read_bytes() == (out / "wave.txt").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["kacrice", "ns-estimate", "discrepancy", "fig1"])
+def test_file_generator_without_wave_key(tmp_path, capsys, command):
+    cfgp = write_cfg(tmp_path, f"command = {command}\ngenerator = file\nW = 4\n")
+    assert main(["--config", cfgp, "--out", str(tmp_path / "o")]) == 2
+    assert "requires config key 'wave'" in capsys.readouterr().err
+
+
 def test_seed_flag_overrides_config(tmp_path):
     cfgp = write_cfg(tmp_path, "command = gen-wave\nN = 8\nseed = 3\n")
     a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"

@@ -3,16 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from monowave.cli import load_wave, save_wave
 from monowave.directions import (
-    DirectionSet,
     empirical_measure,
     generate_uniform_directions,
-    load_directions,
     log_rational_directions,
-    min_sum_gap,
-    save_directions,
     validate_directions,
 )
+from monowave.field import make_wave
 
 
 def test_generate_uniform_shapes_and_norms():
@@ -77,27 +75,6 @@ def test_log_rational_matches_its_closed_form():
     assert np.array_equal(dirs.vectors, log_rational_directions(N).vectors)
 
 
-def test_min_sum_gap_two_direction_oracle():
-    # two unit vectors at angle a: the best non-cancelling pair sum is
-    # r1 - r2 with norm 2 sin(a/2); for triples the best is {r, r, -r} -> |r| = 1
-    a = 0.1
-    dirs = DirectionSet(2, 2, np.array([[1.0, 0.0], [math.cos(a), math.sin(a)]]))
-    gaps = min_sum_gap(dirs, 3)
-    assert gaps[2] == pytest.approx(2 * math.sin(a / 2), rel=1e-12)
-    assert gaps[3] == pytest.approx(1.0, rel=1e-12)
-
-
-def test_min_sum_gap_bounds_and_cache():
-    dirs = generate_uniform_directions(2, 6, 1)
-    with pytest.raises(ValueError):
-        min_sum_gap(dirs, 1)
-    with pytest.raises(ValueError):
-        min_sum_gap(dirs, 5)
-    first = min_sum_gap(dirs, 2)
-    assert dirs.gap_cache[2] == first[2]
-    assert min_sum_gap(dirs, 2) == first
-
-
 def test_empirical_measure_symmetry():
     dirs = generate_uniform_directions(3, 10, 2)
     mu = empirical_measure(dirs)
@@ -108,16 +85,19 @@ def test_empirical_measure_symmetry():
 
 
 def test_save_load_round_trip(tmp_path):
+    # directions are stored in the wave text format; a load/save cycle is exact
     dirs = generate_uniform_directions(3, 9, 13)
-    p = tmp_path / "dirs.txt"
-    save_directions(dirs, p)
-    back = load_directions(p)
-    assert back.dim == 3 and back.count == 9
-    assert np.array_equal(back.vectors, dirs.vectors)
+    wave = make_wave(dirs, seed=5)
+    p = tmp_path / "wave.txt"
+    save_wave(wave, p)
+    back = load_wave(p)
+    assert back.dirs.dim == 3 and back.dirs.count == 9
+    assert np.array_equal(back.dirs.vectors, dirs.vectors)
+    assert np.array_equal(back.coeffs.values, wave.coeffs.values)
 
 
 def test_load_truncated_file_fails(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("2 4\n1 0\n0 1\n")
     with pytest.raises((ValueError, OSError)):
-        load_directions(p)
+        load_wave(p)

@@ -8,14 +8,11 @@ from hypothesis import strategies as st
 from monowave.directions import DirectionSet, empirical_measure, generate_uniform_directions
 from monowave.field import (
     CoefficientSet,
-    ObservationWindow,
     PlaneWaveSum,
     all_ones_coefficients,
     bessel_j,
     covariance_kernel,
     eval_bk,
-    eval_phi,
-    eval_window,
     make_wave,
     random_phase_coefficients,
 )
@@ -133,20 +130,6 @@ def test_derivative_sums_on_grid_match_gradient(seed, m):
         assert np.max(np.abs(part - grad[..., a])) < 1e-12 * 2 * math.pi
 
 
-def test_window_evaluation():
-    w = make_wave(generate_uniform_directions(2, 16, 2), seed=3)
-    win = ObservationWindow(center=np.array([4.0, 1.0]), W=2.0, R=10.0)
-    y = np.array([[0.5, -0.5], [0.0, 0.0], [1.2, 0.9]])
-    direct = w.value(win.center + y)
-    assert np.max(np.abs(eval_window(w, win, y) - direct)) < 1e-12
-    with pytest.raises(ValueError):
-        eval_window(w, win, np.array([2.1, 0.0]))
-    with pytest.raises(ValueError):
-        ObservationWindow(center=np.zeros(2), W=5.0, R=4.0)
-    with pytest.raises(ValueError):
-        ObservationWindow(center=np.array([11.0, 0.0]), W=2.0, R=10.0)
-
-
 def test_eval_bk_against_direct_sum():
     dirs = generate_uniform_directions(2, 64, 2)
     w = make_wave(dirs, seed=11)
@@ -183,17 +166,6 @@ def test_eval_bk_rejects_foreign_partition():
     part = build_partition(other, 4, 1e-4)
     with pytest.raises(ValueError):
         eval_bk(w, part, np.zeros(2))
-
-
-def test_eval_phi_collapses_to_the_wave_when_nothing_is_dropped():
-    # with delta below every positive cell mass the packet sum at y = 0
-    # telescopes back to f(x) exactly
-    dirs = generate_uniform_directions(2, 16, 4)
-    w = make_wave(dirs, seed=14)
-    part = build_partition(dirs, 64, 1e-9)
-    win = ObservationWindow(center=np.array([3.7, -1.2]), W=2.0, R=50.0)
-    phi0 = eval_phi(w, part, win, np.zeros(2))
-    assert phi0 == pytest.approx(w.value(win.center), abs=1e-12)
 
 
 def test_bessel_frozen_values():

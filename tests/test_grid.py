@@ -12,11 +12,8 @@ from monowave.field import make_wave
 from monowave.grid import (
     ScalarGrid,
     _squared_bound,
-    finite_diff_gradient,
     plane_wave_grid,
-    read_grid,
     sample_on_grid,
-    write_grid,
 )
 
 
@@ -80,49 +77,6 @@ def test_plane_wave_grid_stack_matches_single_fills(m):
         assert np.array_equal(got[k], plane_wave_grid(freqs, stack[k], origin, shape, h))
         direct = (np.exp(2j * np.pi * (pts @ freqs.T)) @ stack[k]).real.reshape(shape)
         assert np.max(np.abs(got[k] - direct)) < 1e-11
-
-
-def test_finite_diff_gradient():
-    # linear field: both central and one-sided differences are exact
-    g = sample_on_grid(lambda p: 2.0 * p[:, 0] - 3.0 * p[:, 1], np.zeros(2), 2.0, 0.1)
-    grad = finite_diff_gradient(g)
-    assert grad.shape == (2,) + g.shape
-    assert np.max(np.abs(grad[0] - 2.0)) < 1e-10
-    assert np.max(np.abs(grad[1] + 3.0)) < 1e-10
-    # smooth field: O(h^2) error along the central row
-    gc = sample_on_grid(lambda p: np.cos(2 * np.pi * p[:, 0]), np.zeros(2), 2.0, 0.05)
-    row = finite_diff_gradient(gc)[0][:, gc.shape[1] // 2]
-    pts0 = gc.axis_coords(0)
-    exact = -2 * np.pi * np.sin(2 * np.pi * pts0)
-    keep = np.abs(pts0) < 1.5
-    assert np.max(np.abs(row[keep] - exact[keep])) < (2 * math.pi) ** 3 * 0.05**2 / 6 + 1e-6
-    with pytest.raises(ValueError):
-        finite_diff_gradient(
-            ScalarGrid(dim=2, origin=np.zeros(2), spacing=0.1, shape=(2, 2), values=np.zeros(4))
-        )
-
-
-def test_grid_io_round_trip(tmp_path):
-    w = make_wave(generate_uniform_directions(2, 8, 9), seed=4)
-    g = sample_on_grid(w, np.array([0.3, -0.7]), 1.5, 0.1)
-    p = tmp_path / "field.grid"
-    write_grid(g, p)
-    back = read_grid(p)
-    assert back.dim == g.dim
-    assert back.shape == g.shape
-    assert back.spacing == g.spacing
-    assert np.array_equal(back.origin, g.origin)
-    assert np.array_equal(back.values, g.values)  # f8 payload, bit exact
-    # the dump format carries the box only; the ball mask is caller state
-    assert back.ball_radius is None and back.ball_center is None
-    assert back.mask().all()
-
-
-def test_grid_io_rejects_corrupt_header(tmp_path):
-    p = tmp_path / "bad.grid"
-    p.write_bytes(b"not a grid file\n\x00\x01")
-    with pytest.raises((ValueError, OSError)):
-        read_grid(p)
 
 
 def test_box_grid_without_ball_mask():

@@ -99,6 +99,36 @@ def test_labels_match_flood_fill_on_random_grids():
         dec = label_domains(g)
         assert same_partition(dec.labels, flood_fill_labels(g))
         assert dec.interior_count + dec.boundary_count == dec.total_components
+        # a component touches the boundary exactly when one of its vertices is in the shell
+        on_shell = set(dec.labels[nodal._shell(g).reshape(-1)].tolist())
+        assert [c.touches_boundary for c in dec.components] == [
+            c.id in on_shell for c in dec.components
+        ]
+
+
+@pytest.mark.parametrize("shape", [(5, 14), (3, 4, 6)])
+def test_label_signs_follow_the_tie_rule(shape):
+    # label_domains reads signs as values > -TIE_EPS, which must equal
+    # _clamped(grid) > 0, the signs the zero set is meshed from, for every double
+    eps = nodal.TIE_EPS
+    edge = np.array([
+        0.0, -0.0, eps, -eps, np.nextafter(eps, 0), np.nextafter(eps, 1),
+        np.nextafter(-eps, 0), np.nextafter(-eps, -1), 5e-324, -5e-324,
+        np.nan, np.inf, -np.inf, 1.0, -1.0,
+    ])
+    rng = np.random.default_rng(77)
+    size = int(np.prod(shape))
+    grids = [np.resize(edge, size), rng.choice(edge, size)]
+    grids += [rng.uniform(-3 * eps, 3 * eps, size) for _ in range(5)]
+    grids += [rng.standard_normal(size) for _ in range(5)]
+    for vals in grids:
+        g = ScalarGrid(dim=len(shape), origin=np.zeros(len(shape)), spacing=0.1,
+                       shape=shape, values=vals)
+        clamped_pos = nodal._clamped(g).reshape(-1) > 0
+        assert np.array_equal(g.values > -eps, clamped_pos)
+        dec = label_domains(g)
+        signs = np.array([c.sign for c in dec.components])[dec.labels]
+        assert np.array_equal(signs > 0, clamped_pos)
 
 
 def test_label_domains_caches_and_is_deterministic(cosine_wave):
@@ -220,9 +250,10 @@ def test_j0_tree_stable_under_refinement():
 
 def test_j0_topology_classes():
     dec = label_domains(j0_grid(0.05))
-    topo = classify_topology(dec, tree_code="(())")
-    assert dict(topo.histogram) == {"circle": 5}
-    assert topo.tree_count == 1  # exactly one component wraps just the core disk
+    assert dict(classify_topology(dec).histogram) == {"circle": 5}
+    codes = build_nesting_tree(dec).codes
+    # exactly one component wraps just the core disk
+    assert sum(1 for c in dec.components if not c.touches_boundary and codes[c.id] == "(())") == 1
 
 
 def test_unresolved_crossing_raises():
