@@ -6,7 +6,10 @@ serializes the report. Every report CSV starts with the same seven meta
 columns {seed, n_samples, h, W, R, N, m}; floats are written with repr so a
 parse/serialize cycle is byte-identical.
 
-Measure selection for the ensemble commands (kacrice, ns-estimate,
+Each command resolves its wave or direction set once, and that is the one
+source of m and N; the m and N keys only configure the uniform and
+log-rational generators, so with generator=file a config that sets them is
+refused. Measure selection for the ensemble commands (kacrice, ns-estimate,
 discrepancy): a partition measure when K is set, the rotation-invariant
 measure for generator=uniform, and otherwise the empirical measure of the
 configured direction set.
@@ -138,6 +141,8 @@ def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
         raise ValueError(f"generator must be one of {_GENERATORS}, got {cfg.generator!r}")
     if cfg.coeffs not in _COEFF_MODES:
         raise ValueError(f"coeffs must be one of {_COEFF_MODES}, got {cfg.coeffs!r}")
+    if cfg.generator == "file" and {"m", "N"} & raw.keys():
+        raise ValueError("generator = file takes m and N from the wave file; drop those keys")
     return cfg
 
 
@@ -201,11 +206,13 @@ def _resolve_wave(cfg: ExperimentConfig) -> MonochromaticWave:
 
 
 def _resolve_measure(cfg: ExperimentConfig):
+    """The ensemble measure and the direction set behind it (None for the uniform measure)."""
+    if cfg.K is None and cfg.generator == "uniform":
+        return uniform_measure(cfg.m), None
+    dirs = _resolve_dirs(cfg)
     if cfg.K is not None:
-        return measure_from_partition(build_partition(_resolve_dirs(cfg), cfg.K, cfg.delta))
-    if cfg.generator == "uniform":
-        return uniform_measure(cfg.m)
-    return empirical_measure(_resolve_dirs(cfg))
+        return measure_from_partition(build_partition(dirs, cfg.K, cfg.delta)), dirs
+    return empirical_measure(dirs), dirs
 
 
 # ---------------------------------------------------------------------------
@@ -236,15 +243,16 @@ def write_report_csv(path, columns, rows, meta) -> None:
             w.writerow(meta_vals + [_fmt(row[c]) for c in columns])
 
 
-def _meta(cfg: ExperimentConfig, n_samples, wave: MonochromaticWave | None = None, **over):
+def _meta(cfg: ExperimentConfig, n_samples, dirs: DirectionSet | None = None, **over):
+    """Meta columns; N and m come from dirs, and from cfg only for the uniform measure."""
     meta = {
         "seed": cfg.seed,
         "n_samples": n_samples,
         "h": cfg.h,
         "W": cfg.W,
         "R": cfg.R,
-        "N": wave.dirs.count if wave is not None else cfg.N,
-        "m": wave.dirs.dim if wave is not None else cfg.m,
+        "N": dirs.count if dirs is not None else cfg.N,
+        "m": dirs.dim if dirs is not None else cfg.m,
     }
     meta.update(over)
     return meta
@@ -357,7 +365,7 @@ def _run_nodal_stats(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
     export_components_csv(dec, comp_path)
     print(f"wrote {comp_path}")
 
-    meta = _meta(cfg, grid.values.size, wave)
+    meta = _meta(cfg, grid.values.size, wave.dirs)
     row = {
         "components": dec.total_components,
         "interior": dec.interior_count,
@@ -365,7 +373,7 @@ def _run_nodal_stats(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
         "zero_measure": geom.total,
         "density": geom.density,
         "tree_code": tree.code,
-        "classes": " ".join(f"{k}:{v}" for k, v in sorted(topo.histogram.items())),
+        "classes": " ".join(f"{k}:{v}" for k, v in sorted(topo.items())),
     }
     _emit(outdir, "summary.csv", tuple(row), [row], meta)
 
@@ -387,7 +395,7 @@ def _run_moments(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
     )
     labels = [f"y{i} p{p}" for i in range(len(y_points)) for p in range(1, cfg.p_max + 1)]
     _emit(outdir, "moments.csv", _REPORT_COLUMNS, _report_rows(rep, labels),
-          _meta(cfg, cfg.samples, wave))
+          _meta(cfg, cfg.samples, wave.dirs))
     print(f"all within tolerance: {rep.passed}")
 
 
@@ -415,7 +423,7 @@ def _run_bk_moments(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
         labels.append(f"{a}:1:0|{b}:0:1")
     rep = stats.bk_moment_report(wave, part, cfg.R, moments, cfg.samples, cfg.seed)
     _emit(outdir, "bk_moments.csv", _REPORT_COLUMNS, _report_rows(rep, labels),
-          _meta(cfg, cfg.samples, wave))
+          _meta(cfg, cfg.samples, wave.dirs))
     print(f"all within tolerance: {rep.passed}")
 
 
@@ -434,7 +442,7 @@ def _run_charfn(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
         for i in range(len(rep.t))
     ]
     _emit(outdir, "charfn.csv", ("t", "re_psi", "im_psi", "predicted", "stderr"),
-          rows, _meta(cfg, cfg.samples, wave))
+          rows, _meta(cfg, cfg.samples, wave.dirs))
     print(f"sup error over the t grid: {rep.sup_error!r}")
 
 
@@ -445,7 +453,7 @@ def _run_doubling(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
     q_grid = np.arange(1.0, 4.0 + 1e-9, 0.05)
     tails = st.tail(q_grid)
     rows = [{"Q": float(q), "tail": float(t)} for q, t in zip(q_grid, tails)]
-    _emit(outdir, "doubling.csv", ("Q", "tail"), rows, _meta(cfg, cfg.samples, wave))
+    _emit(outdir, "doubling.csv", ("Q", "tail"), rows, _meta(cfg, cfg.samples, wave.dirs))
 
 
 def _run_smallvalues(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
@@ -458,7 +466,7 @@ def _run_smallvalues(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
         "stderr": rep.stderr,
         "gaussian_limit": rep.gaussian_limit,
     }
-    _emit(outdir, "smallvalues.csv", tuple(row), [row], _meta(cfg, cfg.samples, wave))
+    _emit(outdir, "smallvalues.csv", tuple(row), [row], _meta(cfg, cfg.samples, wave.dirs))
 
 
 def _run_compare(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
@@ -466,7 +474,7 @@ def _run_compare(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
     wave = _resolve_wave(cfg)
     m = wave.dirs.dim
     measure = empirical_measure(wave.dirs)
-    meta = _meta(cfg, cfg.samples, wave)
+    meta = _meta(cfg, cfg.samples, wave.dirs)
 
     y_points = np.zeros((2, m))
     y_points[1, 0] = cfg.W / 2
@@ -484,23 +492,18 @@ def _run_compare(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
 
 
 def _run_kacrice(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
-    measure = _resolve_measure(cfg)
-    out = stats.kac_rice_density(measure, n_mc=cfg.samples, seed=cfg.seed)
-    if isinstance(out, tuple):
-        density, err = out
-    else:
-        density, err = out, 0.0
+    measure, dirs = _resolve_measure(cfg)
+    density, err = stats.kac_rice_density(measure, n_mc=cfg.samples, seed=cfg.seed)
     row = {"kind": measure.kind, "density": density, "stderr": err}
-    _emit(outdir, "kacrice.csv", tuple(row), [row], _meta(cfg, cfg.samples))
+    _emit(outdir, "kacrice.csv", tuple(row), [row], _meta(cfg, cfg.samples, dirs))
     print(f"expected zero-set volume per unit volume: {density!r}")
 
 
 def _run_ns_estimate(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
     _need(cfg, "W")
-    measure = _resolve_measure(cfg)
+    measure, dirs = _resolve_measure(cfg)
     est = stats.ns_constant_estimate(
-        measure, cfg.W, cfg.trials, cfg.seed, h=cfg.h, m=cfg.m,
-        with_topology=True, workers=threads,
+        measure, cfg.W, cfg.trials, cfg.seed, h=cfg.h, with_topology=True, workers=threads
     )
     rows = [
         {
@@ -521,7 +524,7 @@ def _run_ns_estimate(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
         rows.append({"kind": "tree", "label": code, "mean": mu, "stderr": se,
                      "excluded": est.excluded, "trials": est.trials})
     _emit(outdir, "ns.csv", ("kind", "label", "mean", "stderr", "excluded", "trials"),
-          rows, _meta(cfg, cfg.trials))
+          rows, _meta(cfg, cfg.trials, dirs))
     print(f"count density {est.mean!r} +- {est.stderr!r} ({est.excluded} excluded)")
 
 
@@ -537,7 +540,7 @@ def _run_sandwich(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
         "tolerance": float(rep.tolerance[0]),
         "passed": rep.passed,
     }
-    _emit(outdir, "sandwich.csv", tuple(row), [row], _meta(cfg, rep.n_samples, wave))
+    _emit(outdir, "sandwich.csv", tuple(row), [row], _meta(cfg, rep.n_samples, wave.dirs))
     print(f"sandwich holds: {rep.passed}")
 
 
@@ -553,23 +556,22 @@ def _run_semilocal(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
         "allowance": rep.meta["allowance"],
         "passed": rep.passed,
     }
-    _emit(outdir, "semilocal.csv", tuple(row), [row], _meta(cfg, rep.n_samples, wave))
+    _emit(outdir, "semilocal.csv", tuple(row), [row], _meta(cfg, rep.n_samples, wave.dirs))
     print(f"gap bounded: {rep.passed}")
 
 
 def _run_discrepancy(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
     _need(cfg, "W")
-    measure = _resolve_measure(cfg)
-    rep = stats.discrepancy_estimate(
-        measure, cfg.W, cfg.trials, cfg.seed, h=cfg.h, m=cfg.m, workers=threads
-    )
+    measure, dirs = _resolve_measure(cfg)
+    rep = stats.discrepancy_estimate(measure, cfg.W, cfg.trials, cfg.seed, h=cfg.h,
+                                     workers=threads)
     row = {
         "mean_abs_deviation": rep.mean_abs_deviation,
         "stderr": rep.stderr,
         "mean_density": rep.mean_density,
         "trials": rep.trials,
     }
-    _emit(outdir, "discrepancy.csv", tuple(row), [row], _meta(cfg, cfg.trials))
+    _emit(outdir, "discrepancy.csv", tuple(row), [row], _meta(cfg, cfg.trials, dirs))
 
 
 def _run_fig1(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
@@ -579,12 +581,12 @@ def _run_fig1(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
     sphere times 2 pi in the phase); the wavenumber key rescales coordinates
     so the classical w=1 picture comes out directly.
     """
-    if cfg.m != 2:
+    dirs = _resolve_dirs(cfg)
+    if dirs.dim != 2:
         raise ValueError("fig1 is a planar picture; needs m=2")
     w = cfg.wavenumber
     if w <= 0:
         raise ValueError("wavenumber must be positive")
-    dirs = _resolve_dirs(cfg)
     N = dirs.count
     freqs = dirs.vectors * (w / (2 * math.pi))
     coeffs = np.full(N, 1.0 / N, dtype=complex)
@@ -610,7 +612,7 @@ def _run_fig1(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
         {"r": float(r[i]), "g": float(g[i]), "limit": float(limit[i])}
         for i in range(len(r))
     ]
-    meta = _meta(cfg, n * n, R=half, N=N)
+    meta = _meta(cfg, n * n, dirs, R=half)
     _emit(outdir, f"fig1_profile_N{N}.csv", ("r", "g", "limit"), rows, meta)
 
 

@@ -103,10 +103,12 @@ def plane_wave_grid(freqs: np.ndarray, coeffs: np.ndarray, origin, shape, h: flo
     grid fill is a (chunked) complex matrix product instead of pointwise
     trigonometry; values match pointwise evaluation to rounding. A (K, J)
     stack of coefficient vectors gives K grids, shape (K, *shape), that share
-    the phase tables.
+    the phase tables. A lattice whose dimension is not the field's is refused.
     """
     origin = np.asarray(origin, dtype=float)
-    m = len(shape)
+    m = freqs.shape[1]
+    if len(shape) != m or origin.shape != (m,):
+        raise ValueError(f"grid shape and origin must have one entry per axis of R^{m}")
     axes = []
     for a in range(m):
         coords = origin[a] + h * np.arange(shape[a])

@@ -550,12 +550,6 @@ def build_nesting_tree(dec: NodalDecomposition) -> NestingTree:
 # topology classes of interior zero pieces
 
 
-@dataclass
-class TopologySummary:
-    tags: dict[int, str]  # interior piece id -> class tag
-    histogram: Counter
-
-
 def _piece_tag(z: _ZeroSet, p: int) -> str:
     if z.dim == 2:
         member = np.flatnonzero(z.element_piece == p)
@@ -578,13 +572,10 @@ def _piece_tag(z: _ZeroSet, p: int) -> str:
     return f"genus{(2 - chi) // 2}"
 
 
-def classify_topology(dec: NodalDecomposition) -> TopologySummary:
-    """Class tags ("circle" / "genusG") for interior zero pieces, and their histogram."""
+def classify_topology(dec: NodalDecomposition) -> Counter:
+    """Histogram of the class tags ("circle" / "genusG") of the interior zero pieces."""
     z = dec._ensure_zero()
-    tags = {
-        p: _piece_tag(z, p) for p in range(z.npieces) if not z.piece_boundary[p]
-    }
-    return TopologySummary(tags=tags, histogram=Counter(tags.values()))
+    return Counter(_piece_tag(z, p) for p in range(z.npieces) if not z.piece_boundary[p])
 
 
 def export_components_csv(dec: NodalDecomposition, path: str) -> None:

@@ -189,11 +189,12 @@ def _energy_statistics(pts: np.ndarray, signs: np.ndarray) -> np.ndarray:
     return -quad / k**2
 
 
-def _resolve_sampler(sampler, m: int):
+def _resolve_sampler(sampler):
+    """seed -> field: draws of a SpectralMeasure, or a callable passed through."""
     if isinstance(sampler, SpectralMeasure):
         if sampler.kind == "atomic":
             return lambda s: sample_atomic(sampler, s)
-        return lambda s: sample_uniform(m, 1024, s)
+        return lambda s: sample_uniform(sampler.dim, 1024, s)
     return sampler
 
 
@@ -216,7 +217,7 @@ def pushforward_distance(wave: MonochromaticWave, R: float, sampler, y_points,
     x = _uniform_ball(rng, m, R, n_samples)
     cloud_a = np.stack([wave.value(x + y) for y in y_points], axis=1)
 
-    draw = _resolve_sampler(sampler, m)
+    draw = _resolve_sampler(sampler)
     cloud_b = np.empty_like(cloud_a)
     for j in range(n_samples):
         cloud_b[j] = draw(int(child_rng(seed, j + 1).integers(2**63)))(y_points)
@@ -254,14 +255,15 @@ def pushforward_distance(wave: MonochromaticWave, R: float, sampler, y_points,
 def kac_rice_density(measure: SpectralMeasure, n_mc: int = 10**6, seed: int = 0):
     """Expected zero-set volume per unit volume: E||grad F|| / sqrt(2 pi).
 
-    Closed form for the uniform (isotropic) measure; Monte Carlo over the
-    exact gradient covariance for atomic measures (returns value, stderr).
+    Returns (value, stderr): the closed form with stderr 0.0 for the uniform
+    (isotropic) measure; Monte Carlo over the exact gradient covariance for
+    atomic measures.
     """
     m = measure.dim
     if measure.kind == "uniform":
         sigma = 2 * math.pi / math.sqrt(m)
         e_norm = sigma * math.sqrt(2.0) * math.gamma((m + 1) / 2) / math.gamma(m / 2)
-        return e_norm / math.sqrt(2 * math.pi)
+        return e_norm / math.sqrt(2 * math.pi), 0.0
     if not measure.hyperplane_ok:
         raise ValueError("measure is hyperplane-supported; the zero set is degenerate")
     cov = 4 * math.pi**2 * (measure.atoms.T * measure.weights) @ measure.atoms
@@ -287,24 +289,21 @@ def _map_trials(fn, trials: int, workers: int) -> list:
         return list(pool.map(fn, range(trials)))
 
 
-def ns_constant_estimate(sampler, W: float, trials: int, seed: int, h: float = 0.05,
-                         m: int | None = None, with_topology: bool = False,
+def ns_constant_estimate(measure: SpectralMeasure, W: float, trials: int, seed: int,
+                         h: float = 0.05, with_topology: bool = False,
                          workers: int = 1) -> ConstantEstimate:
-    """Mean interior nodal-domain count per unit volume over sampled fields.
+    """Mean interior nodal-domain count per unit volume over draws of the measure.
 
-    Degenerate draws (failed nondegeneracy probe, unresolved adjacency) are
-    excluded and counted; more than 20% exclusions aborts.
+    The fields, grids and balls live in R^m with m = measure.dim. Degenerate
+    draws (failed nondegeneracy probe, unresolved adjacency) are excluded and
+    counted; more than 20% exclusions aborts.
     """
     if W < 4:
         raise ValueError("need W >= 4")
     if trials < 50:
         raise ValueError("need at least 50 trials")
-    if isinstance(sampler, SpectralMeasure):
-        if m is None:
-            m = sampler.dim
-    elif m is None:
-        raise ValueError("pass m when the sampler is a bare callable")
-    draw = _resolve_sampler(sampler, m)
+    m = measure.dim
+    draw = _resolve_sampler(measure)
     vol = _ball_volume(m, W)
 
     def one_trial(j: int):
@@ -319,7 +318,7 @@ def ns_constant_estimate(sampler, W: float, trials: int, seed: int, h: float = 0
             classes: dict[str, int] = {}
             trees: dict[str, int] = {}
             if with_topology:
-                classes = dict(nodal.classify_topology(dec).histogram)
+                classes = dict(nodal.classify_topology(dec))
                 tree = nodal.build_nesting_tree(dec)
                 for c in dec.components:
                     if not c.touches_boundary:
@@ -516,16 +515,13 @@ class DiscrepancyReport:
     mean_density: float
 
 
-def discrepancy_estimate(sampler, W: float, trials: int, seed: int, h: float = 0.05,
-                         m: int | None = None, workers: int = 1) -> DiscrepancyReport:
-    """Mean absolute deviation of per-draw count densities around their mean."""
+def discrepancy_estimate(measure: SpectralMeasure, W: float, trials: int, seed: int,
+                         h: float = 0.05, workers: int = 1) -> DiscrepancyReport:
+    """Mean absolute deviation of per-draw count densities on B(W) in R^measure.dim."""
     if trials < 50:
         raise ValueError("need at least 50 trials")
-    if isinstance(sampler, SpectralMeasure) and m is None:
-        m = sampler.dim
-    if m is None:
-        raise ValueError("pass m when the sampler is a bare callable")
-    draw = _resolve_sampler(sampler, m)
+    m = measure.dim
+    draw = _resolve_sampler(measure)
     vol = _ball_volume(m, W)
 
     def one_trial(j: int) -> float:

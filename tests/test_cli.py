@@ -93,6 +93,33 @@ def test_file_generator_without_wave_key(tmp_path, capsys, command):
     assert "requires config key 'wave'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, extra, code, err",
+    [
+        ("kacrice", "", 0, ""),
+        ("discrepancy", "", 0, ""),
+        ("fig1", "", 2, "planar"),
+        ("kacrice", "m = 3\n", 2, "from the wave file"),
+        ("discrepancy", "N = 16\n", 2, "from the wave file"),
+    ],
+    ids=["kacrice", "discrepancy", "fig1", "kacrice-sets-m", "discrepancy-sets-N"],
+)
+def test_wave_file_is_the_one_source_of_m_and_n(tmp_path, capsys, command, extra, code, err):
+    gen = write_cfg(tmp_path, "command = gen-wave\nm = 3\nN = 16\nseed = 3\n", "gen.cfg")
+    assert main(["--config", gen, "--out", str(tmp_path)]) == 0
+    cfgp = write_cfg(
+        tmp_path,
+        f"command = {command}\ngenerator = file\nwave = {tmp_path / 'wave.txt'}\n"
+        f"W = 2\nh = 0.1\ntrials = 50\n{extra}",
+    )
+    out = tmp_path / "o"
+    assert main(["--config", cfgp, "--out", str(out)]) == code
+    assert err in capsys.readouterr().err
+    if code == 0:
+        rows = list(csv.DictReader(open(out / f"{command}.csv")))
+        assert (rows[0]["m"], rows[0]["N"]) == ("3", "16")
+
+
 def test_seed_flag_overrides_config(tmp_path):
     cfgp = write_cfg(tmp_path, "command = gen-wave\nN = 8\nseed = 3\n")
     a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"

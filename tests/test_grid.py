@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monowave.directions import generate_uniform_directions
-from monowave.field import make_wave
+from monowave.field import PlaneWaveSum, make_wave
+from monowave.gaussian import sample_uniform
 from monowave.grid import (
     ScalarGrid,
     _squared_bound,
@@ -77,6 +78,18 @@ def test_plane_wave_grid_stack_matches_single_fills(m):
         assert np.array_equal(got[k], plane_wave_grid(freqs, stack[k], origin, shape, h))
         direct = (np.exp(2j * np.pi * (pts @ freqs.T)) @ stack[k]).real.reshape(shape)
         assert np.max(np.abs(got[k] - direct)) < 1e-11
+
+
+def test_grid_fills_refuse_a_dimension_mismatch():
+    # a lattice with fewer axes than the field must not silently slice it
+    F = PlaneWaveSum(np.array([[0.0, 0.0, 1.0]]), np.array([1.0 + 0j]))
+    with pytest.raises(ValueError):
+        F.on_grid(np.zeros(2), (3, 3), 0.1)
+    with pytest.raises(ValueError):
+        F.on_grid(np.zeros(2), (3, 3, 3), 0.1)
+    with pytest.raises(ValueError):
+        sample_on_grid(sample_uniform(3, 64, 1), np.zeros(2), 1.0, 0.1)
+    assert F.on_grid(np.zeros(3), (3, 3, 3), 0.1).shape == (3, 3, 3)
 
 
 def test_box_grid_without_ball_mask():

@@ -208,8 +208,7 @@ def test_sphere_area_and_tag():
                    values=1.0 - (pts**2).sum(axis=1))
     geom = nodal_volume(g)
     assert abs(geom.total - 4 * math.pi) / (4 * math.pi) < 0.02
-    topo = classify_topology(label_domains(g))
-    assert dict(topo.histogram) == {"genus0": 1}
+    assert classify_topology(label_domains(g)) == {"genus0": 1}
 
 
 def test_torus_genus():
@@ -221,8 +220,7 @@ def test_torus_genus():
     rho = np.sqrt(pts[:, 0] ** 2 + pts[:, 1] ** 2)
     g = ScalarGrid(dim=3, origin=np.full(3, lo), spacing=h, shape=(n,) * 3,
                    values=(rho - 1.0) ** 2 + pts[:, 2] ** 2 - 0.16)
-    topo = classify_topology(label_domains(g))
-    assert dict(topo.histogram) == {"genus1": 1}
+    assert classify_topology(label_domains(g)) == {"genus1": 1}
 
 
 def test_j0_nesting_tree_regression():
@@ -250,7 +248,7 @@ def test_j0_tree_stable_under_refinement():
 
 def test_j0_topology_classes():
     dec = label_domains(j0_grid(0.05))
-    assert dict(classify_topology(dec).histogram) == {"circle": 5}
+    assert classify_topology(dec) == {"circle": 5}
     codes = build_nesting_tree(dec).codes
     # exactly one component wraps just the core disk
     assert sum(1 for c in dec.components if not c.touches_boundary and codes[c.id] == "(())") == 1

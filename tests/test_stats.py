@@ -7,7 +7,7 @@ from monowave import stats
 from monowave.directions import generate_uniform_directions, empirical_measure
 from monowave.gaussian import SpectralMeasure, child_rng, sample_atomic, uniform_measure
 from monowave.grid import sample_on_grid
-from monowave.nodal import DegenerateSampleError
+from monowave.nodal import DegenerateSampleError, label_domains
 from monowave.partition import build_partition
 from monowave.stats import (
     _energy_statistics,
@@ -71,8 +71,10 @@ def test_covariance_compare(cosine_wave):
 
 
 def test_kac_rice_closed_forms():
-    assert kac_rice_density(uniform_measure(2)) == pytest.approx(PI_OVER_SQRT2, rel=1e-12)
-    assert kac_rice_density(uniform_measure(3)) == pytest.approx(FOUR_OVER_SQRT3, rel=1e-12)
+    val2, err2 = kac_rice_density(uniform_measure(2))
+    val3, err3 = kac_rice_density(uniform_measure(3))
+    assert val2 == pytest.approx(PI_OVER_SQRT2, rel=1e-12) and err2 == 0.0
+    assert val3 == pytest.approx(FOUR_OVER_SQRT3, rel=1e-12) and err3 == 0.0
 
 
 def test_kac_rice_atomic_agrees_with_isotropic_lattice():
@@ -106,8 +108,6 @@ def test_ns_constant_guards():
         ns_constant_estimate(mu, 3.0, 50, 0)
     with pytest.raises(ValueError):
         ns_constant_estimate(mu, 4.0, 20, 0)
-    with pytest.raises(ValueError):
-        ns_constant_estimate(lambda seed: None, 4.0, 50, 0)  # bare callable needs m
 
 
 def test_ns_constant_worker_invariance():
@@ -134,14 +134,22 @@ def test_ns_constant_with_topology():
         ns_constant_estimate(mu, 5.0, 50, seed=6, h=0.15, workers=2, with_topology=True)
 
 
-def test_discrepancy_constant_sampler():
+def test_discrepancy_against_direct_loop():
     mu = empirical_measure(generate_uniform_directions(2, 16, 3))
-    fixed = sample_atomic(mu, 99)
     with pytest.raises(ValueError):
-        discrepancy_estimate(lambda seed: fixed, 4.0, 10, 0, m=2)
-    rep = discrepancy_estimate(lambda seed: fixed, 4.0, 50, seed=3, h=0.2, m=2)
-    assert rep.mean_abs_deviation < 1e-12
-    assert rep.mean_density > 0
+        discrepancy_estimate(mu, 4.0, 10, 0)
+    rep = discrepancy_estimate(mu, 4.0, 50, seed=3, h=0.2, workers=2)
+    # oracle: the same child streams drawn, sampled and labelled one by one
+    dens = []
+    for j in range(50):
+        F = sample_atomic(mu, int(child_rng(3, j).integers(2**63)))
+        g = sample_on_grid(F, np.zeros(2), 4.0, 0.2)
+        dens.append(label_domains(g).interior_count / (math.pi * 4.0**2))
+    dens = np.array(dens)
+    assert dens.std() > 0  # the draws differ, so the deviation is not trivially 0
+    assert rep.trials == 50
+    assert rep.mean_density == pytest.approx(dens.mean(), rel=1e-12)
+    assert rep.mean_abs_deviation == pytest.approx(np.abs(dens - dens.mean()).mean(), rel=1e-12)
 
 
 def test_volume_sandwich(cosine_wave):
