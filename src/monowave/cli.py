@@ -12,7 +12,8 @@ log-rational generators, so with generator=file a config that sets them is
 refused. Measure selection for the ensemble commands (kacrice, ns-estimate,
 discrepancy): a partition measure when K is set, the rotation-invariant
 measure for generator=uniform, and otherwise the empirical measure of the
-configured direction set.
+configured direction set. The rotation-invariant measure has no direction
+set, so its reports leave N empty.
 """
 
 from __future__ import annotations
@@ -244,14 +245,18 @@ def write_report_csv(path, columns, rows, meta) -> None:
 
 
 def _meta(cfg: ExperimentConfig, n_samples, dirs: DirectionSet | None = None, **over):
-    """Meta columns; N and m come from dirs, and from cfg only for the uniform measure."""
+    """Meta columns; N and m come from dirs.
+
+    Without dirs (the rotation-invariant measure) m comes from cfg and N is
+    empty: no direction set takes part in those draws.
+    """
     meta = {
         "seed": cfg.seed,
         "n_samples": n_samples,
         "h": cfg.h,
         "W": cfg.W,
         "R": cfg.R,
-        "N": dirs.count if dirs is not None else cfg.N,
+        "N": dirs.count if dirs is not None else None,
         "m": dirs.dim if dirs is not None else cfg.m,
     }
     meta.update(over)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import PlaneWaveSum, plane_wave_grid
+from .field import PlaneWaveSum, _lowrank_grid
 from .partition import SpherePartition, positive_side
 
 TWO_PI = 2 * np.pi
@@ -158,7 +158,8 @@ def check_nondegenerate(field: PlaneWaveSum, W: float, h: float = 0.05,
 
     The bulk points h Z^m within B(W+1) form a lattice, so g and each partial
     derivative (the same sum with coefficients 2 pi i v_a c) come from m + 1
-    grid fills that share one set of phase tables. A fail is a valid report:
+    grid fills, one low-rank fill of the (m + 1, J) coefficient stack that
+    shares its interpolation tables. A fail is a valid report:
     the thresholded minima are a finite-sample convention, not an almost-sure
     statement.
     """
@@ -173,8 +174,8 @@ def check_nondegenerate(field: PlaneWaveSum, W: float, h: float = 0.05,
     inside = np.linalg.norm(pts, axis=-1) <= W + 1
     origin, shape = pts[(0,) * m], inside.shape
     freqs, c = field.plane_waves()
-    val, *grads = plane_wave_grid(freqs, np.vstack([c, TWO_PI * 1j * freqs.T * c]),
-                                  origin, shape, h)
+    val, *grads = _lowrank_grid(freqs, np.vstack([c, TWO_PI * 1j * freqs.T * c]),
+                                origin, shape, h)
     psi = np.abs(val) + np.sqrt(sum(g**2 for g in grads))
     min_bulk = float(psi[inside].min())
 

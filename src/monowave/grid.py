@@ -1,7 +1,8 @@
 """Regular grids over balls: sampling and masks.
 
-Plane-wave sums are filled through PlaneWaveSum.on_grid; plane_wave_grid
-(defined in field) is re-exported here.
+Plane-wave sums are filled through PlaneWaveSum.on_grid, the low-rank
+Chebyshev lattice fill of field; plane_wave_grid, the direct rank-J product
+that fill is checked against, is re-exported here.
 
 Values are stored flat in row-major order; every consumer (labeling, meshing)
 shares the same index arithmetic: flat = i1*n2*n3 + i2*n3 + i3.
@@ -99,8 +100,8 @@ def sample_on_grid(evaluator, center, radius: float, h: float) -> ScalarGrid:
     """Sample a field on the axis-aligned box circumscribing B(center, radius).
 
     The evaluator is either a PlaneWaveSum (wave or Gaussian draw, filled
-    through its exact separable per-axis factorization) or any callable
-    mapping point batches (..., m) to values.
+    through its low-rank on_grid) or any callable mapping point batches
+    (..., m) to values.
     """
     center = np.asarray(center, dtype=float)
     m = center.size

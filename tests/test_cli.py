@@ -120,6 +120,20 @@ def test_wave_file_is_the_one_source_of_m_and_n(tmp_path, capsys, command, extra
         assert (rows[0]["m"], rows[0]["N"]) == ("3", "16")
 
 
+@pytest.mark.parametrize("command,report", [("kacrice", "kacrice.csv"), ("ns-estimate", "ns.csv")])
+def test_rotation_invariant_measure_writes_no_n(tmp_path, command, report):
+    # generator = uniform without K draws 1024 plane waves per field from the
+    # rotation-invariant measure: the config's N names no direction set here
+    cfgp = write_cfg(
+        tmp_path,
+        f"command = {command}\ngenerator = uniform\nm = 2\nN = 64\nW = 4\nh = 0.1\ntrials = 50\n",
+    )
+    out = tmp_path / "o"
+    assert main(["--config", cfgp, "--out", str(out)]) == 0
+    rows = list(csv.DictReader(open(out / report)))
+    assert rows and all((r["m"], r["N"]) == ("2", "") for r in rows)
+
+
 def test_seed_flag_overrides_config(tmp_path):
     cfgp = write_cfg(tmp_path, "command = gen-wave\nN = 8\nseed = 3\n")
     a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monowave.directions import generate_uniform_directions
-from monowave.field import PlaneWaveSum, make_wave
+from monowave.directions import generate_uniform_directions, log_rational_directions
+from monowave.field import _LOWRANK_TOL, PlaneWaveSum, _lowrank_grid, make_wave
 from monowave.gaussian import sample_uniform
 from monowave.grid import (
     ScalarGrid,
@@ -80,6 +80,67 @@ def test_plane_wave_grid_stack_matches_single_fills(m):
         assert np.max(np.abs(got[k] - direct)) < 1e-11
 
 
+def _lowrank_tolerance(coeffs, origin, shape, h) -> np.ndarray:
+    """Allowed |low-rank - direct| per grid: the truncation bound plus rounding of both fills.
+
+    Both fills round phases of size up to 2 pi |x| on the lattice, so each
+    value may differ by a few eps (1 + 2 pi |x|) sum_j |c_j| on top of
+    _LOWRANK_TOL sum_j |c_j|.
+    """
+    far = np.linalg.norm(np.abs(origin) + h * (np.asarray(shape) - 1))
+    rounding = 4 * np.finfo(float).eps * (1 + 2 * math.pi * far)
+    return (_LOWRANK_TOL + rounding) * np.abs(np.atleast_2d(coeffs)).sum(axis=1)
+
+
+def _assert_lowrank_matches_direct(freqs, coeffs, origin, shape, h):
+    got = _lowrank_grid(freqs, coeffs, origin, shape, h)
+    want = plane_wave_grid(freqs, coeffs, origin, shape, h)
+    assert got.shape == want.shape
+    assert not np.isnan(got).any()
+    err = np.abs(got - want).reshape(len(np.atleast_2d(coeffs)), -1).max(axis=1)
+    assert np.all(err <= _lowrank_tolerance(coeffs, origin, shape, h))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.integers(0, 3))
+def test_lowrank_fill_matches_direct_fill(seed, m, K):
+    # K = 0 is a single coefficient vector, K >= 1 a (K, J) stack
+    rng = np.random.default_rng(seed)
+    J = int(rng.integers(1, 300))
+    freqs = rng.standard_normal((J, m))
+    freqs *= rng.uniform(0.2, 1.5) / np.linalg.norm(freqs, axis=1, keepdims=True)
+    coeffs = rng.standard_normal((max(K, 1), J)) + 1j * rng.standard_normal((max(K, 1), J))
+    coeffs = coeffs if K else coeffs[0]
+    origin = rng.uniform(-3.0, 3.0, m)  # off-centre boxes: the centre phase is folded in
+    shape = tuple(int(n) for n in rng.integers(2, 60 if m == 2 else 20, m))
+    _assert_lowrank_matches_direct(freqs, coeffs, origin, shape, float(rng.uniform(0.02, 0.25)))
+
+
+@pytest.mark.parametrize("freqs", [
+    np.array([[1.0, 0.0], [0.0, 1.0]]),
+    np.array([[-1.0, 0.0], [0.0, -1.0], [0.6, 0.8]]),
+    np.eye(3),
+    log_rational_directions(8).vectors,
+], ids=["axes-2d", "negative-axes", "axes-3d", "log-rational"])
+def test_lowrank_fill_with_frequencies_on_chebyshev_points(freqs):
+    # t = v / max|v| lands on the points +-1, and on 0 whenever the count is odd;
+    # box sizes 2..24 give both parities of the count
+    coeffs = np.exp(1j * np.arange(len(freqs)))
+    for n in range(2, 25):
+        shape = (n, n + 1, n)[: freqs.shape[1]]
+        _assert_lowrank_matches_direct(freqs, coeffs, np.full(freqs.shape[1], -0.3), shape, 0.2)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (2, 3), (3, 2), (1, 2, 1), (2, 2, 3)])
+def test_lowrank_fill_on_grids_smaller_than_the_point_count(shape):
+    rng = np.random.default_rng(len(shape))
+    freqs = rng.standard_normal((40, len(shape)))
+    freqs /= np.linalg.norm(freqs, axis=1, keepdims=True)
+    coeffs = rng.standard_normal((2, 40)) + 1j * rng.standard_normal((2, 40))
+    # h = 0.25 still needs several points per axis; these grids have fewer
+    _assert_lowrank_matches_direct(freqs, coeffs, rng.uniform(-2, 2, len(shape)), shape, 0.25)
+
+
 def test_grid_fills_refuse_a_dimension_mismatch():
     # a lattice with fewer axes than the field must not silently slice it
     F = PlaneWaveSum(np.array([[0.0, 0.0, 1.0]]), np.array([1.0 + 0j]))
@@ -89,6 +150,13 @@ def test_grid_fills_refuse_a_dimension_mismatch():
         F.on_grid(np.zeros(2), (3, 3, 3), 0.1)
     with pytest.raises(ValueError):
         sample_on_grid(sample_uniform(3, 64, 1), np.zeros(2), 1.0, 0.1)
+    # the probe's stacked low-rank fill refuses the same way, also a one-entry origin
+    F2 = sample_uniform(2, 64, 1)
+    stack = np.vstack([F2.amps, F2.amps])
+    for fill in (_lowrank_grid, plane_wave_grid):
+        for origin, shape in [(np.zeros(1), (3, 3)), (0.0, (3, 3)), (np.zeros(2), (3, 3, 3))]:
+            with pytest.raises(ValueError):
+                fill(F2.freqs, stack, origin, shape, 0.1)
     assert F.on_grid(np.zeros(3), (3, 3, 3), 0.1).shape == (3, 3, 3)
 
 
