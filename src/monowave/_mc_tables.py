@@ -1,8 +1,11 @@
 """Sign-case tables for level-set extraction, generated at import time.
 
-Both the square (2D) and cube (3D) tables resolve ambiguous cases with one
-face-local rule: when a face shows alternating signs, the crossing segments
-cut off the positive corners and keep the negative corners joined. Because
+One function, _face_segments, maps the four corner signs of a square face,
+in cyclic order, to its crossing segments as pairs of local edges. The square
+(2D) table is that function over the 16 sign cases; the cube (3D) table maps
+the pairs to cube edge ids on each of the six faces and joins them into
+loops. The only ambiguous face is a saddle, whose signs alternate; the rule
+cuts off its positive corners and keeps its negative corners joined. Because
 the rule depends only on the four signs of the face, the two cells sharing a
 face always agree on its segments, so welded 3D meshes are watertight by
 construction. The same rule in 2D keeps diagonally-touching positive cells
@@ -18,6 +21,23 @@ from collections import defaultdict
 import numpy as np
 
 # ---------------------------------------------------------------------------
+# the face rule
+
+
+def _face_segments(signs) -> list[tuple[int, int]]:
+    """Crossing segments of a face with corner signs (1 positive) in cyclic order.
+
+    Local edge k joins cyclic corners k and k+1; each segment is a pair of
+    local edges.
+    """
+    crossing = [k for k in range(4) if signs[k] != signs[(k + 1) % 4]]
+    if len(crossing) == 4:
+        # alternating signs: one segment around each positive corner
+        return [((k - 1) % 4, k) for k in range(4) if signs[k]]
+    return [tuple(crossing)] if crossing else []
+
+
+# ---------------------------------------------------------------------------
 # square (marching squares), corner c = dx + 2 dy
 
 SQUARE_CYCLE = (0, 1, 3, 2)  # corners in cyclic order around the square
@@ -25,19 +45,9 @@ SQUARE_CYCLE = (0, 1, 3, 2)  # corners in cyclic order around the square
 SQ_EDGE_AXIS = np.array([0, 1, 0, 1], dtype=np.intp)
 SQ_EDGE_BASE = np.array([(0, 0), (1, 0), (0, 1), (0, 0)], dtype=np.intp)
 
-
-def _square_segments(case: int) -> list[tuple[int, int]]:
-    s = [(case >> c) & 1 for c in SQUARE_CYCLE]
-    crossing = [k for k in range(4) if s[k] != s[(k + 1) % 4]]
-    if not crossing:
-        return []
-    if len(crossing) == 2:
-        return [(crossing[0], crossing[1])]
-    # alternating signs: one segment around each positive corner
-    return [((k - 1) % 4, k) for k in range(4) if s[k]]
-
-
-SQUARE_CASES = tuple(tuple(_square_segments(c)) for c in range(16))
+SQUARE_CASES = tuple(
+    tuple(_face_segments([(case >> c) & 1 for c in SQUARE_CYCLE])) for case in range(16)
+)
 
 
 # ---------------------------------------------------------------------------
@@ -62,24 +72,19 @@ def _face_cycle(axis: int, side: int) -> list[int]:
     return [(side << axis) | (du << u) | (dv << v) for du, dv in ((0, 0), (1, 0), (1, 1), (0, 1))]
 
 
-def _face_segments(cycle: list[int], case: int) -> list[tuple[int, int]]:
-    s = [(case >> c) & 1 for c in cycle]
-    edge = lambda k: EDGE_INDEX[tuple(sorted((cycle[k], cycle[(k + 1) % 4])))]
-    crossing = [k for k in range(4) if s[k] != s[(k + 1) % 4]]
-    if not crossing:
-        return []
-    if len(crossing) == 2:
-        return [(edge(crossing[0]), edge(crossing[1]))]
-    return [(edge((k - 1) % 4), edge(k)) for k in range(4) if s[k]]
-
-
 _FACE_CYCLES = [_face_cycle(a, s) for a in range(3) for s in (0, 1)]
+# cube edge id of each face's local edge k (cyclic corners k and k+1)
+_FACE_EDGES = [
+    [EDGE_INDEX[tuple(sorted((cycle[k], cycle[(k + 1) % 4])))] for k in range(4)]
+    for cycle in _FACE_CYCLES
+]
 
 
 def _triangulate(case: int) -> np.ndarray:
     adj: dict[int, list[int]] = defaultdict(list)
-    for cycle in _FACE_CYCLES:
-        for e1, e2 in _face_segments(cycle, case):
+    for cycle, edges in zip(_FACE_CYCLES, _FACE_EDGES):
+        for k1, k2 in _face_segments([(case >> c) & 1 for c in cycle]):
+            e1, e2 = edges[k1], edges[k2]
             adj[e1].append(e2)
             adj[e2].append(e1)
     # every crossing edge lies on exactly two faces, each pairing it once

@@ -142,6 +142,10 @@ def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
         raise ValueError(f"generator must be one of {_GENERATORS}, got {cfg.generator!r}")
     if cfg.coeffs not in _COEFF_MODES:
         raise ValueError(f"coeffs must be one of {_COEFF_MODES}, got {cfg.coeffs!r}")
+    if cfg.samples < 2:
+        raise ValueError(f"samples must be at least 2 (stderrs use ddof=1), got {cfg.samples}")
+    if not cfg.h > 0:
+        raise ValueError(f"grid spacing h must be positive, got {cfg.h}")
     if cfg.generator == "file" and {"m", "N"} & raw.keys():
         raise ValueError("generator = file takes m and N from the wave file; drop those keys")
     return cfg

@@ -9,11 +9,12 @@ uniform phases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .field import PlaneWaveSum, _lowrank_grid
+from .grid import lattice_ball
 from .partition import SpherePartition, positive_side
 
 TWO_PI = 2 * np.pi
@@ -32,7 +33,7 @@ class SpectralMeasure:
     dim: int
     atoms: np.ndarray | None = None  # (2A, m), closed under negation
     weights: np.ndarray | None = None
-    hyperplane_ok: bool = False
+    hyperplane_ok: bool = dc_field(init=False)  # atoms span R^m (always, for uniform)
 
     def __post_init__(self):
         if self.kind == "uniform":
@@ -156,10 +157,11 @@ def check_nondegenerate(field: PlaneWaveSum, W: float, h: float = 0.05,
                         tau0: float = 1e-3) -> NondegeneracyReport:
     """Probe |g| + |grad g| over B(W+1) and the spherical part on the boundary of B(W).
 
-    The bulk points h Z^m within B(W+1) form a lattice, so g and each partial
-    derivative (the same sum with coefficients 2 pi i v_a c) come from m + 1
-    grid fills, one low-rank fill of the (m + 1, J) coefficient stack that
-    shares its interpolation tables. A fail is a valid report:
+    The bulk points are grid.lattice_ball's h Z^m within B(W+1): its box gives
+    the fill's origin and shape, its mask the points that count. g and each
+    partial derivative (the same sum with coefficients 2 pi i v_a c) come from
+    m + 1 grid fills, one low-rank fill of the (m + 1, J) coefficient stack
+    that shares its interpolation tables. A fail is a valid report:
     the thresholded minima are a finite-sample convention, not an almost-sure
     statement.
     """
@@ -169,13 +171,10 @@ def check_nondegenerate(field: PlaneWaveSum, W: float, h: float = 0.05,
         raise ValueError("threshold must be positive")
     m = field.dim
 
-    coords = h * np.arange(-np.ceil((W + 1) / h), np.ceil((W + 1) / h) + 1)
-    pts = np.stack(np.meshgrid(*([coords] * m), indexing="ij"), axis=-1)
-    inside = np.linalg.norm(pts, axis=-1) <= W + 1
-    origin, shape = pts[(0,) * m], inside.shape
+    axes, inside = lattice_ball(np.zeros(m), W + 1, h)
     freqs, c = field.plane_waves()
     val, *grads = _lowrank_grid(freqs, np.vstack([c, TWO_PI * 1j * freqs.T * c]),
-                                origin, shape, h)
+                                np.array([ax[0] for ax in axes]), inside.shape, h)
     psi = np.abs(val) + np.sqrt(sum(g**2 for g in grads))
     min_bulk = float(psi[inside].min())
 

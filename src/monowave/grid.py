@@ -1,4 +1,4 @@
-"""Regular grids over balls: sampling and masks.
+"""Regular grids over balls: sampling, masks and ball-clipped lattices.
 
 Plane-wave sums are filled through PlaneWaveSum.on_grid, the low-rank
 Chebyshev lattice fill of field; plane_wave_grid, the direct rank-J product
@@ -6,6 +6,10 @@ that fill is checked against, is re-exported here.
 
 Values are stored flat in row-major order; every consumer (labeling, meshing)
 shares the same index arithmetic: flat = i1*n2*n3 + i2*n3 + i3.
+
+within_ball is the package's one "lattice point lies in the closed ball"
+rule: the grid mask and lattice_ball (the absolute lattice h Z^m behind the
+nondegeneracy probe, the doubling index and the window centres) both use it.
 """
 
 from __future__ import annotations
@@ -50,21 +54,10 @@ class ScalarGrid:
     def grid_values(self) -> np.ndarray:
         return self.values.reshape(self.shape)
 
-    def _squared_radii(self) -> np.ndarray:
-        c = self.ball_center if self.ball_center is not None else np.zeros(self.dim)
-        sq = 0.0  # broadcast axis by axis: only the last sum is grid-sized
-        for a in range(self.dim):
-            d = self.axis_coords(a) - c[a]
-            sq = sq + (d**2).reshape([-1 if i == a else 1 for i in range(self.dim)])
-        return sq
-
-    def radii(self) -> np.ndarray:
-        """Distance of every vertex from the mask center (origin if unmasked)."""
-        return np.sqrt(self._squared_radii())
-
     def within(self, r: float) -> np.ndarray:
-        """Boolean array of radii() <= r, compared in squares without any sqrt."""
-        return self._squared_radii() <= _squared_bound(r)
+        """Vertices within distance r of the mask center (origin if unmasked)."""
+        c = self.ball_center if self.ball_center is not None else np.zeros(self.dim)
+        return within_ball([self.axis_coords(a) for a in range(self.dim)], c, r)
 
     def mask(self) -> np.ndarray:
         """Boolean in-region array, read-only and computed once per grid.
@@ -96,6 +89,40 @@ def _squared_bound(r: float) -> float:
     return s
 
 
+def within_ball(axes, center, r: float) -> np.ndarray:
+    """Row-major mask of the axes' product points in the closed ball B(center, r).
+
+    Bitwise equal to np.linalg.norm(points - center, axis=-1) <= r: both add
+    the same squares in axis order, and sqrt is monotone (see _squared_bound).
+    """
+    sq = 0.0  # broadcast axis by axis: only the last sum is grid-sized
+    for a in range(len(axes)):
+        d = axes[a] - center[a]
+        sq = sq + (d**2).reshape([-1 if i == a else 1 for i in range(len(axes))])
+    return sq <= _squared_bound(r)
+
+
+def lattice_ball(center, radius: float, h: float) -> tuple[list[np.ndarray], np.ndarray]:
+    """Absolute lattice h Z^m around the closed ball B(center, radius).
+
+    Returns the axis coordinates h k over the smallest such box holding the
+    ball, and the row-major in-ball mask from within_ball. Anchoring at
+    multiples of h (not at the center) keeps the probe set consistent across
+    centers and hits period-aligned extrema exactly.
+    """
+    center = np.asarray(center, dtype=float)
+    axes = [
+        h * np.arange(math.floor((c - radius) / h), math.ceil((c + radius) / h) + 1)
+        for c in center
+    ]
+    return axes, within_ball(axes, center, radius)
+
+
+def lattice_points(axes, mask: np.ndarray) -> np.ndarray:
+    """(P, m) coordinates of the mask's True points, in row-major order."""
+    return np.stack([ax[i] for ax, i in zip(axes, np.nonzero(mask))], axis=-1)
+
+
 def sample_on_grid(evaluator, center, radius: float, h: float) -> ScalarGrid:
     """Sample a field on the axis-aligned box circumscribing B(center, radius).
 
@@ -107,6 +134,8 @@ def sample_on_grid(evaluator, center, radius: float, h: float) -> ScalarGrid:
     m = center.size
     if m not in (2, 3):
         raise ValueError("grid geometry supports m in {2, 3}")
+    if not h > 0:
+        raise ValueError("grid spacing h must be positive")
     if h > MAX_SPACING:
         raise ValueError("h > 0.25 undersamples a unit-wavelength field")
     if radius < h:

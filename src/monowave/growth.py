@@ -1,8 +1,9 @@
 """Growth and distribution diagnostics for a fixed wave.
 
-Doubling indices compare suprema over concentric balls (probed on a fixed
-lattice, never optimized); small-value fractions and the characteristic
-function are plain Monte Carlo over uniform centers in the big ball.
+Doubling indices compare suprema over concentric balls, probed on the
+absolute lattice of grid.lattice_ball (never optimized); small-value
+fractions and the characteristic function are plain Monte Carlo over uniform
+centers in the big ball.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 
 from .field import MonochromaticWave, bessel_j
 from .gaussian import child_rng
+from .grid import lattice_ball, lattice_points, within_ball
 from .nodal import DegenerateSampleError
 
 TWO_PI = 2 * math.pi
@@ -32,35 +34,21 @@ def _uniform_ball(rng: np.random.Generator, m: int, radius: float, n: int) -> np
     return x * r[:, None]
 
 
-def _lattice_ball(center: np.ndarray, radius: float, h: float) -> np.ndarray:
-    """Absolute lattice h*Z^m clipped to the closed ball B(center, radius).
-
-    Anchoring at multiples of h (not at the center) keeps the probe set
-    consistent across centers and hits period-aligned extrema exactly.
-    """
-    axes = [
-        h * np.arange(math.floor((c - radius) / h), math.ceil((c + radius) / h) + 1)
-        for c in center
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in mesh], axis=-1)
-    return pts[np.linalg.norm(pts - center, axis=1) <= radius]
-
-
 def doubling_index(field, x, W: float) -> float:
     """log of sup|f| over B(x, 2 sqrt(m) W) against sup|f| over B(x, W), plus 1.
 
-    Probed on the lattice (1/PROBE_DENSITY) Z^m in the outer ball, plus x itself.
+    Probed on grid.lattice_ball's (1/PROBE_DENSITY) Z^m in the outer ball,
+    plus x itself; the inner ball's points are picked out of the same box by
+    the same squared-distance rule.
     """
     if W < 1:
         raise ValueError("need W >= 1")
     x = np.asarray(x, dtype=float)
-    m = len(x)
-    kappa = scaling_factor(m)
-    pts = np.concatenate([_lattice_ball(x, kappa * W, 1.0 / PROBE_DENSITY), x[None, :]])
-    vals = np.abs(field.value(pts))
-    inner = vals[np.linalg.norm(pts - x, axis=1) <= W]
-    sup_inner = float(inner.max())
+    kappa = scaling_factor(len(x))
+    axes, outer = lattice_ball(x, kappa * W, 1.0 / PROBE_DENSITY)
+    vals = np.abs(field.value(np.concatenate([lattice_points(axes, outer), x[None, :]])))
+    inner = np.append(within_ball(axes, x, W)[outer], True)
+    sup_inner = float(vals[inner].max())
     sup_outer = float(vals.max())
     if sup_inner < 1e-300:
         raise DegenerateSampleError("inner supremum vanished; field is degenerate here")
@@ -69,8 +57,6 @@ def doubling_index(field, x, W: float) -> float:
 
 @dataclass
 class DoublingStats:
-    W: float
-    kappa: float
     samples: np.ndarray  # one doubling index per center
 
     def tail(self, Q) -> np.ndarray | float:
@@ -88,7 +74,7 @@ def doubling_tail(wave: MonochromaticWave, R: float, W: float, n_samples: int,
     rng = child_rng(seed, 0)
     centers = _uniform_ball(rng, m, R, n_samples)
     vals = np.array([doubling_index(wave, c, W) for c in centers])
-    return DoublingStats(W=W, kappa=scaling_factor(m), samples=vals)
+    return DoublingStats(samples=vals)
 
 
 @dataclass

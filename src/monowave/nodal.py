@@ -233,6 +233,7 @@ class _ZeroSet:
     edge_points: np.ndarray  # (U, m) interpolated zero crossings
     edge_piece: np.ndarray  # (U,) piece index
     npieces: int
+    covered_cells: int  # cells with every corner in the mask: the ones scanned
     piece_measure: np.ndarray
     piece_boundary: np.ndarray
     piece_neighbors: tuple[frozenset, ...]
@@ -271,12 +272,13 @@ def _edge_endpoints(gids: np.ndarray, shape) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def _crossing_elements(grid: ScalarGrid, v: np.ndarray) -> np.ndarray:
-    """Grid-edge ids of the zero-set elements: (S, 2) segments in 2D, (T, 3) triangles in 3D.
+def _crossing_elements(grid: ScalarGrid, v: np.ndarray) -> tuple[np.ndarray, int]:
+    """Grid-edge ids of the zero-set elements, and the number of cells scanned.
 
-    Cells with all corners in the mask are grouped by sign case, in case
-    order; each case contributes its table's elements in turn, each over the
-    case's cells in index order.
+    The elements are (S, 2) segments in 2D, (T, 3) triangles in 3D. Only
+    cells with all corners in the mask are scanned; they are grouped by sign
+    case, in case order, and each case contributes its table's elements in
+    turn, each over the case's cells in index order.
     """
     m = grid.dim
     if m == 2:
@@ -292,6 +294,7 @@ def _crossing_elements(grid: ScalarGrid, v: np.ndarray) -> np.ndarray:
         sl = tuple(slice(o, o + n) for o, n in zip(((c >> a) & 1 for a in range(m)), cells))
         cell_ok &= mask[sl]
         case += pos[sl].astype(np.int16) << c
+    covered = int(np.count_nonzero(cell_ok))
     work = np.flatnonzero(cell_ok & (case > 0) & (case < 2 ** 2**m - 1))
     case_w = case.reshape(-1)[work]
 
@@ -309,7 +312,7 @@ def _crossing_elements(grid: ScalarGrid, v: np.ndarray) -> np.ndarray:
         tab = np.asarray(table[cs])  # (elements, m) cell-edge numbers
         gids = cell_gid[:, sel][edge_axis[tab]] + shift[tab][..., None]
         rows.append(gids.transpose(0, 2, 1).reshape(-1, m))
-    return np.concatenate(rows) if rows else np.empty((0, m), dtype=np.int64)
+    return (np.concatenate(rows) if rows else np.empty((0, m), dtype=np.int64)), covered
 
 
 def _element_measures(points: np.ndarray, elements: np.ndarray) -> np.ndarray:
@@ -325,7 +328,8 @@ def _extract_zero_set(grid: ScalarGrid, labels: np.ndarray) -> _ZeroSet:
     if grid.dim not in (2, 3):
         raise ValueError("zero-set extraction supports m in {2, 3} only")
     v = _clamped(grid)
-    uniq, inv = np.unique(_crossing_elements(grid, v).reshape(-1), return_inverse=True)
+    elements, covered_cells = _crossing_elements(grid, v)  # grid-edge ids, then edge indices
+    uniq, inv = np.unique(elements.reshape(-1), return_inverse=True)
     elements = inv.reshape(-1, grid.dim).astype(np.intp, copy=False)
     U = len(uniq)
     ends_u, ends_v = _edge_endpoints(uniq, grid.shape)
@@ -383,6 +387,7 @@ def _extract_zero_set(grid: ScalarGrid, labels: np.ndarray) -> _ZeroSet:
         edge_points=edge_points,
         edge_piece=edge_piece,
         npieces=npieces,
+        covered_cells=covered_cells,
         piece_measure=piece_measure,
         piece_boundary=piece_boundary,
         piece_neighbors=piece_neighbors,
@@ -420,18 +425,6 @@ class NodalGeometry:
         return self.total / self.covered_volume
 
 
-def _covered_volume(grid: ScalarGrid) -> float:
-    mask = grid.mask()
-    m = grid.dim
-    ok = mask[tuple(slice(None, -1) for _ in range(m))].copy()
-    for c in range(1, 2**m):
-        sl = tuple(
-            slice(1, None) if (c >> a) & 1 else slice(None, -1) for a in range(m)
-        )
-        ok &= mask[sl]
-    return float(ok.sum()) * grid.spacing**m
-
-
 def nodal_volume(grid: ScalarGrid) -> NodalGeometry:
     """Total zero-set length (2D) or area (3D), split by connected piece."""
     dec = label_domains(grid)
@@ -446,7 +439,7 @@ def nodal_volume(grid: ScalarGrid) -> NodalGeometry:
         dim=grid.dim,
         measures=z.piece_measure.copy(),
         total=float(np.sum(z.piece_measure)),
-        covered_volume=_covered_volume(grid),
+        covered_volume=z.covered_cells * grid.spacing**grid.dim,
         segments=segments,
         vertices=vertices,
         triangles=triangles,
@@ -461,7 +454,6 @@ def nodal_volume(grid: ScalarGrid) -> NodalGeometry:
 class NestingTree:
     root: int  # -1 for the virtual super-root
     parent: dict[int, int]
-    children: dict[int, tuple[int, ...]]
     codes: dict[int, str]
     code: str
     edge_piece: dict[int, int | None]  # component -> piece toward its parent
@@ -539,7 +531,6 @@ def build_nesting_tree(dec: NodalDecomposition) -> NestingTree:
     return NestingTree(
         root=root,
         parent=parent,
-        children={k: tuple(sorted(v)) for k, v in children.items()},
         codes=codes,
         code=codes[root],
         edge_piece=edge_piece,

@@ -82,7 +82,6 @@ class SpherePartition:
     resolution: int
     delta: float
     dirs: DirectionSet
-    cell_lows: np.ndarray  # (C, m-1) lower corners in the theta cube, width 1/K
     centers: np.ndarray  # (C, m) images of box centers under G
     masses: np.ndarray  # (C,)
     atom_cells: np.ndarray  # (2N,) cell index of each signed atom
@@ -136,7 +135,6 @@ def build_partition(dirs: DirectionSet, K: int, delta: float) -> SpherePartition
 
     grids = np.meshgrid(*([np.arange(K)] * (m - 1)), indexing="ij")
     multi = np.stack([g.reshape(-1) for g in grids], axis=-1)  # (C, m-1) row-major
-    cell_lows = multi / K
     centers = hyperspherical_map((multi + 0.5) / K, m)
 
     part = SpherePartition(
@@ -144,7 +142,6 @@ def build_partition(dirs: DirectionSet, K: int, delta: float) -> SpherePartition
         resolution=K,
         delta=float(delta),
         dirs=dirs,
-        cell_lows=cell_lows,
         centers=centers,
         masses=None,
         atom_cells=None,

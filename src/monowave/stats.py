@@ -21,8 +21,8 @@ from .gaussian import (
     sample_atomic,
     sample_uniform,
 )
-from .grid import ScalarGrid, sample_on_grid
-from .growth import _lattice_ball, _uniform_ball
+from .grid import ScalarGrid, lattice_ball, lattice_points, sample_on_grid
+from .growth import _uniform_ball
 from .nodal import DegenerateSampleError
 from .partition import SpherePartition
 
@@ -32,7 +32,6 @@ class ComparisonReport:
     name: str
     estimate: np.ndarray
     predicted: np.ndarray
-    prediction_source: str  # where the predicted values come from
     stderr: np.ndarray
     tolerance: np.ndarray
     passed: bool
@@ -50,15 +49,13 @@ class ComparisonReport:
             raise ValueError("negative standard error")
 
 
-def _judge(name, source, estimate, predicted, stderr, tolerance, n, **meta) -> ComparisonReport:
+def _judge(name, estimate, predicted, stderr, tolerance, n, **meta) -> ComparisonReport:
     est = np.atleast_1d(np.asarray(estimate, dtype=float))
     pred = np.atleast_1d(np.asarray(predicted, dtype=float))
     tol = np.broadcast_to(np.asarray(tolerance, dtype=float), est.shape)
     passed = bool(np.all(np.abs(est - pred) <= tol))
-    return ComparisonReport(
-        name=name, estimate=est, predicted=pred, prediction_source=source,
-        stderr=stderr, tolerance=tol, passed=passed, n_samples=n, meta=meta,
-    )
+    return ComparisonReport(name=name, estimate=est, predicted=pred, stderr=stderr,
+                            tolerance=tol, passed=passed, n_samples=n, meta=meta)
 
 
 @dataclass
@@ -103,8 +100,8 @@ def window_moment_report(wave: MonochromaticWave, R: float, W: float, y_points,
             pred.append(_gaussian_moment(p))
             se.append(vp.std(ddof=1) / math.sqrt(n_samples))
     se = np.array(se)
-    return _judge("window-moments", "standard normal moments, closed form",
-                  est, pred, se, 4 * se, n_samples, R=R, W=W, p_max=p_max, seed=seed)
+    return _judge("window-moments", est, pred, se, 4 * se, n_samples,
+                  R=R, W=W, p_max=p_max, seed=seed)
 
 
 def bk_moment_report(wave: MonochromaticWave, part: SpherePartition, R: float,
@@ -132,8 +129,7 @@ def bk_moment_report(wave: MonochromaticWave, part: SpherePartition, R: float,
         pred.append(expected)
         se.append(term.real.std(ddof=1) / math.sqrt(n_samples))
     se = np.array(se)
-    return _judge("bk-moments", "complex normal mixed moments, closed form",
-                  est, pred, se, 4 * se, n_samples, R=R, seed=seed)
+    return _judge("bk-moments", est, pred, se, 4 * se, n_samples, R=R, seed=seed)
 
 
 def covariance_compare(wave: MonochromaticWave, R: float, W: float, lags,
@@ -154,8 +150,7 @@ def covariance_compare(wave: MonochromaticWave, R: float, W: float, lags,
         pred.append(covariance_kernel(mu, tau))
         se.append(prod.std(ddof=1) / math.sqrt(n_samples))
     se = np.array(se)
-    rep = _judge("covariance", "atomic spectral kernel of the wave's directions",
-                 est, pred, se, 4 * se, n_samples, R=R, W=W, seed=seed)
+    rep = _judge("covariance", est, pred, se, 4 * se, n_samples, R=R, W=W, seed=seed)
     rep.meta["max_abs_error"] = float(np.max(np.abs(rep.estimate - rep.predicted)))
     return rep
 
@@ -240,9 +235,7 @@ def pushforward_distance(wave: MonochromaticWave, R: float, sampler, y_points,
     est = np.concatenate([ks, [energy]])
     pred = np.zeros(len(ks) + 1)
     tol = np.concatenate([np.full(len(ks), np.inf), [threshold]])
-    rep = _judge("pushforward", "zero distance under the Gaussian null; "
-                 "energy threshold from the permutation null",
-                 est, pred, np.zeros_like(est), tol, n_samples,
+    rep = _judge("pushforward", est, pred, np.zeros_like(est), tol, n_samples,
                  R=R, seed=seed, ks=ks, energy=energy, threshold=threshold)
     rep.meta["gaussian_indistinguishable"] = energy <= threshold
     return rep
@@ -443,7 +436,7 @@ def volume_sandwich_check(grid: ScalarGrid, R: float, r: float) -> ComparisonRep
     v_plus = clip.measure_in_ball(origin, R + r)
 
     spacing = r / 4.0
-    centers = _lattice_ball(origin, R, spacing)
+    centers = lattice_points(*lattice_ball(origin, R, spacing))
     total = 0.0
     for c in centers:
         total += clip.measure_in_ball(c, r)
@@ -455,7 +448,6 @@ def volume_sandwich_check(grid: ScalarGrid, R: float, r: float) -> ComparisonRep
         name="volume-sandwich",
         estimate=np.array([middle]),
         predicted=np.array([0.5 * (v_minus + v_plus)]),
-        prediction_source="bracketed by the clipped volumes at R-r and R+r",
         stderr=np.zeros(1),
         tolerance=np.array([tol]),
         passed=passed,
@@ -479,7 +471,7 @@ def semilocal_count_check(wave: MonochromaticWave, R: float, W: float,
     dec = nodal.label_domains(big)
     global_density = dec.interior_count / _ball_volume(m, R)
 
-    centers = _lattice_ball(np.zeros(m), R - W, W)
+    centers = lattice_points(*lattice_ball(np.zeros(m), R - W, W))
     vol_w = _ball_volume(m, W)
     local, boundary = [], []
     for c in centers:
@@ -489,21 +481,12 @@ def semilocal_count_check(wave: MonochromaticWave, R: float, W: float,
         boundary.append(d.boundary_count / vol_w)
     local_mean = float(np.mean(local))
     correction = float(np.mean(boundary))
-    gap = abs(global_density - local_mean)
     allowance = 5.0 / W
-    tol = correction + allowance
-    return ComparisonReport(
-        name="semilocal-count",
-        estimate=np.array([local_mean]),
-        predicted=np.array([global_density]),
-        prediction_source="global interior count over B(R)",
-        stderr=np.array([float(np.std(local, ddof=1) / math.sqrt(len(local)))]),
-        tolerance=np.array([tol]),
-        passed=gap <= tol,
-        n_samples=len(centers),
-        meta={"gap": gap, "correction": correction, "allowance": allowance,
-              "R": R, "W": W},
-    )
+    stderr = float(np.std(local, ddof=1) / math.sqrt(len(local)))
+    return _judge("semilocal-count", local_mean, global_density, stderr,
+                  correction + allowance, len(centers),
+                  gap=abs(global_density - local_mean), correction=correction,
+                  allowance=allowance, R=R, W=W)
 
 
 @dataclass

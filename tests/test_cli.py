@@ -74,6 +74,29 @@ def test_exit_codes(tmp_path, monkeypatch):
     assert main(["--config", g, "--out", str(tmp_path / "o2")]) == 3
 
 
+@pytest.mark.parametrize(
+    "body, err",
+    [
+        ("command = smallvalues\nR = 20\nsamples = 0\n", "samples"),
+        ("command = doubling\nR = 20\nW = 1\nsamples = 0\n", "samples"),
+        ("command = charfn\nR = 20\nsamples = 0\n", "samples"),
+        ("command = kacrice\ngenerator = log-rational\nN = 16\nsamples = 0\n", "samples"),
+        ("command = charfn\nR = 20\nsamples = 1\n", "samples"),
+        ("command = nodal-stats\nW = 2\nh = 0\n", "spacing"),
+        ("command = nodal-stats\nW = 2\nh = -0.05\n", "spacing"),
+        ("command = fig1\nh = 0\n", "spacing"),
+    ],
+    ids=["smallvalues-0", "doubling-0", "charfn-0", "kacrice-atomic-0", "charfn-1",
+         "nodal-stats-h0", "nodal-stats-h-negative", "fig1-h0"],
+)
+def test_out_of_range_samples_and_spacing_exit_2(tmp_path, capsys, body, err):
+    # every Monte Carlo stderr uses ddof=1, so fewer than 2 samples has none
+    cfgp = write_cfg(tmp_path, body)
+    assert main(["--config", cfgp, "--out", str(tmp_path / "o")]) == 2
+    assert err in capsys.readouterr().err
+    assert not list((tmp_path / "o").glob("*.csv"))
+
+
 def test_gen_wave_round_trip(tmp_path):
     cfgp = write_cfg(tmp_path, "command = gen-wave\nm = 2\nN = 8\nseed = 3\n")
     out = tmp_path / "out"

@@ -13,9 +13,18 @@ from monowave.gaussian import sample_uniform
 from monowave.grid import (
     ScalarGrid,
     _squared_bound,
+    lattice_ball,
+    lattice_points,
     plane_wave_grid,
     sample_on_grid,
 )
+
+
+def vertex_radii(g: ScalarGrid) -> np.ndarray:
+    """Oracle: np.linalg.norm of every vertex's offset from the mask center."""
+    axes = [g.axis_coords(a) for a in range(g.dim)]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    return np.linalg.norm(pts - g.ball_center, axis=-1)
 
 
 def test_sample_on_grid_geometry():
@@ -25,13 +34,16 @@ def test_sample_on_grid_geometry():
     # center vertex carries the center value
     mid = tuple(n // 2 for n in g.shape)
     assert g.grid_values()[mid] == pytest.approx(1.0, abs=1e-12)
-    assert np.array_equal(g.mask(), g.radii() <= g.ball_radius)
+    assert np.array_equal(g.mask(), vertex_radii(g) <= g.ball_radius)
     assert g.ball_radius == 3.0
 
 
 def test_sample_on_grid_guards():
     with pytest.raises(ValueError):
         sample_on_grid(lambda p: p[:, 0], np.zeros(2), 2.0, 0.3)
+    for h in (0.0, -0.05):
+        with pytest.raises(ValueError, match="positive"):
+            sample_on_grid(lambda p: p[:, 0], np.zeros(2), 2.0, h)
     with pytest.raises(ValueError):
         sample_on_grid(lambda p: p[:, 0], np.zeros(4), 2.0, 0.1)
 
@@ -170,7 +182,7 @@ def test_box_grid_without_ball_mask():
 def test_mask_is_computed_once_and_read_only():
     g = sample_on_grid(lambda p: p[:, 0], np.array([0.3, -0.2, 0.1]), 1.5, 0.07)
     mask = g.mask()
-    assert np.array_equal(mask, g.radii() <= g.ball_radius)
+    assert np.array_equal(mask, vertex_radii(g) <= g.ball_radius)
     assert g.mask() is mask
     assert not mask.flags.writeable
     with pytest.raises(ValueError):
@@ -214,7 +226,29 @@ def test_within_matches_radii(seed, m):
     rng = np.random.default_rng(seed)
     h = float(rng.uniform(0.03, 0.25))
     g = sample_on_grid(lambda p: p[:, 0], rng.uniform(-2.0, 2.0, m), float(rng.uniform(h, 1.5)), h)
-    radii = g.radii()
+    radii = vertex_radii(g)
     # thresholds on the grid's own radii are where a rounding slip would show
     for r in [*rng.choice(radii.reshape(-1), 5), g.ball_radius - h, g.ball_radius - 2 * h]:
         assert np.array_equal(g.within(r), radii <= r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
+def test_lattice_ball_matches_the_norm_clip(seed, m):
+    rng = np.random.default_rng(seed)
+    h = float(rng.choice([0.1, 0.125, 0.2, 1 / 3, 0.25]))
+    k0 = rng.integers(-30, 30, m)
+    # a centre on the lattice, or off it
+    center = h * k0 if rng.random() < 0.5 else h * k0 + rng.uniform(-h, h, m)
+    # radii equal to lattice distances from the centre, where rounding decides
+    k = k0 + rng.integers(-10, 11, (4, m))
+    radii = [*np.linalg.norm(h * k - center, axis=-1), float(rng.uniform(0.0, 2.0))]
+    for r in radii:
+        axes, mask = lattice_ball(center, r, h)
+        for ax, c in zip(axes, center):
+            assert np.array_equal(ax, h * np.arange(math.floor((c - r) / h),
+                                                    math.ceil((c + r) / h) + 1))
+        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        assert np.array_equal(mask, np.linalg.norm(pts - center, axis=-1) <= r)
+        # boolean indexing walks the box in row-major order
+        assert np.array_equal(lattice_points(axes, mask), pts[mask])

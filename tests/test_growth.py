@@ -6,6 +6,7 @@ import pytest
 from monowave.directions import generate_uniform_directions
 from monowave.field import PlaneWaveSum, make_wave
 from monowave.growth import (
+    PROBE_DENSITY,
     DoublingStats,
     characteristic_function,
     doubling_index,
@@ -29,6 +30,27 @@ def test_doubling_index_of_cosine(cosine_wave):
         doubling_index(cosine_wave, np.zeros(2), 0.5)
 
 
+def _doubling_oracle(field, x, W):
+    """Brute force: every point of the box of (1/PROBE_DENSITY) Z^m around the
+    outer ball, each kept by its own norm test, then both suprema with x added."""
+    h = 1.0 / PROBE_DENSITY
+    R = scaling_factor(len(x)) * W
+    ks = [np.arange(math.floor((c - R) / h), math.ceil((c + R) / h) + 1) for c in x]
+    pts = h * np.stack(np.meshgrid(*ks, indexing="ij"), axis=-1).reshape(-1, len(x))
+    dist = np.linalg.norm(pts - x, axis=1)
+    keep = dist <= R
+    vals = np.abs(field.value(np.concatenate([pts[keep], x[None, :]])))
+    inner = np.append(dist[keep] <= W, True)
+    return math.log(vals.max() / vals[inner].max()) + 1.0
+
+
+@pytest.mark.parametrize("m, W", [(2, 1.5), (3, 1.0)])
+def test_doubling_index_matches_brute_force(m, W):
+    w = make_wave(generate_uniform_directions(m, 12, 4), seed=6)
+    x = np.array([0.3137, -1.2718, 0.0421][:m])  # off the probe lattice
+    assert doubling_index(w, x, W) == _doubling_oracle(w, x, W)  # bitwise
+
+
 def test_doubling_index_degenerate_field():
     flat = PlaneWaveSum(np.array([[1.0, 0.0]]), np.zeros(1, dtype=complex))
     with pytest.raises(DegenerateSampleError):
@@ -49,7 +71,7 @@ def test_doubling_tail_statistics():
 
 
 def test_doubling_tail_and_reference_shapes():
-    s = DoublingStats(W=1.0, kappa=2 * math.sqrt(2), samples=np.array([1.0, 2.0, 3.0]))
+    s = DoublingStats(samples=np.array([1.0, 2.0, 3.0]))
     assert s.tail(2.0) == pytest.approx(1 / 3)  # strictly above
     assert s.tail(0.5) == 1.0
 

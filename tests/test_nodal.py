@@ -405,7 +405,9 @@ def test_shell_matches_radii(m, band):
     for _ in range(5):
         h = float(rng.uniform(0.05, 0.2))
         g = sample_on_grid(lambda p: p[:, 0], rng.uniform(-1.0, 1.0, m), float(rng.uniform(0.5, 1.5)), h)
-        ref = g.mask() & (g.radii() > g.ball_radius - band * g.spacing)
+        pts = np.stack(np.meshgrid(*[g.axis_coords(a) for a in range(m)], indexing="ij"), axis=-1)
+        radii = np.linalg.norm(pts - g.ball_center, axis=-1)
+        ref = g.mask() & (radii > g.ball_radius - band * g.spacing)
         assert np.array_equal(nodal._shell(g, band), ref)
 
 
@@ -461,3 +463,37 @@ def test_crossing_elements_match_per_cell_loop(m, W, h):
     assert len(ids) > 20
     assert np.array_equal(z.edge_ids[z.elements], ids)
     assert np.allclose(z.element_measure, measures, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("m, W, h", [(2, 2.0, 0.1), (3, 0.9, 0.1), (2, None, 0.1)])
+def test_covered_volume_matches_per_cell_loop(m, W, h):
+    if W is None:  # a box grid without a ball mask
+        vals = sample_uniform(2, 64, 3).on_grid(np.zeros(2), (17, 23), h)
+        g = ScalarGrid(dim=2, origin=np.zeros(2), spacing=h, shape=(17, 23), values=vals)
+    else:
+        g = sample_on_grid(sample_uniform(m, 64, 5 + m), np.full(m, 0.2), W, h)
+    mask = g.mask()
+    covered = sum(
+        all(mask[tuple(x + ((c >> a) & 1) for a, x in enumerate(cell))] for c in range(2**m))
+        for cell in np.ndindex(*(n - 1 for n in g.shape))
+    )
+    assert covered > 0
+    assert nodal_volume(g).covered_volume == covered * h**m
+
+
+def test_square_table_is_the_cube_table_on_a_face():
+    # an extruded case (top corners repeat the bottom ones) crosses no vertical
+    # edge, so its triangles' bottom-face edges are exactly the square segments
+    local = {}
+    for k in range(4):  # square local edge k joins cyclic corners k and k+1
+        a, b = mct.SQUARE_CYCLE[k], mct.SQUARE_CYCLE[(k + 1) % 4]
+        local[mct.EDGE_INDEX[(min(a, b), max(a, b))]] = k
+    for case in range(16):
+        tris = mct.CUBE_CASES[case | case << 4]
+        on_face = {
+            frozenset((local[e1], local[e2]))
+            for t in tris
+            for e1, e2 in ((t[0], t[1]), (t[1], t[2]), (t[0], t[2]))
+            if e1 in local and e2 in local
+        }
+        assert on_face == {frozenset(seg) for seg in mct.SQUARE_CASES[case]}, case

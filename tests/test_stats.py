@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -168,6 +169,25 @@ def test_volume_sandwich(cosine_wave):
 def test_semilocal_guard(wave64):
     with pytest.raises(ValueError):
         semilocal_count_check(wave64, 20.0, 6.0)
+
+
+def _count_lattice_ball(m: int, radius: float, spacing: float) -> int:
+    """Brute force: centres spacing * k with |spacing * k| <= radius, one by one."""
+    n = math.ceil(radius / spacing)
+    return sum(
+        math.sqrt(sum((spacing * k) ** 2 for k in ks)) <= radius
+        for ks in itertools.product(range(-n, n + 1), repeat=m)
+    )
+
+
+def test_sandwich_and_semilocal_centre_counts(cosine_wave):
+    g = sample_on_grid(cosine_wave, np.zeros(2), 7.5, 0.1)
+    rep = volume_sandwich_check(g, 6.0, 1.5)
+    assert rep.n_samples == _count_lattice_ball(2, 6.0, 1.5 / 4.0)
+    semi = semilocal_count_check(cosine_wave, 12.0, 1.2, h=0.1)
+    assert semi.n_samples == _count_lattice_ball(2, 12.0 - 1.2, 1.2)
+    assert semi.passed == (semi.meta["gap"] <= semi.tolerance[0])
+    assert semi.meta["gap"] == abs(semi.estimate[0] - semi.predicted[0])
 
 
 def test_pushforward_distance(wave64):
