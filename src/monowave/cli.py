@@ -3,8 +3,8 @@
 One experiment per process. A config names a command plus its parameters; the
 driver builds the wave or measure, runs the matching library routine, and
 serializes the report. Every report CSV starts with the same seven meta
-columns {seed, n_samples, h, W, R, N, m}; floats are written with repr so a
-parse/serialize cycle is byte-identical.
+columns {seed, n_samples, h, W, R, N, m}, followed by the keys of its rows;
+floats are written with repr so a parse/serialize cycle is byte-identical.
 
 Each command resolves its wave or direction set once, and that is the one
 source of m and N; the m and N keys only configure the uniform and
@@ -22,8 +22,9 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -85,23 +86,12 @@ class ExperimentConfig:
 _GENERATORS = ("uniform", "log-rational", "file")
 _COEFF_MODES = ("random-phase", "all-ones")
 
-
-def _to_int(key: str, val: str) -> int:
-    try:
-        return int(val)
-    except ValueError:
-        raise ValueError(f"config key {key!r} expects an integer, got {val!r}") from None
-
-
-def _to_float(key: str, val: str) -> float:
-    try:
-        return float(val)
-    except ValueError:
-        raise ValueError(f"config key {key!r} expects a number, got {val!r}") from None
-
-
-_INT_KEYS = {"m", "N", "K", "seed", "samples", "trials", "p_max"}
-_FLOAT_KEYS = {"delta", "W", "R", "h", "t_max", "beta", "r", "wavenumber"}
+# each key's converter is its ExperimentConfig annotation, an Optional's None dropped
+_KEY_TYPES = {
+    key: next(t for t in get_args(hint) or (hint,) if t is not type(None))
+    for key, hint in get_type_hints(ExperimentConfig).items()
+}
+_EXPECTS = {int: "an integer", float: "a number"}
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -122,17 +112,17 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
-    known = {f.name for f in fields(ExperimentConfig)}
     kwargs: dict = {}
     for key, val in raw.items():
-        if key not in known:
+        if key not in _KEY_TYPES:
             raise ValueError(f"unknown config key {key!r}")
-        if key in _INT_KEYS:
-            kwargs[key] = _to_int(key, val)
-        elif key in _FLOAT_KEYS:
-            kwargs[key] = _to_float(key, val)
-        else:
-            kwargs[key] = val
+        convert = _KEY_TYPES[key]
+        try:
+            kwargs[key] = convert(val)
+        except ValueError:
+            raise ValueError(
+                f"config key {key!r} expects {_EXPECTS[convert]}, got {val!r}"
+            ) from None
     if "command" not in kwargs:
         raise ValueError("config must set command=<name>")
     cfg = ExperimentConfig(**kwargs)
@@ -238,12 +228,13 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_report_csv(path, columns, rows, meta) -> None:
-    """Fixed meta prefix + payload columns; repr floats for exact round-trips."""
+def write_report_csv(path, rows, meta) -> None:
+    """Fixed meta prefix + the first row's keys as payload columns; repr floats."""
+    columns = list(rows[0])
     meta_vals = [_fmt(meta.get(k)) for k in META_COLUMNS]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(list(META_COLUMNS) + list(columns))
+        w.writerow(list(META_COLUMNS) + columns)
         for row in rows:
             w.writerow(meta_vals + [_fmt(row[c]) for c in columns])
 
@@ -333,18 +324,15 @@ def _report_rows(rep: stats.ComparisonReport, labels) -> list[dict]:
                 "predicted": float(rep.predicted[i]),
                 "stderr": float(rep.stderr[i]),
                 "tolerance": float(rep.tolerance[i]),
-                "passed": bool(np.abs(rep.estimate[i] - rep.predicted[i]) <= rep.tolerance[i]),
+                "passed": bool(rep.within[i]),
             }
         )
     return rows
 
 
-_REPORT_COLUMNS = ("label", "estimate", "predicted", "stderr", "tolerance", "passed")
-
-
-def _emit(outdir: Path, name: str, columns, rows, meta) -> Path:
+def _emit(outdir: Path, name: str, rows, meta) -> Path:
     path = outdir / name
-    write_report_csv(path, columns, rows, meta)
+    write_report_csv(path, rows, meta)
     print(f"wrote {path}")
     return path
 
@@ -384,7 +372,7 @@ def _run_nodal_stats(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
         "tree_code": tree.code,
         "classes": " ".join(f"{k}:{v}" for k, v in sorted(topo.items())),
     }
-    _emit(outdir, "summary.csv", tuple(row), [row], meta)
+    _emit(outdir, "summary.csv", [row], meta)
 
     if m == 2:
         svg = outdir / "nodal.svg"
@@ -403,8 +391,7 @@ def _run_moments(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
         wave, cfg.R, cfg.W, y_points, cfg.p_max, cfg.samples, cfg.seed
     )
     labels = [f"y{i} p{p}" for i in range(len(y_points)) for p in range(1, cfg.p_max + 1)]
-    _emit(outdir, "moments.csv", _REPORT_COLUMNS, _report_rows(rep, labels),
-          _meta(cfg, cfg.samples, wave.dirs))
+    _emit(outdir, "moments.csv", _report_rows(rep, labels), _meta(cfg, cfg.samples, wave.dirs))
     print(f"all within tolerance: {rep.passed}")
 
 
@@ -431,8 +418,7 @@ def _run_bk_moments(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
         moments.append([(a, 1, 0), (b, 0, 1)])
         labels.append(f"{a}:1:0|{b}:0:1")
     rep = stats.bk_moment_report(wave, part, cfg.R, moments, cfg.samples, cfg.seed)
-    _emit(outdir, "bk_moments.csv", _REPORT_COLUMNS, _report_rows(rep, labels),
-          _meta(cfg, cfg.samples, wave.dirs))
+    _emit(outdir, "bk_moments.csv", _report_rows(rep, labels), _meta(cfg, cfg.samples, wave.dirs))
     print(f"all within tolerance: {rep.passed}")
 
 
@@ -450,8 +436,7 @@ def _run_charfn(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
         }
         for i in range(len(rep.t))
     ]
-    _emit(outdir, "charfn.csv", ("t", "re_psi", "im_psi", "predicted", "stderr"),
-          rows, _meta(cfg, cfg.samples, wave.dirs))
+    _emit(outdir, "charfn.csv", rows, _meta(cfg, cfg.samples, wave.dirs))
     print(f"sup error over the t grid: {rep.sup_error!r}")
 
 
@@ -462,7 +447,7 @@ def _run_doubling(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
     q_grid = np.arange(1.0, 4.0 + 1e-9, 0.05)
     tails = st.tail(q_grid)
     rows = [{"Q": float(q), "tail": float(t)} for q, t in zip(q_grid, tails)]
-    _emit(outdir, "doubling.csv", ("Q", "tail"), rows, _meta(cfg, cfg.samples, wave.dirs))
+    _emit(outdir, "doubling.csv", rows, _meta(cfg, cfg.samples, wave.dirs))
 
 
 def _run_smallvalues(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
@@ -475,7 +460,7 @@ def _run_smallvalues(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
         "stderr": rep.stderr,
         "gaussian_limit": rep.gaussian_limit,
     }
-    _emit(outdir, "smallvalues.csv", tuple(row), [row], _meta(cfg, cfg.samples, wave.dirs))
+    _emit(outdir, "smallvalues.csv", [row], _meta(cfg, cfg.samples, wave.dirs))
 
 
 def _run_compare(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
@@ -489,7 +474,7 @@ def _run_compare(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
     y_points[1, 0] = cfg.W / 2
     push = stats.pushforward_distance(wave, cfg.R, measure, y_points, cfg.samples, cfg.seed)
     labels = [f"ks y{i}" for i in range(len(y_points))] + ["energy"]
-    _emit(outdir, "pushforward.csv", _REPORT_COLUMNS, _report_rows(push, labels), meta)
+    _emit(outdir, "pushforward.csv", _report_rows(push, labels), meta)
     print(f"gaussian indistinguishable: {push.meta['gaussian_indistinguishable']}")
 
     lags = np.zeros((3, m))
@@ -497,14 +482,14 @@ def _run_compare(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
     lags[2, 0] = cfg.W
     cov = stats.covariance_compare(wave, cfg.R, cfg.W, lags, cfg.samples, cfg.seed)
     lag_labels = [repr(float(np.linalg.norm(tau))) for tau in lags]
-    _emit(outdir, "covariance.csv", _REPORT_COLUMNS, _report_rows(cov, lag_labels), meta)
+    _emit(outdir, "covariance.csv", _report_rows(cov, lag_labels), meta)
 
 
 def _run_kacrice(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
     measure, dirs = _resolve_measure(cfg)
     density, err = stats.kac_rice_density(measure, n_mc=cfg.samples, seed=cfg.seed)
     row = {"kind": measure.kind, "density": density, "stderr": err}
-    _emit(outdir, "kacrice.csv", tuple(row), [row], _meta(cfg, cfg.samples, dirs))
+    _emit(outdir, "kacrice.csv", [row], _meta(cfg, cfg.samples, dirs))
     print(f"expected zero-set volume per unit volume: {density!r}")
 
 
@@ -532,8 +517,7 @@ def _run_ns_estimate(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
         mu, se = est.tree_density[code]
         rows.append({"kind": "tree", "label": code, "mean": mu, "stderr": se,
                      "excluded": est.excluded, "trials": est.trials})
-    _emit(outdir, "ns.csv", ("kind", "label", "mean", "stderr", "excluded", "trials"),
-          rows, _meta(cfg, cfg.trials, dirs))
+    _emit(outdir, "ns.csv", rows, _meta(cfg, cfg.trials, dirs))
     print(f"count density {est.mean!r} +- {est.stderr!r} ({est.excluded} excluded)")
 
 
@@ -549,7 +533,7 @@ def _run_sandwich(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
         "tolerance": float(rep.tolerance[0]),
         "passed": rep.passed,
     }
-    _emit(outdir, "sandwich.csv", tuple(row), [row], _meta(cfg, rep.n_samples, wave.dirs))
+    _emit(outdir, "sandwich.csv", [row], _meta(cfg, rep.n_samples, wave.dirs))
     print(f"sandwich holds: {rep.passed}")
 
 
@@ -565,7 +549,7 @@ def _run_semilocal(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
         "allowance": rep.meta["allowance"],
         "passed": rep.passed,
     }
-    _emit(outdir, "semilocal.csv", tuple(row), [row], _meta(cfg, rep.n_samples, wave.dirs))
+    _emit(outdir, "semilocal.csv", [row], _meta(cfg, rep.n_samples, wave.dirs))
     print(f"gap bounded: {rep.passed}")
 
 
@@ -580,7 +564,7 @@ def _run_discrepancy(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
         "mean_density": rep.mean_density,
         "trials": rep.trials,
     }
-    _emit(outdir, "discrepancy.csv", tuple(row), [row], _meta(cfg, cfg.trials, dirs))
+    _emit(outdir, "discrepancy.csv", [row], _meta(cfg, cfg.trials, dirs))
 
 
 def _run_fig1(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
@@ -622,7 +606,7 @@ def _run_fig1(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
         for i in range(len(r))
     ]
     meta = _meta(cfg, n * n, dirs, R=half)
-    _emit(outdir, f"fig1_profile_N{N}.csv", ("r", "g", "limit"), rows, meta)
+    _emit(outdir, f"fig1_profile_N{N}.csv", rows, meta)
 
 
 _RUNNERS = {

@@ -21,7 +21,17 @@ TWO_PI = 2 * np.pi
 
 
 def child_rng(seed: int, j: int) -> np.random.Generator:
-    """Counter-based child stream j of a master seed; order-independent."""
+    """Counter-based child stream j of a master seed; order-independent.
+
+    Stream layout under one seed:
+      0      growth.spatial_sample, the uniform points of every spatial average
+      1      the CLI wave's coefficient phases
+      2      stats.pushforward_distance's Gaussian draw seeds, one stream for all n
+      j      draw j of the ns_constant_estimate and discrepancy_estimate trials
+      10**6  stats.pushforward_distance's permutations
+    Trial streams reuse the small keys, but those commands draw no spatial
+    sample, wave phases or pushforward cloud.
+    """
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(j,)))
 
 

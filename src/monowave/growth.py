@@ -3,7 +3,8 @@
 Doubling indices compare suprema over concentric balls, probed on the
 absolute lattice of grid.lattice_ball (never optimized); small-value
 fractions and the characteristic function are plain Monte Carlo over uniform
-centers in the big ball.
+centers in the big ball. spatial_sample is that one draw of uniform centers,
+shared by every spatial average here and in stats.
 """
 
 from __future__ import annotations
@@ -27,10 +28,17 @@ def scaling_factor(m: int) -> float:
     return 2.0 * math.sqrt(m)
 
 
-def _uniform_ball(rng: np.random.Generator, m: int, radius: float, n: int) -> np.ndarray:
+def spatial_sample(m: int, R: float, n: int, seed: int) -> np.ndarray:
+    """n points uniform in B(R) in R^m, from child stream 0 of seed.
+
+    The spatial average that stands in for the ensemble average: every
+    fixed-wave report averages over these points, so reports with one seed
+    share one sample.
+    """
+    rng = child_rng(seed, 0)
     x = rng.standard_normal((n, m))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
-    r = radius * rng.uniform(0.0, 1.0, n) ** (1.0 / m)
+    r = R * rng.uniform(0.0, 1.0, n) ** (1.0 / m)
     return x * r[:, None]
 
 
@@ -70,9 +78,7 @@ def doubling_tail(wave: MonochromaticWave, R: float, W: float, n_samples: int,
                   seed: int) -> DoublingStats:
     if R < 10 * W:
         raise ValueError("need R >= 10 W so windows decorrelate")
-    m = wave.dirs.dim
-    rng = child_rng(seed, 0)
-    centers = _uniform_ball(rng, m, R, n_samples)
+    centers = spatial_sample(wave.dirs.dim, R, n_samples, seed)
     vals = np.array([doubling_index(wave, c, W) for c in centers])
     return DoublingStats(samples=vals)
 
@@ -83,7 +89,6 @@ class SmallValueReport:
     fraction: float
     stderr: float
     gaussian_limit: float  # 2 Phi(beta) - 1
-    n_samples: int
 
 
 def small_value_fraction(wave: MonochromaticWave, R: float, beta: float, n_samples: int,
@@ -91,8 +96,7 @@ def small_value_fraction(wave: MonochromaticWave, R: float, beta: float, n_sampl
     """Volume fraction of {|f| <= beta} in B(R), with the Gaussian-limit target."""
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-    rng = child_rng(seed, 0)
-    x = _uniform_ball(rng, wave.dirs.dim, R, n_samples)
+    x = spatial_sample(wave.dirs.dim, R, n_samples, seed)
     hits = np.abs(wave.value(x)) <= beta
     frac = float(np.mean(hits))
     stderr = math.sqrt(max(frac * (1 - frac), 1e-300) / n_samples)
@@ -101,7 +105,6 @@ def small_value_fraction(wave: MonochromaticWave, R: float, beta: float, n_sampl
         fraction=frac,
         stderr=stderr,
         gaussian_limit=math.erf(beta / math.sqrt(2.0)),
-        n_samples=n_samples,
     )
 
 
@@ -125,8 +128,7 @@ def characteristic_function(wave: MonochromaticWave, R: float, t_max: float, n_t
     """
     if t_max > 10:
         raise ValueError("t_max above 10 is outside the calibrated range")
-    rng = child_rng(seed, 0)
-    x = _uniform_ball(rng, wave.dirs.dim, R, n_samples)
+    x = spatial_sample(wave.dirs.dim, R, n_samples, seed)
     fx = wave.value(x)
     t = np.linspace(0.0, t_max, n_t)
     phases = np.exp(2j * np.pi * np.outer(t, fx))

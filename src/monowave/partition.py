@@ -80,7 +80,6 @@ class SpherePartition:
 
     dim: int
     resolution: int
-    delta: float
     dirs: DirectionSet
     centers: np.ndarray  # (C, m) images of box centers under G
     masses: np.ndarray  # (C,)
@@ -97,14 +96,6 @@ class SpherePartition:
         for a in range(1, self.dim - 1):
             flat = flat * self.resolution + idx[..., a]
         return flat
-
-    def members(self, k: int) -> np.ndarray:
-        """Signed-atom indices assigned to cell k (j < N is +r_j, else -r_{j-N})."""
-        return np.nonzero(self.atom_cells == k)[0]
-
-    @property
-    def selected_mass(self) -> float:
-        return float(self.masses[self.selected].sum())
 
 
 def positive_side(center: np.ndarray) -> bool:
@@ -140,7 +131,6 @@ def build_partition(dirs: DirectionSet, K: int, delta: float) -> SpherePartition
     part = SpherePartition(
         dim=m,
         resolution=K,
-        delta=float(delta),
         dirs=dirs,
         centers=centers,
         masses=None,

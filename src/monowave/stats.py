@@ -1,8 +1,9 @@
 """Estimator-versus-prediction comparisons.
 
-Monte Carlo comparisons pass at 4 standard errors; geometric densities carry
-percent-level tolerances because linear interpolation biases them. Every
-report records the tolerance it was judged against.
+Monte Carlo comparisons pass at 4 standard errors (_mc_judge); geometric
+densities carry percent-level tolerances because linear interpolation biases
+them. Every report records the tolerance it was judged against and, per row,
+whether the estimate fell within it.
 """
 
 from __future__ import annotations
@@ -22,46 +23,55 @@ from .gaussian import (
     sample_uniform,
 )
 from .grid import ScalarGrid, lattice_ball, lattice_points, sample_on_grid
-from .growth import _uniform_ball
+from .growth import spatial_sample
 from .nodal import DegenerateSampleError
 from .partition import SpherePartition
 
 
 @dataclass
 class ComparisonReport:
-    name: str
     estimate: np.ndarray
     predicted: np.ndarray
     stderr: np.ndarray
     tolerance: np.ndarray
-    passed: bool
+    within: np.ndarray  # per row: the estimate is within tolerance of the prediction
     n_samples: int
     meta: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        self.estimate = np.atleast_1d(np.asarray(self.estimate, dtype=float))
-        self.predicted = np.atleast_1d(np.asarray(self.predicted, dtype=float))
-        self.stderr = np.atleast_1d(np.asarray(self.stderr, dtype=float))
-        self.tolerance = np.broadcast_to(
-            np.asarray(self.tolerance, dtype=float), self.estimate.shape
-        ).copy()
         if np.any(self.stderr < 0):
             raise ValueError("negative standard error")
 
+    @property
+    def passed(self) -> bool:
+        return bool(self.within.all())
 
-def _judge(name, estimate, predicted, stderr, tolerance, n, **meta) -> ComparisonReport:
+
+def _judge(estimate, predicted, stderr, tolerance, n, **meta) -> ComparisonReport:
+    """The one pass rule: row i passes when |estimate - predicted| <= tolerance."""
     est = np.atleast_1d(np.asarray(estimate, dtype=float))
     pred = np.atleast_1d(np.asarray(predicted, dtype=float))
-    tol = np.broadcast_to(np.asarray(tolerance, dtype=float), est.shape)
-    passed = bool(np.all(np.abs(est - pred) <= tol))
-    return ComparisonReport(name=name, estimate=est, predicted=pred, stderr=stderr,
-                            tolerance=tol, passed=passed, n_samples=n, meta=meta)
+    se = np.atleast_1d(np.asarray(stderr, dtype=float))
+    tol = np.broadcast_to(np.asarray(tolerance, dtype=float), est.shape).copy()
+    return ComparisonReport(est, pred, se, tol, np.abs(est - pred) <= tol, n, meta)
+
+
+def _mc_judge(draws, predicted, n: int) -> ComparisonReport:
+    """Each statistic's mean over its n draws against its prediction, at 4 standard errors.
+
+    draws: one 1-D array of n per-sample values per statistic, read once in order,
+    so a generator keeps a single statistic's draws in memory at a time.
+    """
+    est, se = [], []
+    for d in draws:
+        est.append(d.mean())
+        se.append(d.std(ddof=1) / math.sqrt(n))
+    se = np.array(se)
+    return _judge(est, predicted, se, 4 * se, n)
 
 
 @dataclass
 class ConstantEstimate:
-    kind: str
-    W: float
     trials: int
     mean: float
     stderr: float
@@ -89,19 +99,11 @@ def window_moment_report(wave: MonochromaticWave, R: float, W: float, y_points,
     y_points = np.atleast_2d(np.asarray(y_points, dtype=float))
     if np.any(np.linalg.norm(y_points, axis=1) > W):
         raise ValueError("window points must lie in B(W)")
-    rng = child_rng(seed, 0)
-    x = _uniform_ball(rng, wave.dirs.dim, R, n_samples)
-    est, pred, se = [], [], []
-    for y in y_points:
-        vals = wave.value(x + y)
-        for p in range(1, p_max + 1):
-            vp = vals**p
-            est.append(vp.mean())
-            pred.append(_gaussian_moment(p))
-            se.append(vp.std(ddof=1) / math.sqrt(n_samples))
-    se = np.array(se)
-    return _judge("window-moments", est, pred, se, 4 * se, n_samples,
-                  R=R, W=W, p_max=p_max, seed=seed)
+    x = spatial_sample(wave.dirs.dim, R, n_samples, seed)
+    orders = range(1, p_max + 1)
+    vals = [wave.value(x + y) for y in y_points]
+    return _mc_judge((v**p for v in vals for p in orders),
+                     [_gaussian_moment(p) for _ in vals for p in orders], n_samples)
 
 
 def bk_moment_report(wave: MonochromaticWave, part: SpherePartition, R: float,
@@ -113,23 +115,21 @@ def bk_moment_report(wave: MonochromaticWave, part: SpherePartition, R: float,
     for entry in moments:
         if sum(s + t for _, s, t in entry) > 6:
             raise ValueError("total moment order above 6 is not calibrated")
-    rng = child_rng(seed, 0)
-    x = _uniform_ball(rng, wave.dirs.dim, R, n_samples)
+    x = spatial_sample(wave.dirs.dim, R, n_samples, seed)
     b = eval_bk(wave, part, x)  # (n, #selected)
     col = {int(k): i for i, k in enumerate(part.selected)}
-    est, pred, se = [], [], []
-    for entry in moments:
-        term = np.ones(n_samples, dtype=complex)
-        expected = 1.0
-        for k, s, t in entry:
-            bk = b[:, col[k]]
-            term *= bk**s * np.conj(bk) ** t
-            expected *= math.factorial(s) if s == t else 0.0
-        est.append(term.real.mean())
-        pred.append(expected)
-        se.append(term.real.std(ddof=1) / math.sqrt(n_samples))
-    se = np.array(se)
-    return _judge("bk-moments", est, pred, se, 4 * se, n_samples, R=R, seed=seed)
+
+    def draws():
+        for entry in moments:
+            term = np.ones(n_samples, dtype=complex)
+            for k, s, t in entry:
+                bk = b[:, col[k]]
+                term *= bk**s * np.conj(bk) ** t
+            yield term.real
+
+    pred = [math.prod(math.factorial(s) if s == t else 0 for _, s, t in entry)
+            for entry in moments]
+    return _mc_judge(draws(), pred, n_samples)
 
 
 def covariance_compare(wave: MonochromaticWave, R: float, W: float, lags,
@@ -139,18 +139,11 @@ def covariance_compare(wave: MonochromaticWave, R: float, W: float, lags,
     lags = np.atleast_2d(np.asarray(lags, dtype=float))
     if np.any(np.linalg.norm(lags, axis=1) > 2 * W):
         raise ValueError("lags must lie in B(2W)")
-    rng = child_rng(seed, 0)
-    x = _uniform_ball(rng, wave.dirs.dim, R, n_samples)
+    x = spatial_sample(wave.dirs.dim, R, n_samples, seed)
     f0 = wave.value(x)
     mu = empirical_measure(wave.dirs)
-    est, pred, se = [], [], []
-    for tau in lags:
-        prod = f0 * wave.value(x + tau)
-        est.append(prod.mean())
-        pred.append(covariance_kernel(mu, tau))
-        se.append(prod.std(ddof=1) / math.sqrt(n_samples))
-    se = np.array(se)
-    rep = _judge("covariance", est, pred, se, 4 * se, n_samples, R=R, W=W, seed=seed)
+    rep = _mc_judge((f0 * wave.value(x + tau) for tau in lags),
+                    [covariance_kernel(mu, tau) for tau in lags], n_samples)
     rep.meta["max_abs_error"] = float(np.max(np.abs(rep.estimate - rep.predicted)))
     return rep
 
@@ -207,15 +200,13 @@ def pushforward_distance(wave: MonochromaticWave, R: float, sampler, y_points,
     y_points = np.atleast_2d(np.asarray(y_points, dtype=float))
     if len(y_points) > 5:
         raise ValueError("at most 5 window points")
-    m = wave.dirs.dim
-    rng = child_rng(seed, 0)
-    x = _uniform_ball(rng, m, R, n_samples)
+    x = spatial_sample(wave.dirs.dim, R, n_samples, seed)
     cloud_a = np.stack([wave.value(x + y) for y in y_points], axis=1)
 
     draw = _resolve_sampler(sampler)
     cloud_b = np.empty_like(cloud_a)
-    for j in range(n_samples):
-        cloud_b[j] = draw(int(child_rng(seed, j + 1).integers(2**63)))(y_points)
+    for j, s in enumerate(child_rng(seed, 2).integers(2**63, size=n_samples)):
+        cloud_b[j] = draw(int(s))(y_points)
 
     ks = np.array([_ks_to_standard_normal(cloud_a[:, i]) for i in range(len(y_points))])
 
@@ -235,8 +226,8 @@ def pushforward_distance(wave: MonochromaticWave, R: float, sampler, y_points,
     est = np.concatenate([ks, [energy]])
     pred = np.zeros(len(ks) + 1)
     tol = np.concatenate([np.full(len(ks), np.inf), [threshold]])
-    rep = _judge("pushforward", est, pred, np.zeros_like(est), tol, n_samples,
-                 R=R, seed=seed, ks=ks, energy=energy, threshold=threshold)
+    rep = _judge(est, pred, np.zeros_like(est), tol, n_samples,
+                 ks=ks, energy=energy, threshold=threshold)
     rep.meta["gaussian_indistinguishable"] = energy <= threshold
     return rep
 
@@ -349,8 +340,6 @@ def ns_constant_estimate(measure: SpectralMeasure, W: float, trials: int, seed: 
         return float(padded.mean()), float(padded.std(ddof=1) / math.sqrt(n))
 
     return ConstantEstimate(
-        kind="nodal-count density",
-        W=W,
         trials=trials,
         mean=float(arr.mean()),
         stderr=float(arr.std(ddof=1) / math.sqrt(n)),
@@ -443,16 +432,14 @@ def volume_sandwich_check(grid: ScalarGrid, R: float, r: float) -> ComparisonRep
     middle = total * spacing**grid.dim / _ball_volume(grid.dim, r)
 
     tol = 0.02 * v_plus
-    passed = (v_minus <= middle + tol) and (middle <= v_plus + tol)
     return ComparisonReport(
-        name="volume-sandwich",
         estimate=np.array([middle]),
         predicted=np.array([0.5 * (v_minus + v_plus)]),
         stderr=np.zeros(1),
         tolerance=np.array([tol]),
-        passed=passed,
+        within=np.array([(v_minus <= middle + tol) and (middle <= v_plus + tol)]),
         n_samples=len(centers),
-        meta={"lower": v_minus, "upper": v_plus, "middle": middle, "R": R, "r": r},
+        meta={"lower": v_minus, "upper": v_plus, "middle": middle},
     )
 
 
@@ -483,15 +470,13 @@ def semilocal_count_check(wave: MonochromaticWave, R: float, W: float,
     correction = float(np.mean(boundary))
     allowance = 5.0 / W
     stderr = float(np.std(local, ddof=1) / math.sqrt(len(local)))
-    return _judge("semilocal-count", local_mean, global_density, stderr,
-                  correction + allowance, len(centers),
+    return _judge(local_mean, global_density, stderr, correction + allowance, len(centers),
                   gap=abs(global_density - local_mean), correction=correction,
-                  allowance=allowance, R=R, W=W)
+                  allowance=allowance)
 
 
 @dataclass
 class DiscrepancyReport:
-    W: float
     trials: int
     mean_abs_deviation: float
     stderr: float
@@ -515,7 +500,6 @@ def discrepancy_estimate(measure: SpectralMeasure, W: float, trials: int, seed: 
     dens = np.array(_map_trials(one_trial, trials, workers))
     dev = np.abs(dens - dens.mean())
     return DiscrepancyReport(
-        W=W,
         trials=trials,
         mean_abs_deviation=float(dev.mean()),
         stderr=float(dev.std(ddof=1) / math.sqrt(trials)),

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from monowave import cli
+from monowave import cli, stats
 from monowave.cli import (
     bessel_zero_table,
     config_from_mapping,
@@ -48,6 +48,8 @@ def test_config_from_mapping_guards():
         config_from_mapping({"N": "8"})
     with pytest.raises(ValueError, match="integer"):
         config_from_mapping({"command": "moments", "N": "2.5"})
+    with pytest.raises(ValueError, match="expects a number"):
+        config_from_mapping({"command": "moments", "W": "x"})
     with pytest.raises(ValueError, match="frobnicate"):
         config_from_mapping({"command": "frobnicate"})
     with pytest.raises(ValueError, match="generator"):
@@ -213,6 +215,79 @@ def test_report_csv_round_trips(tmp_path, cosine_wave):
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\r\n").writerows(rows)
         assert buf.getvalue() == original
+
+
+META_HEADER = "seed,n_samples,h,W,R,N,m,"
+REPORT_HEADER = META_HEADER + "label,estimate,predicted,stderr,tolerance,passed"
+
+
+@pytest.mark.parametrize(
+    "body, report, header",
+    [
+        ("command = nodal-stats\nN = 8\nW = 2\nh = 0.1\n", "summary.csv",
+         META_HEADER + "components,interior,boundary,zero_measure,density,tree_code,classes"),
+        ("command = moments\nN = 8\nR = 20\nW = 1\nsamples = 40\n", "moments.csv",
+         REPORT_HEADER),
+        ("command = bk-moments\nN = 16\nR = 20\nK = 4\nsamples = 40\n", "bk_moments.csv",
+         REPORT_HEADER),
+        ("command = charfn\nN = 8\nR = 20\nsamples = 40\n", "charfn.csv",
+         META_HEADER + "t,re_psi,im_psi,predicted,stderr"),
+        ("command = doubling\nN = 8\nR = 10\nW = 1\nsamples = 2\n", "doubling.csv",
+         META_HEADER + "Q,tail"),
+        ("command = smallvalues\nN = 8\nR = 20\nsamples = 40\n", "smallvalues.csv",
+         META_HEADER + "beta,fraction,stderr,gaussian_limit"),
+        ("command = compare\nN = 8\nR = 20\nW = 1\nsamples = 40\n", "pushforward.csv",
+         REPORT_HEADER),
+        ("command = compare\nN = 8\nR = 20\nW = 1\nsamples = 40\n", "covariance.csv",
+         REPORT_HEADER),
+        ("command = kacrice\ngenerator = log-rational\nN = 16\nsamples = 100\n", "kacrice.csv",
+         META_HEADER + "kind,density,stderr"),
+        ("command = ns-estimate\nW = 4\nh = 0.1\n", "ns.csv",
+         META_HEADER + "kind,label,mean,stderr,excluded,trials"),
+        ("command = sandwich\nN = 8\nR = 3\nr = 1\nh = 0.1\n", "sandwich.csv",
+         META_HEADER + "lower,middle,upper,tolerance,passed"),
+        ("command = semilocal\nN = 8\nR = 10\nW = 1\nh = 0.1\n", "semilocal.csv",
+         META_HEADER + "local_mean,global_density,gap,correction,allowance,passed"),
+        ("command = discrepancy\ngenerator = log-rational\nN = 16\nW = 2\nh = 0.2\n",
+         "discrepancy.csv", META_HEADER + "mean_abs_deviation,stderr,mean_density,trials"),
+        ("command = fig1\nN = 9\nh = 0.5\n", "fig1_profile_N9.csv", META_HEADER + "r,g,limit"),
+    ],
+    ids=["summary", "moments", "bk_moments", "charfn", "doubling", "smallvalues",
+         "pushforward", "covariance", "kacrice", "ns", "sandwich", "semilocal",
+         "discrepancy", "fig1_profile"],
+)
+def test_report_csv_headers(tmp_path, body, report, header):
+    # the payload columns are the rows' keys: this freezes every report's header
+    out = tmp_path / "out"
+    assert main(["--config", write_cfg(tmp_path, body), "--out", str(out)]) == 0
+    assert (out / report).read_bytes().split(b"\r\n", 1)[0].decode() == header
+
+
+def test_compare_draw_seeds_avoid_the_wave_phases(tmp_path, monkeypatch):
+    # pushforward's Gaussian cloud takes its draw seeds from a stream of its own:
+    # none may equal the seed of the wave's coefficient phases, none may repeat
+    coeff_seeds, draw_seeds = [], []
+    make_wave, sample_atomic = cli.make_wave, stats.sample_atomic
+
+    def spy_make_wave(dirs, seed, mode):
+        coeff_seeds.append(seed)
+        return make_wave(dirs, seed=seed, mode=mode)
+
+    def spy_sampler(measure, seed):
+        draw_seeds.append(seed)
+        return sample_atomic(measure, seed)
+
+    monkeypatch.setattr(cli, "make_wave", spy_make_wave)
+    monkeypatch.setattr(stats, "sample_atomic", spy_sampler)
+    cfgp = write_cfg(tmp_path, "command = compare\nN = 8\nR = 20\nW = 1\nsamples = 40\n")
+    for seed in range(10):
+        coeff_seeds.clear()
+        draw_seeds.clear()
+        out = tmp_path / f"o{seed}"
+        assert main(["--config", cfgp, "--out", str(out), "--seed", str(seed)]) == 0
+        assert len(coeff_seeds) == 1 and len(draw_seeds) == 40
+        assert coeff_seeds[0] not in draw_seeds
+        assert len(set(draw_seeds)) == len(draw_seeds)
 
 
 def test_charfn_header_and_meta(tmp_path):
