@@ -2,7 +2,9 @@
 
 Every field in the package is a PlaneWaveSum, F(x) = Re sum_j c_j e(<v_j, x>)
 with e(t) = exp(2*pi*i*t), evaluated pointwise (value, gradient) or on a
-regular lattice (on_grid). The lattice fill is low rank: Chebyshev
+regular lattice (on_grid). Pointwise evaluation reads the polar form
+F(x) = sum_j |c_j| cos(2 pi <v_j, x> + arg c_j): one cosine per plane wave,
+in blocks of points. The lattice fill is low rank: Chebyshev
 interpolation in the frequency turns the J-term sum into a small core tensor
 contracted with per-axis tables (_lowrank_grid); plane_wave_grid is the direct
 rank-J product it is checked against. The deterministic wave is
@@ -22,6 +24,8 @@ from .directions import DirectionSet
 from .partition import SpherePartition
 
 TWO_PI = 2 * np.pi
+# Points per pointwise evaluation block: bounds each (points, J) phase table.
+_BLOCK = 1 << 13
 
 
 @dataclass
@@ -50,12 +54,20 @@ class PlaneWaveSum:
     """F(x) = Re sum_j c_j e(<v_j, x>): the one kernel behind waves and Gaussian draws.
 
     value and gradient evaluate pointwise (last axis of x is the coordinate
-    axis); on_grid fills a regular lattice through the low-rank _lowrank_grid.
+    axis) in the polar form F(x) = sum_j w_j cos psi_j, psi_j = 2 pi <v_j, x>
+    + phi_j, with weights w_j = |c_j| and offsets phi_j = arg c_j fixed at
+    construction; the gradient is -sum_j 2 pi w_j v_j sin psi_j. Points are
+    taken in blocks of _BLOCK rows, each block one (points, J) phase table.
+    on_grid fills a regular lattice through the low-rank _lowrank_grid.
     """
 
     def __init__(self, freqs, amps):
         self.freqs = np.asarray(freqs, dtype=float)  # (J, m)
         self.amps = np.asarray(amps)  # (J,), complex or real
+        self._omega = TWO_PI * self.freqs  # (J, m)
+        self._offset = np.angle(self.amps)  # (J,)
+        self._weight = np.abs(self.amps).astype(float)  # (J,)
+        self._slope = -self._weight[:, None] * self._omega  # (J, m)
 
     @property
     def dim(self) -> int:
@@ -66,37 +78,42 @@ class PlaneWaveSum:
         return self.freqs, self.amps
 
     def value(self, x) -> np.ndarray | float:
-        x = _check_dim(self, x)
-        phases = TWO_PI * (x @ self.freqs.T)
-        val = np.cos(phases) @ self.amps.real - np.sin(phases) @ self.amps.imag
-        return float(val) if val.ndim == 0 else val
+        pts, batch = self._points(x)
+        val = np.empty(len(pts))
+        for rows, psi in self._phases(pts):
+            val[rows] = np.cos(psi, out=psi) @ self._weight
+        return float(val[0]) if batch == () else val.reshape(batch)
 
     __call__ = value
 
     def gradient(self, x) -> np.ndarray:
         """Exact term-by-term gradient, shape x.shape."""
-        return self._gradient(*self._trig(x))
+        pts, batch = self._points(x)
+        grad = np.empty(pts.shape)
+        for rows, psi in self._phases(pts):
+            grad[rows] = np.sin(psi, out=psi) @ self._slope
+        return grad.reshape(*batch, self.dim)
 
     def value_and_gradient(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Batch value and gradient by the formulas of value and gradient, from one cos and sin.
+        """value and gradient, bitwise, from one phase table per block."""
+        pts, batch = self._points(x)
+        val, grad = np.empty(len(pts)), np.empty(pts.shape)
+        for rows, psi in self._phases(pts):
+            val[rows] = np.cos(psi) @ self._weight
+            grad[rows] = np.sin(psi, out=psi) @ self._slope
+        return val.reshape(batch), grad.reshape(*batch, self.dim)
 
-        Both trig tables stay alive together, so value alone keeps its own
-        path with one table at a time.
-        """
-        cos, sin = self._trig(x)
-        return cos @ self.amps.real - sin @ self.amps.imag, self._gradient(cos, sin)
-
-    def _trig(self, x) -> tuple[np.ndarray, np.ndarray]:
+    def _points(self, x) -> tuple[np.ndarray, tuple]:
+        """x as a (P, m) array of points, and its leading batch shape."""
         x = _check_dim(self, x)
-        phases = TWO_PI * (x @ self.freqs.T)
-        cos = np.cos(phases)
-        return cos, np.sin(phases, out=phases)  # the phases are not needed again
+        return x.reshape(-1, self.dim), x.shape[:-1]
 
-    def _gradient(self, cos, sin) -> np.ndarray:
-        # two products with (J, m) matrices: no temporary of the trig tables' size
-        re = (TWO_PI * self.amps.real)[:, None] * self.freqs
-        im = (TWO_PI * self.amps.imag)[:, None] * self.freqs
-        return -(sin @ re) - cos @ im
+    def _phases(self, pts: np.ndarray):
+        """(rows, psi) per block of _BLOCK points: psi[i, j] = 2 pi <v_j, x_i> + phi_j."""
+        for lo in range(0, len(pts), _BLOCK):
+            psi = pts[lo : lo + _BLOCK] @ self._omega.T
+            psi += self._offset
+            yield slice(lo, lo + len(psi)), psi
 
     def on_grid(self, origin, shape, h: float) -> np.ndarray:
         """Values at origin + h * index over a grid of the given shape."""
@@ -305,22 +322,25 @@ def eval_bk(wave: MonochromaticWave, part: SpherePartition, x) -> np.ndarray:
     if len(part.selected) == 0:
         raise ValueError("no cell exceeds the mass threshold; degenerate partition")
     x = _check_dim(wave, x)
-    # the full signed atom list [r; -r] with coefficients [a; conj(a)]
-    atoms = np.vstack([wave.dirs.vectors, -wave.dirs.vectors])
-    coeffs = np.concatenate([wave.coeffs.values, np.conj(wave.coeffs.values)])
-    two_n = 2 * wave.dirs.count
+    # e(<r_n, x>) a_n for the N positive atoms only; the negated atom N + n
+    # carries conj(a_n), and e(<-r_n, x>) conj(a_n) is the conjugate of that term
+    n_dirs = wave.dirs.count
+    E = np.exp(2j * np.pi * (x @ wave.dirs.vectors.T))
+    E *= wave.coeffs.values
 
-    order = np.argsort(part.atom_cells, kind="stable")
+    order = np.argsort(part.atom_cells, kind="stable")  # over the signed atoms [r; -r]
     sorted_cells = part.atom_cells[order]
-    E = np.exp(2j * np.pi * (x @ atoms[order].T)) * coeffs[order]
     out = np.empty(x.shape[:-1] + (len(part.selected),), dtype=complex)
     for col, k in enumerate(part.selected):
         lo = np.searchsorted(sorted_cells, k, side="left")
         hi = np.searchsorted(sorted_cells, k, side="right")
         if hi == lo:
             raise AssertionError("selected cell has no atoms despite positive mass")
-        norm = 1.0 / math.sqrt(two_n * part.masses[k])
-        out[..., col] = norm * E[..., lo:hi].sum(axis=-1)
+        norm = 1.0 / math.sqrt(2 * n_dirs * part.masses[k])
+        atoms = order[lo:hi]
+        terms = np.take(E, atoms % n_dirs, axis=-1)  # C order, so each row sums as before
+        terms.imag[..., atoms >= n_dirs] *= -1
+        out[..., col] = norm * terms.sum(axis=-1)
     return out
 
 

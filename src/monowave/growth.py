@@ -59,7 +59,8 @@ def doubling_index(field, x, W: float) -> float:
     sup_inner = float(vals[inner].max())
     sup_outer = float(vals.max())
     if sup_inner < 1e-300:
-        raise DegenerateSampleError("inner supremum vanished; field is degenerate here")
+        raise DegenerateSampleError("inner supremum vanished; field is degenerate here",
+                                    "vanished_supremum")
     return math.log(sup_outer / sup_inner) + 1.0
 
 

@@ -24,7 +24,18 @@ TIE_EPS = 1e-13  # |value| below this is treated as +TIE_EPS everywhere
 
 
 class DegenerateSampleError(RuntimeError):
-    """The grid resolution failed to resolve the sample's nodal topology."""
+    """The grid resolution failed to resolve the sample's nodal topology.
+
+    reason is a short code for the check that failed: "probe_failed" and
+    "too_many_excluded" (stats), "vanished_supremum" (growth), and from here
+    "piece_not_two_sided", "shared_pieces", "no_boundary_component",
+    "not_a_tree", "open_curve", "non_manifold" and "bad_euler". The message
+    says the same in words.
+    """
+
+    def __init__(self, message: str, reason: str | None = None):
+        super().__init__(message)
+        self.reason = reason
 
 
 # ---------------------------------------------------------------------------
@@ -475,14 +486,16 @@ def build_nesting_tree(dec: NodalDecomposition) -> NestingTree:
     for p in range(z.npieces):
         if not z.piece_boundary[p] and len(z.piece_neighbors[p]) != 2:
             raise DegenerateSampleError(
-                "an interior zero piece does not separate exactly two components"
+                "an interior zero piece does not separate exactly two components",
+                "piece_not_two_sided",
             )
     edges: dict[tuple[int, int], int] = {}
     for (a, b), pieces in z.adjacency.items():
         if touches[a] and touches[b]:
             continue  # lateral contact along the window rim
         if len(pieces) > 1:
-            raise DegenerateSampleError("two components share two separating pieces")
+            raise DegenerateSampleError("two components share two separating pieces",
+                                        "shared_pieces")
         edges[(a, b)] = pieces[0]
 
     boundary_comps = [i for i in range(ncomp) if touches[i]]
@@ -490,7 +503,8 @@ def build_nesting_tree(dec: NodalDecomposition) -> NestingTree:
         root = boundary_comps[0]
         virtual_links: list[int] = []
     elif len(boundary_comps) == 0:
-        raise DegenerateSampleError("no component reaches the window boundary")
+        raise DegenerateSampleError("no component reaches the window boundary",
+                                    "no_boundary_component")
     else:
         root = -1
         virtual_links = boundary_comps
@@ -515,7 +529,7 @@ def build_nesting_tree(dec: NodalDecomposition) -> NestingTree:
                 parent[nb] = node
                 order.append(nb)
     if len(seen) != nnodes or nedges != nnodes - 1:
-        raise DegenerateSampleError("component adjacency is not a tree")
+        raise DegenerateSampleError("component adjacency is not a tree", "not_a_tree")
 
     children: dict[int, list[int]] = defaultdict(list)
     for c, p in parent.items():
@@ -547,7 +561,7 @@ def _piece_tag(z: _ZeroSet, p: int) -> str:
         deg = np.bincount(z.elements[member].reshape(-1), minlength=len(z.edge_ids))
         used = np.unique(z.elements[member])
         if not np.all(deg[used] == 2):
-            raise DegenerateSampleError("an interior zero curve is not closed")
+            raise DegenerateSampleError("an interior zero curve is not closed", "open_curve")
         return "circle"
     member = np.flatnonzero(z.element_piece == p)
     tris = z.elements[member]
@@ -556,10 +570,12 @@ def _piece_tag(z: _ZeroSet, p: int) -> str:
     pairs = np.sort(pairs, axis=1)
     uniq_edges, counts = np.unique(pairs, axis=0, return_counts=True)
     if not np.all(counts == 2):
-        raise DegenerateSampleError("an interior zero surface is not a closed 2-manifold")
+        raise DegenerateSampleError("an interior zero surface is not a closed 2-manifold",
+                                    "non_manifold")
     chi = len(verts) - len(uniq_edges) + len(tris)
     if chi % 2 or chi > 2:
-        raise DegenerateSampleError("mesh Euler characteristic is not that of a closed surface")
+        raise DegenerateSampleError("mesh Euler characteristic is not that of a closed surface",
+                                    "bad_euler")
     return f"genus{(2 - chi) // 2}"
 
 

@@ -296,7 +296,7 @@ def ns_constant_estimate(measure: SpectralMeasure, W: float, trials: int, seed: 
             # probe at the coarsest permitted pitch: it gates outliers, it is
             # not the measurement grid
             if not check_nondegenerate(realization, W, 0.1).passed:
-                raise DegenerateSampleError("nondegeneracy probe failed")
+                raise DegenerateSampleError("nondegeneracy probe failed", "probe_failed")
             g = sample_on_grid(realization, np.zeros(m), W, h)
             dec = nodal.label_domains(g)
             classes: dict[str, int] = {}
@@ -329,7 +329,7 @@ def ns_constant_estimate(measure: SpectralMeasure, W: float, trials: int, seed: 
             per_tree.setdefault(code, []).append(cnt / vol)
     if excluded > 0.2 * trials:
         raise DegenerateSampleError(
-            f"{excluded}/{trials} draws degenerate; refine h or enlarge W"
+            f"{excluded}/{trials} draws degenerate; refine h or enlarge W", "too_many_excluded"
         )
     arr = np.array(densities)
     n = len(arr)

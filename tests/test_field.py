@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monowave import field
 from monowave.directions import DirectionSet, empirical_measure, generate_uniform_directions
 from monowave.field import (
     CoefficientSet,
@@ -92,6 +93,64 @@ def test_gradient_matches_finite_differences():
     assert np.allclose(w.gradient(x[None, :])[0], g)
 
 
+def _complex_sum(freqs, amps, x):
+    """Re sum_j c_j e(<v_j, x>) and its gradient straight from the complex exponentials."""
+    E = np.exp(2j * np.pi * x @ freqs.T)
+    grad = (E * amps) @ (2j * np.pi * freqs)
+    return (E @ amps).real, grad.real
+
+
+# complex, positive-real, negative-real and zero amplitudes
+AMPLITUDES = {
+    "complex": np.array([0.3 - 0.4j, -0.2 + 0.1j, 1.1j, -0.7 - 0.05j, 0.25 + 0j, 0j]),
+    "positive": np.array([0.1, 0.4, 0.2, 0.05, 0.15, 0.1]),
+    "negative": np.array([-0.3, -1.2, 0.5, -0.01, 0.0, 0.2]),
+    "zero": np.zeros(6, dtype=complex),
+}
+
+
+@pytest.mark.parametrize("kind", AMPLITUDES)
+@pytest.mark.parametrize("batch", [(), (5,), (3, 4)])
+def test_value_and_gradient_match_complex_sum(kind, batch):
+    rng = np.random.default_rng(17)
+    freqs = rng.standard_normal((6, 2))
+    freqs /= np.linalg.norm(freqs, axis=1, keepdims=True)
+    amps = AMPLITUDES[kind]
+    x = rng.uniform(-20, 20, (*batch, 2))
+    F = PlaneWaveSum(freqs, amps)
+    want_val, want_grad = _complex_sum(freqs, amps, x)
+    val, grad = F.value(x), F.gradient(x)
+    tol = 1e-12 * np.abs(amps).sum()
+    assert np.shape(val) == batch and grad.shape == x.shape
+    assert isinstance(val, float) == (batch == ())
+    assert np.max(np.abs(val - want_val), initial=0.0) <= tol
+    assert np.max(np.abs(grad - want_grad)) <= 2 * np.pi * tol
+    pair_val, pair_grad = F.value_and_gradient(x)
+    assert np.shape(pair_val) == batch and pair_grad.shape == x.shape
+
+
+def test_covariance_kernel_weights_match_complex_sum():
+    # the real atomic weights covariance_kernel passes are positive amplitudes
+    mu = empirical_measure(generate_uniform_directions(3, 10, 5))
+    tau = child_rng(3, 0).uniform(-6, 6, (11, 3))
+    want, _ = _complex_sum(mu.atoms, mu.weights.astype(complex), tau)
+    assert np.max(np.abs(covariance_kernel(mu, tau) - want)) <= 1e-12 * mu.weights.sum()
+
+
+def test_blocks_are_evaluated_independently():
+    # a batch across the block boundary reads each block as its own call would
+    w = make_wave(generate_uniform_directions(2, 24, 7), seed=2)
+    n = field._BLOCK + 64
+    x = child_rng(4, 0).uniform(-50, 50, (n, 2))
+    whole = w.value(x)
+    parts = np.concatenate([w.value(x[: field._BLOCK]), w.value(x[field._BLOCK :])])
+    assert whole.tobytes() == parts.tobytes()
+    grad = w.gradient(x)
+    assert grad.tobytes() == np.concatenate([w.gradient(x[: field._BLOCK]),
+                                             w.gradient(x[field._BLOCK :])]).tobytes()
+    assert w.value(x.reshape(-1, 64, 2)).tobytes() == whole.tobytes()
+
+
 def _random_sum(seed: int, m: int) -> tuple[PlaneWaveSum, np.ndarray, tuple, float]:
     """A random unit-frequency sum of O(1) size, plus a lattice to fill it on."""
     rng = np.random.default_rng(seed)
@@ -144,6 +203,31 @@ def test_eval_bk_against_direct_sum():
         phases = np.exp(2j * np.pi * (x @ atoms[sel].T))
         slow[:, i] = (phases @ a_signed[sel]) / math.sqrt(2 * dirs.count * part.masses[k])
     assert np.max(np.abs(fast - slow)) < 1e-12
+
+
+def _eval_bk_two_sided(wave, part, x):
+    """eval_bk over the full signed atom list [r; -r] with coefficients [a; conj(a)]."""
+    atoms = np.vstack([wave.dirs.vectors, -wave.dirs.vectors])
+    coeffs = np.concatenate([wave.coeffs.values, np.conj(wave.coeffs.values)])
+    order = np.argsort(part.atom_cells, kind="stable")
+    sorted_cells = part.atom_cells[order]
+    E = np.exp(2j * np.pi * (x @ atoms[order].T)) * coeffs[order]
+    out = np.empty(x.shape[:-1] + (len(part.selected),), dtype=complex)
+    for col, k in enumerate(part.selected):
+        lo = np.searchsorted(sorted_cells, k, side="left")
+        hi = np.searchsorted(sorted_cells, k, side="right")
+        out[..., col] = E[..., lo:hi].sum(axis=-1) / math.sqrt(2 * wave.dirs.count * part.masses[k])
+    return out
+
+
+@pytest.mark.parametrize("m, N, K", [(2, 64, 4), (2, 200, 8), (3, 64, 2)])
+@pytest.mark.parametrize("batch", [(), (7,), (3, 5), (2000,)])
+def test_eval_bk_bitwise_equals_two_sided_sum(m, N, K, batch):
+    dirs = generate_uniform_directions(m, N, N + K)
+    w = make_wave(dirs, seed=N)
+    part = build_partition(dirs, K, 1e-4)
+    x = child_rng(N, K).uniform(-300, 300, (*batch, m))
+    assert eval_bk(w, part, x).tobytes() == _eval_bk_two_sided(w, part, x).tobytes()
 
 
 def test_eval_bk_twin_cells_are_conjugate():

@@ -53,8 +53,9 @@ def test_doubling_index_matches_brute_force(m, W):
 
 def test_doubling_index_degenerate_field():
     flat = PlaneWaveSum(np.array([[1.0, 0.0]]), np.zeros(1, dtype=complex))
-    with pytest.raises(DegenerateSampleError):
+    with pytest.raises(DegenerateSampleError) as info:
         doubling_index(flat, np.zeros(2), 1.0)
+    assert info.value.reason == "vanished_supremum"
 
 
 def test_doubling_tail_statistics():

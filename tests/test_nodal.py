@@ -2,6 +2,7 @@ import gc
 import math
 import weakref
 from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -266,6 +267,46 @@ def test_unresolved_crossing_raises():
     dec = label_domains(g)
     with pytest.raises(DegenerateSampleError):
         build_nesting_tree(dec)
+
+
+def _fake_decomposition(touches, piece_neighbors, piece_boundary, adjacency):
+    """What build_nesting_tree reads of a decomposition and its zero set, and nothing else."""
+    z = SimpleNamespace(npieces=len(piece_neighbors), piece_neighbors=piece_neighbors,
+                        piece_boundary=piece_boundary, adjacency=adjacency)
+    comps = [SimpleNamespace(touches_boundary=t) for t in touches]
+    return SimpleNamespace(_ensure_zero=lambda: z, components=comps)
+
+
+@pytest.mark.parametrize("dec, reason", [
+    (_fake_decomposition([True, False], [[0]], [False], {}), "piece_not_two_sided"),
+    (_fake_decomposition([True, False], [[0, 1], [0, 1]], [False, False], {(0, 1): [0, 1]}),
+     "shared_pieces"),
+    (_fake_decomposition([False, False], [[0, 1]], [False], {(0, 1): [0]}),
+     "no_boundary_component"),
+    (_fake_decomposition([True, False, False], [[0, 1]], [False], {(0, 1): [0]}), "not_a_tree"),
+])
+def test_nesting_tree_exclusion_reasons(dec, reason):
+    with pytest.raises(DegenerateSampleError) as info:
+        build_nesting_tree(dec)
+    assert info.value.reason == reason
+
+
+def _tetrahedron(base: int) -> list[list[int]]:
+    return [[base + i for i in face] for face in ([0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3])]
+
+
+@pytest.mark.parametrize("dim, elements, reason", [
+    (2, [[0, 1]], "open_curve"),
+    (3, [[0, 1, 2]], "non_manifold"),
+    (3, _tetrahedron(0) + _tetrahedron(4), "bad_euler"),  # two spheres: chi = 4
+])
+def test_piece_tag_exclusion_reasons(dim, elements, reason):
+    elements = np.array(elements)
+    z = SimpleNamespace(dim=dim, elements=elements, element_piece=np.zeros(len(elements), int),
+                        edge_ids=np.arange(elements.max() + 1))
+    with pytest.raises(DegenerateSampleError) as info:
+        nodal._piece_tag(z, 0)
+    assert info.value.reason == reason
 
 
 def test_export_components_csv(tmp_path, cosine_wave):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -133,6 +134,24 @@ def test_ns_constant_with_topology():
     # coarse probes cannot resolve these trees; the estimator refuses
     with pytest.raises(DegenerateSampleError):
         ns_constant_estimate(mu, 5.0, 50, seed=6, h=0.15, workers=2, with_topology=True)
+
+
+def test_ns_constant_exclusion_reasons(monkeypatch):
+    # every probe fails: each trial is excluded as probe_failed, then the run aborts
+    reasons = []
+
+    class Recorded(DegenerateSampleError):
+        def __init__(self, message, reason=None):
+            super().__init__(message, reason)
+            reasons.append(reason)
+
+    monkeypatch.setattr(stats, "DegenerateSampleError", Recorded)
+    monkeypatch.setattr(stats, "check_nondegenerate",
+                        lambda *args: SimpleNamespace(passed=False))
+    with pytest.raises(DegenerateSampleError) as info:
+        ns_constant_estimate(uniform_measure(2), 4.0, 50, seed=1, h=0.2)
+    assert info.value.reason == "too_many_excluded"
+    assert reasons == ["probe_failed"] * 50 + ["too_many_excluded"]
 
 
 def test_discrepancy_against_direct_loop():
