@@ -134,6 +134,9 @@ def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
         raise ValueError(f"coeffs must be one of {_COEFF_MODES}, got {cfg.coeffs!r}")
     if cfg.samples < 2:
         raise ValueError(f"samples must be at least 2 (stderrs use ddof=1), got {cfg.samples}")
+    if cfg.command == "doubling" and "samples" not in raw:
+        # each centre probes the whole outer ball: the 10000 default would run for hours
+        raise ValueError("command 'doubling' requires config key 'samples' (the number of centres)")
     if not cfg.h > 0:
         raise ValueError(f"grid spacing h must be positive, got {cfg.h}")
     if cfg.generator == "file" and {"m", "N"} & raw.keys():
@@ -518,7 +521,8 @@ def _run_ns_estimate(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
         rows.append({"kind": "tree", "label": code, "mean": mu, "stderr": se,
                      "excluded": est.excluded, "trials": est.trials})
     _emit(outdir, "ns.csv", rows, _meta(cfg, cfg.trials, dirs))
-    print(f"count density {est.mean!r} +- {est.stderr!r} ({est.excluded} excluded)")
+    reasons = f": {stats.format_reasons(est.excluded_by_reason)}" if est.excluded else ""
+    print(f"count density {est.mean!r} +- {est.stderr!r} ({est.excluded} excluded{reasons})")
 
 
 def _run_sandwich(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:

@@ -347,82 +347,87 @@ def eval_bk(wave: MonochromaticWave, part: SpherePartition, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Bessel functions of the first kind, integer and half-integer order
 
-_SERIES_MAX_TERMS = 200
+# Arguments below this are raised to it: every J_{nu+k} moves by less than
+# 1e-50, and one recurrence step grows by less than 1e103
+_Z_FLOOR = 1e-100
+# The recurrence is rescaled once a bound on its growth passes this
+_RESCALE_AT = 1e100
 
 
-def _bessel_series(nu: float, z: np.ndarray) -> np.ndarray:
-    # sum_k (-1)^k (z/2)^(2k+nu) / (k! Gamma(k+nu+1))
-    half = z / 2.0
-    with np.errstate(divide="ignore"):
-        log_first = nu * np.log(np.where(z > 0, half, 1.0))
-    first = np.where(z > 0, np.exp(log_first) / math.gamma(nu + 1), 1.0 if nu == 0 else 0.0)
-    term = first.astype(float)
-    acc = term.copy()
-    z2 = half * half
-    for k in range(1, _SERIES_MAX_TERMS):
-        term = term * (-z2) / (k * (k + nu))
-        acc += term
-        if np.all(np.abs(term) <= 1e-18 * np.maximum(np.abs(acc), 1e-30)):
-            break
-    return acc
+def bessel_sequence(nu: float, z, K: int) -> np.ndarray:
+    """J_{nu+k}(z) for k = 0..K, nu in {0, 1/2}, z >= 0: shape (K + 1, *z.shape).
 
-
-def _bessel_asymptotic(nu: float, z: np.ndarray) -> np.ndarray:
-    # sqrt(2/(pi z)) [cos(omega) P(z) - sin(omega) Q(z)], omega = z - nu pi/2 - pi/4.
-    # The correction series is asymptotic: terms may grow briefly (large nu near
-    # the cutoff) before decaying, so each element keeps the partial sum
-    # snapshotted at its smallest term so far (optimal truncation).
-    mu = 4.0 * nu * nu
-    omega = z - nu * np.pi / 2 - np.pi / 4
-    p = np.ones_like(z)
-    q = np.zeros_like(z)
-    best_p = p.copy()
-    best_q = q.copy()
-    term = np.ones_like(z)
-    smallest = np.full_like(z, np.inf)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, 80):
-            term = term * (mu - (2 * j - 1) ** 2) / (j * 8.0 * z)
-            if j % 4 == 1:
-                q = q + term
-            elif j % 4 == 2:
-                p = p - term
-            elif j % 4 == 3:
-                q = q - term
-            else:
-                p = p + term
-            mag = np.abs(term)
-            better = mag < smallest
-            smallest = np.where(better, mag, smallest)
-            best_p = np.where(better, p, best_p)
-            best_q = np.where(better, q, best_q)
-            if np.all(smallest <= 1e-18):
-                break
-    return np.sqrt(2.0 / (np.pi * z)) * (np.cos(omega) * best_p - np.sin(omega) * best_q)
+    Miller's backward recurrence (Gautschi, SIAM Review 9, 1967):
+    f_{k-1} = 2 (nu + k) / z f_k - f_{k+1} from f_{N+1} = 0, f_N = 1 gives
+    f_k proportional to J_{nu+k}(z), with relative error about
+    (J_N / Y_N)(z) Y_{nu+k}(z) / J_{nu+k}(z), then one factor normalises.
+    Integer orders use J_0 + 2 sum_k J_2k = 1; half-integer orders use the
+    closed forms J_{1/2} = sqrt(2 / (pi z)) sin z and
+    J_{-1/2} = sqrt(2 / (pi z)) cos z, whichever has the larger modulus,
+    since sin z vanishes at z = k pi. The start
+    N = max(K, z + 10 (z/2)^{1/3}) + 10 lies 10 orders past K and beyond the
+    turning point k = z by more than 9.5 (N/2)^{1/3}, where the Airy
+    approximation of J_N puts (J_N / Y_N)(z) below 1e-17. Measured against
+    scipy.special.jv (integer orders) and mpmath (half-integer orders, where
+    scipy itself errs by up to 8e-15 near z = 10), the absolute error is
+    below 1e-15 for orders up to 10 on z in [0, 70] and for J_0..J_K at
+    z = 2 pi W, K = _chebyshev_count(z, 2), W up to 12; it is about 5e-15 at
+    z = 400, from rounding in the normalising sum. Arguments below _Z_FLOOR
+    are evaluated at it. Each step grows the values by at most
+    2 (nu + k) / z + 1; once the product of these factors since the last
+    rescaling passes _RESCALE_AT, the last two values are scaled to modulus
+    at most 1, together with everything they have fed.
+    """
+    if nu not in (0, 0.5):
+        raise ValueError("recurrence order offset must be 0 or 1/2")
+    z = np.asarray(z, dtype=float)
+    if np.any(z < 0):
+        raise ValueError("argument must be nonnegative")
+    zz = np.maximum(z, _Z_FLOOR).reshape(-1)  # 1-D, so the rescaling acts in place
+    z_max = float(zz.max(initial=0.0))
+    top = max(K, math.ceil(z_max) + math.ceil(10 * (z_max / 2) ** (1 / 3))) + 10
+    z_min = float(zz.min(initial=1.0))
+    out = np.zeros((K + 1, len(zz)))
+    f_next, f = np.zeros_like(zz), np.ones_like(zz)
+    total = np.zeros_like(zz)  # sum_k f_2k, k >= 1 (integer orders)
+    bound = 1.0  # of max(|f|, |f_next|) since the last rescaling
+    for k in range(top, 0, -1):
+        if k <= K:
+            out[k] = f
+        if nu == 0 and k % 2 == 0:
+            total += f
+        f_next, f = f, 2 * (nu + k) / zz * f - f_next
+        bound *= 2 * (nu + k) / z_min + 1
+        if bound > _RESCALE_AT:
+            scale = 1 / np.maximum(np.abs(f), np.abs(f_next))
+            for arr in (f, f_next, out, total):
+                arr *= scale
+            bound = 1.0
+    out[0] = f
+    if nu == 0:
+        out /= f + 2 * total
+    else:
+        f_minus = f / zz - f_next  # proportional to J_{-1/2}
+        amp = np.sqrt(2 / (np.pi * zz))
+        sin, cos = np.sin(zz), np.cos(zz)
+        use_sin = np.abs(sin) >= np.abs(cos)
+        out *= amp * np.where(use_sin, sin, cos) / np.where(use_sin, f, f_minus)
+    return out.reshape(K + 1, *z.shape)
 
 
 def bessel_j(nu: float, z) -> np.ndarray | float:
-    """J_nu(z) for nu in {0, 1/2, 1, ..., 10}, z >= 0.
+    """J_nu(z) for nu in {0, 1/2, 1, ..., 10}, z >= 0, from bessel_sequence.
 
-    Power series up to z = max(12, 2 nu), the asymptotic cosine form with
-    correction series beyond; absolute accuracy 1e-10 on [0, 50].
+    One Miller recurrence for the orders nu mod 1 up to nu; absolute
+    accuracy about 1e-15 (see bessel_sequence).
     """
     two_nu = 2 * nu
     if two_nu != int(two_nu) or nu < 0 or nu > 10:
         raise ValueError("order must be a half-integer in [0, 10]")
     z = np.asarray(z, dtype=float)
-    if np.any(z < 0):
-        raise ValueError("argument must be nonnegative")
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    cut = max(12.0, 2.0 * nu)
-    out = np.empty_like(z)
-    small = z <= cut
-    if np.any(small):
-        out[small] = _bessel_series(float(nu), z[small])
-    if np.any(~small):
-        out[~small] = _bessel_asymptotic(float(nu), z[~small])
-    return float(out[0]) if scalar else out
+    offset = 0.5 if int(two_nu) % 2 else 0
+    out = bessel_sequence(offset, z, int(nu - offset))[-1]
+    return float(out) if z.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import PlaneWaveSum, _lowrank_grid
+from .field import PlaneWaveSum, _chebyshev_count, _lowrank_grid, bessel_sequence
 from .grid import lattice_ball
 from .partition import SpherePartition, positive_side
 
@@ -148,19 +148,53 @@ class NondegeneracyReport:
     passed: bool
 
 
-def _sphere_mesh(m: int, radius: float, h: float) -> np.ndarray:
-    if m == 2:
-        n = max(64, int(np.ceil(TWO_PI * radius / h)))
-        a = TWO_PI * np.arange(n) / n
-        return radius * np.column_stack([np.cos(a), np.sin(a)])
+def _sphere_mesh(radius: float, h: float) -> np.ndarray:
+    """Fibonacci points on the sphere of the given radius in R^3: a near-uniform covering."""
     n = max(256, int(np.ceil(4 * np.pi * radius**2 / h**2)))
-    # Fibonacci sphere: near-uniform deterministic covering
     k = np.arange(n) + 0.5
     phi = np.arccos(1 - 2 * k / n)
     theta = np.pi * (1 + math.sqrt(5.0)) * k
     return radius * np.column_stack(
         [np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.cos(phi)]
     )
+
+
+def _circle_series(field: PlaneWaveSum, W: float, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """f and its tangential derivative at W (cos a_p, sin a_p), a_p = 2 pi p / n.
+
+    n = max(64, ceil(2 pi W / h)) equispaced angles. With
+    v_j = (cos theta_j, sin theta_j) and w = 2 pi W, the Jacobi-Anger
+    expansion e^{i w cos t} = sum_k i^k J_k(w) e^{ikt} gives
+    f(W cos a, W sin a) = Re sum_k i^k J_k(w) S_k e^{ika} with
+    S_k = sum_j c_j e^{-ik theta_j}. The tangential derivative, d/da over W,
+    is the same series with terms times ik / W. Since J_{-k} = (-1)^k J_k,
+    the factor of order k is i^|k| J_|k|(w). S_k comes from the powers of
+    e^{-i theta_j} = v_j1 - i v_j2, one cumulative product; each series is
+    one inverse FFT of the spectrum folded mod n, which is exact at n
+    equispaced angles, so 2K + 1 may exceed n. The orders stop at
+    K = _chebyshev_count(w, 2). Since |J_k(w)| <= (w/2)^k / k!, the dropped
+    terms weigh at most 2 sum_{k > K} (w/2)^k / k! sum_j |c_j| in the value
+    and 2 pi sum_{k >= K} (w/2)^k / k! sum_j |c_j| in the derivative, both
+    below 1e-15 sum_j |c_j|. The powers need |v_j| = 1: frequencies off the
+    unit circle by more than 1e-12 are refused.
+    """
+    freqs, c = field.plane_waves()
+    u = freqs[:, 0] + 1j * freqs[:, 1]  # e^{i theta_j}
+    if np.any(np.abs(np.abs(u) - 1.0) > 1e-12):
+        raise ValueError("the circle probe needs unit frequencies (within 1e-12)")
+    w = TWO_PI * W
+    K = _chebyshev_count(w, 2)
+    # e^{ik theta_j} for k = 1..K, then S_k for k = -K..K
+    powers = np.cumprod(np.broadcast_to(u[:, None], (len(u), K)), axis=1)
+    S = np.concatenate([(c @ powers)[::-1], [np.sum(c)], np.conj(np.conj(c) @ powers)])
+    k = np.arange(-K, K + 1)
+    terms = np.array([1, 1j, -1, -1j])[np.abs(k) % 4] * bessel_sequence(0, w, K)[np.abs(k)] * S
+    n = max(64, int(np.ceil(w / h)))
+    spec = np.zeros((2, n), dtype=complex)
+    np.add.at(spec[0], k % n, terms)
+    np.add.at(spec[1], k % n, 1j * k / W * terms)
+    val, tangential = np.fft.ifft(spec, norm="forward").real
+    return val, tangential
 
 
 def check_nondegenerate(field: PlaneWaveSum, W: float, h: float = 0.05,
@@ -171,8 +205,13 @@ def check_nondegenerate(field: PlaneWaveSum, W: float, h: float = 0.05,
     the fill's origin and shape, its mask the points that count. g and each
     partial derivative (the same sum with coefficients 2 pi i v_a c) come from
     m + 1 grid fills, one low-rank fill of the (m + 1, J) coefficient stack
-    that shares its interpolation tables. A fail is a valid report:
-    the thresholded minima are a finite-sample convention, not an almost-sure
+    that shares its interpolation tables. The spherical part is |g| plus the
+    tangential gradient: in R^2 on max(64, ceil(2 pi W / h)) equispaced
+    points of the circle, from the field's Jacobi-Anger series
+    (_circle_series; within 1e-15 sum_j |c_j| of pointwise evaluation before
+    rounding, so the field's frequencies must be unit vectors); in R^3
+    pointwise on a Fibonacci sphere. A fail is a valid report: the
+    thresholded minima are a finite-sample convention, not an almost-sure
     statement.
     """
     if h > 0.1:
@@ -188,10 +227,14 @@ def check_nondegenerate(field: PlaneWaveSum, W: float, h: float = 0.05,
     psi = np.abs(val) + np.sqrt(sum(g**2 for g in grads))
     min_bulk = float(psi[inside].min())
 
-    sph = _sphere_mesh(m, W, h)
-    vals_s, grads_s = field.value_and_gradient(sph)
-    radial = (np.sum(sph * grads_s, axis=-1) / W**2)[:, None] * sph
-    min_sph = float((np.abs(vals_s) + np.linalg.norm(grads_s - radial, axis=-1)).min())
+    if m == 2:
+        val_c, tangential = _circle_series(field, W, h)
+        min_sph = float((np.abs(val_c) + np.abs(tangential)).min())
+    else:
+        sph = _sphere_mesh(W, h)
+        vals_s, grads_s = field.value_and_gradient(sph)
+        radial = (np.sum(sph * grads_s, axis=-1) / W**2)[:, None] * sph
+        min_sph = float((np.abs(vals_s) + np.linalg.norm(grads_s - radial, axis=-1)).min())
 
     return NondegeneracyReport(
         min_bulk=min_bulk,

@@ -75,13 +75,18 @@ class ConstantEstimate:
     trials: int
     mean: float
     stderr: float
-    excluded: int = 0
+    # excluded draws per DegenerateSampleError.reason
+    excluded_by_reason: dict[str, int] = dc_field(default_factory=dict)
     class_density: dict[str, tuple[float, float]] = dc_field(default_factory=dict)
     tree_density: dict[str, tuple[float, float]] = dc_field(default_factory=dict)
 
     def __post_init__(self):
         if self.mean < 0:
             raise ValueError("densities are nonnegative")
+
+    @property
+    def excluded(self) -> int:
+        return sum(self.excluded_by_reason.values())
 
 
 def _gaussian_moment(p: int) -> float:
@@ -259,6 +264,11 @@ def kac_rice_density(measure: SpectralMeasure, n_mc: int = 10**6, seed: int = 0)
     return float(val), float(err)
 
 
+def format_reasons(by_reason: dict[str, int]) -> str:
+    """Exclusion counts as "reason: count" pairs sorted by reason, e.g. "not_a_tree: 1"."""
+    return ", ".join(f"{reason}: {count}" for reason, count in sorted(by_reason.items()))
+
+
 def _ball_volume(m: int, r: float) -> float:
     return math.pi ** (m / 2) / math.gamma(m / 2 + 1) * r**m
 
@@ -308,18 +318,18 @@ def ns_constant_estimate(measure: SpectralMeasure, W: float, trials: int, seed: 
                     if not c.touches_boundary:
                         code = tree.codes[c.id]
                         trees[code] = trees.get(code, 0) + 1
-        except DegenerateSampleError:
-            return None
+        except DegenerateSampleError as exc:
+            return exc.reason or "other"
         return dec.interior_count / vol, classes, trees
 
     results = _map_trials(one_trial, trials, workers)
     densities = []
     per_class: dict[str, list[float]] = {}
     per_tree: dict[str, list[float]] = {}
-    excluded = 0
+    by_reason: dict[str, int] = {}
     for res in results:
-        if res is None:
-            excluded += 1
+        if isinstance(res, str):
+            by_reason[res] = by_reason.get(res, 0) + 1
             continue
         density, classes, trees = res
         densities.append(density)
@@ -327,9 +337,11 @@ def ns_constant_estimate(measure: SpectralMeasure, W: float, trials: int, seed: 
             per_class.setdefault(tag, []).append(cnt / vol)
         for code, cnt in trees.items():
             per_tree.setdefault(code, []).append(cnt / vol)
+    excluded = sum(by_reason.values())
     if excluded > 0.2 * trials:
         raise DegenerateSampleError(
-            f"{excluded}/{trials} draws degenerate; refine h or enlarge W", "too_many_excluded"
+            f"{excluded}/{trials} draws degenerate ({format_reasons(by_reason)}); "
+            "refine h or enlarge W", "too_many_excluded"
         )
     arr = np.array(densities)
     n = len(arr)
@@ -343,7 +355,7 @@ def ns_constant_estimate(measure: SpectralMeasure, W: float, trials: int, seed: 
         trials=trials,
         mean=float(arr.mean()),
         stderr=float(arr.std(ddof=1) / math.sqrt(n)),
-        excluded=excluded,
+        excluded_by_reason=by_reason,
         class_density={k: summarize(v) for k, v in per_class.items()},
         tree_density={k: summarize(v) for k, v in per_tree.items()},
     )

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +82,7 @@ def test_exit_codes(tmp_path, monkeypatch):
     [
         ("command = smallvalues\nR = 20\nsamples = 0\n", "samples"),
         ("command = doubling\nR = 20\nW = 1\nsamples = 0\n", "samples"),
+        ("command = doubling\nR = 20\nW = 1\n", "samples"),
         ("command = charfn\nR = 20\nsamples = 0\n", "samples"),
         ("command = kacrice\ngenerator = log-rational\nN = 16\nsamples = 0\n", "samples"),
         ("command = charfn\nR = 20\nsamples = 1\n", "samples"),
@@ -88,8 +90,8 @@ def test_exit_codes(tmp_path, monkeypatch):
         ("command = nodal-stats\nW = 2\nh = -0.05\n", "spacing"),
         ("command = fig1\nh = 0\n", "spacing"),
     ],
-    ids=["smallvalues-0", "doubling-0", "charfn-0", "kacrice-atomic-0", "charfn-1",
-         "nodal-stats-h0", "nodal-stats-h-negative", "fig1-h0"],
+    ids=["smallvalues-0", "doubling-0", "doubling-no-samples", "charfn-0", "kacrice-atomic-0",
+         "charfn-1", "nodal-stats-h0", "nodal-stats-h-negative", "fig1-h0"],
 )
 def test_out_of_range_samples_and_spacing_exit_2(tmp_path, capsys, body, err):
     # every Monte Carlo stderr uses ddof=1, so fewer than 2 samples has none
@@ -304,7 +306,7 @@ def test_charfn_header_and_meta(tmp_path):
     assert float(rows[0]["predicted"]) == 1.0
 
 
-def test_ns_estimate_thread_invariance(tmp_path):
+def test_ns_estimate_thread_invariance(tmp_path, capsys):
     text = (
         "command = ns-estimate\nm = 2\nN = 64\nW = 4\nh = 0.1\n"
         "trials = 50\nseed = 9\ngenerator = uniform\n"
@@ -317,6 +319,13 @@ def test_ns_estimate_thread_invariance(tmp_path):
     b0 = (outs[0] / "ns.csv").read_bytes()
     assert (outs[1] / "ns.csv").read_bytes() == b0  # workers change nothing
     assert (outs[2] / "ns.csv").read_bytes() == b0  # reruns change nothing
+    # stdout names the exclusions by reason; they add up to the CSV's count
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("count density")]
+    assert len(lines) == 3 and len(set(lines)) == 1
+    excluded = int(next(csv.DictReader(open(outs[0] / "ns.csv")))["excluded"])
+    assert excluded > 0
+    by_reason = re.findall(r"([a-z_]+): (\d+)", lines[0])
+    assert by_reason and sum(int(n) for _, n in by_reason) == excluded
 
 
 def test_fig1_outputs(tmp_path):

@@ -10,8 +10,10 @@ from monowave.directions import DirectionSet, empirical_measure, generate_unifor
 from monowave.field import (
     CoefficientSet,
     PlaneWaveSum,
+    _chebyshev_count,
     all_ones_coefficients,
     bessel_j,
+    bessel_sequence,
     covariance_kernel,
     eval_bk,
     make_wave,
@@ -253,23 +255,45 @@ def test_eval_bk_rejects_foreign_partition():
 
 
 def test_bessel_frozen_values():
-    # gate at the documented 1e-10 absolute-accuracy contract; near the
-    # series/asymptotic switch cancellation eats the digits below that
+    # the Miller recurrence is accurate to rounding: gate at 1e-14 absolute
     for nu, z, val in BESSEL_TABLE:
-        assert bessel_j(nu, z) == pytest.approx(val, abs=1e-10)
+        assert bessel_j(nu, z) == pytest.approx(val, abs=1e-14)
     # vectorized call agrees with scalars
     z = np.array([x[1] for x in BESSEL_TABLE if x[0] == 0])
     v = np.array([x[2] for x in BESSEL_TABLE if x[0] == 0])
-    assert np.allclose(bessel_j(0, z), v, rtol=0.0, atol=1e-10)
+    assert np.allclose(bessel_j(0, z), v, rtol=0.0, atol=1e-14)
+    assert bessel_j(0, np.zeros((2, 3))).shape == (2, 3)
+    # z = 0 is evaluated at the 1e-100 floor: J_0 rounds to 1, the rest are below 1e-50
+    assert bessel_j(0, 0.0) == 1.0 and 0 <= bessel_j(0.5, 0.0) < 1e-50
 
 
 def test_bessel_against_scipy_sweep():
     special = pytest.importorskip("scipy.special")
-    z = np.linspace(0.01, 60.0, 700)
-    for nu in (0, 1, 2, 5, 10):
-        ours = bessel_j(nu, z)
-        ref = special.jv(nu, z)
-        assert np.max(np.abs(ours - ref)) < 1e-10
+    z = np.linspace(0.0, 70.0, 3501)
+    for two_nu in range(21):  # orders 0, 1/2, 1, ..., 10
+        nu = two_nu / 2
+        assert np.max(np.abs(bessel_j(nu, z) - special.jv(nu, z))) < 1e-14, nu
+    # J_{1/2} ~ sin z: at its zeros the normalisation switches to J_{-1/2}
+    zeros = np.pi * np.arange(1, 23)[:, None] + np.array([-1e-9, 0.0, 1e-9])
+    assert np.max(np.abs(bessel_j(0.5, zeros) - special.jv(0.5, zeros))) < 1e-14
+    # tiny arguments: the recurrence rescales instead of overflowing
+    tiny = np.geomspace(1e-300, 1e-3, 60)
+    for nu in (0, 0.5, 1, 10):
+        assert np.max(np.abs(bessel_j(nu, tiny) - special.jv(nu, tiny))) < 1e-14, nu
+
+
+@pytest.mark.parametrize("W", [0.5, 1.0, 4.0, 12.0])
+def test_bessel_sequence_at_circle_probe_orders(W):
+    # the orders the circle probe reads: J_0..J_K(2 pi W), K from the tail bound
+    special = pytest.importorskip("scipy.special")
+    z = 2 * math.pi * W
+    K = _chebyshev_count(z, 2)
+    ours = bessel_sequence(0, z, K)
+    assert ours.shape == (K + 1,)
+    assert np.max(np.abs(ours - special.jv(np.arange(K + 1), z))) < 1e-14
+    half = bessel_sequence(0.5, np.array([z, 1.0]), 10)
+    assert half.shape == (11, 2)
+    assert np.max(np.abs(half - special.jv(np.arange(11)[:, None] + 0.5, [z, 1.0]))) < 1e-14
 
 
 def test_covariance_kernels():
@@ -296,6 +320,10 @@ def test_bessel_input_guards():
         bessel_j(11, 1.0)
     with pytest.raises(ValueError):
         bessel_j(0, -0.5)
+    with pytest.raises(ValueError):
+        bessel_sequence(1, 1.0, 3)
+    with pytest.raises(ValueError):
+        bessel_sequence(0, -1.0, 3)
 
 
 @settings(max_examples=40, deadline=None)

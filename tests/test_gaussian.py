@@ -9,6 +9,7 @@ from monowave.directions import generate_uniform_directions, empirical_measure
 from monowave.field import PlaneWaveSum, bessel_j
 from monowave.gaussian import (
     SpectralMeasure,
+    _circle_series,
     _sphere_mesh,
     check_nondegenerate,
     child_rng,
@@ -159,9 +160,16 @@ def _pointwise_min_bulk(F, W: float, h: float) -> float:
     return min_bulk
 
 
+def _circle_points(W: float, h: float) -> np.ndarray:
+    """The probe's circle, point by point: n = max(64, ceil(2 pi W / h)) equispaced angles."""
+    n = max(64, int(np.ceil(2 * np.pi * W / h)))
+    a = 2 * np.pi * np.arange(n) / n
+    return W * np.column_stack([np.cos(a), np.sin(a)])
+
+
 def _separate_min_spherical(F, W: float, h: float) -> float:
     """Oracle: the spherical minimum with value and gradient evaluated separately."""
-    sph = _sphere_mesh(F.dim, W, h)
+    sph = _circle_points(W, h) if F.dim == 2 else _sphere_mesh(W, h)
     min_sph = np.inf
     for lo in range(0, len(sph), 1 << 13):
         block = sph[lo : lo + (1 << 13)]
@@ -187,4 +195,34 @@ def test_check_nondegenerate_bulk_matches_pointwise(m, atomic, seed):
     rep = check_nondegenerate(F, W, h)
     ref = _pointwise_min_bulk(F, W, h)
     assert rep.min_bulk == pytest.approx(ref, rel=1e-12)
-    assert rep.min_spherical == _separate_min_spherical(F, W, h)  # bitwise
+    if m == 2:  # the circle is a Fourier series, not the pointwise kernel
+        scale = np.abs(F.plane_waves()[1]).sum()
+        assert abs(rep.min_spherical - _separate_min_spherical(F, W, h)) <= 1e-12 * scale
+    else:
+        assert rep.min_spherical == _separate_min_spherical(F, W, h)  # bitwise
+
+
+@pytest.mark.parametrize("W", [0.5, 1.0, 4.0, 12.0])  # W = 1: 59 orders on 64 points
+@pytest.mark.parametrize("atomic", [False, True])
+def test_circle_series_matches_pointwise(W, atomic):
+    if atomic:
+        F = sample_atomic(empirical_measure(generate_uniform_directions(2, 64, 3)), 11)
+    else:
+        F = sample_uniform(2, 1024, 7)
+    h = 0.1
+    pts = _circle_points(W, h)
+    val, grad = F.value_and_gradient(pts)
+    tangential = (pts[:, 0] * grad[:, 1] - pts[:, 1] * grad[:, 0]) / W
+    series_val, series_tangential = _circle_series(F, W, h)
+    scale = np.abs(F.plane_waves()[1]).sum()
+    assert len(series_val) == len(pts)
+    assert np.max(np.abs(series_val - val)) <= 1e-12 * scale
+    assert np.max(np.abs(series_tangential - tangential)) <= 1e-12 * scale
+
+
+def test_circle_probe_refuses_non_unit_frequencies():
+    off = PlaneWaveSum(np.array([[1.0, 0.0], [0.0, 1.0 + 1e-9]]), np.ones(2, dtype=complex))
+    with pytest.raises(ValueError, match="unit"):
+        check_nondegenerate(off, 4.0, 0.1)
+    near = PlaneWaveSum(np.array([[1.0, 0.0], [0.0, 1.0 + 1e-13]]), np.ones(2, dtype=complex))
+    assert check_nondegenerate(near, 4.0, 0.1).min_spherical >= 0

@@ -151,7 +151,16 @@ def test_ns_constant_exclusion_reasons(monkeypatch):
     with pytest.raises(DegenerateSampleError) as info:
         ns_constant_estimate(uniform_measure(2), 4.0, 50, seed=1, h=0.2)
     assert info.value.reason == "too_many_excluded"
+    assert "50/50 draws degenerate (probe_failed: 50)" in str(info.value)
     assert reasons == ["probe_failed"] * 50 + ["too_many_excluded"]
+
+    # the first 7 probes fail: the estimate counts them under their reason
+    calls = iter(range(10**6))
+    monkeypatch.setattr(stats, "check_nondegenerate",
+                        lambda *args: SimpleNamespace(passed=next(calls) >= 7))
+    est = ns_constant_estimate(uniform_measure(2), 4.0, 50, seed=1, h=0.2)
+    assert est.excluded_by_reason == {"probe_failed": 7}
+    assert est.excluded == 7
 
 
 def test_discrepancy_against_direct_loop():
