@@ -292,29 +292,26 @@ def write_zero_svg(path, segments, xlim, ylim, circles=()) -> None:
 
 
 def bessel_zero_table(count: int) -> list[float]:
-    """First `count` positive zeros of J_0, bisected to bracket width < 1e-9."""
+    """First `count` positive zeros of J_0, bisected to bracket width < 1e-9.
+
+    J_0 is scanned at steps of 0.05 up to count * pi, past the count-th zero
+    (j_{0,n} < n pi); every sign change brackets one zero, and all brackets
+    are bisected together.
+    """
     if count > 20:
         raise ValueError("only the first 20 zeros are supported")
-    zeros: list[float] = []
     step = 0.05
-    x, fx = 0.0, 1.0  # J_0(0) = 1
-    while len(zeros) < count:
-        y = x + step
-        fy = float(bessel_j(0, y))
-        if fx == 0.0:
-            zeros.append(x)
-        elif fx * fy < 0:
-            lo, hi, flo = x, y, fx
-            while hi - lo > 1e-9:
-                mid = 0.5 * (lo + hi)
-                fm = float(bessel_j(0, mid))
-                if flo * fm <= 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            zeros.append(0.5 * (lo + hi))
-        x, fx = y, fy
-    return zeros[:count]
+    x = step * np.arange(int(count * math.pi / step) + 2)
+    f = bessel_j(0, x)
+    i = np.flatnonzero(np.signbit(f[:-1]) != np.signbit(f[1:]))[:count]
+    lo, hi, flo = x[i], x[i + 1], f[i]
+    while np.any(hi - lo > 1e-9):
+        mid = 0.5 * (lo + hi)
+        fm = bessel_j(0, mid)
+        left = flo * fm <= 0
+        hi = np.where(left, mid, hi)
+        lo, flo = np.where(left, lo, mid), np.where(left, flo, fm)
+    return (0.5 * (lo + hi)).tolist()
 
 
 def _report_rows(rep: stats.ComparisonReport, labels) -> list[dict]:
@@ -591,7 +588,8 @@ def _run_fig1(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
     half = 20.0
     n = int(round(2 * half / cfg.h)) + 1
     origin = np.array([-half, -half])
-    vals = PlaneWaveSum(freqs, coeffs).on_grid(origin, (n, n), cfg.h)
+    g_field = PlaneWaveSum(freqs, coeffs)
+    vals = g_field.on_grid(origin, (n, n), cfg.h)
     grid = ScalarGrid(dim=2, origin=origin, spacing=cfg.h, shape=(n, n), values=vals)
     geom = nodal_volume(grid)
 
@@ -603,7 +601,7 @@ def _run_fig1(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
 
     # radial profile along e1 against the large-N limit J_0(w r)
     r = np.arange(0.0, 10.0 + 1e-9, 0.05)
-    g = np.mean(np.cos(w * np.outer(r, dirs.vectors[:, 0])), axis=1)
+    g = g_field.value(np.column_stack([r, np.zeros_like(r)]))
     limit = bessel_j(0, w * r)
     rows = [
         {"r": float(r[i]), "g": float(g[i]), "limit": float(limit[i])}

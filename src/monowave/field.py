@@ -1,4 +1,4 @@
-"""Plane-wave sums: the PlaneWaveSum kernel, waves, packets, kernels.
+"""Plane-wave sums: the PlaneWaveSum kernel, waves, packets, integer-order Bessel functions.
 
 Every field in the package is a PlaneWaveSum, F(x) = Re sum_j c_j e(<v_j, x>)
 with e(t) = exp(2*pi*i*t), evaluated pointwise (value, gradient) or on a
@@ -345,41 +345,34 @@ def eval_bk(wave: MonochromaticWave, part: SpherePartition, x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Bessel functions of the first kind, integer and half-integer order
+# Bessel functions of the first kind, integer order
 
-# Arguments below this are raised to it: every J_{nu+k} moves by less than
-# 1e-50, and one recurrence step grows by less than 1e103
+# Arguments below this are raised to it: every J_k moves by less than 1e-50,
+# and one recurrence step grows by less than 1e103
 _Z_FLOOR = 1e-100
 # The recurrence is rescaled once a bound on its growth passes this
 _RESCALE_AT = 1e100
 
 
-def bessel_sequence(nu: float, z, K: int) -> np.ndarray:
-    """J_{nu+k}(z) for k = 0..K, nu in {0, 1/2}, z >= 0: shape (K + 1, *z.shape).
+def bessel_sequence(z, K: int) -> np.ndarray:
+    """J_k(z) for k = 0..K, z >= 0: shape (K + 1, *z.shape).
 
     Miller's backward recurrence (Gautschi, SIAM Review 9, 1967):
-    f_{k-1} = 2 (nu + k) / z f_k - f_{k+1} from f_{N+1} = 0, f_N = 1 gives
-    f_k proportional to J_{nu+k}(z), with relative error about
-    (J_N / Y_N)(z) Y_{nu+k}(z) / J_{nu+k}(z), then one factor normalises.
-    Integer orders use J_0 + 2 sum_k J_2k = 1; half-integer orders use the
-    closed forms J_{1/2} = sqrt(2 / (pi z)) sin z and
-    J_{-1/2} = sqrt(2 / (pi z)) cos z, whichever has the larger modulus,
-    since sin z vanishes at z = k pi. The start
-    N = max(K, z + 10 (z/2)^{1/3}) + 10 lies 10 orders past K and beyond the
-    turning point k = z by more than 9.5 (N/2)^{1/3}, where the Airy
-    approximation of J_N puts (J_N / Y_N)(z) below 1e-17. Measured against
-    scipy.special.jv (integer orders) and mpmath (half-integer orders, where
-    scipy itself errs by up to 8e-15 near z = 10), the absolute error is
-    below 1e-15 for orders up to 10 on z in [0, 70] and for J_0..J_K at
-    z = 2 pi W, K = _chebyshev_count(z, 2), W up to 12; it is about 5e-15 at
-    z = 400, from rounding in the normalising sum. Arguments below _Z_FLOOR
-    are evaluated at it. Each step grows the values by at most
-    2 (nu + k) / z + 1; once the product of these factors since the last
-    rescaling passes _RESCALE_AT, the last two values are scaled to modulus
-    at most 1, together with everything they have fed.
+    f_{k-1} = 2 k / z f_k - f_{k+1} from f_{N+1} = 0, f_N = 1 gives f_k
+    proportional to J_k(z), with relative error about
+    (J_N / Y_N)(z) Y_k(z) / J_k(z), then J_0 + 2 sum_k J_2k = 1 normalises.
+    The start N = max(K, z + 10 (z/2)^{1/3}) + 10 lies 10 orders past K and
+    beyond the turning point k = z by more than 9.5 (N/2)^{1/3}, where the
+    Airy approximation of J_N puts (J_N / Y_N)(z) below 1e-17. Measured
+    against scipy.special.jv, the absolute error is below 1e-15 for orders
+    up to 10 on z in [0, 70] and for J_0..J_K at z = 2 pi W,
+    K = _chebyshev_count(z, 2), W up to 12; it is about 5e-15 at z = 400,
+    from rounding in the normalising sum. Arguments below _Z_FLOOR are
+    evaluated at it. Each step grows the values by at most 2 k / z + 1; once
+    the product of these factors since the last rescaling passes _RESCALE_AT,
+    the last two values are scaled to modulus at most 1, together with
+    everything they have fed.
     """
-    if nu not in (0, 0.5):
-        raise ValueError("recurrence order offset must be 0 or 1/2")
     z = np.asarray(z, dtype=float)
     if np.any(z < 0):
         raise ValueError("argument must be nonnegative")
@@ -389,69 +382,32 @@ def bessel_sequence(nu: float, z, K: int) -> np.ndarray:
     z_min = float(zz.min(initial=1.0))
     out = np.zeros((K + 1, len(zz)))
     f_next, f = np.zeros_like(zz), np.ones_like(zz)
-    total = np.zeros_like(zz)  # sum_k f_2k, k >= 1 (integer orders)
+    total = np.zeros_like(zz)  # sum_k f_2k, k >= 1
     bound = 1.0  # of max(|f|, |f_next|) since the last rescaling
     for k in range(top, 0, -1):
         if k <= K:
             out[k] = f
-        if nu == 0 and k % 2 == 0:
+        if k % 2 == 0:
             total += f
-        f_next, f = f, 2 * (nu + k) / zz * f - f_next
-        bound *= 2 * (nu + k) / z_min + 1
+        f_next, f = f, 2 * k / zz * f - f_next
+        bound *= 2 * k / z_min + 1
         if bound > _RESCALE_AT:
             scale = 1 / np.maximum(np.abs(f), np.abs(f_next))
             for arr in (f, f_next, out, total):
                 arr *= scale
             bound = 1.0
     out[0] = f
-    if nu == 0:
-        out /= f + 2 * total
-    else:
-        f_minus = f / zz - f_next  # proportional to J_{-1/2}
-        amp = np.sqrt(2 / (np.pi * zz))
-        sin, cos = np.sin(zz), np.cos(zz)
-        use_sin = np.abs(sin) >= np.abs(cos)
-        out *= amp * np.where(use_sin, sin, cos) / np.where(use_sin, f, f_minus)
+    out /= f + 2 * total
     return out.reshape(K + 1, *z.shape)
 
 
-def bessel_j(nu: float, z) -> np.ndarray | float:
-    """J_nu(z) for nu in {0, 1/2, 1, ..., 10}, z >= 0, from bessel_sequence.
+def bessel_j(nu: int, z) -> np.ndarray | float:
+    """J_nu(z) for integer nu in [0, 10], z >= 0: the last row of bessel_sequence.
 
-    One Miller recurrence for the orders nu mod 1 up to nu; absolute
-    accuracy about 1e-15 (see bessel_sequence).
+    Absolute accuracy about 1e-15 (see bessel_sequence).
     """
-    two_nu = 2 * nu
-    if two_nu != int(two_nu) or nu < 0 or nu > 10:
-        raise ValueError("order must be a half-integer in [0, 10]")
+    if nu != int(nu) or nu < 0 or nu > 10:
+        raise ValueError("order must be an integer in [0, 10]")
     z = np.asarray(z, dtype=float)
-    offset = 0.5 if int(two_nu) % 2 else 0
-    out = bessel_sequence(offset, z, int(nu - offset))[-1]
+    out = bessel_sequence(z, int(nu))[-1]
     return float(out) if z.ndim == 0 else out
-
-
-# ---------------------------------------------------------------------------
-# Covariance kernels
-
-
-def covariance_kernel(measure, tau) -> np.ndarray | float:
-    """E[F(x) conj(F(y))] at lag tau = x - y for a spectral measure; kernel(0) = 1."""
-    tau = np.asarray(tau, dtype=float)
-    scalar = tau.ndim == 1
-    tau = np.atleast_2d(tau)
-    if measure.kind == "atomic":
-        val = PlaneWaveSum(measure.atoms, measure.weights).value(tau)
-    else:
-        m = measure.dim
-        lam = (m - 2) / 2.0
-        # C_m = Gamma(m/2) 2^lambda makes the uniform kernel equal 1 at 0
-        c_m = math.gamma(m / 2.0) * 2.0**lam
-        w = TWO_PI * np.linalg.norm(tau, axis=-1)
-        val = np.empty_like(w)
-        tiny = w < 1e-6
-        # series limit: C_m J_lam(w)/w^lam -> 1 - w^2/(2m) + O(w^4)
-        val[tiny] = 1.0 - w[tiny] ** 2 / (2.0 * m)
-        big = ~tiny
-        if np.any(big):
-            val[big] = c_m * bessel_j(lam, w[big]) / w[big] ** lam
-    return float(val[0]) if scalar else val

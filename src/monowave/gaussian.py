@@ -188,7 +188,7 @@ def _circle_series(field: PlaneWaveSum, W: float, h: float) -> tuple[np.ndarray,
     powers = np.cumprod(np.broadcast_to(u[:, None], (len(u), K)), axis=1)
     S = np.concatenate([(c @ powers)[::-1], [np.sum(c)], np.conj(np.conj(c) @ powers)])
     k = np.arange(-K, K + 1)
-    terms = np.array([1, 1j, -1, -1j])[np.abs(k) % 4] * bessel_sequence(0, w, K)[np.abs(k)] * S
+    terms = np.array([1, 1j, -1, -1j])[np.abs(k) % 4] * bessel_sequence(w, K)[np.abs(k)] * S
     n = max(64, int(np.ceil(w / h)))
     spec = np.zeros((2, n), dtype=complex)
     np.add.at(spec[0], k % n, terms)

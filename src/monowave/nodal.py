@@ -42,14 +42,16 @@ class DegenerateSampleError(RuntimeError):
 # connected components over explicit pair lists
 
 
-def _connected(n: int, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """Root array after uniting all (pa[i], pb[i]); each root is its component's minimum.
+def _connected(n: int, pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, int]:
+    """Component id of each of n vertices after uniting all (pa[i], pb[i]), and the count.
 
     Array form of hooking and pointer jumping (Shiloach & Vishkin 1982): every
     pair whose roots differ hooks the larger root under the smallest root it
     meets (np.minimum.at), then pointer jumping flattens the forest, and pairs
     already joined drop out. Parents never exceed their index, so each root is
-    the minimum index of its tree, as with the sequential union-find.
+    the minimum index of its tree, as with the sequential union-find. Ids are
+    0..C-1 in the order of the components' minima: a root's id is the number
+    of roots below it.
     """
     p = np.arange(n, dtype=np.intp)
     pa = np.asarray(pa, dtype=np.intp)
@@ -58,7 +60,8 @@ def _connected(n: int, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
         ra, rb = p[pa], p[pb]
         split = ra != rb
         if not split.any():
-            return p
+            is_root = p == np.arange(n)
+            return np.cumsum(is_root)[p] - 1, int(is_root.sum())
         pa, pb, ra, rb = pa[split], pb[split], ra[split], rb[split]
         np.minimum.at(p, np.maximum(ra, rb), np.minimum(ra, rb))
         while True:
@@ -165,7 +168,7 @@ def label_domains(grid: ScalarGrid) -> NodalDecomposition:
     # overlapping same-sign runs on neighboring lines, via composite keys
     comp_s = rs_flat  # == run_line * L + run_s, globally sorted
     comp_e = re_flat
-    pa_parts, pb_parts = [], []
+    pa_parts, pb_parts = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     line_shape = shape[:-1]
     neighbor_steps = []
     if grid.dim == 2:
@@ -190,13 +193,7 @@ def label_domains(grid: ScalarGrid) -> NodalDecomposition:
         ok = rkey[src] == rkey[dst]
         pa_parts.append(src[ok])
         pb_parts.append(dst[ok])
-    if pa_parts:
-        root = _connected(R, np.concatenate(pa_parts), np.concatenate(pb_parts))
-    else:
-        root = np.arange(R, dtype=np.intp)
-
-    uniq_roots, comp_of_run = np.unique(root, return_inverse=True)
-    ncomp = len(uniq_roots)
+    comp_of_run, ncomp = _connected(R, np.concatenate(pa_parts), np.concatenate(pb_parts))
     lengths = run_e - run_s
     sizes = np.bincount(comp_of_run, weights=lengths, minlength=ncomp).astype(np.int64)
     signs = np.zeros(ncomp, dtype=np.int8)
@@ -355,9 +352,7 @@ def _extract_zero_set(grid: ScalarGrid, labels: np.ndarray) -> _ZeroSet:
 
     # an element's vertices lie in one piece
     pa = np.concatenate([elements[:, 0]] * (grid.dim - 1))
-    root = _connected(U, pa, elements[:, 1:].T.reshape(-1))
-    piece_roots, edge_piece = np.unique(root, return_inverse=True)
-    npieces = len(piece_roots)
+    edge_piece, npieces = _connected(U, pa, elements[:, 1:].T.reshape(-1))
     elem_piece = edge_piece[elements[:, 0]] if U else np.empty(0, dtype=np.intp)
     piece_measure = np.bincount(elem_piece, weights=measure, minlength=npieces)
 

@@ -24,15 +24,13 @@ def lipschitz_constant(m: int) -> float:
 def hyperspherical_map(theta, m: int) -> np.ndarray:
     """G(theta): [0,1]^{m-1} -> S^{m-1}.
 
-    Polar angles scale by pi, the final seam angle by 2*pi; for m = 2 the map
-    degenerates to the plain angle parameterization of the circle.
+    Polar angles scale by pi, the final seam angle by 2*pi; for m = 2 there
+    is no polar angle and the map is the plain angle parameterization of the
+    circle.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape[-1] != m - 1:
         raise ValueError("theta must have m-1 components")
-    if m == 2:
-        a = 2 * np.pi * theta[..., 0]
-        return np.stack([np.cos(a), np.sin(a)], axis=-1)
     out = np.empty(theta.shape[:-1] + (m,))
     running = np.ones(theta.shape[:-1])
     for i in range(m - 2):
@@ -52,8 +50,6 @@ def theta_coordinates(v, m: int) -> np.ndarray:
     seam endpoints) the convention is to clamp: undetermined angles become 0.
     """
     v = np.asarray(v, dtype=float)
-    if m == 2:
-        return (np.arctan2(v[..., 1], v[..., 0]) / (2 * np.pi) % 1.0)[..., None]
     theta = np.empty(v.shape[:-1] + (m - 1,))
     tail = np.linalg.norm(v, axis=-1)
     for i in range(m - 2):

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import nodal
-from .field import MonochromaticWave, covariance_kernel, eval_bk
+from .directions import empirical_measure
+from .field import MonochromaticWave, PlaneWaveSum, eval_bk
 from .gaussian import (
     SpectralMeasure,
     check_nondegenerate,
@@ -139,16 +140,15 @@ def bk_moment_report(wave: MonochromaticWave, part: SpherePartition, R: float,
 
 def covariance_compare(wave: MonochromaticWave, R: float, W: float, lags,
                        n_samples: int, seed: int) -> ComparisonReport:
-    from .directions import empirical_measure
-
     lags = np.atleast_2d(np.asarray(lags, dtype=float))
     if np.any(np.linalg.norm(lags, axis=1) > 2 * W):
         raise ValueError("lags must lie in B(2W)")
     x = spatial_sample(wave.dirs.dim, R, n_samples, seed)
     f0 = wave.value(x)
     mu = empirical_measure(wave.dirs)
+    kernel = PlaneWaveSum(mu.atoms, mu.weights)  # E[F(x) F(x - tau)], kernel(0) = 1
     rep = _mc_judge((f0 * wave.value(x + tau) for tau in lags),
-                    [covariance_kernel(mu, tau) for tau in lags], n_samples)
+                    [kernel.value(tau) for tau in lags], n_samples)
     rep.meta["max_abs_error"] = float(np.max(np.abs(rep.estimate - rep.predicted)))
     return rep
 

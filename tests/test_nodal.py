@@ -356,17 +356,26 @@ def list_dsu(n: int, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
         p = q
 
 
+def list_dsu_ids(n: int, pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, int]:
+    """Reference ids and count: list_dsu roots renumbered in sorted order."""
+    roots, ids = np.unique(list_dsu(n, pa, pb), return_inverse=True)
+    return ids, len(roots)
+
+
 def check_connected(n: int, pa, pb) -> None:
     pa = np.asarray(pa, dtype=np.intp)
     pb = np.asarray(pb, dtype=np.intp)
-    root = nodal._connected(n, pa, pb)
-    assert np.array_equal(root, list_dsu(n, pa, pb))
+    ids, count = nodal._connected(n, pa, pb)
+    ref_ids, ref_count = list_dsu_ids(n, pa, pb)
+    assert np.array_equal(ids, ref_ids) and count == ref_count
     ncc, cc = connected_components(
         coo_matrix((np.ones(len(pa)), (pa, pb)), shape=(n, n)), directed=False
     )
+    assert count == ncc
     smallest = np.full(ncc, n)
     np.minimum.at(smallest, cc, np.arange(n))
-    assert np.array_equal(root, smallest[cc])  # same partition, roots are minima
+    # same partition, ids in the order of the components' minima
+    assert np.array_equal(ids, np.argsort(np.argsort(smallest))[cc])
 
 
 @st.composite
@@ -394,7 +403,7 @@ def test_connected_edge_cases():
     n = 50_000
     hi = np.arange(n - 1, 0, -1)
     check_connected(n, hi, hi - 1)
-    assert not nodal._connected(n, hi, hi - 1).any()
+    assert nodal._connected(n, hi, hi - 1)[1] == 1
     rng = np.random.default_rng(8)
     check_connected(20_000, rng.integers(0, 20_000, 15_000), rng.integers(0, 20_000, 15_000))
 
@@ -424,7 +433,7 @@ def test_zero_set_matches_list_dsu_and_set_loops(monkeypatch, m, W, h):
 
     g, dec, geom, z = decompose()
     with monkeypatch.context() as mp:
-        mp.setattr(nodal, "_connected", list_dsu)
+        mp.setattr(nodal, "_connected", list_dsu_ids)
         _, ref_dec, ref_geom, ref = decompose()
     assert np.array_equal(dec.labels, ref_dec.labels)
     assert np.array_equal(z.edge_piece, ref.edge_piece)
