@@ -3,10 +3,12 @@
 Sign components are the connected components of orthogonally adjacent
 same-sign vertices, found over run-length encoded rows by array hooking and
 pointer jumping (_connected). The zero set is extracted per cell from the
-sign-case tables, measured by linear interpolation, and split into connected
-pieces by a second _connected pass over crossing grid edges. Downstream:
-nesting trees over components and topology classes (circles in 2D, genus in
-3D) for the zero pieces.
+sign-case tables. Its crossing grid edges are ranked per axis block, from a
+bool mark over the block's edges and an int32 rank table, so no sort runs
+over the element edge ids. The crossings are measured by linear
+interpolation and split into connected pieces by a second _connected pass
+over the crossing edges. Downstream: nesting trees over components and
+topology classes (circles in 2D, genus in 3D) for the zero pieces.
 """
 
 from __future__ import annotations
@@ -54,21 +56,22 @@ def _connected(n: int, pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, int]
     of roots below it.
     """
     p = np.arange(n, dtype=np.intp)
-    pa = np.asarray(pa, dtype=np.intp)
-    pb = np.asarray(pb, dtype=np.intp)
+    pa = ra = np.asarray(pa, dtype=np.intp)  # every vertex starts as its own root
+    pb = rb = np.asarray(pb, dtype=np.intp)
     while True:
-        ra, rb = p[pa], p[pb]
-        split = ra != rb
-        if not split.any():
+        live = np.flatnonzero(ra != rb)
+        if not live.size:
             is_root = p == np.arange(n)
             return np.cumsum(is_root)[p] - 1, int(is_root.sum())
-        pa, pb, ra, rb = pa[split], pb[split], ra[split], rb[split]
+        if live.size < pa.size:
+            pa, pb, ra, rb = pa[live], pb[live], ra[live], rb[live]
         np.minimum.at(p, np.maximum(ra, rb), np.minimum(ra, rb))
         while True:
             q = p[p]
             if np.array_equal(q, p):
                 break
             p = q
+        ra, rb = p[pa], p[pb]
 
 
 # ---------------------------------------------------------------------------
@@ -107,11 +110,6 @@ class NodalDecomposition:
         return self._zero
 
 
-def _clamped(grid: ScalarGrid) -> np.ndarray:
-    v = grid.grid_values()
-    return np.where(np.abs(v) < TIE_EPS, TIE_EPS, v)
-
-
 def _shell(grid: ScalarGrid, band: float = 1.0) -> np.ndarray:
     """Outermost in-domain layer: near the mask sphere, or the box faces.
 
@@ -146,7 +144,7 @@ def label_domains(grid: ScalarGrid) -> NodalDecomposition:
     mask = grid.mask()
     if not mask.any():
         raise ValueError("mask selects no vertices")
-    pos = grid.grid_values() > -TIE_EPS  # == _clamped(grid) > 0, without the copy
+    pos = grid.grid_values() > -TIE_EPS  # == (value clamped to TIE_EPS) > 0
     shape = grid.shape
     L = shape[-1]
 
@@ -205,10 +203,9 @@ def label_domains(grid: ScalarGrid) -> NodalDecomposition:
     touches = np.zeros(ncomp, dtype=bool)
     np.logical_or.at(touches, comp_of_run, run_shell)
 
-    total = int(lengths.sum())
-    flat_idx = np.repeat(rs_flat, lengths) + (np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths))
+    # the in-mask runs tile the in-mask vertices in flat order
     labels = np.full(key.size, -1, dtype=np.intp)
-    labels[flat_idx] = np.repeat(comp_of_run, lengths)
+    labels[mask.reshape(-1)] = np.repeat(comp_of_run, lengths)
 
     comps = [
         ComponentRecord(
@@ -269,24 +266,14 @@ def _row_major_strides(shape) -> list[int]:
     return [int(np.prod(shape[d + 1 :])) for d in range(len(shape))]
 
 
-def _edge_endpoints(gids: np.ndarray, shape) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices of the lower and upper vertex of each grid edge."""
-    u = np.empty(len(gids), dtype=np.int64)
-    v = np.empty(len(gids), dtype=np.int64)
-    for step, (first, bshape) in zip(_row_major_strides(shape), _edge_blocks(shape)):
-        sel = (gids >= first) & (gids < first + int(np.prod(bshape)))
-        u[sel] = np.ravel_multi_index(np.unravel_index(gids[sel] - first, bshape), shape)
-        v[sel] = u[sel] + step
-    return u, v
-
-
-def _crossing_elements(grid: ScalarGrid, v: np.ndarray) -> tuple[np.ndarray, int]:
+def _crossing_elements(grid: ScalarGrid, pos: np.ndarray) -> tuple[np.ndarray, int]:
     """Grid-edge ids of the zero-set elements, and the number of cells scanned.
 
-    The elements are (S, 2) segments in 2D, (T, 3) triangles in 3D. Only
-    cells with all corners in the mask are scanned; they are grouped by sign
-    case, in case order, and each case contributes its table's elements in
-    turn, each over the case's cells in index order.
+    pos holds the vertex signs (True for positive). The elements are (S, 2)
+    segments in 2D, (T, 3) triangles in 3D. Only cells with all corners in
+    the mask are scanned; they are grouped by sign case, in case order, and
+    each case contributes its table's elements in turn, each over the case's
+    cells in index order.
     """
     m = grid.dim
     if m == 2:
@@ -294,16 +281,16 @@ def _crossing_elements(grid: ScalarGrid, v: np.ndarray) -> tuple[np.ndarray, int
     else:
         table, edge_axis, edge_base = mct.CUBE_CASES, mct.EDGE_AXIS, mct.EDGE_BASE
     cells = tuple(n - 1 for n in grid.shape)
-    pos = v > 0
     mask = grid.mask()
     cell_ok = np.ones(cells, dtype=bool)
-    case = np.zeros(cells, dtype=np.int16)
+    case = np.zeros(cells, dtype=np.uint8)
     for c in range(2**m):  # corner c is offset along axis a by bit a of c
         sl = tuple(slice(o, o + n) for o, n in zip(((c >> a) & 1 for a in range(m)), cells))
         cell_ok &= mask[sl]
-        case += pos[sl].astype(np.int16) << c
+        case |= pos[sl].view(np.uint8) << np.uint8(c)
     covered = int(np.count_nonzero(cell_ok))
-    work = np.flatnonzero(cell_ok & (case > 0) & (case < 2 ** 2**m - 1))
+    full = 2 ** 2**m - 1
+    work = np.flatnonzero(cell_ok & (case > 0) & (case < full))
     case_w = case.reshape(-1)[work]
 
     # id of the edge along axis a at vertex x: first_a + x . strides_a, so the
@@ -314,9 +301,12 @@ def _crossing_elements(grid: ScalarGrid, v: np.ndarray) -> tuple[np.ndarray, int
     shift = np.sum(edge_base * strides[edge_axis], axis=1)
 
     order = np.argsort(case_w, kind="stable")
-    cases, starts = np.unique(case_w[order], return_index=True)
-    rows = []
-    for cs, sel in zip(cases.tolist(), np.split(order, starts[1:])):
+    rows, start = [], 0
+    for cs, count in enumerate(np.bincount(case_w, minlength=full + 1).tolist()):
+        if not count:
+            continue
+        sel = order[start : start + count]
+        start += count
         tab = np.asarray(table[cs])  # (elements, m) cell-edge numbers
         gids = cell_gid[:, sel][edge_axis[tab]] + shift[tab][..., None]
         rows.append(gids.transpose(0, 2, 1).reshape(-1, m))
@@ -324,30 +314,70 @@ def _crossing_elements(grid: ScalarGrid, v: np.ndarray) -> tuple[np.ndarray, int
 
 
 def _element_measures(points: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    """Segment lengths (2D) or triangle areas (3D) from the elements' vertex points."""
-    p0 = points[elements[:, 0]]
-    if elements.shape[1] == 2:
-        return np.linalg.norm(p0 - points[elements[:, 1]], axis=1)
-    cross = np.cross(points[elements[:, 1]] - p0, points[elements[:, 2]] - p0)
-    return 0.5 * np.linalg.norm(cross, axis=-1)
+    """Segment lengths (2D) or triangle areas (3D) from the elements' vertex points.
+
+    Written out over contiguous coordinate columns; the sums of squares run
+    in the order of np.linalg.norm over the last axis, so the values are the
+    norm's to the bit.
+    """
+    cols = np.ascontiguousarray(points.T)
+    corner = [np.ascontiguousarray(e) for e in elements.T]
+    if len(corner) == 2:
+        d0, d1 = (c[corner[0]] - c[corner[1]] for c in cols)
+        return np.sqrt(d0 * d0 + d1 * d1)
+    u0, u1, u2 = (c[corner[1]] - c[corner[0]] for c in cols)
+    w0, w1, w2 = (c[corner[2]] - c[corner[0]] for c in cols)
+    c0 = u1 * w2 - u2 * w1
+    c1 = u2 * w0 - u0 * w2
+    c2 = u0 * w1 - u1 * w0
+    return 0.5 * np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
 
 
 def _extract_zero_set(grid: ScalarGrid, labels: np.ndarray) -> _ZeroSet:
     if grid.dim not in (2, 3):
         raise ValueError("zero-set extraction supports m in {2, 3} only")
-    v = _clamped(grid)
-    elements, covered_cells = _crossing_elements(grid, v)  # grid-edge ids, then edge indices
-    uniq, inv = np.unique(elements.reshape(-1), return_inverse=True)
-    elements = inv.reshape(-1, grid.dim).astype(np.intp, copy=False)
-    U = len(uniq)
-    ends_u, ends_v = _edge_endpoints(uniq, grid.shape)
+    elements, covered_cells = _crossing_elements(grid, grid.grid_values() > -TIE_EPS)
 
-    # crossing point per unique edge, by linear interpolation along it
-    vf = v.reshape(-1)
-    t = vf[ends_u] / (vf[ends_u] - vf[ends_v])
-    base = np.stack(np.unravel_index(ends_u, grid.shape), axis=-1).astype(float)
-    step = np.stack(np.unravel_index(ends_v, grid.shape), axis=-1) - base
-    edge_points = grid.origin + grid.spacing * (base + t[:, None] * step)
+    # Rank the crossing grid edges one axis block at a time, in _edge_blocks
+    # order: mark the block's element edge ids in a bool array, read them
+    # back sorted and unique, and map each id to its rank through an int32
+    # table over the block. No sort, and no table over all grid edges.
+    gids = elements.reshape(-1)
+    rank = np.empty(gids.size, dtype=np.intp)
+    strides = _row_major_strides(grid.shape)
+    edge_parts, lower_parts, upper_parts, point_parts = [], [], [], []
+    U = 0
+    for a, (first, bshape) in enumerate(_edge_blocks(grid.shape)):
+        n = int(np.prod(bshape))
+        in_block = np.flatnonzero((gids >= first) & (gids < first + n))
+        local = gids[in_block] - first
+        hit = np.zeros(n, dtype=bool)
+        hit[local] = True
+        crossing = np.flatnonzero(hit)
+        del hit
+        table = np.empty(n, dtype=np.int32)
+        table[crossing] = np.arange(U, U + len(crossing), dtype=np.int32)
+        rank[in_block] = table[local]
+        del table, local, in_block
+        U += len(crossing)
+
+        # the edge's lower vertex has the edge's block coordinates; the crossing
+        # point interpolates linearly along axis a, on values clamped to TIE_EPS
+        coords = np.unravel_index(crossing, bshape)
+        lower = np.ravel_multi_index(coords, grid.shape)
+        upper = lower + strides[a]
+        vu, vv = (np.where(np.abs(x) < TIE_EPS, TIE_EPS, x) for x in (grid.values[lower], grid.values[upper]))
+        points = np.stack(coords, axis=-1).astype(float)
+        points[:, a] += vu / (vu - vv)
+        edge_parts.append(crossing + first)
+        lower_parts.append(lower)
+        upper_parts.append(upper)
+        point_parts.append(points)
+    elements = rank.reshape(elements.shape)
+    edge_ids = np.concatenate(edge_parts)
+    ends_u = np.concatenate(lower_parts)
+    ends_v = np.concatenate(upper_parts)
+    edge_points = grid.origin + grid.spacing * np.concatenate(point_parts)
     measure = _element_measures(edge_points, elements)
 
     # an element's vertices lie in one piece
@@ -366,11 +396,6 @@ def _extract_zero_set(grid: ScalarGrid, labels: np.ndarray) -> _ZeroSet:
     lab_u = labels[ends_u]
     lab_v = labels[ends_v]
     ncomp = int(labels.max()) + 1
-    piece_lab = np.unique(np.concatenate([edge_piece * ncomp + lab_u, edge_piece * ncomp + lab_v]))
-    piece_of, lab_of = np.divmod(piece_lab, ncomp)
-    bounds = np.searchsorted(piece_of, np.arange(npieces + 1)).tolist()
-    labs = lab_of.tolist()
-    piece_neighbors = tuple(frozenset(labs[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
     # opposite-sign pairs in order of first crossing edge, pieces sorted
     pair_keys, first, pair_of_edge = np.unique(
@@ -387,9 +412,17 @@ def _extract_zero_set(grid: ScalarGrid, labels: np.ndarray) -> _ZeroSet:
         for k in np.argsort(first).tolist()
     }
 
+    # each piece's neighbors are the two sides of its (pair, piece) combinations
+    lab_a, lab_b = np.divmod(pair_keys[pair_of], ncomp)
+    piece_lab = np.unique(np.concatenate([piece_of * ncomp + lab_a, piece_of * ncomp + lab_b]))
+    piece_of, lab_of = np.divmod(piece_lab, ncomp)
+    bounds = np.searchsorted(piece_of, np.arange(npieces + 1)).tolist()
+    labs = lab_of.tolist()
+    piece_neighbors = tuple(frozenset(labs[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+
     return _ZeroSet(
         dim=grid.dim,
-        edge_ids=uniq,
+        edge_ids=edge_ids,
         edge_points=edge_points,
         edge_piece=edge_piece,
         npieces=npieces,
@@ -550,34 +583,60 @@ def build_nesting_tree(dec: NodalDecomposition) -> NestingTree:
 # topology classes of interior zero pieces
 
 
-def _piece_tag(z: _ZeroSet, p: int) -> str:
+def _piece_tagger(z: _ZeroSet):
+    """Tag function for the interior pieces of z: "circle" (2D) or "genusG" (3D).
+
+    The tag of a piece that is not a closed curve or a closed surface is a
+    DegenerateSampleError. Each element is read once for all pieces. In 2D an
+    edge lies in exactly one piece, so one global degree count finds the
+    open curves. In 3D the element rows of the interior pieces are grouped by
+    piece with one stable argsort.
+    """
     if z.dim == 2:
-        member = np.flatnonzero(z.element_piece == p)
-        deg = np.bincount(z.elements[member].reshape(-1), minlength=len(z.edge_ids))
-        used = np.unique(z.elements[member])
-        if not np.all(deg[used] == 2):
-            raise DegenerateSampleError("an interior zero curve is not closed", "open_curve")
-        return "circle"
-    member = np.flatnonzero(z.element_piece == p)
-    tris = z.elements[member]
-    verts = np.unique(tris)
-    pairs = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [0, 2]]])
-    pairs = np.sort(pairs, axis=1)
-    uniq_edges, counts = np.unique(pairs, axis=0, return_counts=True)
-    if not np.all(counts == 2):
-        raise DegenerateSampleError("an interior zero surface is not a closed 2-manifold",
-                                    "non_manifold")
-    chi = len(verts) - len(uniq_edges) + len(tris)
-    if chi % 2 or chi > 2:
-        raise DegenerateSampleError("mesh Euler characteristic is not that of a closed surface",
-                                    "bad_euler")
-    return f"genus{(2 - chi) // 2}"
+        closed = np.bincount(z.elements.reshape(-1), minlength=len(z.edge_ids)) == 2
+        open_elements = np.bincount(z.element_piece, weights=~np.all(closed[z.elements], axis=1))
+
+        def tag(p: int) -> str:
+            if open_elements[p]:
+                raise DegenerateSampleError("an interior zero curve is not closed", "open_curve")
+            return "circle"
+
+        return tag
+
+    rows = np.flatnonzero(~z.piece_boundary[z.element_piece])
+    rows = rows[np.argsort(z.element_piece[rows], kind="stable")]
+    bounds = np.searchsorted(z.element_piece[rows], np.arange(len(z.piece_boundary) + 1))
+
+    def tag(p: int) -> str:
+        tris = z.elements[rows[bounds[p] : bounds[p + 1]]]
+        verts = np.unique(tris)
+        pairs = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [0, 2]]])
+        pairs = np.sort(pairs, axis=1)
+        uniq_edges, counts = np.unique(pairs, axis=0, return_counts=True)
+        if not np.all(counts == 2):
+            raise DegenerateSampleError("an interior zero surface is not a closed 2-manifold",
+                                        "non_manifold")
+        chi = len(verts) - len(uniq_edges) + len(tris)
+        if chi % 2 or chi > 2:
+            raise DegenerateSampleError("mesh Euler characteristic is not that of a closed surface",
+                                        "bad_euler")
+        return f"genus{(2 - chi) // 2}"
+
+    return tag
 
 
 def classify_topology(dec: NodalDecomposition) -> Counter:
-    """Histogram of the class tags ("circle" / "genusG") of the interior zero pieces."""
+    """Histogram of the class tags ("circle" / "genusG") of the interior zero pieces.
+
+    A piece that is not closed raises DegenerateSampleError; the first such
+    piece in piece order gives the reason.
+    """
     z = dec._ensure_zero()
-    return Counter(_piece_tag(z, p) for p in range(z.npieces) if not z.piece_boundary[p])
+    interior = np.flatnonzero(~z.piece_boundary).tolist()
+    if not interior:
+        return Counter()
+    tag = _piece_tagger(z)
+    return Counter(tag(p) for p in interior)
 
 
 def export_components_csv(dec: NodalDecomposition, path: str) -> None:
@@ -589,6 +648,7 @@ def export_components_csv(dec: NodalDecomposition, path: str) -> None:
         tree: NestingTree | None = build_nesting_tree(dec)
     except DegenerateSampleError:
         tree = None
+    tag_of = _piece_tagger(z)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["id", "sign", "size", "boundary", "measure", "class"])
@@ -600,5 +660,5 @@ def export_components_csv(dec: NodalDecomposition, path: str) -> None:
                 if p is not None:
                     measure = repr(float(z.piece_measure[p]))
                     if not z.piece_boundary[p]:
-                        tag = _piece_tag(z, p)
+                        tag = tag_of(p)
             w.writerow([c.id, "+" if c.sign > 0 else "-", c.size, int(c.touches_boundary), measure, tag])
