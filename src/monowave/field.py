@@ -6,8 +6,10 @@ regular lattice (on_grid). Pointwise evaluation reads the polar form
 F(x) = sum_j |c_j| cos(2 pi <v_j, x> + arg c_j): one cosine per plane wave,
 in blocks of points. The lattice fill is low rank: Chebyshev
 interpolation in the frequency turns the J-term sum into a small core tensor
-contracted with per-axis tables (_lowrank_grid); plane_wave_grid is the direct
-rank-J product it is checked against. The deterministic wave is
+contracted with per-axis tables (_lowrank_grid); the same core, contracted
+with a differentiated table on one axis, gives each partial derivative
+(_lowrank_value_and_gradient). plane_wave_grid is the direct rank-J product
+they are checked against. The deterministic wave is
 f(x) = (2N)^{-1/2} * sum over |n| <= N of a_n e(<r_n, x>) with
 a_{-n} = conj(a_n), r_{-n} = -r_n; MonochromaticWave folds it to the one-sided
 form c_n = sqrt(2/N) a_n, so results are exactly real.
@@ -120,12 +122,17 @@ class PlaneWaveSum:
         return _lowrank_grid(self.freqs, self.amps, origin, shape, h)
 
 
-def _lattice_origin(freqs: np.ndarray, origin, shape) -> np.ndarray:
-    """The origin as floats; a lattice whose dimension is not the field's is refused."""
+def _checked_origin(freqs: np.ndarray, coeffs, origin, shape) -> np.ndarray:
+    """The origin as floats; a lattice whose dimension is not the field's is refused.
+
+    So is a coefficient array that is not one entry per plane wave.
+    """
     origin = np.asarray(origin, dtype=float)
     m = freqs.shape[1]
     if len(shape) != m or origin.shape != (m,):
         raise ValueError(f"grid shape and origin must have one entry per axis of R^{m}")
+    if np.shape(coeffs) != (len(freqs),):
+        raise ValueError("need one coefficient per plane wave")
     return origin
 
 
@@ -134,33 +141,29 @@ def plane_wave_grid(freqs: np.ndarray, coeffs: np.ndarray, origin, shape, h: flo
 
     exp(2 pi i v.x) splits into a product of per-axis phase vectors, so the
     grid fill is a (chunked) complex matrix product of rank J instead of
-    pointwise trigonometry; values match pointwise evaluation to rounding. A
-    (K, J) stack of coefficient vectors gives K grids, shape (K, *shape), that
-    share the phase tables. A lattice whose dimension is not the field's is
-    refused. This direct product is the reference for the low-rank
-    _lowrank_grid, which fills the lattices of the pipeline.
+    pointwise trigonometry; values match pointwise evaluation to rounding.
+    coeffs holds one coefficient per plane wave. A lattice whose dimension
+    is not the field's is refused. This direct product is the reference for
+    the low-rank _lowrank_grid, which fills the lattices of the pipeline.
     """
-    origin = _lattice_origin(freqs, origin, shape)
+    origin = _checked_origin(freqs, coeffs, origin, shape)
+    coeffs = np.asarray(coeffs)
     m = freqs.shape[1]
     axes = []
     for a in range(m):
         coords = origin[a] + h * np.arange(shape[a])
         axes.append(np.exp(2j * np.pi * np.outer(freqs[:, a], coords)))  # (J, n_a)
-    stack = np.atleast_2d(coeffs)
-    out = np.zeros((len(stack), shape[0], int(np.prod(shape[1:]))))
+    if m == 2:
+        return np.ascontiguousarray(((axes[0] * coeffs[:, None]).T @ axes[1]).real)
+    out = np.zeros((shape[0], int(np.prod(shape[1:]))))
     step = 128
-    for k, c in enumerate(stack):
-        if m == 2:
-            out[k] = ((axes[0] * c[:, None]).T @ axes[1]).real
-        else:
-            for lo in range(0, len(c), step):
-                u = axes[0][lo : lo + step] * c[lo : lo + step, None]
-                vw = (
-                    axes[1][lo : lo + step, :, None] * axes[2][lo : lo + step, None, :]
-                ).reshape(-1, shape[1] * shape[2])
-                out[k] += (u.T @ vw).real
-    out = out.reshape(len(stack), *shape)
-    return out if np.ndim(coeffs) == 2 else out[0]
+    for lo in range(0, len(coeffs), step):
+        u = axes[0][lo : lo + step] * coeffs[lo : lo + step, None]
+        vw = (
+            axes[1][lo : lo + step, :, None] * axes[2][lo : lo + step, None, :]
+        ).reshape(-1, shape[1] * shape[2])
+        out += (u.T @ vw).real
+    return out.reshape(shape)
 
 
 # Truncation error of the low-rank fill, relative to sum_j |c_j|.
@@ -180,63 +183,109 @@ def _lowrank_grid(freqs: np.ndarray, coeffs: np.ndarray, origin, shape, h: float
     tensor sum_j c_j e(<v_j, c>) (x)_a Lam_a[:, j] of shape (L_1, ..., L_m),
     contracted with the tables T_a: the low-rank NUFFT of Ruiz-Antolin &
     Townsend (SIAM J. Sci. Comput. 2018) on a uniform grid. The cost is about
-    J prod L_a + n^m L instead of J n^m.
+    J prod L_a + n^m L instead of J n^m. _chebyshev_core builds the core and
+    the tables, _contract contracts them.
 
     Bound. As a function of t, e(rho_a t y) = exp(i w t) with |w| <= omega_a =
     2 pi rho_a r_a has the Chebyshev coefficients eps_k i^k J_k(w), eps_k <= 2
     (Jacobi-Anger), and |J_k(w)| <= (omega_a/2)^k / k!. Interpolation at L
     points errs by at most twice the coefficient tail from degree L on
     (Trefethen, ATAP, Thm 8.2), so each axis factor errs by at most
-    eps_a = 4 sum_{k >= L_a} (omega_a/2)^k / k!, and the product of m unit
-    factors by at most (1 + eps)^m - 1, about m eps. L_a is the fewest points,
-    at least 2, with 4 m sum_{k >= L_a} (omega_a/2)^k / k! <= _LOWRANK_TOL:
-    every value errs by at most about 1e-15 sum_j |c_j| before rounding (at
-    rho = 1: 61 points for r = 4, 70 for r = 5). Rounding adds a few
+    eps_a(L_a), eps_a(L) = 4 sum_{k >= L} (omega_a/2)^k / k!, and the product
+    of m unit factors by at most (1 + eps)^m - 1, about m eps. L_a is the
+    fewest points, at least 2, with m eps_a(L_a) <= _LOWRANK_TOL: every value
+    errs by at most about 1e-15 sum_j |c_j| before rounding (at rho = 1:
+    61 points for r = 4, 70 for r = 5). Rounding adds a few
     1e-15 sum_j |c_j|, as it does in plane_wave_grid.
     """
-    origin = _lattice_origin(freqs, origin, shape)
+    core, tabs, _ = _chebyshev_core(freqs, coeffs, origin, shape, h)
+    return _contract(core, tabs)
+
+
+def _lowrank_value_and_gradient(freqs: np.ndarray, coeffs: np.ndarray, origin, shape,
+                                h: float) -> tuple[np.ndarray, list[np.ndarray]]:
+    """_lowrank_grid and the m partial-derivative grids, all from one Chebyshev core.
+
+    The value grid is _lowrank_grid's, bitwise. Since
+    d/dy e(rho_a x_l y) = 2 pi i rho_a x_l e(rho_a x_l y), the grid of
+    d F / d x_a is the same core contracted with the differentiated table
+    D_a = 2 pi i rho_a diag(x_l) T_a on axis a and the tables T_b on the
+    others: plane_wave_grid with coefficients 2 pi i v_a c, to the bound below.
+
+    Bound. On axis a, D_a interpolates 2 pi i rho_a t e(rho_a t y) at t = t_j.
+    As t T_k = (T_{k-1} + T_{k+1}) / 2, t e(rho_a t y) has the Chebyshev
+    coefficients (a_{k-1} + a_{k+1}) / 2 from degree 2 on (a_k those of
+    e(rho_a t y)), so its tail from L is at most the value's tail from L - 1
+    and the factor errs by at most 2 pi rho_a eps_a(L_a - 1) (eps_a as in
+    _lowrank_grid). With the other m - 1 unit factors, each within
+    _LOWRANK_TOL / m, the d/dx_a grid errs by at most about
+    2 pi rho_a (eps_a(L_a - 1) + _LOWRANK_TOL) sum_j |c_j| before rounding.
+    """
+    core, tabs, slopes = _chebyshev_core(freqs, coeffs, origin, shape, h)
+    grads = []
+    for a, slope in enumerate(slopes):
+        d_tabs = list(tabs)
+        d_tabs[a] = slope[:, None] * tabs[a]
+        grads.append(_contract(core, d_tabs))
+    return _contract(core, tabs), grads
+
+
+def _chebyshev_core(freqs: np.ndarray, coeffs: np.ndarray, origin, shape,
+                    h: float) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """The complex core (L_1, ..., L_m) of _lowrank_grid and its tables T_a (L_a, n_a).
+
+    Also 2 pi i rho_a x_l (L_a,) per axis, the scale of the differentiated table.
+    """
+    origin = _checked_origin(freqs, coeffs, origin, shape)
     m = freqs.shape[1]
     n = np.asarray(shape)
     r = h * (n - 1) / 2
-    stack = np.atleast_2d(coeffs) * np.exp(2j * np.pi * (freqs @ (origin + r)))  # (K, J)
+    c = coeffs * np.exp(2j * np.pi * (freqs @ (origin + r)))
     rho = np.abs(freqs).max(axis=0, initial=0.0)
     rho[rho == 0] = 1.0  # an axis without frequency content: every t_j is 0
-    lams, tabs = [], []
+    lams, tabs, slopes = [], [], []
     for a in range(m):
         count = _chebyshev_count(TWO_PI * rho[a] * r[a], m)
         lam, nodes = _barycentric_weights(freqs[:, a] / rho[a], count)
         lams.append(lam)  # (L_a, J)
         y = h * (np.arange(n[a]) - (n[a] - 1) / 2)
         tabs.append(np.exp(2j * np.pi * rho[a] * np.outer(nodes, y)))  # (L_a, n_a)
+        slopes.append(2j * np.pi * rho[a] * nodes)
 
-    # the core by real products, one block per (real or imaginary part, k);
-    # 2D keeps each weighted table small, 3D chunks the (J, L_2 L_3) pair table
-    K, L = len(stack), [len(lam) for lam in lams]
-    parts = np.concatenate([stack.real, stack.imag])  # (2K, J)
+    # the core by real products, one block per real or imaginary part; 2D
+    # keeps each weighted table small, 3D chunks the (J, L_2 L_3) pair table
+    L = [len(lam) for lam in lams]
+    parts = np.stack([c.real, c.imag])  # (2, J)
     if m == 2:
         core = np.stack([(lams[0] * p) @ lams[1].T for p in parts])
     else:
-        rows = (parts[:, None, :] * lams[0]).reshape(2 * K * L[0], -1)
+        rows = (parts[:, None, :] * lams[0]).reshape(2 * L[0], -1)
         core = np.zeros((len(rows), L[1] * L[2]))
         step = 128
         for lo in range(0, len(freqs), step):
             pair = lams[1][:, None, lo : lo + step] * lams[2][None, :, lo : lo + step]
             core += rows[:, lo : lo + step] @ pair.reshape(L[1] * L[2], -1).T
-    core = core.reshape(2, K, L[0], -1)
-    core = core[0] + 1j * core[1]
+    core = core.reshape(2, *L)
+    return core[0] + 1j * core[1], tabs, slopes
 
-    # contract the trailing axes, then the first by a real product that keeps only Re
+
+def _contract(core: np.ndarray, tabs: list[np.ndarray]) -> np.ndarray:
+    """Re of the core contracted with one table per axis: the grid, shape (n_1, ..., n_m).
+
+    The trailing axes are contracted first; the first by a real product that
+    keeps only Re, written into the one grid-sized array.
+    """
+    n = [t.shape[1] for t in tabs]
+    L = core.shape
+    if len(tabs) == 2:
+        rest = core @ tabs[1]
+    else:
+        rest = (core.reshape(L[0] * L[1], L[2]) @ tabs[2]).reshape(L[0], L[1], n[2])
+        rest = np.matmul(tabs[1].T, rest).reshape(L[0], -1)
     first = np.concatenate([tabs[0].real, -tabs[0].imag]).T  # (n_1, 2 L_1)
-    out = np.empty((K, n[0], int(np.prod(n[1:]))))
-    for k in range(K):
-        if m == 2:
-            rest = core[k] @ tabs[1]
-        else:
-            rest = (core[k].reshape(L[0] * L[1], L[2]) @ tabs[2]).reshape(L[0], L[1], n[2])
-            rest = np.matmul(tabs[1].T, rest).reshape(L[0], -1)
-        np.matmul(first, np.concatenate([rest.real, rest.imag]), out=out[k])
-    out = out.reshape(K, *shape)
-    return out if np.ndim(coeffs) == 2 else out[0]
+    out = np.empty((n[0], int(np.prod(n[1:]))))
+    np.matmul(first, np.concatenate([rest.real, rest.imag]), out=out)
+    return out.reshape(n)
 
 
 def _chebyshev_count(omega: float, m: int) -> int:
@@ -244,15 +293,27 @@ def _chebyshev_count(omega: float, m: int) -> int:
 
     Once L + 1 > omega/2 the terms fall geometrically, so the tail is at most
     its first term over 1 - omega / (2 (L + 1)); logs keep large omega finite.
+    That bound decreases in L from L = max(2, ceil(omega/2)) on, so L is
+    found by doubling the step until the bound holds, then by bisection.
     """
     half = omega / 2
-    count = max(2, math.ceil(half))
+    lo = max(2, math.ceil(half))
     if half == 0:
-        return count
-    while (math.log(4 * m) + count * math.log(half) - math.lgamma(count + 1)
-           - math.log1p(-half / (count + 1))) > math.log(_LOWRANK_TOL):
-        count += 1
-    return count
+        return lo
+
+    def holds(count: int) -> bool:
+        return (math.log(4 * m) + count * math.log(half) - math.lgamma(count + 1)
+                - math.log1p(-half / (count + 1))) <= math.log(_LOWRANK_TOL)
+
+    if holds(lo):
+        return lo
+    hi, step = lo + 1, 1
+    while not holds(hi):  # the bound fails at lo and holds at hi
+        lo, hi, step = hi, hi + 2 * step, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return hi
 
 
 def _barycentric_weights(t: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:

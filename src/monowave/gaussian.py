@@ -8,12 +8,13 @@ uniform phases.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import PlaneWaveSum, _chebyshev_count, _lowrank_grid, bessel_sequence
+from .field import PlaneWaveSum, _chebyshev_count, _lowrank_value_and_gradient, bessel_sequence
 from .grid import lattice_ball
 from .partition import SpherePartition, positive_side
 
@@ -159,6 +160,17 @@ def _sphere_mesh(radius: float, h: float) -> np.ndarray:
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _circle_factors(W: float) -> np.ndarray:
+    """i^|k| J_|k|(2 pi W) for k = -K..K, K = _chebyshev_count(2 pi W, 2): read-only, once per W."""
+    w = TWO_PI * W
+    K = _chebyshev_count(w, 2)
+    k = np.abs(np.arange(-K, K + 1))
+    factors = np.array([1, 1j, -1, -1j])[k % 4] * bessel_sequence(w, K)[k]
+    factors.flags.writeable = False
+    return factors
+
+
 def _circle_series(field: PlaneWaveSum, W: float, h: float) -> tuple[np.ndarray, np.ndarray]:
     """f and its tangential derivative at W (cos a_p, sin a_p), a_p = 2 pi p / n.
 
@@ -168,28 +180,32 @@ def _circle_series(field: PlaneWaveSum, W: float, h: float) -> tuple[np.ndarray,
     f(W cos a, W sin a) = Re sum_k i^k J_k(w) S_k e^{ika} with
     S_k = sum_j c_j e^{-ik theta_j}. The tangential derivative, d/da over W,
     is the same series with terms times ik / W. Since J_{-k} = (-1)^k J_k,
-    the factor of order k is i^|k| J_|k|(w). S_k comes from the powers of
-    e^{-i theta_j} = v_j1 - i v_j2, one cumulative product; each series is
-    one inverse FFT of the spectrum folded mod n, which is exact at n
-    equispaced angles, so 2K + 1 may exceed n. The orders stop at
-    K = _chebyshev_count(w, 2). Since |J_k(w)| <= (w/2)^k / k!, the dropped
-    terms weigh at most 2 sum_{k > K} (w/2)^k / k! sum_j |c_j| in the value
-    and 2 pi sum_{k >= K} (w/2)^k / k! sum_j |c_j| in the derivative, both
-    below 1e-15 sum_j |c_j|. The powers need |v_j| = 1: frequencies off the
-    unit circle by more than 1e-12 are refused.
+    the factor of order k is i^|k| J_|k|(w); the factors depend on W alone
+    and are computed once per W (_circle_factors). S_k comes from the powers
+    of e^{-i theta_j} = v_j1 - i v_j2, a (K, J) table built one order at a
+    time; each series is one inverse FFT of the spectrum folded mod n, which
+    is exact at n equispaced angles, so 2K + 1 may exceed n. The orders stop
+    at K = _chebyshev_count(w, 2). Since |J_k(w)| <= (w/2)^k / k!, the
+    dropped terms weigh at most 2 sum_{k > K} (w/2)^k / k! sum_j |c_j| in
+    the value and 2 pi sum_{k >= K} (w/2)^k / k! sum_j |c_j| in the
+    derivative, both below 1e-15 sum_j |c_j|. The powers need |v_j| = 1:
+    frequencies off the unit circle by more than 1e-12 are refused.
     """
     freqs, c = field.plane_waves()
     u = freqs[:, 0] + 1j * freqs[:, 1]  # e^{i theta_j}
     if np.any(np.abs(np.abs(u) - 1.0) > 1e-12):
         raise ValueError("the circle probe needs unit frequencies (within 1e-12)")
-    w = TWO_PI * W
-    K = _chebyshev_count(w, 2)
+    factors = _circle_factors(W)
+    K = len(factors) // 2
     # e^{ik theta_j} for k = 1..K, then S_k for k = -K..K
-    powers = np.cumprod(np.broadcast_to(u[:, None], (len(u), K)), axis=1)
-    S = np.concatenate([(c @ powers)[::-1], [np.sum(c)], np.conj(np.conj(c) @ powers)])
+    powers = np.empty((K, len(u)), dtype=complex)
+    powers[0] = u
+    for row in range(1, K):
+        np.multiply(powers[row - 1], u, out=powers[row])
+    S = np.concatenate([(powers @ c)[::-1], [np.sum(c)], np.conj(powers @ np.conj(c))])
     k = np.arange(-K, K + 1)
-    terms = np.array([1, 1j, -1, -1j])[np.abs(k) % 4] * bessel_sequence(w, K)[np.abs(k)] * S
-    n = max(64, int(np.ceil(w / h)))
+    terms = factors * S
+    n = max(64, int(np.ceil(TWO_PI * W / h)))
     spec = np.zeros((2, n), dtype=complex)
     np.add.at(spec[0], k % n, terms)
     np.add.at(spec[1], k % n, 1j * k / W * terms)
@@ -204,9 +220,10 @@ def check_nondegenerate(field: PlaneWaveSum, W: float, h: float = 0.05,
     The bulk points are grid.lattice_ball's h Z^m within B(W+1): its box gives
     the fill's origin and shape, its mask the points that count. g and each
     partial derivative (the same sum with coefficients 2 pi i v_a c) come from
-    m + 1 grid fills, one low-rank fill of the (m + 1, J) coefficient stack
-    that shares its interpolation tables. The spherical part is |g| plus the
-    tangential gradient: in R^2 on max(64, ceil(2 pi W / h)) equispaced
+    one Chebyshev core of the low-rank fill, contracted once with the
+    interpolation tables and once per axis with that axis's differentiated
+    table (field._lowrank_value_and_gradient). The spherical part is |g|
+    plus the tangential gradient: in R^2 on max(64, ceil(2 pi W / h)) equispaced
     points of the circle, from the field's Jacobi-Anger series
     (_circle_series; within 1e-15 sum_j |c_j| of pointwise evaluation before
     rounding, so the field's frequencies must be unit vectors); in R^3
@@ -222,8 +239,8 @@ def check_nondegenerate(field: PlaneWaveSum, W: float, h: float = 0.05,
 
     axes, inside = lattice_ball(np.zeros(m), W + 1, h)
     freqs, c = field.plane_waves()
-    val, *grads = _lowrank_grid(freqs, np.vstack([c, TWO_PI * 1j * freqs.T * c]),
-                                np.array([ax[0] for ax in axes]), inside.shape, h)
+    val, grads = _lowrank_value_and_gradient(freqs, c, np.array([ax[0] for ax in axes]),
+                                             inside.shape, h)
     psi = np.abs(val) + np.sqrt(sum(g**2 for g in grads))
     min_bulk = float(psi[inside].min())
 

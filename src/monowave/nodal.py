@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _mc_tables as mct
-from .grid import ScalarGrid
+from .grid import ScalarGrid, _squared_bound
 
 TIE_EPS = 1e-13  # |value| below this is treated as +TIE_EPS everywhere
 
@@ -110,16 +110,14 @@ class NodalDecomposition:
         return self._zero
 
 
-def _shell(grid: ScalarGrid, band: float = 1.0) -> np.ndarray:
-    """Outermost in-domain layer: near the mask sphere, or the box faces.
+def _shell(grid: ScalarGrid) -> np.ndarray:
+    """Outermost in-domain layer: within one spacing of the mask sphere, or the box faces.
 
-    band scales the sphere-side width in units of the spacing. Component
-    boundary detection uses 1; zero pieces use 2, because a crossing edge
-    whose companion cell has an out-of-mask corner (so its curve end dangles)
-    can sit up to sqrt(m) * h inside the sphere.
+    Component boundary detection reads it over the whole grid; zero pieces
+    read a wider band at their crossing edges only (_shell_at).
     """
     if grid.ball_radius is not None:
-        return grid.mask() & ~grid.within(grid.ball_radius - band * grid.spacing)
+        return grid.mask() & ~grid.within(grid.ball_radius - grid.spacing)
     sh = np.zeros(grid.shape, dtype=bool)
     for a in range(grid.dim):
         sl: list = [slice(None)] * grid.dim
@@ -128,6 +126,25 @@ def _shell(grid: ScalarGrid, band: float = 1.0) -> np.ndarray:
         sl[a] = -1
         sh[tuple(sl)] = True
     return sh
+
+
+def _shell_at(grid: ScalarGrid, vertices: np.ndarray, band: float) -> np.ndarray:
+    """The shell of width band spacings at the given in-mask flat vertex indices.
+
+    band = 1 is _shell, to the bit: the sphere-side test adds the same
+    squares in axis order as ScalarGrid.within. Zero pieces use 2, because a
+    crossing edge whose companion cell has an out-of-mask corner (so its
+    curve end dangles) can sit up to sqrt(m) * h inside the sphere. No
+    grid-sized array is built.
+    """
+    idx = np.unravel_index(vertices, grid.shape)
+    if grid.ball_radius is None:
+        return np.logical_or.reduce([(i == 0) | (i == n - 1) for i, n in zip(idx, grid.shape)])
+    sq = 0.0
+    for a in range(grid.dim):
+        d = grid.axis_coords(a)[idx[a]] - grid.ball_center[a]
+        sq = sq + d**2
+    return sq > _squared_bound(grid.ball_radius - band * grid.spacing)
 
 
 def label_domains(grid: ScalarGrid) -> NodalDecomposition:
@@ -386,8 +403,8 @@ def _extract_zero_set(grid: ScalarGrid, labels: np.ndarray) -> _ZeroSet:
     elem_piece = edge_piece[elements[:, 0]] if U else np.empty(0, dtype=np.intp)
     piece_measure = np.bincount(elem_piece, weights=measure, minlength=npieces)
 
-    shell_flat = _shell(grid, band=2.0).reshape(-1)
-    edge_shell = shell_flat[ends_u] | shell_flat[ends_v]
+    # every crossing edge lies in the mask; the band is read at its endpoints
+    edge_shell = _shell_at(grid, ends_u, band=2.0) | _shell_at(grid, ends_v, band=2.0)
     piece_boundary = np.zeros(npieces, dtype=bool)
     np.logical_or.at(piece_boundary, edge_piece, edge_shell)
 

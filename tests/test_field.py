@@ -280,6 +280,30 @@ def test_bessel_sequence_at_circle_probe_orders(W):
     assert np.max(np.abs(ours - special.jv(np.arange(K + 1), z))) < 1e-14
 
 
+def _linear_chebyshev_count(omega: float, m: int) -> int:
+    """Oracle: the first L from max(2, ceil(omega/2)) on where the tail bound holds, by linear scan."""
+    half = omega / 2
+    count = max(2, math.ceil(half))
+    if half == 0:
+        return count
+    while (math.log(4 * m) + count * math.log(half) - math.lgamma(count + 1)
+           - math.log1p(-half / (count + 1))) > math.log(field._LOWRANK_TOL):
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_chebyshev_count_bisection_matches_linear_scan(m):
+    omegas = np.concatenate([
+        np.linspace(0.0, 2000.0, 1601),  # step 1.25: coarse and fine counts alike
+        np.linspace(0.0, 64.0, 2561),  # every count the fills and circle probes use
+        [5e-324, 1e-300], np.geomspace(1e-12, 1.0, 121),  # tiny: L = 2, 3, 4, ...
+        [2 * math.pi * 4, 2 * math.pi * 5],
+    ])
+    for omega in omegas.tolist():
+        assert _chebyshev_count(omega, m) == _linear_chebyshev_count(omega, m), omega
+
+
 def test_covariance_kernels():
     # the atomic kernel is the plane-wave sum of the measure's atoms and weights
     cos_dirs = DirectionSet(2, 1, np.array([[1.0, 0.0]]))

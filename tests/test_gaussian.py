@@ -9,6 +9,7 @@ from monowave.directions import generate_uniform_directions, empirical_measure
 from monowave.field import PlaneWaveSum, bessel_j
 from monowave.gaussian import (
     SpectralMeasure,
+    _circle_factors,
     _circle_series,
     _sphere_mesh,
     check_nondegenerate,
@@ -218,6 +219,31 @@ def test_circle_series_matches_pointwise(W, atomic):
     assert len(series_val) == len(pts)
     assert np.max(np.abs(series_val - val)) <= 1e-12 * scale
     assert np.max(np.abs(series_tangential - tangential)) <= 1e-12 * scale
+
+
+def test_circle_series_with_cached_factors():
+    # the Bessel factors are computed once per W: repeated and interleaved calls,
+    # in either order of W, read the factors of a fresh computation and give
+    # the pointwise circle values
+    F = sample_uniform(2, 1024, 7)
+    h = 0.1
+    scale = np.abs(F.plane_waves()[1]).sum()
+    Ws = [0.5, 1.0, 4.0, 12.0]
+    for order in (Ws, Ws[::-1]):
+        _circle_factors.cache_clear()
+        for W in order + order:
+            assert np.array_equal(_circle_factors(W), _circle_factors.__wrapped__(W))
+            pts = _circle_points(W, h)
+            val, grad = F.value_and_gradient(pts)
+            tangential = (pts[:, 0] * grad[:, 1] - pts[:, 1] * grad[:, 0]) / W
+            series_val, series_tangential = _circle_series(F, W, h)
+            assert np.max(np.abs(series_val - val)) <= 1e-12 * scale
+            assert np.max(np.abs(series_tangential - tangential)) <= 1e-12 * scale
+        assert _circle_factors.cache_info().misses == len(Ws)
+    factors = _circle_factors(4.0)
+    assert not factors.flags.writeable
+    with pytest.raises(ValueError):
+        factors[0] = 0
 
 
 def test_circle_probe_refuses_non_unit_frequencies():

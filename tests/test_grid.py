@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monowave.directions import generate_uniform_directions, log_rational_directions
-from monowave.field import _LOWRANK_TOL, PlaneWaveSum, _lowrank_grid, make_wave
+from monowave.field import (
+    _LOWRANK_TOL,
+    PlaneWaveSum,
+    _chebyshev_count,
+    _lowrank_grid,
+    _lowrank_value_and_gradient,
+    make_wave,
+)
 from monowave.gaussian import sample_uniform
 from monowave.grid import (
     ScalarGrid,
@@ -72,57 +79,88 @@ def test_plane_wave_grid_against_direct_sum():
         axis=-1,
     ).reshape(-1, 2)
     direct = (np.exp(2j * np.pi * (pts @ freqs.T)) @ coeffs).real.reshape(shape)
-    assert np.max(np.abs(got.reshape(shape) - direct)) < 1e-12
+    assert got.shape == shape and got.flags.c_contiguous
+    assert np.max(np.abs(got - direct)) < 1e-12
+    # 3D, with more terms than one 3D chunk
+    freqs = rng.standard_normal((300, 3))
+    coeffs = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+    origin, shape = rng.standard_normal(3), (5, 6, 4)
+    got = plane_wave_grid(freqs, coeffs, origin, shape, 0.11)
+    axes = [origin[a] + 0.11 * np.arange(shape[a]) for a in range(3)]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    direct = (np.exp(2j * np.pi * (pts @ freqs.T)) @ coeffs).real.reshape(shape)
+    assert got.shape == shape
+    assert np.max(np.abs(got - direct)) < 1e-11
 
 
-@pytest.mark.parametrize("m", [2, 3])
-def test_plane_wave_grid_stack_matches_single_fills(m):
-    # a (K, J) stack shares the phase tables; each grid must equal its own fill
-    rng = np.random.default_rng(m)
-    freqs = rng.standard_normal((300, m))  # more terms than one 3D chunk
-    stack = rng.standard_normal((3, 300)) + 1j * rng.standard_normal((3, 300))
-    origin, shape, h = rng.standard_normal(m), (5, 6, 4)[:m], 0.11
-    got = plane_wave_grid(freqs, stack, origin, shape, h)
-    assert got.shape == (3, *shape)
-    axes = [origin[a] + h * np.arange(shape[a]) for a in range(m)]
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
-    for k in range(3):
-        assert np.array_equal(got[k], plane_wave_grid(freqs, stack[k], origin, shape, h))
-        direct = (np.exp(2j * np.pi * (pts @ freqs.T)) @ stack[k]).real.reshape(shape)
-        assert np.max(np.abs(got[k] - direct)) < 1e-11
-
-
-def _lowrank_tolerance(coeffs, origin, shape, h) -> np.ndarray:
-    """Allowed |low-rank - direct| per grid: the truncation bound plus rounding of both fills.
+def _rounding(origin, shape, h) -> float:
+    """Rounding of a fill relative to the coefficient scale.
 
     Both fills round phases of size up to 2 pi |x| on the lattice, so each
-    value may differ by a few eps (1 + 2 pi |x|) sum_j |c_j| on top of
-    _LOWRANK_TOL sum_j |c_j|.
+    value may differ by a few eps (1 + 2 pi |x|) times the scale.
     """
     far = np.linalg.norm(np.abs(origin) + h * (np.asarray(shape) - 1))
-    rounding = 4 * np.finfo(float).eps * (1 + 2 * math.pi * far)
-    return (_LOWRANK_TOL + rounding) * np.abs(np.atleast_2d(coeffs)).sum(axis=1)
+    return 4 * np.finfo(float).eps * (1 + 2 * math.pi * far)
+
+
+def _lowrank_tolerance(coeffs, origin, shape, h) -> float:
+    """Allowed |low-rank - direct|: the truncation bound plus rounding of both fills."""
+    return (_LOWRANK_TOL + _rounding(origin, shape, h)) * np.abs(coeffs).sum()
+
+
+def _tail(omega: float, L: int) -> float:
+    """4 sum_{k >= L} (omega/2)^k / k!, summed until the terms fall below rounding."""
+    half = omega / 2
+    if half == 0:
+        return 0.0
+    k, term, total = L, math.exp(L * math.log(half) - math.lgamma(L + 1)), 0.0
+    while term > 1e-20 * total or k <= half:
+        total += term
+        k += 1
+        term *= half / k
+    return 4 * total
+
+
+def _gradient_tolerance(freqs, coeffs, origin, shape, h, a) -> float:
+    """Allowed |low-rank - direct| for d/dx_a: the bound of _lowrank_value_and_gradient plus rounding.
+
+    2 pi rho_a (eps_a(L_a - 1) + _LOWRANK_TOL) sum_j |c_j|, with L_a and
+    omega_a as the fill picks them, and the rounding of _lowrank_tolerance
+    on the derivative's scale 2 pi rho_a sum_j |c_j|.
+    """
+    m = freqs.shape[1]
+    rho = np.abs(freqs[:, a]).max() or 1.0
+    omega = 2 * math.pi * rho * h * (shape[a] - 1) / 2
+    L = _chebyshev_count(omega, m)
+    scale = 2 * math.pi * rho * np.abs(coeffs).sum()
+    return (_tail(omega, L - 1) + _LOWRANK_TOL + _rounding(origin, shape, h)) * scale
 
 
 def _assert_lowrank_matches_direct(freqs, coeffs, origin, shape, h):
     got = _lowrank_grid(freqs, coeffs, origin, shape, h)
     want = plane_wave_grid(freqs, coeffs, origin, shape, h)
-    assert got.shape == want.shape
+    assert got.shape == want.shape == shape
     assert not np.isnan(got).any()
-    err = np.abs(got - want).reshape(len(np.atleast_2d(coeffs)), -1).max(axis=1)
-    assert np.all(err <= _lowrank_tolerance(coeffs, origin, shape, h))
+    assert np.abs(got - want).max() <= _lowrank_tolerance(coeffs, origin, shape, h)
+    # the value-and-gradient fill: its value grid is _lowrank_grid's, bitwise, and
+    # each d/dx_a grid is the direct fill with coefficients 2 pi i v_a c
+    val, grads = _lowrank_value_and_gradient(freqs, coeffs, origin, shape, h)
+    assert np.array_equal(val, got)
+    assert len(grads) == len(shape)
+    for a, grad in enumerate(grads):
+        want = plane_wave_grid(freqs, 2j * np.pi * freqs[:, a] * coeffs, origin, shape, h)
+        assert grad.shape == shape
+        assert np.abs(grad - want).max() <= _gradient_tolerance(freqs, coeffs, origin, shape, h, a)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.integers(0, 3))
-def test_lowrank_fill_matches_direct_fill(seed, m, K):
-    # K = 0 is a single coefficient vector, K >= 1 a (K, J) stack
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
+def test_lowrank_fill_matches_direct_fill(seed, m):
     rng = np.random.default_rng(seed)
     J = int(rng.integers(1, 300))
     freqs = rng.standard_normal((J, m))
     freqs *= rng.uniform(0.2, 1.5) / np.linalg.norm(freqs, axis=1, keepdims=True)
-    coeffs = rng.standard_normal((max(K, 1), J)) + 1j * rng.standard_normal((max(K, 1), J))
-    coeffs = coeffs if K else coeffs[0]
+    coeffs = rng.standard_normal(J) + 1j * rng.standard_normal(J)
     origin = rng.uniform(-3.0, 3.0, m)  # off-centre boxes: the centre phase is folded in
     shape = tuple(int(n) for n in rng.integers(2, 60 if m == 2 else 20, m))
     _assert_lowrank_matches_direct(freqs, coeffs, origin, shape, float(rng.uniform(0.02, 0.25)))
@@ -148,7 +186,7 @@ def test_lowrank_fill_on_grids_smaller_than_the_point_count(shape):
     rng = np.random.default_rng(len(shape))
     freqs = rng.standard_normal((40, len(shape)))
     freqs /= np.linalg.norm(freqs, axis=1, keepdims=True)
-    coeffs = rng.standard_normal((2, 40)) + 1j * rng.standard_normal((2, 40))
+    coeffs = rng.standard_normal(40) + 1j * rng.standard_normal(40)
     # h = 0.25 still needs several points per axis; these grids have fewer
     _assert_lowrank_matches_direct(freqs, coeffs, rng.uniform(-2, 2, len(shape)), shape, 0.25)
 
@@ -162,13 +200,16 @@ def test_grid_fills_refuse_a_dimension_mismatch():
         F.on_grid(np.zeros(2), (3, 3, 3), 0.1)
     with pytest.raises(ValueError):
         sample_on_grid(sample_uniform(3, 64, 1), np.zeros(2), 1.0, 0.1)
-    # the probe's stacked low-rank fill refuses the same way, also a one-entry origin
+    # every fill refuses the same way, also a one-entry origin, and takes one
+    # coefficient per plane wave: no (K, J) stack, no short vector
     F2 = sample_uniform(2, 64, 1)
-    stack = np.vstack([F2.amps, F2.amps])
-    for fill in (_lowrank_grid, plane_wave_grid):
+    for fill in (_lowrank_grid, _lowrank_value_and_gradient, plane_wave_grid):
         for origin, shape in [(np.zeros(1), (3, 3)), (0.0, (3, 3)), (np.zeros(2), (3, 3, 3))]:
             with pytest.raises(ValueError):
-                fill(F2.freqs, stack, origin, shape, 0.1)
+                fill(F2.freqs, F2.amps, origin, shape, 0.1)
+        for coeffs in (np.vstack([F2.amps, F2.amps]), F2.amps[:-1]):
+            with pytest.raises(ValueError, match="one coefficient per plane wave"):
+                fill(F2.freqs, coeffs, np.zeros(2), (3, 3), 0.1)
     assert F.on_grid(np.zeros(3), (3, 3, 3), 0.1).shape == (3, 3, 3)
 
 

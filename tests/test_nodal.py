@@ -558,7 +558,7 @@ def sorted_zero_set(grid: ScalarGrid, labels: np.ndarray) -> nodal._ZeroSet:
     edge_piece, npieces = nodal._connected(U, pa, elements[:, 1:].T.reshape(-1))
     elem_piece = edge_piece[elements[:, 0]] if U else np.empty(0, dtype=np.intp)
     piece_measure = np.bincount(elem_piece, weights=measure, minlength=npieces)
-    shell_flat = nodal._shell(grid, band=2.0).reshape(-1)
+    shell_flat = shell_reference(grid, 2.0).reshape(-1)
     piece_boundary = np.zeros(npieces, dtype=bool)
     np.logical_or.at(piece_boundary, edge_piece, shell_flat[ends_u] | shell_flat[ends_v])
     lab_u = labels[ends_u]
@@ -644,17 +644,67 @@ def test_zero_set_extraction_memory():
     assert peak < 7 * g.values.nbytes
 
 
+def shell_reference(g: ScalarGrid, band: float) -> np.ndarray:
+    """Grid-sized shell: in-mask vertices farther than radius - band h from the centre
+    (np.linalg.norm of every vertex offset), or the box faces of an unmasked grid."""
+    if g.ball_radius is None:
+        faces = np.zeros(g.shape, dtype=bool)
+        for a in range(g.dim):
+            faces[(slice(None),) * a + ([0, -1],)] = True
+        return faces
+    pts = np.stack(np.meshgrid(*[g.axis_coords(a) for a in range(g.dim)], indexing="ij"), axis=-1)
+    radii = np.linalg.norm(pts - g.ball_center, axis=-1)
+    return g.mask() & (radii > g.ball_radius - band * g.spacing)
+
+
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("band", [1.0, 2.0])
 def test_shell_matches_radii(m, band):
     rng = np.random.default_rng(m)
+    box_shape = (9, 12) if m == 2 else (5, 6, 7)
+    box = ScalarGrid(dim=m, origin=np.zeros(m), spacing=0.1, shape=box_shape,
+                     values=np.zeros(math.prod(box_shape)))
+    grids = [box]
     for _ in range(5):
         h = float(rng.uniform(0.05, 0.2))
-        g = sample_on_grid(lambda p: p[:, 0], rng.uniform(-1.0, 1.0, m), float(rng.uniform(0.5, 1.5)), h)
-        pts = np.stack(np.meshgrid(*[g.axis_coords(a) for a in range(m)], indexing="ij"), axis=-1)
-        radii = np.linalg.norm(pts - g.ball_center, axis=-1)
-        ref = g.mask() & (radii > g.ball_radius - band * g.spacing)
-        assert np.array_equal(nodal._shell(g, band), ref)
+        grids.append(sample_on_grid(lambda p: p[:, 0], rng.uniform(-1.0, 1.0, m),
+                                    float(rng.uniform(0.5, 1.5)), h))
+    for g in grids:
+        ref = shell_reference(g, band)
+        if band == 1.0:
+            assert np.array_equal(nodal._shell(g), ref)
+        # the pointwise form, at every in-mask vertex
+        inside = g.mask().reshape(-1)
+        assert np.array_equal(nodal._shell_at(g, np.flatnonzero(inside), band), ref.reshape(-1)[inside])
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_piece_boundary_matches_grid_sized_shell(m):
+    # the zero set reads the band-2 shell at its crossing edges' endpoints only;
+    # piece_boundary must be the one the grid-sized shell gives, bitwise. The
+    # ball grids sample a lattice of bubbles perturbed by a random wave, so each
+    # has pieces inside the band and pieces that reach it
+    rng = np.random.default_rng(53)
+    grids = []
+    for seed in range(4):
+        F = sample_uniform(m, 64, seed)
+        bubbles = lambda p, F=F: np.cos(2 * np.pi * p).sum(axis=-1) - (m - 1) + 0.3 * F.value(p)
+        grids.append(sample_on_grid(bubbles, rng.uniform(-2.0, 2.0, m), float(rng.uniform(1.2, 1.8)),
+                                    float(rng.uniform(0.06, 0.1))))
+    shape = (37, 52) if m == 2 else (15, 18, 21)
+    grids.append(ScalarGrid(dim=m, origin=np.full(m, -0.5), spacing=0.1, shape=shape,
+                            values=sample_uniform(m, 64, 9).on_grid(np.zeros(m), shape, 0.1)))
+    for g in grids:
+        z = nodal._extract_zero_set(g, label_domains(g).labels)
+        shell = shell_reference(g, 2.0).reshape(-1)
+        u, v = edge_endpoints(z.edge_ids, g.shape)
+        want = np.zeros(z.npieces, dtype=bool)
+        np.logical_or.at(want, z.edge_piece, shell[u] | shell[v])
+        assert z.piece_boundary.dtype == bool
+        assert z.piece_boundary.tobytes() == want.tobytes()
+        assert want.any()
+        if g.ball_radius is not None:
+            assert not want.all()
 
 
 def per_cell_elements(grid: ScalarGrid):
