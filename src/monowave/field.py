@@ -6,10 +6,13 @@ regular lattice (on_grid). Pointwise evaluation reads the polar form
 F(x) = sum_j |c_j| cos(2 pi <v_j, x> + arg c_j): one cosine per plane wave,
 in blocks of points. The lattice fill is low rank: Chebyshev
 interpolation in the frequency turns the J-term sum into a small core tensor
-contracted with per-axis tables (_lowrank_grid); the same core, contracted
-with a differentiated table on one axis, gives each partial derivative
-(_lowrank_value_and_gradient). plane_wave_grid is the direct rank-J product
-they are checked against. The deterministic wave is
+over a cover box (_LowRankLattice), built once and contracted with per-axis
+tables for any lattice inside the cover; the same core, contracted with a
+differentiated table on one axis, gives each partial derivative. on_grid
+builds the core over the lattice itself; the nondegeneracy probe builds one
+over its box and the measurement grid of the same draw reuses it.
+plane_wave_grid is the direct rank-J product they are checked against.
+The deterministic wave is
 f(x) = (2N)^{-1/2} * sum over |n| <= N of a_n e(<r_n, x>) with
 a_{-n} = conj(a_n), r_{-n} = -r_n; MonochromaticWave folds it to the one-sided
 form c_n = sqrt(2/N) a_n, so results are exactly real.
@@ -60,7 +63,7 @@ class PlaneWaveSum:
     + phi_j, with weights w_j = |c_j| and offsets phi_j = arg c_j fixed at
     construction; the gradient is -sum_j 2 pi w_j v_j sin psi_j. Points are
     taken in blocks of _BLOCK rows, each block one (points, J) phase table.
-    on_grid fills a regular lattice through the low-rank _lowrank_grid.
+    on_grid fills a regular lattice through a _LowRankLattice over that lattice.
     """
 
     def __init__(self, freqs, amps):
@@ -119,21 +122,22 @@ class PlaneWaveSum:
 
     def on_grid(self, origin, shape, h: float) -> np.ndarray:
         """Values at origin + h * index over a grid of the given shape."""
-        return _lowrank_grid(self.freqs, self.amps, origin, shape, h)
+        return _LowRankLattice(self.freqs, self.amps, origin, shape, h).grid(origin, shape, h)
 
 
-def _checked_origin(freqs: np.ndarray, coeffs, origin, shape) -> np.ndarray:
-    """The origin as floats; a lattice whose dimension is not the field's is refused.
-
-    So is a coefficient array that is not one entry per plane wave.
-    """
+def _checked_origin(m: int, origin, shape) -> np.ndarray:
+    """The origin as floats; a lattice whose dimension is not the field's (R^m) is refused."""
     origin = np.asarray(origin, dtype=float)
-    m = freqs.shape[1]
     if len(shape) != m or origin.shape != (m,):
         raise ValueError(f"grid shape and origin must have one entry per axis of R^{m}")
+    return origin
+
+
+def _checked_coeffs(freqs: np.ndarray, coeffs) -> np.ndarray:
+    """coeffs as an array; anything but one coefficient per plane wave is refused."""
     if np.shape(coeffs) != (len(freqs),):
         raise ValueError("need one coefficient per plane wave")
-    return origin
+    return np.asarray(coeffs)
 
 
 def plane_wave_grid(freqs: np.ndarray, coeffs: np.ndarray, origin, shape, h: float) -> np.ndarray:
@@ -144,11 +148,11 @@ def plane_wave_grid(freqs: np.ndarray, coeffs: np.ndarray, origin, shape, h: flo
     pointwise trigonometry; values match pointwise evaluation to rounding.
     coeffs holds one coefficient per plane wave. A lattice whose dimension
     is not the field's is refused. This direct product is the reference for
-    the low-rank _lowrank_grid, which fills the lattices of the pipeline.
+    the low-rank _LowRankLattice, which fills the lattices of the pipeline.
     """
-    origin = _checked_origin(freqs, coeffs, origin, shape)
-    coeffs = np.asarray(coeffs)
     m = freqs.shape[1]
+    origin = _checked_origin(m, origin, shape)
+    coeffs = _checked_coeffs(freqs, coeffs)
     axes = []
     for a in range(m):
         coords = origin[a] + h * np.arange(shape[a])
@@ -170,122 +174,135 @@ def plane_wave_grid(freqs: np.ndarray, coeffs: np.ndarray, origin, shape, h: flo
 _LOWRANK_TOL = 1e-15
 
 
-def _lowrank_grid(freqs: np.ndarray, coeffs: np.ndarray, origin, shape, h: float) -> np.ndarray:
-    """plane_wave_grid by Chebyshev interpolation in the frequency: same arguments and refusals.
+class _LowRankLattice:
+    """Low-rank fills of one plane-wave sum on any regular lattice inside a cover box.
 
-    Centre the box at c = origin + r, r_a = h (n_a - 1) / 2, so that
-    F(c + y) = Re sum_j c_j e(<v_j, c>) prod_a e(v_ja y_a) with |y_a| <= r_a.
+    Built from the sum (freqs, one coefficient each) and a cover box
+    (origin, shape, h), like plane_wave_grid, with the same refusals. Let
+    c = origin + R, R_a = h (n_a - 1) / 2, be the cover's centre, so that
+    F(c + y) = Re sum_j c_j e(<v_j, c>) prod_a e(v_ja y_a) with |y_a| <= R_a.
     On axis a, with rho_a = max_j |v_ja| and t_j = v_ja / rho_a in [-1, 1],
     e(v_ja y) is a function of t_j and is replaced by its interpolant at L_a
     Chebyshev points x_l of the second kind (barycentric form, Berrut &
-    Trefethen 2004): e(v_ja y_i) ~ sum_l Lam_a[l, j] T_a[l, i] with
-    T_a[l, i] = e(rho_a x_l y_i). The J-term sum then collapses onto the core
-    tensor sum_j c_j e(<v_j, c>) (x)_a Lam_a[:, j] of shape (L_1, ..., L_m),
-    contracted with the tables T_a: the low-rank NUFFT of Ruiz-Antolin &
-    Townsend (SIAM J. Sci. Comput. 2018) on a uniform grid. The cost is about
-    J prod L_a + n^m L instead of J n^m. _chebyshev_core builds the core and
-    the tables, _contract contracts them.
+    Trefethen 2004): e(v_ja y) ~ sum_l Lam_a[l, j] e(rho_a x_l y). The J-term
+    sum collapses onto the core tensor sum_j c_j e(<v_j, c>) (x)_a Lam_a[:, j]
+    of shape (L_1, ..., L_m), built once: the low-rank NUFFT of Ruiz-Antolin
+    & Townsend (SIAM J. Sci. Comput. 2018) on a uniform grid. grid and
+    grid_and_gradient contract it with per-axis tables
+    T_a[l, i] = e(rho_a x_l y_i) of any lattice (origin', shape', h') in the
+    cover, at y_i = h' (i - (n'_a - 1) / 2) + (c'_a - c_a), c' the lattice's
+    centre; on the cover itself the shift c' - c is exactly 0. The cost is
+    about J prod L_a for the core and n^m L per contraction, instead of
+    J n^m per grid. A lattice with a coordinate |y_i| > R_a (1 + 1e-12),
+    beyond rounding of the cover, is refused, never extrapolated.
 
     Bound. As a function of t, e(rho_a t y) = exp(i w t) with |w| <= omega_a =
-    2 pi rho_a r_a has the Chebyshev coefficients eps_k i^k J_k(w), eps_k <= 2
-    (Jacobi-Anger), and |J_k(w)| <= (omega_a/2)^k / k!. Interpolation at L
-    points errs by at most twice the coefficient tail from degree L on
-    (Trefethen, ATAP, Thm 8.2), so each axis factor errs by at most
-    eps_a(L_a), eps_a(L) = 4 sum_{k >= L} (omega_a/2)^k / k!, and the product
-    of m unit factors by at most (1 + eps)^m - 1, about m eps. L_a is the
-    fewest points, at least 2, with m eps_a(L_a) <= _LOWRANK_TOL: every value
-    errs by at most about 1e-15 sum_j |c_j| before rounding (at rho = 1:
-    61 points for r = 4, 70 for r = 5). Rounding adds a few
-    1e-15 sum_j |c_j|, as it does in plane_wave_grid.
-    """
-    core, tabs, _ = _chebyshev_core(freqs, coeffs, origin, shape, h)
-    return _contract(core, tabs)
+    2 pi rho_a R_a for every |y| <= R_a has the Chebyshev coefficients
+    eps_k i^k J_k(w), eps_k <= 2 (Jacobi-Anger), and |J_k(w)| <=
+    (omega_a/2)^k / k!. Interpolation at L points errs by at most twice the
+    coefficient tail from degree L on (Trefethen, ATAP, Thm 8.2), so each axis
+    factor errs by at most eps_a(L_a), eps_a(L) = 4 sum_{k >= L} (omega_a/2)^k
+    / k!, and the product of m unit factors by at most (1 + eps)^m - 1, about
+    m eps. L_a is the fewest points, at least 2, with m eps_a(L_a) <=
+    _LOWRANK_TOL: every value of every lattice in the cover errs by at most
+    about 1e-15 sum_j |c_j| before rounding (at rho = 1: 61 points for R = 4,
+    70 for R = 5). Rounding adds a few 1e-15 sum_j |c_j| (1 + 2 pi |x|), as it
+    does in plane_wave_grid, with x the farthest point of the cover.
 
-
-def _lowrank_value_and_gradient(freqs: np.ndarray, coeffs: np.ndarray, origin, shape,
-                                h: float) -> tuple[np.ndarray, list[np.ndarray]]:
-    """_lowrank_grid and the m partial-derivative grids, all from one Chebyshev core.
-
-    The value grid is _lowrank_grid's, bitwise. Since
-    d/dy e(rho_a x_l y) = 2 pi i rho_a x_l e(rho_a x_l y), the grid of
-    d F / d x_a is the same core contracted with the differentiated table
-    D_a = 2 pi i rho_a diag(x_l) T_a on axis a and the tables T_b on the
-    others: plane_wave_grid with coefficients 2 pi i v_a c, to the bound below.
-
-    Bound. On axis a, D_a interpolates 2 pi i rho_a t e(rho_a t y) at t = t_j.
-    As t T_k = (T_{k-1} + T_{k+1}) / 2, t e(rho_a t y) has the Chebyshev
+    Derivatives. Since d/dy e(rho_a x_l y) = 2 pi i rho_a x_l e(rho_a x_l y),
+    the grid of d F / d x_a is the same core contracted with the
+    differentiated table D_a = 2 pi i rho_a diag(x_l) T_a on axis a and the
+    tables T_b on the others: plane_wave_grid with coefficients 2 pi i v_a c.
+    D_a interpolates 2 pi i rho_a t e(rho_a t y) at t = t_j. As
+    t T_k = (T_{k-1} + T_{k+1}) / 2, t e(rho_a t y) has the Chebyshev
     coefficients (a_{k-1} + a_{k+1}) / 2 from degree 2 on (a_k those of
     e(rho_a t y)), so its tail from L is at most the value's tail from L - 1
-    and the factor errs by at most 2 pi rho_a eps_a(L_a - 1) (eps_a as in
-    _lowrank_grid). With the other m - 1 unit factors, each within
-    _LOWRANK_TOL / m, the d/dx_a grid errs by at most about
-    2 pi rho_a (eps_a(L_a - 1) + _LOWRANK_TOL) sum_j |c_j| before rounding.
+    and the factor errs by at most 2 pi rho_a eps_a(L_a - 1). With the other
+    m - 1 unit factors, each within _LOWRANK_TOL / m, the d/dx_a grid errs by
+    at most about 2 pi rho_a (eps_a(L_a - 1) + _LOWRANK_TOL) sum_j |c_j|
+    before rounding.
     """
-    core, tabs, slopes = _chebyshev_core(freqs, coeffs, origin, shape, h)
-    grads = []
-    for a, slope in enumerate(slopes):
-        d_tabs = list(tabs)
-        d_tabs[a] = slope[:, None] * tabs[a]
-        grads.append(_contract(core, d_tabs))
-    return _contract(core, tabs), grads
 
+    def __init__(self, freqs: np.ndarray, coeffs, origin, shape, h: float):
+        m = freqs.shape[1]
+        origin = _checked_origin(m, origin, shape)
+        coeffs = _checked_coeffs(freqs, coeffs)
+        n = np.asarray(shape)
+        self.radius = h * (n - 1) / 2
+        self.centre = origin + self.radius
+        c = coeffs * np.exp(2j * np.pi * (freqs @ self.centre))
+        rho = np.abs(freqs).max(axis=0, initial=0.0)
+        rho[rho == 0] = 1.0  # an axis without frequency content: every t_j is 0
+        self.rho = rho
+        lams, self.nodes = [], []
+        for a in range(m):
+            count = _chebyshev_count(TWO_PI * rho[a] * self.radius[a], m)
+            lam, nodes = _barycentric_weights(freqs[:, a] / rho[a], count)
+            lams.append(lam)  # (L_a, J)
+            self.nodes.append(nodes)
 
-def _chebyshev_core(freqs: np.ndarray, coeffs: np.ndarray, origin, shape,
-                    h: float) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """The complex core (L_1, ..., L_m) of _lowrank_grid and its tables T_a (L_a, n_a).
+        # the core by real products, one block per real or imaginary part; 2D
+        # keeps each weighted table small, 3D chunks the (J, L_2 L_3) pair table
+        L = [len(lam) for lam in lams]
+        parts = np.stack([c.real, c.imag])  # (2, J)
+        if m == 2:
+            core = np.stack([(lams[0] * p) @ lams[1].T for p in parts])
+        else:
+            rows = (parts[:, None, :] * lams[0]).reshape(2 * L[0], -1)
+            core = np.zeros((len(rows), L[1] * L[2]))
+            step = 128
+            for lo in range(0, len(freqs), step):
+                pair = lams[1][:, None, lo : lo + step] * lams[2][None, :, lo : lo + step]
+                core += rows[:, lo : lo + step] @ pair.reshape(L[1] * L[2], -1).T
+        core = core.reshape(2, *L)
+        self.core = core[0] + 1j * core[1]
 
-    Also 2 pi i rho_a x_l (L_a,) per axis, the scale of the differentiated table.
-    """
-    origin = _checked_origin(freqs, coeffs, origin, shape)
-    m = freqs.shape[1]
-    n = np.asarray(shape)
-    r = h * (n - 1) / 2
-    c = coeffs * np.exp(2j * np.pi * (freqs @ (origin + r)))
-    rho = np.abs(freqs).max(axis=0, initial=0.0)
-    rho[rho == 0] = 1.0  # an axis without frequency content: every t_j is 0
-    lams, tabs, slopes = [], [], []
-    for a in range(m):
-        count = _chebyshev_count(TWO_PI * rho[a] * r[a], m)
-        lam, nodes = _barycentric_weights(freqs[:, a] / rho[a], count)
-        lams.append(lam)  # (L_a, J)
-        y = h * (np.arange(n[a]) - (n[a] - 1) / 2)
-        tabs.append(np.exp(2j * np.pi * rho[a] * np.outer(nodes, y)))  # (L_a, n_a)
-        slopes.append(2j * np.pi * rho[a] * nodes)
+    def grid(self, origin, shape, h: float) -> np.ndarray:
+        """The values on origin + h * index, shape shape: plane_wave_grid to the bound."""
+        return self._contract(self._tables(origin, shape, h))
 
-    # the core by real products, one block per real or imaginary part; 2D
-    # keeps each weighted table small, 3D chunks the (J, L_2 L_3) pair table
-    L = [len(lam) for lam in lams]
-    parts = np.stack([c.real, c.imag])  # (2, J)
-    if m == 2:
-        core = np.stack([(lams[0] * p) @ lams[1].T for p in parts])
-    else:
-        rows = (parts[:, None, :] * lams[0]).reshape(2 * L[0], -1)
-        core = np.zeros((len(rows), L[1] * L[2]))
-        step = 128
-        for lo in range(0, len(freqs), step):
-            pair = lams[1][:, None, lo : lo + step] * lams[2][None, :, lo : lo + step]
-            core += rows[:, lo : lo + step] @ pair.reshape(L[1] * L[2], -1).T
-    core = core.reshape(2, *L)
-    return core[0] + 1j * core[1], tabs, slopes
+    def grid_and_gradient(self, origin, shape, h: float) -> tuple[np.ndarray, list[np.ndarray]]:
+        """grid, bitwise, and the m partial-derivative grids, from the same tables."""
+        tabs = self._tables(origin, shape, h)
+        grads = []
+        for a in range(len(tabs)):
+            d_tabs = list(tabs)
+            d_tabs[a] = (2j * np.pi * self.rho[a] * self.nodes[a])[:, None] * tabs[a]
+            grads.append(self._contract(d_tabs))
+        return self._contract(tabs), grads
 
+    def _tables(self, origin, shape, h: float) -> list[np.ndarray]:
+        """T_a (L_a, n_a) of a lattice in the cover; one that reaches outside is refused."""
+        origin = _checked_origin(len(self.nodes), origin, shape)
+        n = np.asarray(shape)
+        r = h * (n - 1) / 2
+        shift = origin + r - self.centre  # exactly 0 on the cover itself
+        tabs = []
+        for a, nodes in enumerate(self.nodes):
+            y = h * (np.arange(n[a]) - (n[a] - 1) / 2) + shift[a]
+            if np.abs(y).max(initial=0.0) > self.radius[a] * (1 + 1e-12):
+                raise ValueError("the lattice reaches outside the cover of the low-rank fill")
+            tabs.append(np.exp(2j * np.pi * self.rho[a] * np.outer(nodes, y)))  # (L_a, n_a)
+        return tabs
 
-def _contract(core: np.ndarray, tabs: list[np.ndarray]) -> np.ndarray:
-    """Re of the core contracted with one table per axis: the grid, shape (n_1, ..., n_m).
+    def _contract(self, tabs: list[np.ndarray]) -> np.ndarray:
+        """Re of the core contracted with one table per axis: the grid, shape (n_1, ..., n_m).
 
-    The trailing axes are contracted first; the first by a real product that
-    keeps only Re, written into the one grid-sized array.
-    """
-    n = [t.shape[1] for t in tabs]
-    L = core.shape
-    if len(tabs) == 2:
-        rest = core @ tabs[1]
-    else:
-        rest = (core.reshape(L[0] * L[1], L[2]) @ tabs[2]).reshape(L[0], L[1], n[2])
-        rest = np.matmul(tabs[1].T, rest).reshape(L[0], -1)
-    first = np.concatenate([tabs[0].real, -tabs[0].imag]).T  # (n_1, 2 L_1)
-    out = np.empty((n[0], int(np.prod(n[1:]))))
-    np.matmul(first, np.concatenate([rest.real, rest.imag]), out=out)
-    return out.reshape(n)
+        The trailing axes are contracted first; the first by a real product
+        that keeps only Re, written into the one grid-sized array.
+        """
+        core = self.core
+        n = [t.shape[1] for t in tabs]
+        L = core.shape
+        if len(tabs) == 2:
+            rest = core @ tabs[1]
+        else:
+            rest = (core.reshape(L[0] * L[1], L[2]) @ tabs[2]).reshape(L[0], L[1], n[2])
+            rest = np.matmul(tabs[1].T, rest).reshape(L[0], -1)
+        first = np.concatenate([tabs[0].real, -tabs[0].imag]).T  # (n_1, 2 L_1)
+        out = np.empty((n[0], int(np.prod(n[1:]))))
+        np.matmul(first, np.concatenate([rest.real, rest.imag]), out=out)
+        return out.reshape(n)
 
 
 def _chebyshev_count(omega: float, m: int) -> int:

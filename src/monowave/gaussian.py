@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import PlaneWaveSum, _chebyshev_count, _lowrank_value_and_gradient, bessel_sequence
+from .field import PlaneWaveSum, _chebyshev_count, _LowRankLattice, bessel_sequence
 from .grid import lattice_ball
 from .partition import SpherePartition, positive_side
 
@@ -147,6 +147,8 @@ class NondegeneracyReport:
     min_spherical: float  # min of |g| + |tangential grad g| over the sphere of radius W
     threshold: float
     passed: bool
+    # the low-rank fill of the field over the probe's box, which covers B(W+1)
+    lattice: _LowRankLattice = dc_field(repr=False, compare=False)
 
 
 def _sphere_mesh(radius: float, h: float) -> np.ndarray:
@@ -220,9 +222,12 @@ def check_nondegenerate(field: PlaneWaveSum, W: float, h: float = 0.05,
     The bulk points are grid.lattice_ball's h Z^m within B(W+1): its box gives
     the fill's origin and shape, its mask the points that count. g and each
     partial derivative (the same sum with coefficients 2 pi i v_a c) come from
-    one Chebyshev core of the low-rank fill, contracted once with the
-    interpolation tables and once per axis with that axis's differentiated
-    table (field._lowrank_value_and_gradient). The spherical part is |g|
+    one Chebyshev core over that box (field._LowRankLattice), contracted once
+    with the interpolation tables and once per axis with that axis's
+    differentiated table. The report keeps the core as its lattice: any grid
+    inside the box, such as the measurement grid on B(W), is filled
+    from it by sample_on_grid(report.lattice, ...) without a second core.
+    The spherical part is |g|
     plus the tangential gradient: in R^2 on max(64, ceil(2 pi W / h)) equispaced
     points of the circle, from the field's Jacobi-Anger series
     (_circle_series; within 1e-15 sum_j |c_j| of pointwise evaluation before
@@ -238,9 +243,9 @@ def check_nondegenerate(field: PlaneWaveSum, W: float, h: float = 0.05,
     m = field.dim
 
     axes, inside = lattice_ball(np.zeros(m), W + 1, h)
-    freqs, c = field.plane_waves()
-    val, grads = _lowrank_value_and_gradient(freqs, c, np.array([ax[0] for ax in axes]),
-                                             inside.shape, h)
+    origin = np.array([ax[0] for ax in axes])
+    lattice = _LowRankLattice(*field.plane_waves(), origin, inside.shape, h)
+    val, grads = lattice.grid_and_gradient(origin, inside.shape, h)
     psi = np.abs(val) + np.sqrt(sum(g**2 for g in grads))
     min_bulk = float(psi[inside].min())
 
@@ -258,4 +263,5 @@ def check_nondegenerate(field: PlaneWaveSum, W: float, h: float = 0.05,
         min_spherical=min_sph,
         threshold=tau0,
         passed=bool(min_bulk > tau0 and min_sph > tau0),
+        lattice=lattice,
     )

@@ -1,8 +1,9 @@
 """Regular grids over balls: sampling, masks and ball-clipped lattices.
 
 Plane-wave sums are filled through PlaneWaveSum.on_grid, the low-rank
-Chebyshev lattice fill of field; plane_wave_grid, the direct rank-J product
-that fill is checked against, is re-exported here.
+Chebyshev lattice fill of field, or from a low-rank fill already built over a
+larger box (the nondegeneracy probe's); plane_wave_grid, the direct rank-J
+product that fill is checked against, is re-exported here.
 
 Values are stored flat in row-major order; every consumer (labeling, meshing)
 shares the same index arithmetic: flat = i1*n2*n3 + i2*n3 + i3.
@@ -19,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .field import PlaneWaveSum, plane_wave_grid  # noqa: F401  (plane_wave_grid is re-exported)
+from .field import PlaneWaveSum, _LowRankLattice
+from .field import plane_wave_grid  # noqa: F401  (re-exported)
 
 MAX_SPACING = 0.25  # unit wavelength: coarser grids alias
 
@@ -126,9 +128,10 @@ def lattice_points(axes, mask: np.ndarray) -> np.ndarray:
 def sample_on_grid(evaluator, center, radius: float, h: float) -> ScalarGrid:
     """Sample a field on the axis-aligned box circumscribing B(center, radius).
 
-    The evaluator is either a PlaneWaveSum (wave or Gaussian draw, filled
-    through its low-rank on_grid) or any callable mapping point batches
-    (..., m) to values.
+    The evaluator is a PlaneWaveSum (wave or Gaussian draw, filled through
+    its low-rank on_grid), the low-rank fill of one over a box that holds
+    this one (the lattice of a NondegeneracyReport; a box reaching outside
+    it is refused), or any callable mapping point batches (..., m) to values.
     """
     center = np.asarray(center, dtype=float)
     m = center.size
@@ -146,6 +149,8 @@ def sample_on_grid(evaluator, center, radius: float, h: float) -> ScalarGrid:
     origin = center - radius
     if isinstance(evaluator, PlaneWaveSum):
         vals = evaluator.on_grid(origin, shape, h)
+    elif isinstance(evaluator, _LowRankLattice):
+        vals = evaluator.grid(origin, shape, h)
     else:
         axes = [origin[a] + h * np.arange(n) for a in range(m)]
         pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)

@@ -110,32 +110,17 @@ class NodalDecomposition:
         return self._zero
 
 
-def _shell(grid: ScalarGrid) -> np.ndarray:
-    """Outermost in-domain layer: within one spacing of the mask sphere, or the box faces.
-
-    Component boundary detection reads it over the whole grid; zero pieces
-    read a wider band at their crossing edges only (_shell_at).
-    """
-    if grid.ball_radius is not None:
-        return grid.mask() & ~grid.within(grid.ball_radius - grid.spacing)
-    sh = np.zeros(grid.shape, dtype=bool)
-    for a in range(grid.dim):
-        sl: list = [slice(None)] * grid.dim
-        sl[a] = 0
-        sh[tuple(sl)] = True
-        sl[a] = -1
-        sh[tuple(sl)] = True
-    return sh
-
-
 def _shell_at(grid: ScalarGrid, vertices: np.ndarray, band: float) -> np.ndarray:
     """The shell of width band spacings at the given in-mask flat vertex indices.
 
-    band = 1 is _shell, to the bit: the sphere-side test adds the same
-    squares in axis order as ScalarGrid.within. Zero pieces use 2, because a
-    crossing edge whose companion cell has an out-of-mask corner (so its
-    curve end dangles) can sit up to sqrt(m) * h inside the sphere. No
-    grid-sized array is built.
+    The shell of a ball grid is its in-mask vertices farther than
+    radius - band * spacing from the centre: the sphere-side test adds the
+    same squares in axis order as ScalarGrid.within, so band = 1 is
+    mask & ~within(radius - spacing), to the bit. A box grid's shell is its
+    faces. Component boundary detection uses band 1, at run ends; zero
+    pieces use 2, because a crossing edge whose companion cell has an
+    out-of-mask corner (so its curve end dangles) can sit up to sqrt(m) * h
+    inside the sphere. No grid-sized array is built.
     """
     idx = np.unravel_index(vertices, grid.shape)
     if grid.ball_radius is None:
@@ -214,9 +199,12 @@ def label_domains(grid: ScalarGrid) -> NodalDecomposition:
     signs = np.zeros(ncomp, dtype=np.int8)
     signs[comp_of_run] = np.where(rkey > 0, 1, -1)
 
-    # the shell lies in the mask, so no shell vertex sits between one run's
-    # end and the next run's start
-    run_shell = np.logical_or.reduceat(_shell(grid).reshape(-1), rs_flat)
+    # a run touches the shell exactly when one of its ends does: along a grid
+    # line the in-mask vertices and those within radius - spacing are nested
+    # intervals (the squared distance adds the line's axis last, and its term
+    # is quasi-convex in the index), and on a box grid a run meets the faces
+    # of its own axis only at its ends
+    run_shell = _shell_at(grid, rs_flat, band=1.0) | _shell_at(grid, re_flat - 1, band=1.0)
     touches = np.zeros(ncomp, dtype=bool)
     np.logical_or.at(touches, comp_of_run, run_shell)
 

@@ -304,10 +304,12 @@ def ns_constant_estimate(measure: SpectralMeasure, W: float, trials: int, seed: 
         realization = draw(int(child_rng(seed, j).integers(2**63)))
         try:
             # probe at the coarsest permitted pitch: it gates outliers, it is
-            # not the measurement grid
-            if not check_nondegenerate(realization, W, 0.1).passed:
+            # not the measurement grid, which is filled from the probe's
+            # low-rank core (its box over B(W+1) holds the grid over B(W))
+            report = check_nondegenerate(realization, W, 0.1)
+            if not report.passed:
                 raise DegenerateSampleError("nondegeneracy probe failed", "probe_failed")
-            g = sample_on_grid(realization, np.zeros(m), W, h)
+            g = sample_on_grid(report.lattice, np.zeros(m), W, h)
             dec = nodal.label_domains(g)
             classes: dict[str, int] = {}
             trees: dict[str, int] = {}

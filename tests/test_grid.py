@@ -12,11 +12,10 @@ from monowave.field import (
     _LOWRANK_TOL,
     PlaneWaveSum,
     _chebyshev_count,
-    _lowrank_grid,
-    _lowrank_value_and_gradient,
+    _LowRankLattice,
     make_wave,
 )
-from monowave.gaussian import sample_uniform
+from monowave.gaussian import check_nondegenerate, sample_uniform
 from monowave.grid import (
     ScalarGrid,
     _squared_bound,
@@ -104,7 +103,8 @@ def _rounding(origin, shape, h) -> float:
 
 
 def _lowrank_tolerance(coeffs, origin, shape, h) -> float:
-    """Allowed |low-rank - direct|: the truncation bound plus rounding of both fills."""
+    """Allowed |low-rank - direct| on any lattice in the cover (origin, shape, h):
+    the truncation bound plus rounding of both fills."""
     return (_LOWRANK_TOL + _rounding(origin, shape, h)) * np.abs(coeffs).sum()
 
 
@@ -122,11 +122,12 @@ def _tail(omega: float, L: int) -> float:
 
 
 def _gradient_tolerance(freqs, coeffs, origin, shape, h, a) -> float:
-    """Allowed |low-rank - direct| for d/dx_a: the bound of _lowrank_value_and_gradient plus rounding.
+    """Allowed |low-rank - direct| for d/dx_a on any lattice in the cover (origin, shape, h).
 
-    2 pi rho_a (eps_a(L_a - 1) + _LOWRANK_TOL) sum_j |c_j|, with L_a and
-    omega_a as the fill picks them, and the rounding of _lowrank_tolerance
-    on the derivative's scale 2 pi rho_a sum_j |c_j|.
+    The bound of _LowRankLattice, 2 pi rho_a (eps_a(L_a - 1) + _LOWRANK_TOL)
+    sum_j |c_j|, with L_a and omega_a as the cover picks them, and the
+    rounding of _lowrank_tolerance on the derivative's scale
+    2 pi rho_a sum_j |c_j|.
     """
     m = freqs.shape[1]
     rho = np.abs(freqs[:, a]).max() or 1.0
@@ -136,34 +137,97 @@ def _gradient_tolerance(freqs, coeffs, origin, shape, h, a) -> float:
     return (_tail(omega, L - 1) + _LOWRANK_TOL + _rounding(origin, shape, h)) * scale
 
 
-def _assert_lowrank_matches_direct(freqs, coeffs, origin, shape, h):
-    got = _lowrank_grid(freqs, coeffs, origin, shape, h)
+def _assert_lattice_matches_direct(lattice, cover, freqs, coeffs, origin, shape, h):
+    """The lattice's fills of (origin, shape, h) against plane_wave_grid, within the cover's bounds.
+
+    The value grid of grid_and_gradient is grid's, bitwise, and each d/dx_a
+    grid is the direct fill with coefficients 2 pi i v_a c.
+    """
+    got = lattice.grid(origin, shape, h)
     want = plane_wave_grid(freqs, coeffs, origin, shape, h)
     assert got.shape == want.shape == shape
     assert not np.isnan(got).any()
-    assert np.abs(got - want).max() <= _lowrank_tolerance(coeffs, origin, shape, h)
-    # the value-and-gradient fill: its value grid is _lowrank_grid's, bitwise, and
-    # each d/dx_a grid is the direct fill with coefficients 2 pi i v_a c
-    val, grads = _lowrank_value_and_gradient(freqs, coeffs, origin, shape, h)
+    assert np.abs(got - want).max() <= _lowrank_tolerance(coeffs, *cover)
+    val, grads = lattice.grid_and_gradient(origin, shape, h)
     assert np.array_equal(val, got)
     assert len(grads) == len(shape)
     for a, grad in enumerate(grads):
         want = plane_wave_grid(freqs, 2j * np.pi * freqs[:, a] * coeffs, origin, shape, h)
         assert grad.shape == shape
-        assert np.abs(grad - want).max() <= _gradient_tolerance(freqs, coeffs, origin, shape, h, a)
+        assert np.abs(grad - want).max() <= _gradient_tolerance(freqs, coeffs, *cover, a)
+
+
+def _assert_lowrank_matches_direct(freqs, coeffs, origin, shape, h):
+    # the lattice over its own box, which is on_grid, byte for byte
+    cover = (origin, shape, h)
+    lattice = _LowRankLattice(freqs, coeffs, *cover)
+    _assert_lattice_matches_direct(lattice, cover, freqs, coeffs, *cover)
+    assert PlaneWaveSum(freqs, coeffs).on_grid(*cover).tobytes() == lattice.grid(*cover).tobytes()
+
+
+def _random_sum(rng, m: int):
+    J = int(rng.integers(1, 300))
+    freqs = rng.standard_normal((J, m))
+    freqs *= rng.uniform(0.2, 1.5) / np.linalg.norm(freqs, axis=1, keepdims=True)
+    return freqs, rng.standard_normal(J) + 1j * rng.standard_normal(J)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
 def test_lowrank_fill_matches_direct_fill(seed, m):
     rng = np.random.default_rng(seed)
-    J = int(rng.integers(1, 300))
-    freqs = rng.standard_normal((J, m))
-    freqs *= rng.uniform(0.2, 1.5) / np.linalg.norm(freqs, axis=1, keepdims=True)
-    coeffs = rng.standard_normal(J) + 1j * rng.standard_normal(J)
+    freqs, coeffs = _random_sum(rng, m)
     origin = rng.uniform(-3.0, 3.0, m)  # off-centre boxes: the centre phase is folded in
     shape = tuple(int(n) for n in rng.integers(2, 60 if m == 2 else 20, m))
     _assert_lowrank_matches_direct(freqs, coeffs, origin, shape, float(rng.uniform(0.02, 0.25)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
+def test_lattice_fills_sub_boxes_of_its_cover(seed, m):
+    # random lattices inside a random cover, at their own pitch and mostly
+    # off the cover's centre, within the cover's bound
+    rng = np.random.default_rng(seed)
+    freqs, coeffs = _random_sum(rng, m)
+    cover = (rng.uniform(-3.0, 3.0, m), tuple(int(n) for n in rng.integers(2, 60 if m == 2 else 20, m)),
+             float(rng.uniform(0.02, 0.25)))
+    lattice = _LowRankLattice(freqs, coeffs, *cover)
+    lo_cover = cover[0]
+    hi_cover = cover[0] + cover[2] * (np.asarray(cover[1]) - 1)
+    for _ in range(3):
+        h = float(rng.uniform(0.02, 0.25))
+        lo = rng.uniform(lo_cover, hi_cover)
+        hi = rng.uniform(lo, hi_cover)
+        shape = tuple(int(n) for n in np.floor((hi - lo) / h).astype(int) + 1)
+        _assert_lattice_matches_direct(lattice, cover, freqs, coeffs, lo, shape, h)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_lattice_refuses_a_box_outside_its_cover(m):
+    F = sample_uniform(m, 64, m)
+    origin, shape, h = np.full(m, -1.0), (21, 17, 11)[:m], 0.1
+    lattice = _LowRankLattice(F.freqs, F.amps, origin, shape, h)
+    assert lattice.grid(origin, shape, h).tobytes() == F.on_grid(origin, shape, h).tobytes()
+    for a in range(m):
+        # one step past either end of one axis
+        longer = tuple(n + (i == a) for i, n in enumerate(shape))
+        shifted = origin - h * (np.arange(m) == a)
+        for box in [(origin, longer, h), (shifted, shape, h)]:
+            for fill in (lattice.grid, lattice.grid_and_gradient):
+                with pytest.raises(ValueError, match="outside the cover"):
+                    fill(*box)
+    # a ball box as wide as the cover's longest axis overhangs its shorter ones
+    with pytest.raises(ValueError, match="outside the cover"):
+        sample_on_grid(lattice, origin + h * (np.asarray(shape) - 1) / 2,
+                       h * (np.asarray(shape) - 1).max() / 2, h)
+    # the finest sub-lattice that reaches both ends of the cover is accepted
+    fine = tuple(2 * n - 1 for n in shape)
+    assert lattice.grid(origin, fine, h / 2).shape == fine
+    # the nondegeneracy probe's box holds the measurement grid on B(W)
+    report = check_nondegenerate(F, 4.0, 0.1)
+    g = sample_on_grid(report.lattice, np.zeros(m), 4.0, 0.05 if m == 2 else 0.1)
+    want = sample_on_grid(F, np.zeros(m), 4.0, g.spacing).values
+    assert np.abs(g.values - want).max() <= 1e-13 * np.abs(F.amps).sum()
 
 
 @pytest.mark.parametrize("freqs", [
@@ -203,13 +267,19 @@ def test_grid_fills_refuse_a_dimension_mismatch():
     # every fill refuses the same way, also a one-entry origin, and takes one
     # coefficient per plane wave: no (K, J) stack, no short vector
     F2 = sample_uniform(2, 64, 1)
-    for fill in (_lowrank_grid, _lowrank_value_and_gradient, plane_wave_grid):
-        for origin, shape in [(np.zeros(1), (3, 3)), (0.0, (3, 3)), (np.zeros(2), (3, 3, 3))]:
-            with pytest.raises(ValueError):
+    lattice = _LowRankLattice(F2.freqs, F2.amps, np.zeros(2), (3, 3), 0.1)
+    boxes = [(np.zeros(1), (3, 3)), (0.0, (3, 3)), (np.zeros(2), (3, 3, 3))]
+    for fill in (_LowRankLattice, plane_wave_grid):
+        for origin, shape in boxes:
+            with pytest.raises(ValueError, match="one entry per axis"):
                 fill(F2.freqs, F2.amps, origin, shape, 0.1)
         for coeffs in (np.vstack([F2.amps, F2.amps]), F2.amps[:-1]):
             with pytest.raises(ValueError, match="one coefficient per plane wave"):
                 fill(F2.freqs, coeffs, np.zeros(2), (3, 3), 0.1)
+    for fill in (lattice.grid, lattice.grid_and_gradient):
+        for origin, shape in boxes:
+            with pytest.raises(ValueError, match="one entry per axis"):
+                fill(origin, shape, 0.1)
     assert F.on_grid(np.zeros(3), (3, 3, 3), 0.1).shape == (3, 3, 3)
 
 

@@ -103,7 +103,7 @@ def test_labels_match_flood_fill_on_random_grids():
         assert same_partition(dec.labels, flood_fill_labels(g))
         assert dec.interior_count + dec.boundary_count == dec.total_components
         # a component touches the boundary exactly when one of its vertices is in the shell
-        on_shell = set(dec.labels[nodal._shell(g).reshape(-1)].tolist())
+        on_shell = set(dec.labels[grid_shell(g).reshape(-1)].tolist())
         assert [c.touches_boundary for c in dec.components] == [
             c.id in on_shell for c in dec.components
         ]
@@ -657,6 +657,67 @@ def shell_reference(g: ScalarGrid, band: float) -> np.ndarray:
     return g.mask() & (radii > g.ball_radius - band * g.spacing)
 
 
+def grid_shell(g: ScalarGrid) -> np.ndarray:
+    """The grid-sized band-1 shell label_domains once reduced over its runs:
+    mask & ~within(radius - spacing), or the box faces of an unmasked grid."""
+    if g.ball_radius is None:
+        return shell_reference(g, 1.0)
+    return g.mask() & ~g.within(g.ball_radius - g.spacing)
+
+
+def shell_test_grids(m: int, rng) -> list[ScalarGrid]:
+    """Random-valued ball grids, centred and off-centre, and box grids of both parities."""
+    grids = []
+    for centred in (True, False, True, False):
+        h = float(rng.uniform(0.05, 0.2))
+        centre = np.zeros(m) if centred else rng.uniform(-1.0, 1.0, m)
+        F = sample_uniform(m, 64, int(rng.integers(1000)))
+        grids.append(sample_on_grid(F, centre, float(rng.uniform(1.0, 1.5 if m == 3 else 3.0)), h))
+    for shape in ([(9, 12), (2, 17)] if m == 2 else [(5, 6, 7), (2, 9, 3)]):
+        grids.append(ScalarGrid(dim=m, origin=rng.uniform(-1.0, 1.0, m), spacing=0.1, shape=shape,
+                                values=rng.standard_normal(math.prod(shape))))
+    return grids
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_run_end_shell_matches_grid_sized_shell(m):
+    # label_domains reads the shell at each run's first and last vertex only;
+    # a run touches the grid-sized shell exactly when one of its ends does, so
+    # the touches flags (and everything else label_domains returns) stay as
+    # the grid-sized reduction gave them
+    for g in shell_test_grids(m, np.random.default_rng(40 + m)):
+        mask = g.mask().reshape(-1, g.shape[-1])
+        pos = (g.grid_values() > -nodal.TIE_EPS).reshape(mask.shape)
+        shell = grid_shell(g).reshape(mask.shape)
+        starts, ends, want = [], [], []
+        for line in range(len(mask)):  # maximal in-mask same-sign runs, line by line
+            i, n = 0, mask.shape[1]
+            while i < n:
+                if not mask[line, i]:
+                    i += 1
+                    continue
+                j = i
+                while j + 1 < n and mask[line, j + 1] and pos[line, j + 1] == pos[line, i]:
+                    j += 1
+                starts.append(line * n + i)
+                ends.append(line * n + j)
+                want.append(bool(shell[line, i : j + 1].any()))
+                i = j + 1
+        got = (nodal._shell_at(g, np.array(starts), band=1.0)
+               | nodal._shell_at(g, np.array(ends), band=1.0))
+        assert got.tolist() == want
+        assert any(want)
+        if g.ball_radius is not None:
+            assert not all(want)
+        dec = label_domains(g)
+        on_shell = set(dec.labels[shell.reshape(-1)].tolist())
+        assert [c.touches_boundary for c in dec.components] == [
+            c.id in on_shell for c in dec.components
+        ]
+        assert dec.interior_count == sum(c.id not in on_shell for c in dec.components)
+        assert dec.boundary_count == len(on_shell)
+
+
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("band", [1.0, 2.0])
 def test_shell_matches_radii(m, band):
@@ -672,7 +733,7 @@ def test_shell_matches_radii(m, band):
     for g in grids:
         ref = shell_reference(g, band)
         if band == 1.0:
-            assert np.array_equal(nodal._shell(g), ref)
+            assert np.array_equal(grid_shell(g), ref)
         # the pointwise form, at every in-mask vertex
         inside = g.mask().reshape(-1)
         assert np.array_equal(nodal._shell_at(g, np.flatnonzero(inside), band), ref.reshape(-1)[inside])

@@ -7,8 +7,16 @@ import pytest
 
 from monowave import stats
 from monowave.directions import generate_uniform_directions, empirical_measure
-from monowave.gaussian import SpectralMeasure, child_rng, sample_atomic, uniform_measure
+from monowave.gaussian import (
+    SpectralMeasure,
+    check_nondegenerate,
+    child_rng,
+    sample_atomic,
+    sample_uniform,
+    uniform_measure,
+)
 from monowave.grid import sample_on_grid
+from monowave import nodal
 from monowave.nodal import DegenerateSampleError, label_domains
 from monowave.partition import build_partition
 from monowave.stats import (
@@ -154,13 +162,52 @@ def test_ns_constant_exclusion_reasons(monkeypatch):
     assert "50/50 draws degenerate (probe_failed: 50)" in str(info.value)
     assert reasons == ["probe_failed"] * 50 + ["too_many_excluded"]
 
-    # the first 7 probes fail: the estimate counts them under their reason
+    # the first 7 probes fail: the estimate counts them under their reason;
+    # the passing ones are real reports, whose lattice fills the grid
     calls = iter(range(10**6))
     monkeypatch.setattr(stats, "check_nondegenerate",
-                        lambda *args: SimpleNamespace(passed=next(calls) >= 7))
+                        lambda *args: check_nondegenerate(*args) if next(calls) >= 7
+                        else SimpleNamespace(passed=False))
     est = ns_constant_estimate(uniform_measure(2), 4.0, 50, seed=1, h=0.2)
     assert est.excluded_by_reason == {"probe_failed": 7}
     assert est.excluded == 7
+
+
+def test_ns_constant_against_separate_probe_and_fill(monkeypatch):
+    # each trial fills its grid from the probe's low-rank core; an explicit
+    # loop that probes and then fills through the field itself must see the
+    # same interior count on every trial and the same exclusions
+    W, h, seed = 4.0, 0.05, 1
+    counts = []
+    label = nodal.label_domains
+
+    def recording(g):
+        dec = label(g)
+        counts.append(dec.interior_count)
+        return dec
+
+    monkeypatch.setattr(nodal, "label_domains", recording)
+    est = ns_constant_estimate(uniform_measure(2), W, 50, seed=seed, h=h, with_topology=True)
+    monkeypatch.undo()
+    want, reasons, dens = [], {}, []
+    for j in range(50):
+        F = sample_uniform(2, 1024, int(child_rng(seed, j).integers(2**63)))
+        if not check_nondegenerate(F, W, 0.1).passed:
+            reasons["probe_failed"] = reasons.get("probe_failed", 0) + 1
+            continue
+        dec = label_domains(sample_on_grid(F, np.zeros(2), W, h))
+        want.append(dec.interior_count)
+        try:
+            nodal.classify_topology(dec)
+            nodal.build_nesting_tree(dec)
+        except DegenerateSampleError as exc:
+            reasons[exc.reason] = reasons.get(exc.reason, 0) + 1
+            continue
+        dens.append(dec.interior_count / (math.pi * W**2))
+    assert counts == want
+    assert reasons  # seed 1 has exclusions after the probe, so the reasons are compared
+    assert est.excluded_by_reason == reasons
+    assert est.mean == pytest.approx(np.mean(dens), rel=1e-12)
 
 
 def test_discrepancy_against_direct_loop():
