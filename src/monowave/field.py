@@ -5,10 +5,13 @@ with e(t) = exp(2*pi*i*t), evaluated pointwise (value, gradient) or on a
 regular lattice (on_grid). Pointwise evaluation reads the polar form
 F(x) = sum_j |c_j| cos(2 pi <v_j, x> + arg c_j): one cosine per plane wave,
 in blocks of points. The lattice fill is low rank: Chebyshev
-interpolation in the frequency turns the J-term sum into a small core tensor
-over a cover box (_LowRankLattice), built once and contracted with per-axis
-tables for any lattice inside the cover; the same core, contracted with a
-differentiated table on one axis, gives each partial derivative. on_grid
+interpolation in the frequency turns the J-term sum into a small real core
+tensor over a cover box (_LowRankLattice), in the basis cos, 1, sin of the
+Chebyshev phases, built once and contracted by real products with per-axis
+tables of that basis for any lattice inside the cover; the tables are built
+from short exponential ladders, and the same core, contracted with a
+differentiated table (cos and sin rows swapped) on one axis, gives each
+partial derivative. on_grid
 builds the core over the lattice itself; the nondegeneracy probe builds one
 over its box and the measurement grid of the same draw reuses it.
 plane_wave_grid is the direct rank-J product they are checked against.
@@ -187,14 +190,29 @@ class _LowRankLattice:
     Trefethen 2004): e(v_ja y) ~ sum_l Lam_a[l, j] e(rho_a x_l y). The J-term
     sum collapses onto the core tensor sum_j c_j e(<v_j, c>) (x)_a Lam_a[:, j]
     of shape (L_1, ..., L_m), built once: the low-rank NUFFT of Ruiz-Antolin
-    & Townsend (SIAM J. Sci. Comput. 2018) on a uniform grid. grid and
-    grid_and_gradient contract it with per-axis tables
-    T_a[l, i] = e(rho_a x_l y_i) of any lattice (origin', shape', h') in the
-    cover, at y_i = h' (i - (n'_a - 1) / 2) + (c'_a - c_a), c' the lattice's
-    centre; on the cover itself the shift c' - c is exactly 0. The cost is
-    about J prod L_a for the core and n^m L per contraction, instead of
-    J n^m per grid. A lattice with a coordinate |y_i| > R_a (1 + 1e-12),
-    beyond rounding of the cover, is refused, never extrapolated.
+    & Townsend (SIAM J. Sci. Comput. 2018) on a uniform grid.
+
+    Real basis. The points are exactly odd, x_{L-1-l} = -x_l, so rows l and
+    L - 1 - l of the core multiply e(+-rho_a x_l y): with theta_l =
+    2 pi rho_a x_l over the top points x_l > 0 (l < L_a // 2), their sum
+    weighs cos(theta_l y) and i times their difference sin(theta_l y). At
+    construction the complex core is folded this way, axis by axis, onto the
+    real basis cos(theta_l y), then 1 when L_a is odd (the point 0), then
+    sin(theta_l y), and only its real part is kept: F and the basis are
+    real. grid and
+    grid_and_gradient contract this real core with real per-axis tables
+    T_a (L_a, n'_a) of that basis at the coordinates of any lattice
+    (origin', shape', h') in the cover, y_i = h' (i - (n'_a - 1) / 2) +
+    (c'_a - c_a), c' the lattice's centre; on the cover itself the shift
+    c' - c is exactly 0. Each table comes from two short ladders per top
+    point: with B = ceil(sqrt(n'_a)) and i = q B + r, exp(i theta_l y_i) is
+    the product of exp(i theta_l y_{qB}), at the lattice's own coordinates,
+    and exp(i theta_l h' r): about 2 sqrt(n'_a) complex exponentials per
+    top point instead of n'_a per point. The cost is about
+    J prod L_a for the core and n^m L real multiply-adds per contraction,
+    instead of J n^m per grid. A lattice with a coordinate
+    |y_i| > R_a (1 + 1e-12), beyond rounding of the cover, is refused,
+    never extrapolated.
 
     Bound. As a function of t, e(rho_a t y) = exp(i w t) with |w| <= omega_a =
     2 pi rho_a R_a for every |y| <= R_a has the Chebyshev coefficients
@@ -207,13 +225,18 @@ class _LowRankLattice:
     _LOWRANK_TOL: every value of every lattice in the cover errs by at most
     about 1e-15 sum_j |c_j| before rounding (at rho = 1: 61 points for R = 4,
     70 for R = 5). Rounding adds a few 1e-15 sum_j |c_j| (1 + 2 pi |x|), as it
-    does in plane_wave_grid, with x the farthest point of the cover.
+    does in plane_wave_grid, with x the farthest point of the cover: each
+    table entry is within a few eps (1 + theta_l R_a) of cos or sin of its
+    phase (the two rounded ladder factors, their product, and y_{qB} + h' r
+    against y_i, sums of terms up to R_a), and theta_l R_a <= 2 pi rho_a R_a.
 
-    Derivatives. Since d/dy e(rho_a x_l y) = 2 pi i rho_a x_l e(rho_a x_l y),
-    the grid of d F / d x_a is the same core contracted with the
-    differentiated table D_a = 2 pi i rho_a diag(x_l) T_a on axis a and the
-    tables T_b on the others: plane_wave_grid with coefficients 2 pi i v_a c.
-    D_a interpolates 2 pi i rho_a t e(rho_a t y) at t = t_j. As
+    Derivatives. Since d/dy cos(theta_l y) = -theta_l sin(theta_l y) and
+    d/dy sin(theta_l y) = theta_l cos(theta_l y), the differentiated table
+    D_a is T_a with its cos and sin rows swapped and scaled by -theta_l and
+    theta_l, and its 1 row 0. The grid of d F / d x_a is the same core
+    contracted with D_a on axis a and the tables T_b on the others:
+    plane_wave_grid with coefficients 2 pi i v_a c. D_a interpolates
+    2 pi i rho_a t e(rho_a t y) at t = t_j. As
     t T_k = (T_{k-1} + T_{k+1}) / 2, t e(rho_a t y) has the Chebyshev
     coefficients (a_{k-1} + a_{k+1}) / 2 from degree 2 on (a_k those of
     e(rho_a t y)), so its tail from L is at most the value's tail from L - 1
@@ -233,16 +256,16 @@ class _LowRankLattice:
         c = coeffs * np.exp(2j * np.pi * (freqs @ self.centre))
         rho = np.abs(freqs).max(axis=0, initial=0.0)
         rho[rho == 0] = 1.0  # an axis without frequency content: every t_j is 0
-        self.rho = rho
-        lams, self.nodes = [], []
+        lams, self.theta = [], []
         for a in range(m):
             count = _chebyshev_count(TWO_PI * rho[a] * self.radius[a], m)
             lam, nodes = _barycentric_weights(freqs[:, a] / rho[a], count)
             lams.append(lam)  # (L_a, J)
-            self.nodes.append(nodes)
+            self.theta.append(TWO_PI * rho[a] * nodes[: count // 2])  # the top nodes, x_l > 0
 
-        # the core by real products, one block per real or imaginary part; 2D
-        # keeps each weighted table small, 3D chunks the (J, L_2 L_3) pair table
+        # the complex core by real products, one block per real or imaginary
+        # part; 2D keeps each weighted table small, 3D chunks the (J, L_2 L_3)
+        # pair table
         L = [len(lam) for lam in lams]
         parts = np.stack([c.real, c.imag])  # (2, J)
         if m == 2:
@@ -255,7 +278,16 @@ class _LowRankLattice:
                 pair = lams[1][:, None, lo : lo + step] * lams[2][None, :, lo : lo + step]
                 core += rows[:, lo : lo + step] @ pair.reshape(L[1] * L[2], -1).T
         core = core.reshape(2, *L)
-        self.core = core[0] + 1j * core[1]
+        core = core[0] + 1j * core[1]
+        # onto the real basis, axis by axis: rows l and L - 1 - l multiply
+        # e(+-rho x_l y), so their sum weighs cos and i times their difference sin
+        for a in range(m):
+            k = np.moveaxis(core, a, 0)
+            H = len(k) // 2
+            top, bottom = k[:H], k[::-1][:H]
+            k = np.concatenate([top + bottom, k[H : len(k) - H], 1j * (top - bottom)])
+            core = np.moveaxis(k, 0, a)
+        self.core = np.ascontiguousarray(core.real)
 
     def grid(self, origin, shape, h: float) -> np.ndarray:
         """The values on origin + h * index, shape shape: plane_wave_grid to the bound."""
@@ -264,32 +296,55 @@ class _LowRankLattice:
     def grid_and_gradient(self, origin, shape, h: float) -> tuple[np.ndarray, list[np.ndarray]]:
         """grid, bitwise, and the m partial-derivative grids, from the same tables."""
         tabs = self._tables(origin, shape, h)
-        grads = []
-        for a in range(len(tabs)):
-            d_tabs = list(tabs)
-            d_tabs[a] = (2j * np.pi * self.rho[a] * self.nodes[a])[:, None] * tabs[a]
-            grads.append(self._contract(d_tabs))
+        grads = [self._contract(tabs[:a] + [d_tab] + tabs[a + 1 :])
+                 for a, d_tab in enumerate(self._derivative_tables(tabs))]
         return self._contract(tabs), grads
 
+    def _derivative_tables(self, tabs: list[np.ndarray]) -> list[np.ndarray]:
+        """d/dy of each table: cos and sin rows swapped, times -theta_l and theta_l; 1 row 0."""
+        d_tabs = []
+        for tab, theta in zip(tabs, self.theta):
+            L, H = len(tab), len(theta)
+            d_tab = np.zeros_like(tab)
+            np.multiply(-theta[:, None], tab[L - H :], out=d_tab[:H])
+            np.multiply(theta[:, None], tab[:H], out=d_tab[L - H :])
+            d_tabs.append(d_tab)
+        return d_tabs
+
     def _tables(self, origin, shape, h: float) -> list[np.ndarray]:
-        """T_a (L_a, n_a) of a lattice in the cover; one that reaches outside is refused."""
-        origin = _checked_origin(len(self.nodes), origin, shape)
+        """T_a (L_a, n_a) of a lattice in the cover; one that reaches outside is refused.
+
+        Rows cos(theta_l y_i), then 1 when L_a is odd, then sin(theta_l y_i),
+        over the top nodes l. Each exp(i theta_l y_i), i = q B + r with
+        B = ceil(sqrt(n_a)), is the product of two ladder entries:
+        exp(i theta_l y_{qB}) at the lattice's own coordinates and
+        exp(i theta_l h r).
+        """
+        origin = _checked_origin(len(self.theta), origin, shape)
         n = np.asarray(shape)
         r = h * (n - 1) / 2
         shift = origin + r - self.centre  # exactly 0 on the cover itself
         tabs = []
-        for a, nodes in enumerate(self.nodes):
+        for a, theta in enumerate(self.theta):
             y = h * (np.arange(n[a]) - (n[a] - 1) / 2) + shift[a]
             if np.abs(y).max(initial=0.0) > self.radius[a] * (1 + 1e-12):
                 raise ValueError("the lattice reaches outside the cover of the low-rank fill")
-            tabs.append(np.exp(2j * np.pi * self.rho[a] * np.outer(nodes, y)))  # (L_a, n_a)
+            L, H = self.core.shape[a], len(theta)
+            B = math.isqrt(n[a] - 1) + 1
+            coarse = np.exp(1j * np.outer(theta, y[::B]))  # (H, ceil(n_a / B))
+            fine = np.exp(1j * np.outer(theta, h * np.arange(B)))  # (H, B)
+            phase = (coarse[:, :, None] * fine[:, None, :]).reshape(H, -1)[:, : n[a]]
+            tab = np.ones((L, n[a]))
+            tab[:H] = phase.real
+            tab[L - H :] = phase.imag
+            tabs.append(tab)
         return tabs
 
     def _contract(self, tabs: list[np.ndarray]) -> np.ndarray:
-        """Re of the core contracted with one table per axis: the grid, shape (n_1, ..., n_m).
+        """The real core contracted with one table per axis: the grid, shape (n_1, ..., n_m).
 
-        The trailing axes are contracted first; the first by a real product
-        that keeps only Re, written into the one grid-sized array.
+        The trailing axes are contracted first and axis 0 last, by one real
+        product written into the one grid-sized array.
         """
         core = self.core
         n = [t.shape[1] for t in tabs]
@@ -299,9 +354,8 @@ class _LowRankLattice:
         else:
             rest = (core.reshape(L[0] * L[1], L[2]) @ tabs[2]).reshape(L[0], L[1], n[2])
             rest = np.matmul(tabs[1].T, rest).reshape(L[0], -1)
-        first = np.concatenate([tabs[0].real, -tabs[0].imag]).T  # (n_1, 2 L_1)
         out = np.empty((n[0], int(np.prod(n[1:]))))
-        np.matmul(first, np.concatenate([rest.real, rest.imag]), out=out)
+        np.matmul(tabs[0].T, rest, out=out)
         return out.reshape(n)
 
 

@@ -271,6 +271,23 @@ def _row_major_strides(shape) -> list[int]:
     return [int(np.prod(shape[d + 1 :])) for d in range(len(shape))]
 
 
+def _cell_cases(pos: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per cell: the sign case and whether every corner is in the mask.
+
+    Bit c of the case is set when corner c is positive, and corner c is
+    offset along axis a by bit a of c. The corners are gathered one axis at
+    a time: each pass joins the lower and upper faces of every cell along
+    that axis, so bit c moves up by 2^a for the upper face.
+    """
+    case, ok = pos.view(np.uint8), mask
+    for a in reversed(range(pos.ndim)):
+        lo = (slice(None),) * a + (slice(None, -1),)
+        hi = (slice(None),) * a + (slice(1, None),)
+        case = case[lo] | case[hi] << np.uint8(1 << a)
+        ok = ok[lo] & ok[hi]
+    return case, ok
+
+
 def _crossing_elements(grid: ScalarGrid, pos: np.ndarray) -> tuple[np.ndarray, int]:
     """Grid-edge ids of the zero-set elements, and the number of cells scanned.
 
@@ -285,14 +302,7 @@ def _crossing_elements(grid: ScalarGrid, pos: np.ndarray) -> tuple[np.ndarray, i
         table, edge_axis, edge_base = mct.SQUARE_CASES, mct.SQ_EDGE_AXIS, mct.SQ_EDGE_BASE
     else:
         table, edge_axis, edge_base = mct.CUBE_CASES, mct.EDGE_AXIS, mct.EDGE_BASE
-    cells = tuple(n - 1 for n in grid.shape)
-    mask = grid.mask()
-    cell_ok = np.ones(cells, dtype=bool)
-    case = np.zeros(cells, dtype=np.uint8)
-    for c in range(2**m):  # corner c is offset along axis a by bit a of c
-        sl = tuple(slice(o, o + n) for o, n in zip(((c >> a) & 1 for a in range(m)), cells))
-        cell_ok &= mask[sl]
-        case |= pos[sl].view(np.uint8) << np.uint8(c)
+    case, cell_ok = _cell_cases(pos, grid.mask())
     covered = int(np.count_nonzero(cell_ok))
     full = 2 ** 2**m - 1
     work = np.flatnonzero(cell_ok & (case > 0) & (case < full))
@@ -302,7 +312,8 @@ def _crossing_elements(grid: ScalarGrid, pos: np.ndarray) -> tuple[np.ndarray, i
     # edge e of a cell is the cell's id for axis(e) plus a fixed shift
     blocks = _edge_blocks(grid.shape)
     strides = np.array([_row_major_strides(bshape) for _, bshape in blocks])
-    cell_gid = np.array([f for f, _ in blocks])[:, None] + strides @ np.stack(np.unravel_index(work, cells))
+    cell_index = np.stack(np.unravel_index(work, case.shape))
+    cell_gid = np.array([f for f, _ in blocks])[:, None] + strides @ cell_index
     shift = np.sum(edge_base * strides[edge_axis], axis=1)
 
     order = np.argsort(case_w, kind="stable")

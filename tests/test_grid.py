@@ -11,6 +11,7 @@ from monowave.directions import generate_uniform_directions, log_rational_direct
 from monowave.field import (
     _LOWRANK_TOL,
     PlaneWaveSum,
+    _barycentric_weights,
     _chebyshev_count,
     _LowRankLattice,
     make_wave,
@@ -243,6 +244,99 @@ def test_lowrank_fill_with_frequencies_on_chebyshev_points(freqs):
     for n in range(2, 25):
         shape = (n, n + 1, n)[: freqs.shape[1]]
         _assert_lowrank_matches_direct(freqs, coeffs, np.full(freqs.shape[1], -0.3), shape, 0.2)
+
+
+def _direct_phases(freqs, cover, origin, shape, h, a, L) -> np.ndarray:
+    """Oracle: the phases 2 pi rho_a x_l y_i of axis a straight from their definitions.
+
+    x_l are the top Chebyshev points (x_l > 0) and y_i = h (i - (n_a - 1) / 2)
+    + (c'_a - c_a) the lattice's coordinates about the cover's centre c.
+    """
+    x = _barycentric_weights(np.zeros(1), L)[1][: L // 2]
+    rho = np.abs(freqs[:, a]).max()
+    cover_centre = cover[0][a] + cover[2] * (cover[1][a] - 1) / 2
+    centre = origin[a] + h * (shape[a] - 1) / 2
+    y = h * (np.arange(shape[a]) - (shape[a] - 1) / 2) + (centre - cover_centre)
+    return 2 * np.pi * rho * np.outer(x, y)
+
+
+def _assert_tables_match_direct_phases(lattice, freqs, cover, origin, shape, h) -> set:
+    """Each table row is cos or sin of its direct phase within 8 eps (1 + theta_l R_a).
+
+    theta_l R_a, R_a the cover's half-width, is the largest phase of row l
+    on any lattice in the cover. The ladder product rounds each of its two
+    exponentials and their product, and y_{qB} + h r differs from y_i by
+    rounding of the coordinates, which are sums of terms up to R_a: a few
+    eps (1 + theta_l R_a) in all (at most 2.1 eps (1 + theta_l R_a) measured
+    over covers of 1 to 401 points). Returns the parities of the tables' row
+    counts.
+    """
+    tabs = lattice._tables(origin, shape, h)
+    d_tabs = lattice._derivative_tables(tabs)
+    eps = np.finfo(float).eps
+    parities = set()
+    for a, (tab, d_tab, theta) in enumerate(zip(tabs, d_tabs, lattice.theta)):
+        L, H = len(tab), len(theta)
+        assert tab.shape == d_tab.shape == (L, shape[a]) and tab.dtype == float
+        assert L == lattice.core.shape[a] and H == L // 2
+        parities.add(L % 2)
+        phase = _direct_phases(freqs, cover, origin, shape, h, a, L)
+        bound = 8 * eps * (1 + theta[:, None] * cover[2] * (cover[1][a] - 1) / 2)
+        assert np.all(np.abs(tab[:H] - np.cos(phase)) <= bound)
+        assert np.all(np.abs(tab[L - H :] - np.sin(phase)) <= bound)
+        assert np.all(tab[H : L - H] == 1.0)  # the row of the point 0, odd L only
+        # d/dy cos(theta y) = -theta sin(theta y), d/dy sin(theta y) = theta cos(theta y)
+        x = _barycentric_weights(np.zeros(1), L)[1][:H]
+        assert theta.tobytes() == (2 * np.pi * np.abs(freqs[:, a]).max() * x).tobytes()
+        assert d_tab[:H].tobytes() == (-theta[:, None] * tab[L - H :]).tobytes()
+        assert d_tab[L - H :].tobytes() == (theta[:, None] * tab[:H]).tobytes()
+        assert not d_tab[H : L - H].any()
+    # the gradient grids are the core contracted with these tables
+    _, grads = lattice.grid_and_gradient(origin, shape, h)
+    for a, grad in enumerate(grads):
+        want = lattice._contract(tabs[:a] + [d_tabs[a]] + tabs[a + 1 :])
+        assert grad.tobytes() == want.tobytes()
+    return parities
+
+
+@pytest.mark.parametrize("n", [1, 2, 13, 49])  # one, two, a prime and a perfect square
+def test_tables_match_direct_phases(n):
+    # covers of growing pitch give both parities of the point count on each
+    # axis; the tables are checked on the cover itself and on an off-centre
+    # sub-box at the cover's pitch and at half of it
+    rng = np.random.default_rng(n)
+    freqs, coeffs = _random_sum(rng, 2)
+    parities = set()
+    for h in np.linspace(0.02, 0.25, 12):
+        cover = (rng.uniform(-3.0, 3.0, 2), (n, 61), float(h))
+        lattice = _LowRankLattice(freqs, coeffs, *cover)
+        parities |= _assert_tables_match_direct_phases(lattice, freqs, cover, *cover)
+        for pitch in (h, h / 2):
+            # axis 0 spans the cover (n or 2n - 1 points), axis 1 has n points
+            # from a random cover vertex on
+            shape = (1 + (n - 1) * round(h / pitch), n)
+            origin = cover[0] + h * np.array([0, rng.integers(0, 62 - n)])
+            box = (origin, shape, pitch)
+            parities |= _assert_tables_match_direct_phases(lattice, freqs, cover, *box)
+    assert parities == {0, 1}
+
+
+def test_largest_frequency_gets_a_unit_weight_column():
+    # t_j = v_ja / rho_a is +-1 exactly for the largest |v_ja|, and +-1 are the
+    # end points of the Chebyshev points: the on-node path of
+    # _barycentric_weights runs on every axis of every draw
+    for m in (2, 3):
+        F = sample_uniform(m, 1024, 9)
+        lattice = _LowRankLattice(F.freqs, F.amps, np.full(m, -5.0), (101,) * m, 0.1)
+        for a in range(m):
+            L = lattice.core.shape[a]
+            v = F.freqs[:, a]
+            j = int(np.abs(v).argmax())
+            lam, nodes = _barycentric_weights(v / np.abs(v).max(), L)
+            assert nodes[0] == 1.0 and nodes[-1] == -1.0
+            unit = np.zeros(L)
+            unit[0 if v[j] > 0 else -1] = 1.0
+            assert lam[:, j].tobytes() == unit.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (2, 3), (3, 2), (1, 2, 1), (2, 2, 3)])

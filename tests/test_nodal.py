@@ -822,6 +822,28 @@ def test_crossing_elements_match_per_cell_loop(m, W, h):
     assert np.allclose(z.element_measure, measures, rtol=1e-12, atol=0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
+def test_cell_cases_match_corner_by_corner(seed, m):
+    # the axis-by-axis gather against one slice per corner: corner c is
+    # offset along axis a by bit a of c and sets bit c of the case
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(n) for n in rng.integers(2, 30 if m == 2 else 12, m))
+    pos = rng.random(shape) < rng.uniform(0.1, 0.9)
+    mask = rng.random(shape) < rng.uniform(0.5, 1.0)
+    cells = tuple(n - 1 for n in shape)
+    want_ok = np.ones(cells, dtype=bool)
+    want_case = np.zeros(cells, dtype=np.uint8)
+    for c in range(2**m):
+        sl = tuple(slice((c >> a) & 1, ((c >> a) & 1) + n) for a, n in enumerate(cells))
+        want_ok &= mask[sl]
+        want_case |= pos[sl].astype(np.uint8) << np.uint8(c)
+    case, ok = nodal._cell_cases(pos, mask)
+    assert case.dtype == np.uint8 and ok.dtype == bool
+    assert case.tobytes() == want_case.tobytes() and case.shape == cells
+    assert ok.tobytes() == want_ok.tobytes() and ok.shape == cells
+
+
 @pytest.mark.parametrize("m, W, h", [(2, 2.0, 0.1), (3, 0.9, 0.1), (2, None, 0.1)])
 def test_covered_volume_matches_per_cell_loop(m, W, h):
     if W is None:  # a box grid without a ball mask
