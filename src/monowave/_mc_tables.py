@@ -8,8 +8,11 @@ loops. The only ambiguous face is a saddle, whose signs alternate; the rule
 cuts off its positive corners and keeps its negative corners joined. Because
 the rule depends only on the four signs of the face, the two cells sharing a
 face always agree on its segments, so welded 3D meshes are watertight by
-construction. The same rule in 2D keeps diagonally-touching positive cells
-separate, matching 4-neighbor component labeling.
+construction. The rule fixes the connectivity the sign labeling must use for
+the zero set to separate exactly its components: positive vertices join
+only along grid edges (4-connected in 2D, 6 in 3D), negative ones also
+across the diagonal of a face (8 in 2D, 18 in 3D), and never across the
+body diagonal of a cube, whose two corners each get a loop of their own.
 
 Corner c of the unit cube has offsets (dx, dy, dz) with c = dx + 2 dy + 4 dz;
 a case index sets bit c when corner c is positive. Edge tables list cube

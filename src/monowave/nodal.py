@@ -1,14 +1,17 @@
 """Nodal decompositions of sampled fields.
 
-Sign components are the connected components of orthogonally adjacent
-same-sign vertices, found over run-length encoded rows by array hooking and
-pointer jumping (_connected). The zero set is extracted per cell from the
-sign-case tables. Its crossing grid edges are ranked per axis block, from a
-bool mark over the block's edges and an int32 rank table, so no sort runs
-over the element edge ids. The crossings are measured by linear
-interpolation and split into connected pieces by a second _connected pass
-over the crossing edges. Downstream: nesting trees over components and
-topology classes (circles in 2D, genus in 3D) for the zero pieces.
+Sign components are found over run-length encoded rows by array hooking and
+pointer jumping (_connected), with positive vertices 4-connected (6 in 3D)
+and negative ones 8-connected (18 in 3D), the pair the sign-case tables
+imply. The same pass flags the components on the rim and pairs the
+components across opposite-sign grid edges; nesting trees and the 2D class
+counts are read from that decomposition alone. The zero set, extracted per
+cell from the sign-case tables, serves the measures and the 3D genus. Its
+crossing grid edges are ranked per axis block, from a bool mark over the
+block's edges and an int32 rank table, so no sort runs over the element
+edge ids. The crossings are measured by linear interpolation and split into
+connected pieces by a second _connected pass over the crossing edges; a
+piece is interior when it borders an interior component.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _mc_tables as mct
-from .grid import ScalarGrid, _squared_bound
+from .grid import ScalarGrid
 
 TIE_EPS = 1e-13  # |value| below this is treated as +TIE_EPS everywhere
 
@@ -30,9 +33,9 @@ class DegenerateSampleError(RuntimeError):
 
     reason is a short code for the check that failed: "probe_failed" and
     "too_many_excluded" (stats), "vanished_supremum" (growth), and from here
-    "piece_not_two_sided", "shared_pieces", "no_boundary_component",
-    "not_a_tree", "open_curve", "non_manifold" and "bad_euler". The message
-    says the same in words.
+    "no_boundary_component" and "not_a_tree" (nesting trees) and
+    "non_manifold" and "bad_euler" (3D topology classes). The message says
+    the same in words.
     """
 
     def __init__(self, message: str, reason: str | None = None):
@@ -93,47 +96,80 @@ class NodalDecomposition:
     components: list[ComponentRecord]
     interior_count: int
     boundary_count: int
+    # (E, 2) sorted unique component pairs a < b joined by an opposite-sign
+    # grid edge between in-mask vertices
+    adjacency: np.ndarray
     _zero: "_ZeroSet | None" = field(default=None, repr=False)
 
     @property
     def total_components(self) -> int:
         return len(self.components)
 
-    @property
-    def adjacency(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """Opposite-sign component pairs -> ids of the zero pieces between them."""
-        return self._ensure_zero().adjacency
-
     def _ensure_zero(self) -> "_ZeroSet":
         if self._zero is None:
-            self._zero = _extract_zero_set(self.grid, self.labels)
+            interior = np.array([not c.touches_boundary for c in self.components])
+            self._zero = _extract_zero_set(self.grid, self.labels, interior)
         return self._zero
 
 
-def _shell_at(grid: ScalarGrid, vertices: np.ndarray, band: float) -> np.ndarray:
-    """The shell of width band spacings at the given in-mask flat vertex indices.
+def _line_interiors(shape, run_line, run_s, run_e) -> tuple[np.ndarray, np.ndarray]:
+    """Per grid line, the index interval [lo, hi] of its vertices off the rim.
 
-    The shell of a ball grid is its in-mask vertices farther than
-    radius - band * spacing from the centre: the sphere-side test adds the
-    same squares in axis order as ScalarGrid.within, so band = 1 is
-    mask & ~within(radius - spacing), to the bit. A box grid's shell is its
-    faces. Component boundary detection uses band 1, at run ends; zero
-    pieces use 2, because a crossing edge whose companion cell has an
-    out-of-mask corner (so its curve end dangles) can sit up to sqrt(m) * h
-    inside the sphere. No grid-sized array is built.
+    A vertex is off the rim when its whole 3^m neighbourhood lies in the grid
+    and the mask. A line's in-mask vertices form one interval [a, b]: a box
+    grid has no mask, and along a line the squared distance that within_ball
+    thresholds adds the line's axis last, a quasi-convex term in the index.
+    So vertex k is off the rim exactly when a' + 1 <= k <= b' - 1 for the
+    spans [a', b'] of the 3^(m-1) lines next to and including its own; a
+    line outside the grid or without in-mask vertices has the empty span
+    (L, -1). The runs tile each line's span, so its first and last run give
+    it, and no grid-sized array is built.
     """
-    idx = np.unravel_index(vertices, grid.shape)
-    if grid.ball_radius is None:
-        return np.logical_or.reduce([(i == 0) | (i == n - 1) for i, n in zip(idx, grid.shape)])
-    sq = 0.0
-    for a in range(grid.dim):
-        d = grid.axis_coords(a)[idx[a]] - grid.ball_center[a]
-        sq = sq + d**2
-    return sq > _squared_bound(grid.ball_radius - band * grid.spacing)
+    line_shape, L = shape[:-1], shape[-1]
+    new_line = np.empty(len(run_line), dtype=bool)
+    new_line[0] = True
+    np.not_equal(run_line[1:], run_line[:-1], out=new_line[1:])
+    first = np.flatnonzero(new_line)
+    last = np.append(first[1:], len(run_line)) - 1
+    a = np.full(line_shape, L, dtype=np.intp)
+    b = np.full(line_shape, -1, dtype=np.intp)
+    a.reshape(-1)[run_line[first]] = run_s[first]
+    b.reshape(-1)[run_line[last]] = run_e[last] - 1
+    for axis in range(len(line_shape)):  # the 3^(m-1) window is separable
+        a = _window3(a, axis, L, np.maximum)
+        b = _window3(b, axis, -1, np.minimum)
+    return a.reshape(-1) + 1, b.reshape(-1) - 1
+
+
+def _window3(x: np.ndarray, axis: int, fill: int, op) -> np.ndarray:
+    """op over each entry and its two neighbours along axis, fill beyond the ends."""
+    n = x.shape[axis]
+    pad = np.full(x.shape[:axis] + (n + 2,) + x.shape[axis + 1 :], fill, dtype=x.dtype)
+    cut = lambda lo, hi: (slice(None),) * axis + (slice(lo, hi),)
+    pad[cut(1, n + 1)] = x
+    return op(op(pad[cut(0, n)], x), pad[cut(2, n + 2)])
+
+
+def _run_pairs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) for every run i and every j in lo[i] <= j < hi[i]."""
+    counts = np.maximum(hi - lo, 0)
+    src = np.repeat(np.arange(len(lo)), counts)
+    dst = np.arange(int(counts.sum())) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return src, dst
 
 
 def label_domains(grid: ScalarGrid) -> NodalDecomposition:
-    """Components of orthogonally adjacent same-sign in-mask vertices.
+    """Sign components of the in-mask vertices, their rim flags and adjacency.
+
+    Positive vertices are 4-connected (6 in 3D) and negative ones 8-connected
+    (18 in 3D): the consistent pair (Kong & Rosenfeld 1989) that the
+    sign-case tables imply, since a saddle face joins its negative corners
+    and cuts off its positive ones, and a cube joins nothing across a body
+    diagonal. So two components are separated exactly by zero-set pieces. A
+    component touches the rim when one of its vertices has a vertex outside
+    the grid or the mask in its 3^m neighbourhood, that is, when it is a
+    corner of a cell the zero set does not scan. The adjacency pairs the
+    components on either side of each opposite-sign grid edge.
 
     The grid caches the result by weak reference: it is reused while a caller
     holds it, and grid and decomposition form no reference cycle.
@@ -163,50 +199,71 @@ def label_domains(grid: ScalarGrid) -> NodalDecomposition:
     run_line = rs_flat // L
     run_s = rs_flat - run_line * L
     run_e = re_flat - run_line * L
-    R = len(rs_flat)
+    neg = rkey == 0
 
-    # overlapping same-sign runs on neighboring lines, via composite keys
-    comp_s = rs_flat  # == run_line * L + run_s, globally sorted
-    comp_e = re_flat
-    pa_parts, pb_parts = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    # Runs on neighbouring lines, found through composite keys (rs_flat ==
+    # run_line * L + run_s is globally sorted); same-sign candidates join. On
+    # lines one step apart along one axis, a positive run's candidates are
+    # the runs that overlap it, and a negative run's those that overlap it
+    # once widened by one vertex along the line (e' >= s and s' <= e,
+    # clamped so that the window stays on the target line): negatives also
+    # join where they only meet diagonally. Opposite-sign candidates that
+    # overlap share grid edges. On lines one step apart along two axes (3D)
+    # overlapping negative runs join.
     line_shape = shape[:-1]
-    neighbor_steps = []
     if grid.dim == 2:
-        neighbor_steps.append((1, run_line + 1 < line_shape[0]))
-    elif grid.dim == 3:
-        li = run_line // line_shape[1]
-        lj = run_line - li * line_shape[1]
-        neighbor_steps.append((line_shape[1], li + 1 < line_shape[0]))
-        neighbor_steps.append((1, lj + 1 < line_shape[1]))
-    for d, valid in neighbor_steps:
-        tgt = (run_line + d) * L
-        lo = np.searchsorted(comp_e, tgt + run_s, side="right")
-        hi = np.searchsorted(comp_s, tgt + run_e, side="left")
-        lo = np.where(valid, lo, 0)
-        hi = np.maximum(np.where(valid, hi, 0), lo)
-        counts = hi - lo
-        tot = int(counts.sum())
-        if tot == 0:
-            continue
-        src = np.repeat(np.arange(R), counts)
-        dst = np.repeat(lo, counts) + (np.arange(tot) - np.repeat(np.cumsum(counts) - counts, counts))
-        ok = rkey[src] == rkey[dst]
-        pa_parts.append(src[ok])
-        pb_parts.append(dst[ok])
-    comp_of_run, ncomp = _connected(R, np.concatenate(pa_parts), np.concatenate(pb_parts))
+        steps = [(1, run_line + 1 < line_shape[0], True)]
+    else:
+        li, lj = np.divmod(run_line, line_shape[1])
+        down, right = li + 1 < line_shape[0], lj + 1 < line_shape[1]
+        steps = [(line_shape[1], down, True), (1, right, True),
+                 (line_shape[1] + 1, down & right & neg, False),
+                 (line_shape[1] - 1, down & (lj > 0) & neg, False)]
+    # consecutive runs that meet within a line have opposite signs
+    meet = np.flatnonzero((re_flat[:-1] == rs_flat[1:]) & (run_e[:-1] < L))
+    join_a, join_b, adj_a, adj_b = [], [], [meet], [meet + 1]
+    for d, valid, face in steps:
+        runs = np.flatnonzero(valid)
+        tgt = (run_line[runs] + d) * L
+        s, e = run_s[runs], run_e[runs]
+        if face:
+            wide = neg[runs]
+            lo = np.searchsorted(re_flat, tgt + np.where(wide, np.maximum(s, 1), s + 1))
+            hi = np.searchsorted(rs_flat, tgt + np.where(wide, np.minimum(e, L - 1), e - 1),
+                                 side="right")
+        else:
+            lo = np.searchsorted(re_flat, tgt + s, side="right")
+            hi = np.searchsorted(rs_flat, tgt + e, side="left")
+        src, dst = _run_pairs(lo, hi)
+        src = runs[src]
+        same = rkey[src] == rkey[dst]
+        join_a.append(src[same])
+        join_b.append(dst[same])
+        if face:
+            a, b = src[~same], dst[~same]
+            overlap = (run_e[b] > run_s[a]) & (run_s[b] < run_e[a])
+            adj_a.append(a[overlap])
+            adj_b.append(b[overlap])
+    comp_of_run, ncomp = _connected(len(rs_flat), np.concatenate(join_a), np.concatenate(join_b))
     lengths = run_e - run_s
     sizes = np.bincount(comp_of_run, weights=lengths, minlength=ncomp).astype(np.int64)
     signs = np.zeros(ncomp, dtype=np.int8)
-    signs[comp_of_run] = np.where(rkey > 0, 1, -1)
+    signs[comp_of_run] = np.where(neg, -1, 1)
 
-    # a run touches the shell exactly when one of its ends does: along a grid
-    # line the in-mask vertices and those within radius - spacing are nested
-    # intervals (the squared distance adds the line's axis last, and its term
-    # is quasi-convex in the index), and on a box grid a run meets the faces
-    # of its own axis only at its ends
-    run_shell = _shell_at(grid, rs_flat, band=1.0) | _shell_at(grid, re_flat - 1, band=1.0)
+    ca = comp_of_run[np.concatenate(adj_a)]
+    cb = comp_of_run[np.concatenate(adj_b)]
+    pair = np.sort(np.minimum(ca, cb) * ncomp + np.maximum(ca, cb))
+    first = np.empty(len(pair), dtype=bool)
+    first[:1] = True
+    np.not_equal(pair[1:], pair[:-1], out=first[1:])
+    adjacency = np.stack(np.divmod(pair[first], ncomp), axis=-1)
+
+    # a run reaches the rim exactly when one of its ends leaves its line's
+    # off-rim interval
+    lo, hi = _line_interiors(shape, run_line, run_s, run_e)
+    run_rim = (run_s < lo[run_line]) | (run_e - 1 > hi[run_line])
     touches = np.zeros(ncomp, dtype=bool)
-    np.logical_or.at(touches, comp_of_run, run_shell)
+    touches[comp_of_run[run_rim]] = True
 
     # the in-mask runs tile the in-mask vertices in flat order
     labels = np.full(key.size, -1, dtype=np.intp)
@@ -227,6 +284,7 @@ def label_domains(grid: ScalarGrid) -> NodalDecomposition:
         components=comps,
         interior_count=int(np.sum(~touches)),
         boundary_count=int(np.sum(touches)),
+        adjacency=adjacency,
     )
     grid.__dict__["_nodal_dec"] = weakref.ref(dec)
     return dec
@@ -243,11 +301,10 @@ class _ZeroSet:
     edge_points: np.ndarray  # (U, m) interpolated zero crossings
     edge_piece: np.ndarray  # (U,) piece index
     npieces: int
+    edge_ends: np.ndarray  # (U, 2) flat indices of each crossing edge's lower and upper vertex
     covered_cells: int  # cells with every corner in the mask: the ones scanned
     piece_measure: np.ndarray
-    piece_boundary: np.ndarray
-    piece_neighbors: tuple[frozenset, ...]
-    adjacency: dict[tuple[int, int], tuple[int, ...]]
+    piece_boundary: np.ndarray  # the piece borders no interior component
     elements: np.ndarray  # (S,2) or (T,3) indices into the unique edges
     element_piece: np.ndarray
     element_measure: np.ndarray
@@ -349,7 +406,9 @@ def _element_measures(points: np.ndarray, elements: np.ndarray) -> np.ndarray:
     return 0.5 * np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
 
 
-def _extract_zero_set(grid: ScalarGrid, labels: np.ndarray) -> _ZeroSet:
+def _extract_zero_set(grid: ScalarGrid, labels: np.ndarray, interior: np.ndarray) -> _ZeroSet:
+    """The zero set of grid, its pieces interior when they border a component
+    flagged in interior (one entry per label)."""
     if grid.dim not in (2, 3):
         raise ValueError("zero-set extraction supports m in {2, 3} only")
     elements, covered_cells = _crossing_elements(grid, grid.grid_values() > -TIE_EPS)
@@ -361,7 +420,7 @@ def _extract_zero_set(grid: ScalarGrid, labels: np.ndarray) -> _ZeroSet:
     gids = elements.reshape(-1)
     rank = np.empty(gids.size, dtype=np.intp)
     strides = _row_major_strides(grid.shape)
-    edge_parts, lower_parts, upper_parts, point_parts = [], [], [], []
+    edge_parts, end_parts, point_parts = [], [], []
     U = 0
     for a, (first, bshape) in enumerate(_edge_blocks(grid.shape)):
         n = int(np.prod(bshape))
@@ -386,13 +445,11 @@ def _extract_zero_set(grid: ScalarGrid, labels: np.ndarray) -> _ZeroSet:
         points = np.stack(coords, axis=-1).astype(float)
         points[:, a] += vu / (vu - vv)
         edge_parts.append(crossing + first)
-        lower_parts.append(lower)
-        upper_parts.append(upper)
+        end_parts.append(np.stack([lower, upper], axis=-1))
         point_parts.append(points)
     elements = rank.reshape(elements.shape)
     edge_ids = np.concatenate(edge_parts)
-    ends_u = np.concatenate(lower_parts)
-    ends_v = np.concatenate(upper_parts)
+    edge_ends = np.concatenate(end_parts)
     edge_points = grid.origin + grid.spacing * np.concatenate(point_parts)
     measure = _element_measures(edge_points, elements)
 
@@ -402,39 +459,9 @@ def _extract_zero_set(grid: ScalarGrid, labels: np.ndarray) -> _ZeroSet:
     elem_piece = edge_piece[elements[:, 0]] if U else np.empty(0, dtype=np.intp)
     piece_measure = np.bincount(elem_piece, weights=measure, minlength=npieces)
 
-    # every crossing edge lies in the mask; the band is read at its endpoints
-    edge_shell = _shell_at(grid, ends_u, band=2.0) | _shell_at(grid, ends_v, band=2.0)
-    piece_boundary = np.zeros(npieces, dtype=bool)
-    np.logical_or.at(piece_boundary, edge_piece, edge_shell)
-
-    # components on either side of each crossing edge, grouped through
-    # composite int64 keys (every crossing edge lies in the mask, so labels >= 0)
-    lab_u = labels[ends_u]
-    lab_v = labels[ends_v]
-    ncomp = int(labels.max()) + 1
-
-    # opposite-sign pairs in order of first crossing edge, pieces sorted
-    pair_keys, first, pair_of_edge = np.unique(
-        np.minimum(lab_u, lab_v) * ncomp + np.maximum(lab_u, lab_v),
-        return_index=True,
-        return_inverse=True,
-    )
-    pair_of, piece_of = np.divmod(np.unique(pair_of_edge * npieces + edge_piece), npieces)
-    pieces = piece_of.tolist()
-    bounds = np.searchsorted(pair_of, np.arange(len(pair_keys) + 1)).tolist()
-    keys = pair_keys.tolist()
-    adjacency = {
-        divmod(keys[k], ncomp): tuple(pieces[bounds[k] : bounds[k + 1]])
-        for k in np.argsort(first).tolist()
-    }
-
-    # each piece's neighbors are the two sides of its (pair, piece) combinations
-    lab_a, lab_b = np.divmod(pair_keys[pair_of], ncomp)
-    piece_lab = np.unique(np.concatenate([piece_of * ncomp + lab_a, piece_of * ncomp + lab_b]))
-    piece_of, lab_of = np.divmod(piece_lab, ncomp)
-    bounds = np.searchsorted(piece_of, np.arange(npieces + 1)).tolist()
-    labs = lab_of.tolist()
-    piece_neighbors = tuple(frozenset(labs[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+    # every crossing edge lies in the mask, so both its end labels are >= 0
+    piece_boundary = np.ones(npieces, dtype=bool)
+    piece_boundary[edge_piece[interior[labels[edge_ends]].any(axis=1)]] = False
 
     return _ZeroSet(
         dim=grid.dim,
@@ -442,11 +469,10 @@ def _extract_zero_set(grid: ScalarGrid, labels: np.ndarray) -> _ZeroSet:
         edge_points=edge_points,
         edge_piece=edge_piece,
         npieces=npieces,
+        edge_ends=edge_ends,
         covered_cells=covered_cells,
         piece_measure=piece_measure,
         piece_boundary=piece_boundary,
-        piece_neighbors=piece_neighbors,
-        adjacency=adjacency,
         elements=elements,
         element_piece=elem_piece,
         element_measure=measure,
@@ -511,36 +537,19 @@ class NestingTree:
     parent: dict[int, int]
     codes: dict[int, str]
     code: str
-    edge_piece: dict[int, int | None]  # component -> piece toward its parent
 
 
 def build_nesting_tree(dec: NodalDecomposition) -> NestingTree:
-    """Rooted nesting structure of the sign components.
+    """Rooted nesting structure of the sign components, from their adjacency.
 
     Contacts between two boundary-touching components are routed through the
-    super-root rather than kept as tree edges; a genuine cycle or a piece
-    bordering three components means the grid failed to separate domains.
+    super-root rather than kept as tree edges. Under the labeling's per-sign
+    connectivity every interior component has one enclosing neighbour, so
+    what remains is a tree; a cycle, or no component on the rim, is refused.
     """
-    z = dec._ensure_zero()
     touches = [c.touches_boundary for c in dec.components]
-    ncomp = len(dec.components)
-
-    # Pieces cut by the window rim may graze any number of rim slivers; only a
-    # piece living strictly inside must separate exactly two components.
-    for p in range(z.npieces):
-        if not z.piece_boundary[p] and len(z.piece_neighbors[p]) != 2:
-            raise DegenerateSampleError(
-                "an interior zero piece does not separate exactly two components",
-                "piece_not_two_sided",
-            )
-    edges: dict[tuple[int, int], int] = {}
-    for (a, b), pieces in z.adjacency.items():
-        if touches[a] and touches[b]:
-            continue  # lateral contact along the window rim
-        if len(pieces) > 1:
-            raise DegenerateSampleError("two components share two separating pieces",
-                                        "shared_pieces")
-        edges[(a, b)] = pieces[0]
+    ncomp = len(touches)
+    edges = [(a, b) for a, b in dec.adjacency.tolist() if not (touches[a] and touches[b])]
 
     boundary_comps = [i for i in range(ncomp) if touches[i]]
     if len(boundary_comps) == 1:
@@ -581,44 +590,41 @@ def build_nesting_tree(dec: NodalDecomposition) -> NestingTree:
     codes: dict[int, str] = {}
     for node in reversed(order):  # children precede parents
         codes[node] = "(" + "".join(sorted(codes[c] for c in children[node])) + ")"
+    return NestingTree(root=root, parent=parent, codes=codes, code=codes[root])
 
-    edge_piece: dict[int, int | None] = {}
-    for c, p in parent.items():
-        key = (c, p) if c < p else (p, c)
-        edge_piece[c] = edges.get(key)
-    return NestingTree(
-        root=root,
-        parent=parent,
-        codes=codes,
-        code=codes[root],
-        edge_piece=edge_piece,
-    )
+
+def _parent_pieces(dec: NodalDecomposition, tree: NestingTree) -> dict[int, int]:
+    """Component -> the zero piece between it and its tree parent.
+
+    Only tree edges that the zero set crosses appear (an edge to the virtual
+    root has no piece). Where several pieces cross one edge the lowest id is
+    taken; an interior component has exactly one toward its parent.
+    """
+    z = dec._ensure_zero()
+    ncomp = dec.total_components
+    lab = dec.labels[z.edge_ends]
+    keys = lab.min(axis=1) * ncomp + lab.max(axis=1)
+    order = np.argsort(z.edge_piece, kind="stable")[::-1]  # the lowest piece comes last and stays
+    piece_of = dict(zip(keys[order].tolist(), z.edge_piece[order].tolist()))
+    pieces = {}
+    for c, p in tree.parent.items():
+        k = min(c, p) * ncomp + max(c, p)
+        if p >= 0 and k in piece_of:
+            pieces[c] = piece_of[k]
+    return pieces
 
 
 # ---------------------------------------------------------------------------
 # topology classes of interior zero pieces
 
 
-def _piece_tagger(z: _ZeroSet):
-    """Tag function for the interior pieces of z: "circle" (2D) or "genusG" (3D).
+def _genus_tagger(z: _ZeroSet):
+    """Tag function "genusG" for the interior pieces of a 3D zero set.
 
-    The tag of a piece that is not a closed curve or a closed surface is a
-    DegenerateSampleError. Each element is read once for all pieces. In 2D an
-    edge lies in exactly one piece, so one global degree count finds the
-    open curves. In 3D the element rows of the interior pieces are grouped by
-    piece with one stable argsort.
+    The tag of a piece that is not a closed surface is a
+    DegenerateSampleError. The element rows of the interior pieces are
+    grouped by piece with one stable argsort.
     """
-    if z.dim == 2:
-        closed = np.bincount(z.elements.reshape(-1), minlength=len(z.edge_ids)) == 2
-        open_elements = np.bincount(z.element_piece, weights=~np.all(closed[z.elements], axis=1))
-
-        def tag(p: int) -> str:
-            if open_elements[p]:
-                raise DegenerateSampleError("an interior zero curve is not closed", "open_curve")
-            return "circle"
-
-        return tag
-
     rows = np.flatnonzero(~z.piece_boundary[z.element_piece])
     rows = rows[np.argsort(z.element_piece[rows], kind="stable")]
     bounds = np.searchsorted(z.element_piece[rows], np.arange(len(z.piece_boundary) + 1))
@@ -644,37 +650,42 @@ def _piece_tagger(z: _ZeroSet):
 def classify_topology(dec: NodalDecomposition) -> Counter:
     """Histogram of the class tags ("circle" / "genusG") of the interior zero pieces.
 
-    A piece that is not closed raises DegenerateSampleError; the first such
-    piece in piece order gives the reason.
+    In 2D each interior component is enclosed by one closed zero curve, the
+    piece toward its tree parent, and each interior piece encloses one
+    interior component, so the count is the interior count and no zero set
+    is extracted. In 3D the genus is read off the mesh: a piece that is not
+    a closed surface raises DegenerateSampleError, and the first such piece
+    in piece order gives the reason.
     """
+    if dec.grid.dim == 2:
+        return Counter({"circle": dec.interior_count} if dec.interior_count else {})
     z = dec._ensure_zero()
     interior = np.flatnonzero(~z.piece_boundary).tolist()
     if not interior:
         return Counter()
-    tag = _piece_tagger(z)
+    tag = _genus_tagger(z)
     return Counter(tag(p) for p in interior)
 
 
 def export_components_csv(dec: NodalDecomposition, path: str) -> None:
-    """One row per sign component; measure/class describe its outer boundary piece."""
+    """One row per sign component; measure/class describe the zero piece toward its tree parent."""
     import csv
 
     z = dec._ensure_zero()
     try:
-        tree: NestingTree | None = build_nesting_tree(dec)
+        pieces = _parent_pieces(dec, build_nesting_tree(dec))
     except DegenerateSampleError:
-        tree = None
-    tag_of = _piece_tagger(z)
+        pieces = {}
+    tag_of = _genus_tagger(z) if z.dim == 3 else (lambda p: "circle")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["id", "sign", "size", "boundary", "measure", "class"])
         for c in dec.components:
             measure = ""
             tag = ""
-            if tree is not None:
-                p = tree.edge_piece.get(c.id)
-                if p is not None:
-                    measure = repr(float(z.piece_measure[p]))
-                    if not z.piece_boundary[p]:
-                        tag = tag_of(p)
+            p = pieces.get(c.id)
+            if p is not None:
+                measure = repr(float(z.piece_measure[p]))
+                if not z.piece_boundary[p]:
+                    tag = tag_of(p)
             w.writerow([c.id, "+" if c.sign > 0 else "-", c.size, int(c.touches_boundary), measure, tag])

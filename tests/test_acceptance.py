@@ -13,7 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from monowave import stats
+from monowave import nodal, stats
 from monowave.cli import bessel_zero_table
 from monowave.directions import empirical_measure, generate_uniform_directions
 from monowave.field import bessel_j, make_wave, random_phase_coefficients
@@ -268,7 +268,8 @@ def test_a09_radial_nesting_path():
     is_path = len(interior) == 6 and len(edges) == 5 and max(deg.values()) <= 2
 
     z = dec._ensure_zero()
-    radii = sorted(z.piece_measure[tree.edge_piece[c]] / (2 * math.pi) for c, _ in edges)
+    pieces = nodal._parent_pieces(dec, tree)
+    radii = sorted(z.piece_measure[pieces[c]] / (2 * math.pi) for c, _ in edges)
     errs = [abs(2 * math.pi * r - zk) for r, zk in zip(radii, bessel_zero_table(5))]
     dt = time.perf_counter() - t0
     ok = is_path and len(errs) == 5 and max(errs) < 1e-3

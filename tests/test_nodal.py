@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import math
 import tracemalloc
 import weakref
@@ -30,12 +31,18 @@ from monowave.nodal import (
 
 
 def flood_fill_labels(grid: ScalarGrid) -> np.ndarray:
-    """Reference labeling: BFS over orthogonal same-sign in-mask neighbors.
+    """Reference labeling: BFS over same-sign in-mask neighbors.
 
-    Mirrors the tie rule: values within 1e-13 of zero count as positive.
+    Positive vertices reach their orthogonal neighbors (4 in 2D, 6 in 3D),
+    negative ones every neighbor that differs in at most two coordinates by
+    one (8 in 2D, 18 in 3D). Mirrors the tie rule: values within 1e-13 of
+    zero count as positive.
     """
     sign = np.where(np.abs(grid.grid_values()) < 1e-13, 1e-13, grid.grid_values()) > 0
     mask = grid.mask()
+    offsets = [d for d in itertools.product((-1, 0, 1), repeat=grid.dim) if any(d)]
+    reach = {True: [d for d in offsets if sum(map(abs, d)) == 1],
+             False: [d for d in offsets if sum(map(abs, d)) <= 2]}
     labels = np.full(grid.shape, -1, dtype=int)
     nxt = 0
     for start in zip(*np.nonzero(mask)):
@@ -45,18 +52,25 @@ def flood_fill_labels(grid: ScalarGrid) -> np.ndarray:
         q = deque([start])
         while q:
             u = q.popleft()
-            for a in range(grid.dim):
-                for d in (-1, 1):
-                    v = list(u)
-                    v[a] += d
-                    if not 0 <= v[a] < grid.shape[a]:
-                        continue
-                    v = tuple(v)
-                    if mask[v] and labels[v] < 0 and sign[v] == sign[u]:
-                        labels[v] = nxt
-                        q.append(v)
+            for d in reach[bool(sign[u])]:
+                v = tuple(x + dx for x, dx in zip(u, d))
+                if not all(0 <= x < n for x, n in zip(v, grid.shape)):
+                    continue
+                if mask[v] and labels[v] < 0 and sign[v] == sign[u]:
+                    labels[v] = nxt
+                    q.append(v)
         nxt += 1
     return labels
+
+
+def rim_reference(g: ScalarGrid) -> np.ndarray:
+    """Grid-sized rim: the in-mask vertices with a vertex outside the grid or
+    the mask in their 3^m neighbourhood (the mask minus its 3^m erosion)."""
+    pad = np.pad(g.mask(), 1, constant_values=False)
+    eroded = np.ones(g.shape, dtype=bool)
+    for off in itertools.product(range(3), repeat=g.dim):
+        eroded &= pad[tuple(slice(o, o + n) for o, n in zip(off, g.shape))]
+    return g.mask() & ~eroded
 
 
 def same_partition(a: np.ndarray, b: np.ndarray) -> bool:
@@ -102,8 +116,8 @@ def test_labels_match_flood_fill_on_random_grids():
         dec = label_domains(g)
         assert same_partition(dec.labels, flood_fill_labels(g))
         assert dec.interior_count + dec.boundary_count == dec.total_components
-        # a component touches the boundary exactly when one of its vertices is in the shell
-        on_shell = set(dec.labels[grid_shell(g).reshape(-1)].tolist())
+        # a component touches the boundary exactly when one of its vertices is on the rim
+        on_shell = set(dec.labels[rim_reference(g).reshape(-1)].tolist())
         assert [c.touches_boundary for c in dec.components] == [
             c.id in on_shell for c in dec.components
         ]
@@ -173,7 +187,9 @@ def test_cosine_fixture_decomposition(cosine_wave):
     assert dec.total_components == 17
     assert dec.interior_count == 0
     assert len(dec.adjacency) == 16
-    assert all(len(p) == 1 for p in dec.adjacency.values())
+    _, mesh = set_loop_grouping(dec._ensure_zero(), dec.labels, g.shape)
+    assert sorted(list(k) for k, _ in mesh) == dec.adjacency.tolist()
+    assert all(len(p) == 1 for _, p in mesh)
     signs = [c.sign for c in dec.components]
     assert set(signs) == {-1, 1}
     tree = build_nesting_tree(dec)
@@ -243,7 +259,7 @@ def test_j0_nesting_tree_regression():
     assert tree.code == "(" * 7 + ")" * 7
     z = dec._ensure_zero()
     radii = sorted(z.piece_measure[p] / (2 * math.pi)
-                   for p in tree.edge_piece.values() if p is not None)
+                   for p in nodal._parent_pieces(dec, tree).values())
     zeros = bessel_zero_table(6)
     assert len(radii) == 6
     for r, zj in zip(radii, zeros):
@@ -257,16 +273,21 @@ def test_j0_tree_stable_under_refinement():
 
 
 def test_j0_topology_classes():
+    # six interior components, each enclosed by its own zero circle: the
+    # outermost one, at r = 2.876, borders the rim annulus and counts too
     dec = label_domains(j0_grid(0.05))
-    assert classify_topology(dec) == {"circle": 5}
+    assert dec.interior_count == 6
+    assert classify_topology(dec) == {"circle": 6}
     codes = build_nesting_tree(dec).codes
     # exactly one component wraps just the core disk
     assert sum(1 for c in dec.components if not c.touches_boundary and codes[c.id] == "(())") == 1
 
 
-def test_unresolved_crossing_raises():
-    # a line and a circle crossing off-lattice: four components meet near the
-    # crossing points and the tree refuses to guess
+def test_crossing_curves_resolve_into_a_tree():
+    # a line and a circle crossing off-lattice: four sign regions meet at each
+    # crossing point. The negative quadrants join across the saddle cells
+    # there, the positive ones stay apart, so the left half-disc is one
+    # interior domain whose closed outer curve borders the joined negatives
     g = sample_on_grid(
         lambda p: (p[:, 0] - 0.017) * ((p**2).sum(axis=1) - 0.2601),
         np.zeros(2),
@@ -274,25 +295,32 @@ def test_unresolved_crossing_raises():
         0.05,
     )
     dec = label_domains(g)
-    with pytest.raises(DegenerateSampleError):
-        build_nesting_tree(dec)
+    assert [(c.sign, c.touches_boundary) for c in dec.components] == [
+        (-1, True), (1, False), (1, True)]
+    assert dec.adjacency.tolist() == [[0, 1], [0, 2]]
+    tree = build_nesting_tree(dec)
+    assert tree.code == "((())())" and tree.parent[1] == 0
+    z = dec._ensure_zero()
+    (piece,) = nodal._parent_pieces(dec, tree).values()
+    assert not z.piece_boundary[piece] and piece not in open_curve_pieces(z)
+    # the circle's arc left of the line x = 0.017 and the chord along it
+    r, x = 0.51, 0.017
+    want = 2 * r * (math.pi - math.acos(x / r)) + 2 * math.sqrt(r * r - x * x)
+    assert z.piece_measure[piece] == pytest.approx(want, rel=0.01)
 
 
-def _fake_decomposition(touches, piece_neighbors, piece_boundary, adjacency):
-    """What build_nesting_tree reads of a decomposition and its zero set, and nothing else."""
-    z = SimpleNamespace(npieces=len(piece_neighbors), piece_neighbors=piece_neighbors,
-                        piece_boundary=piece_boundary, adjacency=adjacency)
+def _fake_decomposition(touches, adjacency):
+    """What build_nesting_tree reads of a decomposition, and nothing else."""
     comps = [SimpleNamespace(touches_boundary=t) for t in touches]
-    return SimpleNamespace(_ensure_zero=lambda: z, components=comps)
+    return SimpleNamespace(components=comps, adjacency=np.array(adjacency, dtype=np.intp).reshape(-1, 2))
 
 
 @pytest.mark.parametrize("dec, reason", [
-    (_fake_decomposition([True, False], [[0]], [False], {}), "piece_not_two_sided"),
-    (_fake_decomposition([True, False], [[0, 1], [0, 1]], [False, False], {(0, 1): [0, 1]}),
-     "shared_pieces"),
-    (_fake_decomposition([False, False], [[0, 1]], [False], {(0, 1): [0]}),
-     "no_boundary_component"),
-    (_fake_decomposition([True, False, False], [[0, 1]], [False], {(0, 1): [0]}), "not_a_tree"),
+    (_fake_decomposition([True, False, False, False], [[0, 1], [1, 2], [1, 3], [2, 3]]),
+     "not_a_tree"),  # a cycle of interior components
+    (_fake_decomposition([True, True, False], [[0, 2], [1, 2]]), "not_a_tree"),  # two rim parents
+    (_fake_decomposition([False, False], [[0, 1]]), "no_boundary_component"),
+    (_fake_decomposition([True, False, False], [[0, 1]]), "not_a_tree"),  # an isolated component
 ])
 def test_nesting_tree_exclusion_reasons(dec, reason):
     with pytest.raises(DegenerateSampleError) as info:
@@ -305,7 +333,7 @@ def _tetrahedron(base: int) -> list[list[int]]:
 
 
 @pytest.mark.parametrize("dim, elements, reason", [
-    (2, [[0, 1]], "open_curve"),
+    (3, _tetrahedron(0) + [[0, 1, 4]], "non_manifold"),  # three triangles on one edge
     (3, [[0, 1, 2]], "non_manifold"),
     (3, _tetrahedron(0) + _tetrahedron(4), "bad_euler"),  # two spheres: chi = 4
 ])
@@ -314,7 +342,7 @@ def test_piece_tag_exclusion_reasons(dim, elements, reason):
     z = SimpleNamespace(dim=dim, elements=elements, element_piece=np.zeros(len(elements), int),
                         piece_boundary=np.array([False]), edge_ids=np.arange(elements.max() + 1))
     with pytest.raises(DegenerateSampleError) as info:
-        nodal._piece_tagger(z)(0)
+        nodal._genus_tagger(z)(0)
     assert info.value.reason == reason
 
 
@@ -334,10 +362,16 @@ def test_classify_raises_the_first_bad_piece_in_piece_order(first, second):
     z = SimpleNamespace(dim=3, elements=elements, element_piece=np.array(piece),
                         piece_boundary=np.array([True, False, False]),
                         edge_ids=np.arange(elements.max() + 1))
-    dec = SimpleNamespace(_ensure_zero=lambda: z)
+    dec = SimpleNamespace(_ensure_zero=lambda: z, grid=SimpleNamespace(dim=3))
     with pytest.raises(DegenerateSampleError) as info:
         classify_topology(dec)
     assert info.value.reason == first
+
+
+def open_curve_pieces(z) -> set[int]:
+    """Reference: the 2D pieces with an element end that is not shared by exactly two elements."""
+    closed = np.bincount(z.elements.reshape(-1), minlength=len(z.edge_ids)) == 2
+    return set(z.element_piece[~np.all(closed[z.elements], axis=1)].tolist())
 
 
 def test_open_curve_found_in_its_own_piece():
@@ -345,11 +379,7 @@ def test_open_curve_found_in_its_own_piece():
     elements = np.array([[0, 1], [1, 2], [2, 3], [3, 0], [4, 5], [5, 6]])
     z = SimpleNamespace(dim=2, elements=elements, element_piece=np.array([1, 1, 1, 1, 0, 0]),
                         piece_boundary=np.array([False, False]), edge_ids=np.arange(7))
-    tag = nodal._piece_tagger(z)
-    assert tag(1) == "circle"
-    with pytest.raises(DegenerateSampleError) as info:
-        tag(0)
-    assert info.value.reason == "open_curve"
+    assert open_curve_pieces(z) == {0}
 
 
 def test_export_components_csv(tmp_path, cosine_wave):
@@ -463,7 +493,7 @@ def edge_endpoints(gids: np.ndarray, shape) -> tuple[np.ndarray, np.ndarray]:
 
 
 def set_loop_grouping(z, labels, shape):
-    """Reference: the former per-edge set loop for piece_neighbors and adjacency."""
+    """Reference: per piece, the labels on its crossing edges; per component pair, its pieces."""
     ends = edge_endpoints(z.edge_ids, shape)
     neigh = [set() for _ in range(z.npieces)]
     adjacency: dict = {}
@@ -490,16 +520,80 @@ def test_zero_set_matches_list_dsu_and_set_loops(monkeypatch, m, W, h):
         mp.setattr(nodal, "_connected", list_dsu_ids)
         _, ref_dec, ref_geom, ref = decompose()
     assert np.array_equal(dec.labels, ref_dec.labels)
+    assert dec.adjacency.tobytes() == ref_dec.adjacency.tobytes()
+    assert dec.components == ref_dec.components
     assert np.array_equal(z.edge_piece, ref.edge_piece)
-    assert z.piece_neighbors == ref.piece_neighbors
-    assert list(z.adjacency.items()) == list(ref.adjacency.items())
+    assert z.piece_boundary.tobytes() == ref.piece_boundary.tobytes()
     assert z.piece_measure.tobytes() == ref.piece_measure.tobytes()
     assert geom.measures.tobytes() == ref_geom.measures.tobytes()
 
-    neigh, adjacency = set_loop_grouping(z, dec.labels, g.shape)
-    assert z.piece_neighbors == neigh
-    assert list(z.adjacency.items()) == adjacency  # first-occurrence key order
-    assert list(z.adjacency) != sorted(z.adjacency)  # so the order is tested
+    # the mesh's component pairs, grouped by a per-edge set loop, are the
+    # labeling's adjacency once contacts between two rim components drop out
+    _, mesh = set_loop_grouping(z, dec.labels, g.shape)
+    assert off_rim_pairs(dec, (k for k, _ in mesh)) == off_rim_pairs(dec, dec.adjacency.tolist())
+    if m == 2:  # random 3D draws at desk scale have every component on the rim
+        assert len(off_rim_pairs(dec, dec.adjacency.tolist())) > 5
+
+
+def off_rim_pairs(dec, pairs) -> set[tuple[int, int]]:
+    """The component pairs (a, b) of which at least one is off the rim."""
+    touches = [c.touches_boundary for c in dec.components]
+    return {(a, b) for a, b in pairs if not (touches[a] and touches[b])}
+
+
+def check_mesh_against_labeling(g: ScalarGrid) -> int:
+    """The checks the nesting tree once ran on the zero set, as a property.
+
+    The mesh is grouped by the per-edge set loop, independent of the
+    labeling's run overlaps. Its component pairs are the labeling's
+    adjacency off rim-rim pairs; every interior piece borders exactly two
+    components; two components with one off the rim share one piece; in 2D
+    every interior piece is a closed curve; there is one interior piece per
+    interior component; and the tree builds. Returns the interior piece count.
+    """
+    dec = label_domains(g)
+    z = dec._ensure_zero()
+    neigh, mesh = set_loop_grouping(z, dec.labels, g.shape)
+    off_rim = off_rim_pairs(dec, (k for k, _ in mesh))
+    assert off_rim == off_rim_pairs(dec, dec.adjacency.tolist())
+    assert all(len(pieces) == 1 for k, pieces in mesh if k in off_rim)
+    interior = np.flatnonzero(~z.piece_boundary)
+    assert all(len(neigh[p]) == 2 for p in interior)
+    if g.dim == 2:
+        assert not open_curve_pieces(z) & set(interior.tolist())
+    assert len(interior) == dec.interior_count
+    build_nesting_tree(dec)
+    return len(interior)
+
+
+def bubble_grids(m: int, rng) -> list[ScalarGrid]:
+    """Ball grids over a lattice of bubbles perturbed by a random wave: each
+    has interior pieces, and pieces that reach the rim."""
+    grids = []
+    for seed in range(4):
+        F = sample_uniform(m, 64, seed)
+        bubbles = lambda p, F=F: np.cos(2 * np.pi * p).sum(axis=-1) - (m - 1) + 0.3 * F.value(p)
+        grids.append(sample_on_grid(bubbles, rng.uniform(-2.0, 2.0, m), float(rng.uniform(1.2, 1.8)),
+                                    float(rng.uniform(0.06, 0.1))))
+    return grids
+
+
+def test_mesh_agrees_with_labeling_on_random_2d_draws():
+    # uniform draws in B(4) and B(6) at two pitches, centred and off-centre
+    interior = 0
+    for seed in range(16):
+        F = sample_uniform(2, 1024, 700 + seed)
+        centre = np.zeros(2) if seed % 2 else np.array([0.31, -0.17])
+        interior += check_mesh_against_labeling(
+            sample_on_grid(F, centre, 4.0 if seed % 4 < 2 else 6.0, 0.05 if seed < 8 else 0.1))
+    assert interior > 50
+
+
+def test_mesh_agrees_with_labeling_on_3d_fields():
+    # random 3D draws at desk scale have no interior piece, the bubble lattice has
+    grids = bubble_grids(3, np.random.default_rng(61))
+    grids += [sample_on_grid(sample_uniform(3, 256, 80 + s), np.zeros(3), 1.6, 0.08) for s in range(2)]
+    assert sum(check_mesh_against_labeling(g) for g in grids) > 4
 
 
 def summed_case_elements(grid: ScalarGrid, v: np.ndarray) -> tuple[np.ndarray, int]:
@@ -535,7 +629,7 @@ def summed_case_elements(grid: ScalarGrid, v: np.ndarray) -> tuple[np.ndarray, i
     return (np.concatenate(rows) if rows else np.empty((0, m), dtype=np.int64)), covered
 
 
-def sorted_zero_set(grid: ScalarGrid, labels: np.ndarray) -> nodal._ZeroSet:
+def sorted_zero_set(grid: ScalarGrid, labels: np.ndarray, interior: np.ndarray) -> nodal._ZeroSet:
     """Reference: the former extraction, np.unique over the element edge ids and a clamped copy."""
     v = clamped(grid)
     elements, covered_cells = summed_case_elements(grid, v)
@@ -558,34 +652,14 @@ def sorted_zero_set(grid: ScalarGrid, labels: np.ndarray) -> nodal._ZeroSet:
     edge_piece, npieces = nodal._connected(U, pa, elements[:, 1:].T.reshape(-1))
     elem_piece = edge_piece[elements[:, 0]] if U else np.empty(0, dtype=np.intp)
     piece_measure = np.bincount(elem_piece, weights=measure, minlength=npieces)
-    shell_flat = shell_reference(grid, 2.0).reshape(-1)
-    piece_boundary = np.zeros(npieces, dtype=bool)
-    np.logical_or.at(piece_boundary, edge_piece, shell_flat[ends_u] | shell_flat[ends_v])
     lab_u = labels[ends_u]
     lab_v = labels[ends_v]
-    ncomp = int(labels.max()) + 1
-    piece_lab = np.unique(np.concatenate([edge_piece * ncomp + lab_u, edge_piece * ncomp + lab_v]))
-    piece_of, lab_of = np.divmod(piece_lab, ncomp)
-    bounds = np.searchsorted(piece_of, np.arange(npieces + 1)).tolist()
-    labs = lab_of.tolist()
-    piece_neighbors = tuple(frozenset(labs[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
-    pair_keys, first, pair_of_edge = np.unique(
-        np.minimum(lab_u, lab_v) * ncomp + np.maximum(lab_u, lab_v),
-        return_index=True,
-        return_inverse=True,
-    )
-    pair_of, piece_of = np.divmod(np.unique(pair_of_edge * npieces + edge_piece), npieces)
-    pieces = piece_of.tolist()
-    bounds = np.searchsorted(pair_of, np.arange(len(pair_keys) + 1)).tolist()
-    keys = pair_keys.tolist()
-    adjacency = {
-        divmod(keys[k], ncomp): tuple(pieces[bounds[k] : bounds[k + 1]])
-        for k in np.argsort(first).tolist()
-    }
+    piece_interior = np.zeros(npieces, dtype=bool)
+    np.logical_or.at(piece_interior, edge_piece, interior[lab_u] | interior[lab_v])
     return nodal._ZeroSet(
         dim=grid.dim, edge_ids=uniq, edge_points=edge_points, edge_piece=edge_piece,
-        npieces=npieces, covered_cells=covered_cells, piece_measure=piece_measure,
-        piece_boundary=piece_boundary, piece_neighbors=piece_neighbors, adjacency=adjacency,
+        npieces=npieces, edge_ends=np.stack([ends_u, ends_v], axis=-1), covered_cells=covered_cells,
+        piece_measure=piece_measure, piece_boundary=~piece_interior,
         elements=elements, element_piece=elem_piece, element_measure=measure,
     )
 
@@ -613,9 +687,10 @@ def oracle_grid(name: str) -> ScalarGrid:
                                   for m in (2, 3)])
 def test_zero_set_bitwise_equals_sorted_reference(name):
     grid = oracle_grid(name)
-    labels = label_domains(grid).labels
-    z = nodal._extract_zero_set(grid, labels)
-    ref = sorted_zero_set(grid, labels)
+    dec = label_domains(grid)
+    interior = np.array([not c.touches_boundary for c in dec.components])
+    z = nodal._extract_zero_set(grid, dec.labels, interior)
+    ref = sorted_zero_set(grid, dec.labels, interior)
     if name.startswith("one-sign"):
         assert len(ref.edge_ids) == 0
     else:
@@ -624,8 +699,6 @@ def test_zero_set_bitwise_equals_sorted_reference(name):
         got, want = getattr(z, f.name), getattr(ref, f.name)
         if isinstance(want, np.ndarray):
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), f.name
-        elif isinstance(want, dict):
-            assert list(got.items()) == list(want.items()), f.name
         else:
             assert got == want, f.name
 
@@ -634,35 +707,15 @@ def test_zero_set_extraction_memory():
     # peak traced heap of one m=3 extraction, in units of the value grid: 6.62
     # for the former np.unique extraction, 5.65 for the per-axis ranking
     g = sample_on_grid(sample_uniform(3, 512, 5), np.zeros(3), 1.8, 0.06)
-    labels = label_domains(g).labels
+    dec = label_domains(g)
+    interior = np.array([not c.touches_boundary for c in dec.components])
     tracemalloc.start()
     try:
-        nodal._extract_zero_set(g, labels)
+        nodal._extract_zero_set(g, dec.labels, interior)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 7 * g.values.nbytes
-
-
-def shell_reference(g: ScalarGrid, band: float) -> np.ndarray:
-    """Grid-sized shell: in-mask vertices farther than radius - band h from the centre
-    (np.linalg.norm of every vertex offset), or the box faces of an unmasked grid."""
-    if g.ball_radius is None:
-        faces = np.zeros(g.shape, dtype=bool)
-        for a in range(g.dim):
-            faces[(slice(None),) * a + ([0, -1],)] = True
-        return faces
-    pts = np.stack(np.meshgrid(*[g.axis_coords(a) for a in range(g.dim)], indexing="ij"), axis=-1)
-    radii = np.linalg.norm(pts - g.ball_center, axis=-1)
-    return g.mask() & (radii > g.ball_radius - band * g.spacing)
-
-
-def grid_shell(g: ScalarGrid) -> np.ndarray:
-    """The grid-sized band-1 shell label_domains once reduced over its runs:
-    mask & ~within(radius - spacing), or the box faces of an unmasked grid."""
-    if g.ball_radius is None:
-        return shell_reference(g, 1.0)
-    return g.mask() & ~g.within(g.ball_radius - g.spacing)
 
 
 def shell_test_grids(m: int, rng) -> list[ScalarGrid]:
@@ -681,15 +734,15 @@ def shell_test_grids(m: int, rng) -> list[ScalarGrid]:
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_run_end_shell_matches_grid_sized_shell(m):
-    # label_domains reads the shell at each run's first and last vertex only;
-    # a run touches the grid-sized shell exactly when one of its ends does, so
-    # the touches flags (and everything else label_domains returns) stay as
-    # the grid-sized reduction gave them
+    # label_domains reads the rim at each run's first and last vertex only,
+    # against its line's off-rim interval; a run meets the grid-sized rim
+    # (the mask minus its 3^m erosion) exactly when one of its ends does, so
+    # the touches flags are the ones the grid-sized rim gives
     for g in shell_test_grids(m, np.random.default_rng(40 + m)):
         mask = g.mask().reshape(-1, g.shape[-1])
         pos = (g.grid_values() > -nodal.TIE_EPS).reshape(mask.shape)
-        shell = grid_shell(g).reshape(mask.shape)
-        starts, ends, want = [], [], []
+        shell = rim_reference(g).reshape(mask.shape)
+        lines, starts, ends, want = [], [], [], []
         for line in range(len(mask)):  # maximal in-mask same-sign runs, line by line
             i, n = 0, mask.shape[1]
             while i < n:
@@ -699,12 +752,14 @@ def test_run_end_shell_matches_grid_sized_shell(m):
                 j = i
                 while j + 1 < n and mask[line, j + 1] and pos[line, j + 1] == pos[line, i]:
                     j += 1
-                starts.append(line * n + i)
-                ends.append(line * n + j)
+                lines.append(line)
+                starts.append(i)
+                ends.append(j)
                 want.append(bool(shell[line, i : j + 1].any()))
                 i = j + 1
-        got = (nodal._shell_at(g, np.array(starts), band=1.0)
-               | nodal._shell_at(g, np.array(ends), band=1.0))
+        lines, starts, ends = np.array(lines), np.array(starts), np.array(ends)
+        lo, hi = nodal._line_interiors(g.shape, lines, starts, ends + 1)
+        got = (starts < lo[lines]) | (ends > hi[lines])
         assert got.tolist() == want
         assert any(want)
         if g.ball_radius is not None:
@@ -719,48 +774,24 @@ def test_run_end_shell_matches_grid_sized_shell(m):
 
 
 @pytest.mark.parametrize("m", [2, 3])
-@pytest.mark.parametrize("band", [1.0, 2.0])
-def test_shell_matches_radii(m, band):
-    rng = np.random.default_rng(m)
-    box_shape = (9, 12) if m == 2 else (5, 6, 7)
-    box = ScalarGrid(dim=m, origin=np.zeros(m), spacing=0.1, shape=box_shape,
-                     values=np.zeros(math.prod(box_shape)))
-    grids = [box]
-    for _ in range(5):
-        h = float(rng.uniform(0.05, 0.2))
-        grids.append(sample_on_grid(lambda p: p[:, 0], rng.uniform(-1.0, 1.0, m),
-                                    float(rng.uniform(0.5, 1.5)), h))
-    for g in grids:
-        ref = shell_reference(g, band)
-        if band == 1.0:
-            assert np.array_equal(grid_shell(g), ref)
-        # the pointwise form, at every in-mask vertex
-        inside = g.mask().reshape(-1)
-        assert np.array_equal(nodal._shell_at(g, np.flatnonzero(inside), band), ref.reshape(-1)[inside])
-
-
-@pytest.mark.parametrize("m", [2, 3])
 def test_piece_boundary_matches_grid_sized_shell(m):
-    # the zero set reads the band-2 shell at its crossing edges' endpoints only;
-    # piece_boundary must be the one the grid-sized shell gives, bitwise. The
-    # ball grids sample a lattice of bubbles perturbed by a random wave, so each
-    # has pieces inside the band and pieces that reach it
-    rng = np.random.default_rng(53)
-    grids = []
-    for seed in range(4):
-        F = sample_uniform(m, 64, seed)
-        bubbles = lambda p, F=F: np.cos(2 * np.pi * p).sum(axis=-1) - (m - 1) + 0.3 * F.value(p)
-        grids.append(sample_on_grid(bubbles, rng.uniform(-2.0, 2.0, m), float(rng.uniform(1.2, 1.8)),
-                                    float(rng.uniform(0.06, 0.1))))
+    # a piece is interior exactly when one of its crossing edges has an end
+    # in a component that misses the grid-sized rim; the ball grids sample a
+    # lattice of bubbles perturbed by a random wave, so each has interior
+    # pieces and pieces that reach the rim
+    grids = bubble_grids(m, np.random.default_rng(53))
     shape = (37, 52) if m == 2 else (15, 18, 21)
     grids.append(ScalarGrid(dim=m, origin=np.full(m, -0.5), spacing=0.1, shape=shape,
                             values=sample_uniform(m, 64, 9).on_grid(np.zeros(m), shape, 0.1)))
     for g in grids:
-        z = nodal._extract_zero_set(g, label_domains(g).labels)
-        shell = shell_reference(g, 2.0).reshape(-1)
+        dec = label_domains(g)
+        z = dec._ensure_zero()
+        on_rim = set(dec.labels[rim_reference(g).reshape(-1)].tolist())
         u, v = edge_endpoints(z.edge_ids, g.shape)
-        want = np.zeros(z.npieces, dtype=bool)
-        np.logical_or.at(want, z.edge_piece, shell[u] | shell[v])
+        want = np.ones(z.npieces, dtype=bool)
+        for p, a, b in zip(z.edge_piece.tolist(), dec.labels[u].tolist(), dec.labels[v].tolist()):
+            if a not in on_rim or b not in on_rim:
+                want[p] = False
         assert z.piece_boundary.dtype == bool
         assert z.piece_boundary.tobytes() == want.tobytes()
         assert want.any()

@@ -129,19 +129,25 @@ def test_ns_constant_worker_invariance():
     e4 = ns_constant_estimate(mu, 4.0, 50, seed=6, h=0.2, workers=4)
     assert e1.mean == e4.mean
     assert e1.stderr == e4.stderr
-    assert e1.mean == pytest.approx(0.2379366399223835, rel=1e-12)  # frozen run
+    # frozen run; 0.2379366399223835 while negatives were 4-connected: this
+    # nearly periodic field has many saddles, and joining negatives across
+    # them halves its count
+    assert e1.mean == pytest.approx(0.12613029240032705, rel=1e-12)
 
 
 def test_ns_constant_with_topology():
     mu = empirical_measure(generate_uniform_directions(2, 32, 12))
-    est = ns_constant_estimate(mu, 5.0, 50, seed=6, h=0.08, workers=2, with_topology=True)
-    assert est.excluded == 2
-    assert "circle" in est.class_density
-    dens, se = est.class_density["circle"]
-    assert dens > 0 and se >= 0
-    # coarse probes cannot resolve these trees; the estimator refuses
-    with pytest.raises(DegenerateSampleError):
-        ns_constant_estimate(mu, 5.0, 50, seed=6, h=0.15, workers=2, with_topology=True)
+    # the labeling and the zero set agree at saddle cells and at the rim, so
+    # every draw has a tree, even at the coarse pitch h = 0.15 that once
+    # excluded more than 20% of the draws, and in 2D the circle count is the
+    # interior count, draw by draw
+    for h in (0.08, 0.15):
+        est = ns_constant_estimate(mu, 5.0, 50, seed=6, h=h, workers=2, with_topology=True)
+        assert est.excluded == 0
+        dens, se = est.class_density["circle"]
+        assert dens > 0 and se >= 0
+        # the same per-draw values, summed in another order
+        assert (dens, se) == pytest.approx((est.mean, est.stderr), rel=1e-12)
 
 
 def test_ns_constant_exclusion_reasons(monkeypatch):
@@ -176,8 +182,10 @@ def test_ns_constant_exclusion_reasons(monkeypatch):
 def test_ns_constant_against_separate_probe_and_fill(monkeypatch):
     # each trial fills its grid from the probe's low-rank core; an explicit
     # loop that probes and then fills through the field itself must see the
-    # same interior count on every trial and the same exclusions
-    W, h, seed = 4.0, 0.05, 1
+    # same interior count on every trial and the same exclusions. Both sides
+    # probe at the threshold 0.075, which fails 5 of the 50 draws at seed 1,
+    # so there are exclusions to compare
+    W, h, seed, tau0 = 4.0, 0.05, 1, 0.075
     counts = []
     label = nodal.label_domains
 
@@ -187,12 +195,14 @@ def test_ns_constant_against_separate_probe_and_fill(monkeypatch):
         return dec
 
     monkeypatch.setattr(nodal, "label_domains", recording)
+    monkeypatch.setattr(stats, "check_nondegenerate",
+                        lambda F, W, h: check_nondegenerate(F, W, h, tau0=tau0))
     est = ns_constant_estimate(uniform_measure(2), W, 50, seed=seed, h=h, with_topology=True)
     monkeypatch.undo()
     want, reasons, dens = [], {}, []
     for j in range(50):
         F = sample_uniform(2, 1024, int(child_rng(seed, j).integers(2**63)))
-        if not check_nondegenerate(F, W, 0.1).passed:
+        if not check_nondegenerate(F, W, 0.1, tau0=tau0).passed:
             reasons["probe_failed"] = reasons.get("probe_failed", 0) + 1
             continue
         dec = label_domains(sample_on_grid(F, np.zeros(2), W, h))
@@ -205,9 +215,29 @@ def test_ns_constant_against_separate_probe_and_fill(monkeypatch):
             continue
         dens.append(dec.interior_count / (math.pi * W**2))
     assert counts == want
-    assert reasons  # seed 1 has exclusions after the probe, so the reasons are compared
+    assert reasons == {"probe_failed": 5}
     assert est.excluded_by_reason == reasons
     assert est.mean == pytest.approx(np.mean(dens), rel=1e-12)
+
+
+def test_interior_count_converges_under_refinement():
+    # Resolution oracle for the count: 30 frozen uniform draws in B(12), each
+    # filled at h, h/2 and h/4 from the one Chebyshev core its probe built.
+    # The consistent labeling converges at O(h), so halving h should about
+    # halve the gap between successive mean counts; the margin, fixed before
+    # the gaps were measured, lets the second gap reach 3/4 of the first.
+    # Measured: means 73.40, 74.43 and 74.90; paired gaps 1.03 and 0.47, with
+    # standard errors over the draws of 0.40 and 0.21
+    W, hs = 12.0, (0.1, 0.05, 0.025)
+    counts = []
+    for j in range(30):
+        F = sample_uniform(2, 1024, int(child_rng(42, j).integers(2**63)))
+        lattice = check_nondegenerate(F, W, 0.1).lattice
+        counts.append([label_domains(sample_on_grid(lattice, np.zeros(2), W, h)).interior_count
+                       for h in hs])
+    c = np.mean(counts, axis=0)
+    assert abs(c[2] - c[1]) <= 0.75 * abs(c[1] - c[0])
+    assert c[1] - c[0] > 0.5  # so that the ratio is not one of two noise terms
 
 
 def test_discrepancy_against_direct_loop():
