@@ -326,19 +326,21 @@ def ns_constant_estimate(measure: SpectralMeasure, W: float, trials: int, seed: 
 
     results = _map_trials(one_trial, trials, workers)
     densities = []
-    per_class: dict[str, list[float]] = {}
-    per_tree: dict[str, list[float]] = {}
+    # per tag or code: (index among the kept trials, density) of each nonzero count
+    per_class: dict[str, list[tuple[int, float]]] = {}
+    per_tree: dict[str, list[tuple[int, float]]] = {}
     by_reason: dict[str, int] = {}
     for res in results:
         if isinstance(res, str):
             by_reason[res] = by_reason.get(res, 0) + 1
             continue
         density, classes, trees = res
+        k = len(densities)
         densities.append(density)
         for tag, cnt in classes.items():
-            per_class.setdefault(tag, []).append(cnt / vol)
+            per_class.setdefault(tag, []).append((k, cnt / vol))
         for code, cnt in trees.items():
-            per_tree.setdefault(code, []).append(cnt / vol)
+            per_tree.setdefault(code, []).append((k, cnt / vol))
     excluded = sum(by_reason.values())
     if excluded > 0.2 * trials:
         raise DegenerateSampleError(
@@ -348,9 +350,12 @@ def ns_constant_estimate(measure: SpectralMeasure, W: float, trials: int, seed: 
     arr = np.array(densities)
     n = len(arr)
 
-    def summarize(vals: list[float]) -> tuple[float, float]:
+    def summarize(vals: list[tuple[int, float]]) -> tuple[float, float]:
+        # each value at its trial's place, so the sum runs in the density
+        # row's order; absent trials contribute zero counts
         padded = np.zeros(n)
-        padded[: len(vals)] = vals  # absent trials contribute zero counts
+        for k, v in vals:
+            padded[k] = v
         return float(padded.mean()), float(padded.std(ddof=1) / math.sqrt(n))
 
     return ConstantEstimate(

@@ -333,6 +333,21 @@ def test_ns_estimate_thread_invariance(tmp_path, capsys, monkeypatch):
     assert by_reason and sum(int(n) for _, n in by_reason) == excluded
 
 
+def test_ns_estimate_circle_row_is_the_density_row(tmp_path):
+    # the CI wave-file config: in 2D every interior domain has one closed
+    # outer curve, so the class,circle row holds the density row's per-trial
+    # values, and both are summed in trial order: the same bytes
+    gen = write_cfg(tmp_path, "command = gen-wave\nm = 2\nN = 8\nseed = 3\n", "gen.cfg")
+    assert main(["--config", gen, "--out", str(tmp_path)]) == 0
+    cfgp = write_cfg(tmp_path, "command = ns-estimate\ngenerator = file\n"
+                     f"wave = {tmp_path / 'wave.txt'}\nW = 4\nh = 0.05\ntrials = 50\nseed = 1\n")
+    assert main(["--config", cfgp, "--out", str(tmp_path / "ns")]) == 0
+    rows = {(r["kind"], r["label"]): r for r in csv.DictReader(open(tmp_path / "ns" / "ns.csv"))}
+    density, circle = rows[("density", "")], rows[("class", "circle")]
+    assert float(density["mean"]) > 0
+    assert (circle["mean"], circle["stderr"]) == (density["mean"], density["stderr"])
+
+
 def test_fig1_outputs(tmp_path):
     cfgp = write_cfg(
         tmp_path,

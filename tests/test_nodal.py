@@ -114,7 +114,10 @@ def test_labels_match_flood_fill_on_random_grids():
             ball_radius=radius if trial % 2 else None,
         )
         dec = label_domains(g)
-        assert same_partition(dec.labels, flood_fill_labels(g))
+        # the fill numbers components by their first vertex in flat order, as
+        # label_domains does, so the values agree and not only the partition
+        assert dec.labels.dtype == np.int32
+        assert np.array_equal(dec.labels, flood_fill_labels(g).reshape(-1))
         assert dec.interior_count + dec.boundary_count == dec.total_components
         # a component touches the boundary exactly when one of its vertices is on the rim
         on_shell = set(dec.labels[rim_reference(g).reshape(-1)].tolist())
@@ -440,7 +443,10 @@ def check_connected(n: int, pa, pb) -> None:
     pb = np.asarray(pb, dtype=np.intp)
     ids, count = nodal._connected(n, pa, pb)
     ref_ids, ref_count = list_dsu_ids(n, pa, pb)
-    assert np.array_equal(ids, ref_ids) and count == ref_count
+    assert ids.dtype == np.intp and np.array_equal(ids, ref_ids) and count == ref_count
+    # pairs already in the int32 that _connected works in give the same ids
+    ids32, count32 = nodal._connected(n, pa.astype(np.int32), pb.astype(np.int32))
+    assert ids32.dtype == np.intp and np.array_equal(ids32, ref_ids) and count32 == ref_count
     ncc, cc = connected_components(
         coo_matrix((np.ones(len(pa)), (pa, pb)), shape=(n, n)), directed=False
     )
@@ -479,6 +485,33 @@ def test_connected_edge_cases():
     assert nodal._connected(n, hi, hi - 1)[1] == 1
     rng = np.random.default_rng(8)
     check_connected(20_000, rng.integers(0, 20_000, 15_000), rng.integers(0, 20_000, 15_000))
+
+
+def test_pair_keys_do_not_wrap_with_int32_labels():
+    # 50,653 isolated positive vertices, then a positive 3x3x3 block around
+    # one negative vertex: the block and its hole get ids above 46,341, so
+    # the key min * ncomp + max of that pair passes 2^31 and would wrap if it
+    # were formed in the labels' int32
+    shape = (80, 74, 74)
+    v = -np.ones(shape)
+    v[:73:2, ::2, ::2] = 1.0
+    v[75:78, 30:33, 30:33] = 1.0
+    v[76, 31, 31] = -1.0
+    g = ScalarGrid(dim=3, origin=np.zeros(3), spacing=0.1, shape=shape, values=v.reshape(-1))
+    dec = label_domains(g)
+    labels = dec.labels.reshape(shape)
+    block, hole, ncomp = int(labels[75, 30, 30]), int(labels[76, 31, 31]), dec.total_components
+    assert dec.labels.dtype == np.int32 and ncomp == 37**3 + 3
+    assert min(block, hole) * ncomp + max(block, hole) >= 2**31
+    assert [min(block, hole), max(block, hole)] in dec.adjacency.tolist()
+    tree = build_nesting_tree(dec)
+    assert tree.parent[hole] == block
+    # every interior component finds the piece toward its parent, the hole too
+    pieces = nodal._parent_pieces(dec, tree)
+    assert set(pieces) == {c.id for c in dec.components if not c.touches_boundary}
+    z = dec._ensure_zero()
+    ends = dec.labels[z.edge_ends[z.edge_piece == pieces[hole]]]
+    assert set(ends.reshape(-1).tolist()) == {block, hole}
 
 
 def edge_endpoints(gids: np.ndarray, shape) -> tuple[np.ndarray, np.ndarray]:
@@ -703,19 +736,41 @@ def test_zero_set_bitwise_equals_sorted_reference(name):
             assert got == want, f.name
 
 
-def test_zero_set_extraction_memory():
-    # peak traced heap of one m=3 extraction, in units of the value grid: 6.62
-    # for the former np.unique extraction, 5.65 for the per-axis ranking
-    g = sample_on_grid(sample_uniform(3, 512, 5), np.zeros(3), 1.8, 0.06)
-    dec = label_domains(g)
-    interior = np.array([not c.touches_boundary for c in dec.components])
+def traced_peak(fn) -> int:
+    """Peak traced heap, in bytes, while fn runs."""
     tracemalloc.start()
     try:
-        nodal._extract_zero_set(g, dec.labels, interior)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 7 * g.values.nbytes
+
+
+def memory_test_grid() -> ScalarGrid:
+    """A 61^3 ball grid of one m=3 draw, its mask cached outside the traced peaks."""
+    g = sample_on_grid(sample_uniform(3, 512, 5), np.zeros(3), 1.8, 0.06)
+    g.mask()
+    return g
+
+
+def test_zero_set_extraction_memory():
+    # peak traced heap of one m=3 extraction, in units of the value grid: 6.62
+    # for the former np.unique extraction, 5.72 for the per-axis ranking with
+    # intp union-find pairs, 4.21 with int32 pairs, one mark and one rank
+    # table for all axis blocks, the ranks written over the element edge ids
+    # and the element measures taken in blocks
+    g = memory_test_grid()
+    dec = label_domains(g)
+    interior = np.array([not c.touches_boundary for c in dec.components])
+    assert traced_peak(lambda: nodal._extract_zero_set(g, dec.labels, interior)) < 4.5 * g.values.nbytes
+
+
+def test_labeling_memory():
+    # peak traced heap of one m=3 labeling, in units of the value grid: 3.29
+    # for intp labels written through the mask, 1.57 for int32 labels
+    # repeated from every run with the vertex-sized sign arrays freed first
+    g = memory_test_grid()
+    assert traced_peak(lambda: label_domains(g)) < 1.75 * g.values.nbytes
 
 
 def shell_test_grids(m: int, rng) -> list[ScalarGrid]:
