@@ -4,7 +4,9 @@ Every field in the package is a PlaneWaveSum, F(x) = Re sum_j c_j e(<v_j, x>)
 with e(t) = exp(2*pi*i*t), evaluated pointwise (value, gradient) or on a
 regular lattice (on_grid). Pointwise evaluation reads the polar form
 F(x) = sum_j |c_j| cos(2 pi <v_j, x> + arg c_j): one cosine per plane wave,
-in blocks of points. The lattice fill is low rank: Chebyshev
+in row blocks of points whose (rows, J) phase table holds at most
+_TABLE_ENTRIES entries, so no temporary grows with the point count; eval_bk
+blocks its packet table the same way. The lattice fill is low rank: Chebyshev
 interpolation in the frequency turns the J-term sum into a small real core
 tensor over a cover box (_LowRankLattice), in the basis cos, 1, sin of the
 Chebyshev phases, built once and contracted by real products with per-axis
@@ -32,8 +34,16 @@ from .directions import DirectionSet
 from .partition import SpherePartition
 
 TWO_PI = 2 * np.pi
-# Points per pointwise evaluation block: bounds each (points, J) phase table.
-_BLOCK = 1 << 13
+# Entries per pointwise table: a block of max(1, _TABLE_ENTRIES // J) points
+# bounds each (points, J) phase table of value/gradient and each (points, N)
+# complex packet table of eval_bk (512 KiB of doubles, 1 MiB complex).
+_TABLE_ENTRIES = 1 << 16
+
+
+def _row_blocks(n: int, width: int):
+    """Slices over n rows whose (rows, width) tables hold at most _TABLE_ENTRIES entries."""
+    step = max(1, _TABLE_ENTRIES // max(1, width))
+    return (slice(lo, lo + step) for lo in range(0, n, step))
 
 
 @dataclass
@@ -65,7 +75,9 @@ class PlaneWaveSum:
     axis) in the polar form F(x) = sum_j w_j cos psi_j, psi_j = 2 pi <v_j, x>
     + phi_j, with weights w_j = |c_j| and offsets phi_j = arg c_j fixed at
     construction; the gradient is -sum_j 2 pi w_j v_j sin psi_j. Points are
-    taken in blocks of _BLOCK rows, each block one (points, J) phase table.
+    taken in blocks of max(1, _TABLE_ENTRIES // J) rows, each block one
+    (rows, J) phase table, so the table stays within the entry budget at any
+    point count and any J.
     on_grid fills a regular lattice through a _LowRankLattice over that lattice.
     """
 
@@ -117,11 +129,11 @@ class PlaneWaveSum:
         return x.reshape(-1, self.dim), x.shape[:-1]
 
     def _phases(self, pts: np.ndarray):
-        """(rows, psi) per block of _BLOCK points: psi[i, j] = 2 pi <v_j, x_i> + phi_j."""
-        for lo in range(0, len(pts), _BLOCK):
-            psi = pts[lo : lo + _BLOCK] @ self._omega.T
+        """(rows, psi) per row block: psi[i, j] = 2 pi <v_j, x_i> + phi_j."""
+        for rows in _row_blocks(len(pts), len(self._offset)):
+            psi = pts[rows] @ self._omega.T
             psi += self._offset
-            yield slice(lo, lo + len(psi)), psi
+            yield rows, psi
 
     def on_grid(self, origin, shape, h: float) -> np.ndarray:
         """Values at origin + h * index over a grid of the given shape."""
@@ -454,26 +466,31 @@ def eval_bk(wave: MonochromaticWave, part: SpherePartition, x) -> np.ndarray:
     if len(part.selected) == 0:
         raise ValueError("no cell exceeds the mass threshold; degenerate partition")
     x = _check_dim(wave, x)
+    pts = x.reshape(-1, wave.dim)
     # e(<r_n, x>) a_n for the N positive atoms only; the negated atom N + n
     # carries conj(a_n), and e(<-r_n, x>) conj(a_n) is the conjugate of that term
     n_dirs = wave.dirs.count
-    E = np.exp(2j * np.pi * (x @ wave.dirs.vectors.T))
-    E *= wave.coeffs.values
-
     order = np.argsort(part.atom_cells, kind="stable")  # over the signed atoms [r; -r]
     sorted_cells = part.atom_cells[order]
-    out = np.empty(x.shape[:-1] + (len(part.selected),), dtype=complex)
-    for col, k in enumerate(part.selected):
+    cells = []
+    for k in part.selected:
         lo = np.searchsorted(sorted_cells, k, side="left")
         hi = np.searchsorted(sorted_cells, k, side="right")
         if hi == lo:
             raise AssertionError("selected cell has no atoms despite positive mass")
-        norm = 1.0 / math.sqrt(2 * n_dirs * part.masses[k])
         atoms = order[lo:hi]
-        terms = np.take(E, atoms % n_dirs, axis=-1)  # C order, so each row sums as before
-        terms.imag[..., atoms >= n_dirs] *= -1
-        out[..., col] = norm * terms.sum(axis=-1)
-    return out
+        cells.append((1.0 / math.sqrt(2 * n_dirs * part.masses[k]), atoms % n_dirs, atoms >= n_dirs))
+
+    out = np.empty((len(pts), len(cells)), dtype=complex)
+    for rows in _row_blocks(len(pts), n_dirs):  # one (rows, N) table within the entry budget
+        E = 2j * np.pi * (pts[rows] @ wave.dirs.vectors.T)
+        np.exp(E, out=E)
+        E *= wave.coeffs.values
+        for col, (norm, atoms, negated) in enumerate(cells):
+            terms = np.take(E, atoms, axis=-1)  # C order, so each row sums as before
+            terms.imag[:, negated] *= -1
+            out[rows, col] = norm * terms.sum(axis=-1)
+    return out.reshape(x.shape[:-1] + (len(cells),))
 
 
 # ---------------------------------------------------------------------------

@@ -166,19 +166,37 @@ def _ks_to_standard_normal(sample: np.ndarray) -> float:
     return float(max(upper.max(), lower.max()))
 
 
+# Side of the square tiles of the distance matrix in _energy_statistics
+_TILE = 128
+
+
 def _energy_statistics(pts: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """Energy statistic of each split of pts given by a +-1 column s of signs.
 
     With k entries of each sign, 2 mean_AB - mean_AA - mean_BB = -s^T D s / k^2
     over the distance matrix D, whose diagonal zeros the within-cloud means keep
-    on purpose: the convention cancels in the null. D is streamed in row blocks.
+    on purpose: the convention cancels in the null. D is symmetric, so it is
+    streamed over the _TILE x _TILE tiles of its upper triangle, each
+    off-diagonal tile counted twice, and each tile's squared distances are
+    summed one coordinate column at a time: the temporaries are a few tiles,
+    (_TILE, _TILE) and (_TILE, columns), at any point count.
     """
     k = len(pts) // 2
+    coords = np.ascontiguousarray(pts.T)  # (coordinates, points)
     quad = np.zeros(signs.shape[1])
-    step = 256
-    for lo in range(0, len(pts), step):
-        block = np.linalg.norm(pts[lo : lo + step, None, :] - pts[None, :, :], axis=-1)
-        quad += np.einsum("ip,ip->p", signs[lo : lo + step], block @ signs)
+    for lo in range(0, len(pts), _TILE):
+        rows = slice(lo, lo + _TILE)
+        for lo2 in range(lo, len(pts), _TILE):
+            cols = slice(lo2, lo2 + _TILE)
+            a, b = coords[:, rows], coords[:, cols]
+            tile = np.zeros((a.shape[1], b.shape[1]))
+            for ca, cb in zip(a, b):
+                diff = np.subtract.outer(ca, cb)
+                diff *= diff
+                tile += diff
+            np.sqrt(tile, out=tile)
+            part = np.einsum("ip,ip->p", signs[rows], tile @ signs[cols])
+            quad += part if lo2 == lo else 2 * part
     return -quad / k**2
 
 
@@ -199,8 +217,8 @@ def pushforward_distance(wave: MonochromaticWave, R: float, sampler, y_points,
     Not the weak-convergence metric itself: that is not computable from finite
     samples. The permutation threshold is the 95th percentile of the pooled
     null. The observed split and every permuted one are +-1 label columns, so
-    the whole null is one matrix product streamed over row blocks of the
-    pairwise distances (see _energy_statistics).
+    the whole null is one matrix product streamed over square tiles of the
+    symmetric pairwise distances (see _energy_statistics).
     """
     y_points = np.atleast_2d(np.asarray(y_points, dtype=float))
     if len(y_points) > 5:

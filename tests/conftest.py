@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,3 +19,13 @@ def wave64():
     # the workhorse deterministic wave used across the statistical tests
     dirs = generate_uniform_directions(2, 64, 5)
     return make_wave(dirs, coeffs=random_phase_coefficients(64, 105))
+
+
+def traced_peak(fn) -> int:
+    """Peak traced heap, in bytes, while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -21,6 +21,8 @@ from monowave.field import (
 from monowave.gaussian import child_rng
 from monowave.partition import build_partition
 
+from conftest import traced_peak
+
 # frozen with mpmath at 30 digits
 BESSEL_TABLE = [
     (0, 0.5, 0.9384698072408129),
@@ -131,17 +133,45 @@ def test_value_and_gradient_match_complex_sum(kind, batch):
 
 
 def test_blocks_are_evaluated_independently():
-    # a batch across the block boundary reads each block as its own call would
+    # a batch across the block boundary reads each block as its own call would;
+    # a block holds _TABLE_ENTRIES // J rows, and a row's bits may depend on the
+    # size of the block it lands in, so the split is at that boundary
     w = make_wave(generate_uniform_directions(2, 24, 7), seed=2)
-    n = field._BLOCK + 64
+    rows = field._TABLE_ENTRIES // 24
+    n = rows + 64
     x = child_rng(4, 0).uniform(-50, 50, (n, 2))
     whole = w.value(x)
-    parts = np.concatenate([w.value(x[: field._BLOCK]), w.value(x[field._BLOCK :])])
+    parts = np.concatenate([w.value(x[:rows]), w.value(x[rows:])])
     assert whole.tobytes() == parts.tobytes()
     grad = w.gradient(x)
-    assert grad.tobytes() == np.concatenate([w.gradient(x[: field._BLOCK]),
-                                             w.gradient(x[field._BLOCK :])]).tobytes()
-    assert w.value(x.reshape(-1, 64, 2)).tobytes() == whole.tobytes()
+    assert grad.tobytes() == np.concatenate([w.gradient(x[:rows]),
+                                             w.gradient(x[rows:])]).tobytes()
+    assert w.value(x.reshape(-1, 2, 2)).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("J", [64, 1024])
+def test_pointwise_tables_stay_within_the_entry_budget(J):
+    # 40k points: one (points, J) phase table would be 20 MiB at J = 64 and
+    # 312 MiB at J = 1024; a block's table holds at most _TABLE_ENTRIES doubles
+    # (traced: two tables alive while the next block's phases are formed)
+    rng = np.random.default_rng(J)
+    F = PlaneWaveSum(rng.standard_normal((J, 2)), rng.standard_normal(J) + 1j * rng.standard_normal(J))
+    x = rng.uniform(-20, 20, (40_000, 2))
+    table = 8 * field._TABLE_ENTRIES
+    assert traced_peak(lambda: F.value(x)) < 8 * len(x) + 3 * table
+    assert traced_peak(lambda: F.gradient(x)) < x.nbytes + 3 * table
+
+
+def test_eval_bk_tables_stay_within_the_entry_budget():
+    # 20k points at N = 64: the former whole (points, N) complex table took 20 MiB
+    # and its phase and exp temporaries as much again; a block holds at most
+    # _TABLE_ENTRIES complex entries per table, and a few of them are alive at once
+    dirs = generate_uniform_directions(2, 64, 2)
+    w = make_wave(dirs, seed=11)
+    part = build_partition(dirs, 4, 1e-4)
+    x = child_rng(7, 0).uniform(-30, 30, (20_000, 2))
+    out_bytes = 16 * len(x) * len(part.selected)
+    assert traced_peak(lambda: eval_bk(w, part, x)) < out_bytes + 4 * 16 * field._TABLE_ENTRIES
 
 
 def _random_sum(seed: int, m: int) -> tuple[PlaneWaveSum, np.ndarray, tuple, float]:

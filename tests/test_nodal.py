@@ -2,7 +2,6 @@ import dataclasses
 import gc
 import itertools
 import math
-import tracemalloc
 import weakref
 from collections import deque
 from types import SimpleNamespace
@@ -28,6 +27,8 @@ from monowave.nodal import (
     label_domains,
     nodal_volume,
 )
+
+from conftest import traced_peak
 
 
 def flood_fill_labels(grid: ScalarGrid) -> np.ndarray:
@@ -734,16 +735,6 @@ def test_zero_set_bitwise_equals_sorted_reference(name):
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), f.name
         else:
             assert got == want, f.name
-
-
-def traced_peak(fn) -> int:
-    """Peak traced heap, in bytes, while fn runs."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def memory_test_grid() -> ScalarGrid:

@@ -32,6 +32,8 @@ from monowave.stats import (
     window_moment_report,
 )
 
+from conftest import traced_peak
+
 PI_OVER_SQRT2 = 2.221441469079183  # closed form, m = 2
 FOUR_OVER_SQRT3 = 2.3094010767585034  # closed form, m = 3
 
@@ -328,6 +330,31 @@ def test_energy_statistics_against_fsum(keep):
         a, b = np.nonzero(col > 0)[0], np.nonzero(col < 0)[0]
         exact = 2 * fmean(a, b) - fmean(a, a) - fmean(b, b)
         assert abs(val - exact) <= 1e-14 * D.mean()
+
+
+def test_energy_statistics_in_five_coordinates():
+    # the most window points pushforward_distance takes; a point count that
+    # leaves a partial tile on both sides of the diagonal
+    keep = 3 * stats._TILE // 2 + 7
+    rng = np.random.default_rng(5)
+    pts = rng.standard_normal((2 * keep, 5))
+    labels = np.repeat([1.0, -1.0], keep)
+    signs = np.stack([labels] + [labels[rng.permutation(2 * keep)] for _ in range(3)], axis=1)
+    D = _distances(pts)
+    want = -np.einsum("ip,ij,jp->p", signs, D, signs) / keep**2
+    assert np.max(np.abs(_energy_statistics(pts, signs) - want)) <= 1e-14 * D.mean()
+
+
+def test_energy_statistics_memory():
+    # 2000 points and 201 split columns, the wave-report null: one (rows, n, 2)
+    # difference block per 256 rows peaked at 27 MiB; the tiles hold a few
+    # (_TILE, _TILE) and (_TILE, columns) arrays at any point count
+    rng = np.random.default_rng(2)
+    pts = rng.standard_normal((2000, 2))
+    labels = np.repeat([1.0, -1.0], 1000)
+    signs = np.stack([labels] + [labels[rng.permutation(2000)] for _ in range(200)], axis=1)
+    tile = 8 * stats._TILE * (stats._TILE + signs.shape[1])
+    assert traced_peak(lambda: _energy_statistics(pts, signs)) < pts.nbytes + 3 * tile
 
 
 def _energy_from_matrix(D, ia, ib):
