@@ -496,9 +496,8 @@ def _run_kacrice(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
 def _run_ns_estimate(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
     _need(cfg, "W")
     measure, dirs = _resolve_measure(cfg)
-    est = stats.ns_constant_estimate(
-        measure, cfg.W, cfg.trials, cfg.seed, h=cfg.h, with_topology=True, workers=threads
-    )
+    est = stats.ns_constant_estimate(measure, cfg.W, cfg.trials, cfg.seed, h=cfg.h,
+                                     workers=threads)
     rows = [
         {
             "kind": "density",

@@ -5,8 +5,9 @@ with e(t) = exp(2*pi*i*t), evaluated pointwise (value, gradient) or on a
 regular lattice (on_grid). Pointwise evaluation reads the polar form
 F(x) = sum_j |c_j| cos(2 pi <v_j, x> + arg c_j): one cosine per plane wave,
 in row blocks of points whose (rows, J) phase table holds at most
-_TABLE_ENTRIES entries, so no temporary grows with the point count; eval_bk
-blocks its packet table the same way. The lattice fill is low rank: Chebyshev
+_TABLE_ENTRIES entries and is formed in one buffer for all blocks, so no
+temporary grows with the point count; eval_bk blocks its packet table the
+same way. The lattice fill is low rank: Chebyshev
 interpolation in the frequency turns the J-term sum into a small real core
 tensor over a cover box (_LowRankLattice), in the basis cos, 1, sin of the
 Chebyshev phases, built once and contracted by real products with per-axis
@@ -75,9 +76,9 @@ class PlaneWaveSum:
     axis) in the polar form F(x) = sum_j w_j cos psi_j, psi_j = 2 pi <v_j, x>
     + phi_j, with weights w_j = |c_j| and offsets phi_j = arg c_j fixed at
     construction; the gradient is -sum_j 2 pi w_j v_j sin psi_j. Points are
-    taken in blocks of max(1, _TABLE_ENTRIES // J) rows, each block one
-    (rows, J) phase table, so the table stays within the entry budget at any
-    point count and any J.
+    taken in blocks of max(1, _TABLE_ENTRIES // J) rows, and every block's
+    (rows, J) phase table is formed in one reused buffer, so one table within
+    the entry budget is alive at any point count and any J.
     on_grid fills a regular lattice through a _LowRankLattice over that lattice.
     """
 
@@ -129,9 +130,13 @@ class PlaneWaveSum:
         return x.reshape(-1, self.dim), x.shape[:-1]
 
     def _phases(self, pts: np.ndarray):
-        """(rows, psi) per row block: psi[i, j] = 2 pi <v_j, x_i> + phi_j."""
+        """(rows, psi) per row block, psi[i, j] = 2 pi <v_j, x_i> + phi_j, all in one buffer."""
+        buf = None
         for rows in _row_blocks(len(pts), len(self._offset)):
-            psi = pts[rows] @ self._omega.T
+            block = pts[rows]
+            if buf is None:
+                buf = np.empty((len(block), len(self._offset)))
+            psi = np.matmul(block, self._omega.T, out=buf[: len(block)])
             psi += self._offset
             yield rows, psi
 

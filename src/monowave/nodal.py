@@ -7,16 +7,17 @@ imply. The same pass flags the components on the rim and pairs the
 components across opposite-sign grid edges; nesting trees and the 2D class
 counts are read from that decomposition alone. The labels are int32 when
 the grid has fewer than 2^31 vertices (intp otherwise), and so are the
-union-find parents and pairs below 2^31 entries. The zero set, extracted per
-cell from the sign-case tables, serves the measures and the 3D genus. Its
-crossing grid edges are ranked per axis block, from one bool mark and one
-int32 rank table that serve every block, and the ranks are written over the
-element edge ids, so no sort runs over them. The crossings are measured by
-linear interpolation and split into connected pieces by a second _connected
-pass over the crossing edges; a piece is interior when it borders an
-interior component. The extraction's peak heap is about 2.8 times the value
-grid's bytes on a 101^3 ball grid of an m = 3 draw (4.2 on a 61^3 one), and
-the labeling's about 1.4 times.
+union-find parents and pairs below 2^31 entries. The zero set, extracted
+per cell from the sign-case tables, is one NodalGeometry, built on first
+use and cached on the decomposition; nodal_volume returns it. Its crossing
+grid edges are ranked per axis block, from one bool mark and one int32 rank
+table that serve every block, and the ranks are written over the element
+edge ids, so no sort runs over them. The crossings are measured by linear
+interpolation and split into connected pieces by a second _connected pass
+over the crossing edges; a piece is interior when it borders an interior
+component. The extraction's peak heap is about 2.6 times the value grid's
+bytes on a 101^3 ball grid of an m = 3 draw (4.1 on a 61^3 one), and the
+labeling's about 1.4 times.
 """
 
 from __future__ import annotations
@@ -125,13 +126,13 @@ class NodalDecomposition:
     # (E, 2) sorted unique component pairs a < b joined by an opposite-sign
     # grid edge between in-mask vertices
     adjacency: np.ndarray
-    _zero: "_ZeroSet | None" = field(default=None, repr=False)
+    _zero: "NodalGeometry | None" = field(default=None, repr=False)
 
     @property
     def total_components(self) -> int:
         return len(self.components)
 
-    def _ensure_zero(self) -> "_ZeroSet":
+    def _ensure_zero(self) -> "NodalGeometry":
         if self._zero is None:
             interior = np.array([not c.touches_boundary for c in self.components])
             self._zero = _extract_zero_set(self.grid, self.labels, interior)
@@ -326,19 +327,61 @@ def label_domains(grid: ScalarGrid) -> NodalDecomposition:
 
 
 @dataclass
-class _ZeroSet:
+class NodalGeometry:
+    """The zero set of a sampled field, extracted once per decomposition.
+
+    The U crossing grid edges, in _edge_blocks order, are the vertices of the
+    elements: segments (2D) or triangles (3D), split into connected pieces.
+    The properties, which cli and perfbench read, derive from edge_points,
+    elements, piece_measure and covered_volume. Of the fields, _parent_pieces
+    reads edge_ends and edge_piece; classify_topology and _genus_tagger
+    element_piece and piece_boundary; export_components_csv piece_measure and
+    piece_boundary; and stats._ZeroClipper element_measure.
+    """
+
     dim: int
-    edge_ids: np.ndarray  # unique crossing grid edges, sorted
     edge_points: np.ndarray  # (U, m) interpolated zero crossings
     edge_piece: np.ndarray  # (U,) piece index
-    npieces: int
     edge_ends: np.ndarray  # (U, 2) flat indices of each crossing edge's lower and upper vertex
-    covered_cells: int  # cells with every corner in the mask: the ones scanned
-    piece_measure: np.ndarray
+    covered_volume: float  # volume of the cells with every corner in the mask: the ones scanned
+    piece_measure: np.ndarray  # length (2D) or area (3D) per piece
     piece_boundary: np.ndarray  # the piece borders no interior component
-    elements: np.ndarray  # (S,2) or (T,3) indices into the unique edges
+    elements: np.ndarray  # (S, 2) or (T, 3) indices into the crossing edges
     element_piece: np.ndarray
     element_measure: np.ndarray
+
+    @property
+    def measures(self) -> np.ndarray:
+        return self.piece_measure
+
+    @property
+    def total(self) -> float:
+        return float(np.sum(self.piece_measure))
+
+    @property
+    def density(self) -> float:
+        """Zero-set measure per unit volume over the scanned region.
+
+        Division by the scanned volume, not by vol B(R): the cell scan stops
+        one layer short of the mask sphere, and pretending that band was
+        measured biases comparisons at small R.
+        """
+        return self.total / self.covered_volume
+
+    @property
+    def segments(self) -> np.ndarray | None:
+        """2D: (S, 2, m) endpoint coordinates."""
+        return self.edge_points[self.elements] if self.dim == 2 else None
+
+    @property
+    def vertices(self) -> np.ndarray | None:
+        """3D: the welded mesh vertices, one per crossing edge."""
+        return self.edge_points if self.dim == 3 else None
+
+    @property
+    def triangles(self) -> np.ndarray | None:
+        """3D: (T, 3) indices into vertices."""
+        return self.elements if self.dim == 3 else None
 
 
 def _edge_blocks(shape) -> list[tuple[int, tuple[int, ...]]]:
@@ -446,12 +489,12 @@ def _element_measures(points: np.ndarray, elements: np.ndarray) -> np.ndarray:
     return out
 
 
-def _extract_zero_set(grid: ScalarGrid, labels: np.ndarray, interior: np.ndarray) -> _ZeroSet:
+def _extract_zero_set(grid: ScalarGrid, labels: np.ndarray, interior: np.ndarray) -> NodalGeometry:
     """The zero set of grid, its pieces interior when they border a component
     flagged in interior (one entry per label)."""
     if grid.dim not in (2, 3):
         raise ValueError("zero-set extraction supports m in {2, 3} only")
-    elements, covered_cells = _crossing_elements(grid, grid.grid_values() > -TIE_EPS)
+    elements, covered = _crossing_elements(grid, grid.grid_values() > -TIE_EPS)
 
     # Rank the crossing grid edges one axis block at a time, in _edge_blocks
     # order: mark the block's element edge ids in a bool array, read them
@@ -468,7 +511,7 @@ def _extract_zero_set(grid: ScalarGrid, labels: np.ndarray, interior: np.ndarray
     hit = np.zeros(max(sizes), dtype=bool)
     table = np.empty(max(sizes), dtype=_index_dtype(blocks[-1][0] + sizes[-1]))
     strides = _row_major_strides(grid.shape)
-    edge_parts, end_parts, point_parts = [], [], []
+    end_parts, point_parts = [], []
     U = 0
     for a, (first, bshape) in enumerate(blocks):
         in_block = np.flatnonzero(block_of == a)
@@ -489,36 +532,32 @@ def _extract_zero_set(grid: ScalarGrid, labels: np.ndarray, interior: np.ndarray
         vu, vv = (np.where(np.abs(x) < TIE_EPS, TIE_EPS, x) for x in (grid.values[lower], grid.values[upper]))
         points = np.stack(coords, axis=-1).astype(float)
         points[:, a] += vu / (vu - vv)
-        edge_parts.append(crossing + first)
         end_parts.append(np.stack([lower, upper], axis=-1))
         point_parts.append(points)
     del gids, block_of, hit, table  # elements now holds the ranks
-    edge_ids = np.concatenate(edge_parts)
     edge_ends = np.concatenate(end_parts)
     edge_points = grid.origin + grid.spacing * np.concatenate(point_parts)
-    del edge_parts, end_parts, point_parts
+    del end_parts, point_parts
 
     # an element's vertices lie in one piece; the pairs are built in
     # _connected's dtype and handed over, so it frees them as they shrink
     idx = _index_dtype(U)
-    edge_piece, npieces = _connected(U, np.tile(elements[:, 0].astype(idx), grid.dim - 1),
-                                     elements[:, 1:].T.astype(idx, order="C").reshape(-1))
+    edge_piece, piece_count = _connected(U, np.tile(elements[:, 0].astype(idx), grid.dim - 1),
+                                         elements[:, 1:].T.astype(idx, order="C").reshape(-1))
     measure = _element_measures(edge_points, elements)
     elem_piece = edge_piece[elements[:, 0]] if U else np.empty(0, dtype=np.intp)
-    piece_measure = np.bincount(elem_piece, weights=measure, minlength=npieces)
+    piece_measure = np.bincount(elem_piece, weights=measure, minlength=piece_count)
 
     # every crossing edge lies in the mask, so both its end labels are >= 0
-    piece_boundary = np.ones(npieces, dtype=bool)
+    piece_boundary = np.ones(piece_count, dtype=bool)
     piece_boundary[edge_piece[interior[labels[edge_ends]].any(axis=1)]] = False
 
-    return _ZeroSet(
+    return NodalGeometry(
         dim=grid.dim,
-        edge_ids=edge_ids,
         edge_points=edge_points,
         edge_piece=edge_piece,
-        npieces=npieces,
         edge_ends=edge_ends,
-        covered_cells=covered_cells,
+        covered_volume=covered * grid.spacing**grid.dim,
         piece_measure=piece_measure,
         piece_boundary=piece_boundary,
         elements=elements,
@@ -527,53 +566,9 @@ def _extract_zero_set(grid: ScalarGrid, labels: np.ndarray, interior: np.ndarray
     )
 
 
-@dataclass
-class NodalGeometry:
-    dim: int
-    measures: np.ndarray  # one entry per zero piece
-    total: float
-    covered_volume: float  # volume of the cells actually scanned
-    segments: np.ndarray | None  # 2D: (S, 2, m) endpoint coords
-    vertices: np.ndarray | None  # 3D: welded mesh vertices (one per crossing edge)
-    triangles: np.ndarray | None  # 3D: (T, 3) indices into vertices
-
-    def __post_init__(self):
-        if abs(self.total - float(np.sum(self.measures))) > 1e-9:
-            raise AssertionError("piece measures do not add up to the total")
-        if np.any(self.measures < 0):
-            raise AssertionError("negative piece measure")
-
-    @property
-    def density(self) -> float:
-        """Zero-set measure per unit volume over the scanned region.
-
-        Division by the scanned volume, not by vol B(R): the cell scan stops
-        one layer short of the mask sphere, and pretending that band was
-        measured biases comparisons at small R.
-        """
-        return self.total / self.covered_volume
-
-
 def nodal_volume(grid: ScalarGrid) -> NodalGeometry:
-    """Total zero-set length (2D) or area (3D), split by connected piece."""
-    dec = label_domains(grid)
-    z = dec._ensure_zero()
-    if grid.dim == 2:
-        segments = z.edge_points[z.elements]
-        vertices = triangles = None
-    else:
-        segments = None
-        vertices, triangles = z.edge_points, z.elements
-    return NodalGeometry(
-        dim=grid.dim,
-        measures=z.piece_measure.copy(),
-        total=float(np.sum(z.piece_measure)),
-        covered_volume=z.covered_cells * grid.spacing**grid.dim,
-        segments=segments,
-        vertices=vertices,
-        triangles=triangles,
-    )
-
+    """The zero set of grid as cached on its decomposition: length (2D) or area (3D) per piece."""
+    return label_domains(grid)._ensure_zero()
 
 # ---------------------------------------------------------------------------
 # nesting tree
@@ -666,7 +661,7 @@ def _parent_pieces(dec: NodalDecomposition, tree: NestingTree) -> dict[int, int]
 # topology classes of interior zero pieces
 
 
-def _genus_tagger(z: _ZeroSet):
+def _genus_tagger(z: NodalGeometry):
     """Tag function "genusG" for the interior pieces of a 3D zero set.
 
     The tag of a piece that is not a closed surface is a

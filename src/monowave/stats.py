@@ -302,13 +302,13 @@ def _map_trials(fn, trials: int, workers: int) -> list:
 
 
 def ns_constant_estimate(measure: SpectralMeasure, W: float, trials: int, seed: int,
-                         h: float = 0.05, with_topology: bool = False,
-                         workers: int = 1) -> ConstantEstimate:
+                         h: float = 0.05, workers: int = 1) -> ConstantEstimate:
     """Mean interior nodal-domain count per unit volume over draws of the measure.
 
-    The fields, grids and balls live in R^m with m = measure.dim. Degenerate
-    draws (failed nondegeneracy probe, unresolved adjacency) are excluded and
-    counted; more than 20% exclusions aborts.
+    The fields, grids and balls live in R^m with m = measure.dim. Each kept
+    draw also counts its topology classes and interior nesting-tree codes.
+    Degenerate draws (failed nondegeneracy probe, unresolved adjacency or
+    topology) are excluded and counted; more than 20% exclusions aborts.
     """
     if W < 4:
         raise ValueError("need W >= 4")
@@ -329,15 +329,13 @@ def ns_constant_estimate(measure: SpectralMeasure, W: float, trials: int, seed: 
                 raise DegenerateSampleError("nondegeneracy probe failed", "probe_failed")
             g = sample_on_grid(report.lattice, np.zeros(m), W, h)
             dec = nodal.label_domains(g)
-            classes: dict[str, int] = {}
+            classes = dict(nodal.classify_topology(dec))
+            tree = nodal.build_nesting_tree(dec)
             trees: dict[str, int] = {}
-            if with_topology:
-                classes = dict(nodal.classify_topology(dec))
-                tree = nodal.build_nesting_tree(dec)
-                for c in dec.components:
-                    if not c.touches_boundary:
-                        code = tree.codes[c.id]
-                        trees[code] = trees.get(code, 0) + 1
+            for c in dec.components:
+                if not c.touches_boundary:
+                    code = tree.codes[c.id]
+                    trees[code] = trees.get(code, 0) + 1
         except DegenerateSampleError as exc:
             return exc.reason or "other"
         return dec.interior_count / vol, classes, trees
@@ -401,16 +399,14 @@ class _ZeroClipper:
     def __init__(self, grid: ScalarGrid):
         geom = nodal.nodal_volume(grid)
         self.dim = grid.dim
+        self.measure = geom.element_measure  # segment lengths or triangle areas
         if grid.dim == 2:
             segs = geom.segments
             self.a = segs[:, 0, :]
             self.d = segs[:, 1, :] - segs[:, 0, :]
             self.dd = np.einsum("ij,ij->i", self.d, self.d)
-            self.len = np.sqrt(self.dd)
         else:
             tri = geom.vertices[geom.triangles]  # (T, 3, 3)
-            cross = np.cross(tri[:, 1, :] - tri[:, 0, :], tri[:, 2, :] - tri[:, 0, :])
-            self.area = 0.5 * np.linalg.norm(cross, axis=-1)
             self.centroid = tri.mean(axis=1)
             self.reach = np.linalg.norm(tri - self.centroid[:, None, :], axis=-1).max(axis=1)
             k = 4
@@ -440,13 +436,13 @@ class _ZeroClipper:
                 t0 = np.clip((-ad - sq) / self.dd, 0.0, 1.0)
                 t1 = np.clip((-ad + sq) / self.dd, 0.0, 1.0)
             inside = (disc > 0) & (self.dd > 0)
-            return float(np.sum(np.where(inside, t1 - t0, 0.0) * self.len))
+            return float(np.sum(np.where(inside, t1 - t0, 0.0) * self.measure))
         dist = np.linalg.norm(self.centroid - center, axis=1)
-        total = float(self.area[dist <= r - self.reach].sum())
+        total = float(self.measure[dist <= r - self.reach].sum())
         cross = np.nonzero((dist > r - self.reach) & (dist < r + self.reach))[0]
         if len(cross):
             hit = np.linalg.norm(self.probes[cross] - center, axis=-1) <= r
-            total += float((self.area[cross] * hit.mean(axis=1)).sum())
+            total += float((self.measure[cross] * hit.mean(axis=1)).sum())
         return total
 
 

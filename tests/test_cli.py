@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from monowave import cli, stats
+from monowave import cli, nodal, stats
 from monowave.cli import (
     bessel_zero_table,
     config_from_mapping,
@@ -201,6 +201,40 @@ def test_nodal_stats_on_cosine_fixture(tmp_path, cosine_wave):
     svg = (out / "nodal.svg").read_text()
     assert svg.startswith("<svg")
     assert "path" in svg and svg.rstrip().endswith("</svg>")
+
+
+@pytest.mark.parametrize("m, N, W, h", [(2, 8, 4, 0.05), (3, 16, 2, 0.1)])
+def test_nodal_stats_extracts_the_zero_set_once(tmp_path, monkeypatch, m, N, W, h):
+    # the measures, the 3D classes, the component export and the svg all read
+    # the zero set that the decomposition caches
+    calls = []
+    extract = nodal._extract_zero_set
+
+    def counted(*args):
+        calls.append(args)
+        return extract(*args)
+
+    monkeypatch.setattr(nodal, "_extract_zero_set", counted)
+    gen = write_cfg(tmp_path, f"command = gen-wave\nm = {m}\nN = {N}\nseed = 3\n", "gen.cfg")
+    assert main(["--config", gen, "--out", str(tmp_path)]) == 0
+    cfgp = write_cfg(tmp_path, "command = nodal-stats\ngenerator = file\n"
+                     f"wave = {tmp_path / 'wave.txt'}\nW = {W}\nh = {h}\n")
+    assert main(["--config", cfgp, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+    assert (tmp_path / "out" / "nodal.svg").exists() == (m == 2)
+
+
+def test_sandwich_3d_frozen_row(tmp_path):
+    # the m = 3 branch of the ball clipping: triangle areas split over 16
+    # subtriangles each where a ball's sphere cuts them
+    gen = write_cfg(tmp_path, "command = gen-wave\nm = 3\nN = 16\nseed = 3\n", "gen.cfg")
+    assert main(["--config", gen, "--out", str(tmp_path)]) == 0
+    cfgp = write_cfg(tmp_path, "command = sandwich\ngenerator = file\n"
+                     f"wave = {tmp_path / 'wave.txt'}\nR = 1\nr = 0.5\nh = 0.1\n")
+    assert main(["--config", cfgp, "--out", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "sandwich.csv").read_text().splitlines()
+    assert rows[1] == ("0,2109,0.1,,1.0,16,3,1.247025753452962,9.618510747313845,"
+                       "28.393633377639144,0.5678726675527829,1")
 
 
 def test_report_csv_round_trips(tmp_path, cosine_wave):

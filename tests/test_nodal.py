@@ -191,7 +191,7 @@ def test_cosine_fixture_decomposition(cosine_wave):
     assert dec.total_components == 17
     assert dec.interior_count == 0
     assert len(dec.adjacency) == 16
-    _, mesh = set_loop_grouping(dec._ensure_zero(), dec.labels, g.shape)
+    _, mesh = set_loop_grouping(dec._ensure_zero(), dec.labels)
     assert sorted(list(k) for k, _ in mesh) == dec.adjacency.tolist()
     assert all(len(p) == 1 for _, p in mesh)
     signs = [c.sign for c in dec.components]
@@ -344,7 +344,7 @@ def _tetrahedron(base: int) -> list[list[int]]:
 def test_piece_tag_exclusion_reasons(dim, elements, reason):
     elements = np.array(elements)
     z = SimpleNamespace(dim=dim, elements=elements, element_piece=np.zeros(len(elements), int),
-                        piece_boundary=np.array([False]), edge_ids=np.arange(elements.max() + 1))
+                        piece_boundary=np.array([False]))
     with pytest.raises(DegenerateSampleError) as info:
         nodal._genus_tagger(z)(0)
     assert info.value.reason == reason
@@ -364,8 +364,7 @@ def test_classify_raises_the_first_bad_piece_in_piece_order(first, second):
     piece = [2] * len(bad[second]) + [1] * len(bad[first]) + [0]
     elements = np.array(rows)
     z = SimpleNamespace(dim=3, elements=elements, element_piece=np.array(piece),
-                        piece_boundary=np.array([True, False, False]),
-                        edge_ids=np.arange(elements.max() + 1))
+                        piece_boundary=np.array([True, False, False]))
     dec = SimpleNamespace(_ensure_zero=lambda: z, grid=SimpleNamespace(dim=3))
     with pytest.raises(DegenerateSampleError) as info:
         classify_topology(dec)
@@ -374,7 +373,7 @@ def test_classify_raises_the_first_bad_piece_in_piece_order(first, second):
 
 def open_curve_pieces(z) -> set[int]:
     """Reference: the 2D pieces with an element end that is not shared by exactly two elements."""
-    closed = np.bincount(z.elements.reshape(-1), minlength=len(z.edge_ids)) == 2
+    closed = np.bincount(z.elements.reshape(-1), minlength=len(z.edge_ends)) == 2
     return set(z.element_piece[~np.all(closed[z.elements], axis=1)].tolist())
 
 
@@ -382,7 +381,7 @@ def test_open_curve_found_in_its_own_piece():
     # 2D: piece 1 is a closed square loop, piece 0 an open path listed after it
     elements = np.array([[0, 1], [1, 2], [2, 3], [3, 0], [4, 5], [5, 6]])
     z = SimpleNamespace(dim=2, elements=elements, element_piece=np.array([1, 1, 1, 1, 0, 0]),
-                        piece_boundary=np.array([False, False]), edge_ids=np.arange(7))
+                        piece_boundary=np.array([False, False]), edge_ends=np.zeros((7, 2), int))
     assert open_curve_pieces(z) == {0}
 
 
@@ -526,10 +525,10 @@ def edge_endpoints(gids: np.ndarray, shape) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def set_loop_grouping(z, labels, shape):
+def set_loop_grouping(z, labels):
     """Reference: per piece, the labels on its crossing edges; per component pair, its pieces."""
-    ends = edge_endpoints(z.edge_ids, shape)
-    neigh = [set() for _ in range(z.npieces)]
+    ends = z.edge_ends.T
+    neigh = [set() for _ in range(len(z.piece_measure))]
     adjacency: dict = {}
     for p, a, b in zip(z.edge_piece.tolist(), labels[ends[0]].tolist(), labels[ends[1]].tolist()):
         neigh[p].update((a, b))
@@ -563,7 +562,7 @@ def test_zero_set_matches_list_dsu_and_set_loops(monkeypatch, m, W, h):
 
     # the mesh's component pairs, grouped by a per-edge set loop, are the
     # labeling's adjacency once contacts between two rim components drop out
-    _, mesh = set_loop_grouping(z, dec.labels, g.shape)
+    _, mesh = set_loop_grouping(z, dec.labels)
     assert off_rim_pairs(dec, (k for k, _ in mesh)) == off_rim_pairs(dec, dec.adjacency.tolist())
     if m == 2:  # random 3D draws at desk scale have every component on the rim
         assert len(off_rim_pairs(dec, dec.adjacency.tolist())) > 5
@@ -587,7 +586,7 @@ def check_mesh_against_labeling(g: ScalarGrid) -> int:
     """
     dec = label_domains(g)
     z = dec._ensure_zero()
-    neigh, mesh = set_loop_grouping(z, dec.labels, g.shape)
+    neigh, mesh = set_loop_grouping(z, dec.labels)
     off_rim = off_rim_pairs(dec, (k for k, _ in mesh))
     assert off_rim == off_rim_pairs(dec, dec.adjacency.tolist())
     assert all(len(pieces) == 1 for k, pieces in mesh if k in off_rim)
@@ -663,10 +662,10 @@ def summed_case_elements(grid: ScalarGrid, v: np.ndarray) -> tuple[np.ndarray, i
     return (np.concatenate(rows) if rows else np.empty((0, m), dtype=np.int64)), covered
 
 
-def sorted_zero_set(grid: ScalarGrid, labels: np.ndarray, interior: np.ndarray) -> nodal._ZeroSet:
+def sorted_zero_set(grid: ScalarGrid, labels: np.ndarray, interior: np.ndarray) -> nodal.NodalGeometry:
     """Reference: the former extraction, np.unique over the element edge ids and a clamped copy."""
     v = clamped(grid)
-    elements, covered_cells = summed_case_elements(grid, v)
+    elements, covered = summed_case_elements(grid, v)
     uniq, inv = np.unique(elements.reshape(-1), return_inverse=True)
     elements = inv.reshape(-1, grid.dim).astype(np.intp, copy=False)
     U = len(uniq)
@@ -683,16 +682,16 @@ def sorted_zero_set(grid: ScalarGrid, labels: np.ndarray, interior: np.ndarray) 
         cross = np.cross(edge_points[elements[:, 1]] - p0, edge_points[elements[:, 2]] - p0)
         measure = 0.5 * np.linalg.norm(cross, axis=-1)
     pa = np.concatenate([elements[:, 0]] * (grid.dim - 1))
-    edge_piece, npieces = nodal._connected(U, pa, elements[:, 1:].T.reshape(-1))
+    edge_piece, piece_count = nodal._connected(U, pa, elements[:, 1:].T.reshape(-1))
     elem_piece = edge_piece[elements[:, 0]] if U else np.empty(0, dtype=np.intp)
-    piece_measure = np.bincount(elem_piece, weights=measure, minlength=npieces)
+    piece_measure = np.bincount(elem_piece, weights=measure, minlength=piece_count)
     lab_u = labels[ends_u]
     lab_v = labels[ends_v]
-    piece_interior = np.zeros(npieces, dtype=bool)
+    piece_interior = np.zeros(piece_count, dtype=bool)
     np.logical_or.at(piece_interior, edge_piece, interior[lab_u] | interior[lab_v])
-    return nodal._ZeroSet(
-        dim=grid.dim, edge_ids=uniq, edge_points=edge_points, edge_piece=edge_piece,
-        npieces=npieces, edge_ends=np.stack([ends_u, ends_v], axis=-1), covered_cells=covered_cells,
+    return nodal.NodalGeometry(
+        dim=grid.dim, edge_points=edge_points, edge_piece=edge_piece,
+        edge_ends=np.stack([ends_u, ends_v], axis=-1), covered_volume=covered * grid.spacing**grid.dim,
         piece_measure=piece_measure, piece_boundary=~piece_interior,
         elements=elements, element_piece=elem_piece, element_measure=measure,
     )
@@ -726,9 +725,9 @@ def test_zero_set_bitwise_equals_sorted_reference(name):
     z = nodal._extract_zero_set(grid, dec.labels, interior)
     ref = sorted_zero_set(grid, dec.labels, interior)
     if name.startswith("one-sign"):
-        assert len(ref.edge_ids) == 0
+        assert len(ref.edge_ends) == 0
     else:
-        assert len(ref.edge_ids) > 50
+        assert len(ref.edge_ends) > 50
     for f in dataclasses.fields(ref):
         got, want = getattr(z, f.name), getattr(ref, f.name)
         if isinstance(want, np.ndarray):
@@ -749,7 +748,8 @@ def test_zero_set_extraction_memory():
     # for the former np.unique extraction, 5.72 for the per-axis ranking with
     # intp union-find pairs, 4.21 with int32 pairs, one mark and one rank
     # table for all axis blocks, the ranks written over the element edge ids
-    # and the element measures taken in blocks
+    # and the element measures taken in blocks, 4.11 without the crossing
+    # edges' grid ids
     g = memory_test_grid()
     dec = label_domains(g)
     interior = np.array([not c.touches_boundary for c in dec.components])
@@ -833,8 +833,8 @@ def test_piece_boundary_matches_grid_sized_shell(m):
         dec = label_domains(g)
         z = dec._ensure_zero()
         on_rim = set(dec.labels[rim_reference(g).reshape(-1)].tolist())
-        u, v = edge_endpoints(z.edge_ids, g.shape)
-        want = np.ones(z.npieces, dtype=bool)
+        u, v = z.edge_ends.T
+        want = np.ones(len(z.piece_measure), dtype=bool)
         for p, a, b in zip(z.edge_piece.tolist(), dec.labels[u].tolist(), dec.labels[v].tolist()):
             if a not in on_rim or b not in on_rim:
                 want[p] = False
@@ -846,10 +846,11 @@ def test_piece_boundary_matches_grid_sized_shell(m):
 
 
 def per_cell_elements(grid: ScalarGrid):
-    """Reference: edge ids and measures of the zero-set elements, cell by cell.
+    """Reference: crossing-edge ends and measures of the zero-set elements, cell by cell.
 
     Rows are ordered by case, then table entry, then cell, like
-    _crossing_elements; edge ids follow the axis-block numbering.
+    _crossing_elements; each element edge is given by the flat indices of its
+    lower and upper vertex.
     """
     m = grid.dim
     v = np.where(np.abs(grid.grid_values()) < 1e-13, 1e-13, grid.grid_values())
@@ -858,10 +859,6 @@ def per_cell_elements(grid: ScalarGrid):
         table, edge_axis, edge_base = mct.SQUARE_CASES, mct.SQ_EDGE_AXIS, mct.SQ_EDGE_BASE
     else:
         table, edge_axis, edge_base = mct.CUBE_CASES, mct.EDGE_AXIS, mct.EDGE_BASE
-    first, shapes = 0, []
-    for a in range(m):
-        shapes.append((first, tuple(n - (d == a) for d, n in enumerate(grid.shape))))
-        first += math.prod(shapes[-1][1])
     rows = []
     for cell in np.ndindex(*(n - 1 for n in grid.shape)):
         corners = [tuple(x + ((c >> a) & 1) for a, x in enumerate(cell)) for c in range(2**m)]
@@ -869,7 +866,7 @@ def per_cell_elements(grid: ScalarGrid):
             continue
         case = sum(1 << c for c, x in enumerate(corners) if v[x] > 0)
         for k, element in enumerate(table[case] if 0 < case < 2 ** 2**m - 1 else ()):
-            ids, pts = [], []
+            ends, pts = [], []
             for e in element:
                 ax = int(edge_axis[e])
                 lo = tuple(int(x + b) for x, b in zip(cell, edge_base[e]))
@@ -877,14 +874,13 @@ def per_cell_elements(grid: ScalarGrid):
                 t = v[lo] / (v[lo] - v[hi])
                 pts.append([grid.origin[a] + grid.spacing * (x + (t if a == ax else 0.0))
                             for a, x in enumerate(lo)])
-                off, bshape = shapes[ax]
-                ids.append(off + int(np.ravel_multi_index(lo, bshape)))
+                ends.append([np.ravel_multi_index(x, grid.shape) for x in (lo, hi)])
             if m == 2:
                 measure = math.dist(*pts)
             else:
                 u, w = np.subtract(pts[1], pts[0]), np.subtract(pts[2], pts[0])
                 measure = 0.5 * math.hypot(*np.cross(u, w))
-            rows.append(((case, k), ids, measure))
+            rows.append(((case, k), ends, measure))
     rows.sort(key=lambda r: r[0])  # stable: cells stay in index order
     return np.array([r[1] for r in rows]), np.array([r[2] for r in rows])
 
@@ -893,9 +889,9 @@ def per_cell_elements(grid: ScalarGrid):
 def test_crossing_elements_match_per_cell_loop(m, W, h):
     g = sample_on_grid(sample_uniform(m, 64, 5 + m), np.full(m, 0.2), W, h)
     z = label_domains(g)._ensure_zero()
-    ids, measures = per_cell_elements(g)
-    assert len(ids) > 20
-    assert np.array_equal(z.edge_ids[z.elements], ids)
+    ends, measures = per_cell_elements(g)
+    assert len(ends) > 20
+    assert np.array_equal(z.edge_ends[z.elements], ends)
     assert np.allclose(z.element_measure, measures, rtol=1e-12, atol=0)
 
 

@@ -144,7 +144,7 @@ def test_ns_constant_with_topology():
     # excluded more than 20% of the draws, and in 2D the circle count is the
     # interior count, draw by draw
     for h in (0.08, 0.15):
-        est = ns_constant_estimate(mu, 5.0, 50, seed=6, h=h, workers=2, with_topology=True)
+        est = ns_constant_estimate(mu, 5.0, 50, seed=6, h=h, workers=2)
         assert est.excluded == 0
         dens, se = est.class_density["circle"]
         assert dens > 0 and se >= 0
@@ -199,7 +199,7 @@ def test_ns_constant_against_separate_probe_and_fill(monkeypatch):
     monkeypatch.setattr(nodal, "label_domains", recording)
     monkeypatch.setattr(stats, "check_nondegenerate",
                         lambda F, W, h: check_nondegenerate(F, W, h, tau0=tau0))
-    est = ns_constant_estimate(uniform_measure(2), W, 50, seed=seed, h=h, with_topology=True)
+    est = ns_constant_estimate(uniform_measure(2), W, 50, seed=seed, h=h)
     monkeypatch.undo()
     want, reasons, dens = [], {}, []
     for j in range(50):
