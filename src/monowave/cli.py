@@ -174,8 +174,12 @@ def save_wave(wave: MonochromaticWave, path) -> None:
 
 def load_wave(path) -> MonochromaticWave:
     with open(path) as fh:
-        head = fh.readline().split()
-        m, n = int(head[0]), int(head[1])
+        head = fh.readline()
+        try:
+            m, n = map(int, head.split())
+        except ValueError:
+            raise ValueError(f"wave file {path}: header must be 'm N', "
+                             f"got {head.strip()!r}") from None
         vecs = np.loadtxt(fh, dtype=float, max_rows=n).reshape(n, m)
         cols = np.loadtxt(fh, dtype=float, max_rows=n).reshape(n, 2)
     dirs = DirectionSet(dim=m, count=n, vectors=vecs)
@@ -341,14 +345,14 @@ def _emit(outdir: Path, name: str, rows, meta) -> Path:
 # command runners
 
 
-def _run_gen_wave(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
+def _run_gen_wave(cfg: ExperimentConfig, outdir: Path) -> None:
     wave = _resolve_wave(cfg)
     path = outdir / "wave.txt"
     save_wave(wave, path)
     print(f"wrote {path}")
 
 
-def _run_nodal_stats(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
+def _run_nodal_stats(cfg: ExperimentConfig, outdir: Path) -> None:
     _need(cfg, "W")
     wave = _resolve_wave(cfg)
     m = wave.dirs.dim
@@ -381,7 +385,7 @@ def _run_nodal_stats(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
         print(f"wrote {svg}")
 
 
-def _run_moments(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
+def _run_moments(cfg: ExperimentConfig, outdir: Path) -> None:
     _need(cfg, "R", "W")
     wave = _resolve_wave(cfg)
     m = wave.dirs.dim
@@ -395,7 +399,7 @@ def _run_moments(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
     print(f"all within tolerance: {rep.passed}")
 
 
-def _run_bk_moments(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
+def _run_bk_moments(cfg: ExperimentConfig, outdir: Path) -> None:
     _need(cfg, "R", "K")
     wave = _resolve_wave(cfg)
     part = build_partition(wave.dirs, cfg.K, cfg.delta)
@@ -422,7 +426,7 @@ def _run_bk_moments(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
     print(f"all within tolerance: {rep.passed}")
 
 
-def _run_charfn(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
+def _run_charfn(cfg: ExperimentConfig, outdir: Path) -> None:
     _need(cfg, "R")
     wave = _resolve_wave(cfg)
     rep = characteristic_function(wave, cfg.R, cfg.t_max, 41, cfg.samples, cfg.seed)
@@ -440,7 +444,7 @@ def _run_charfn(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
     print(f"sup error over the t grid: {rep.sup_error!r}")
 
 
-def _run_doubling(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
+def _run_doubling(cfg: ExperimentConfig, outdir: Path) -> None:
     _need(cfg, "R", "W")
     wave = _resolve_wave(cfg)
     st = doubling_tail(wave, cfg.R, cfg.W, cfg.samples, cfg.seed)
@@ -450,7 +454,7 @@ def _run_doubling(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
     _emit(outdir, "doubling.csv", rows, _meta(cfg, cfg.samples, wave.dirs))
 
 
-def _run_smallvalues(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
+def _run_smallvalues(cfg: ExperimentConfig, outdir: Path) -> None:
     _need(cfg, "R")
     wave = _resolve_wave(cfg)
     rep = small_value_fraction(wave, cfg.R, cfg.beta, cfg.samples, cfg.seed)
@@ -463,7 +467,7 @@ def _run_smallvalues(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
     _emit(outdir, "smallvalues.csv", [row], _meta(cfg, cfg.samples, wave.dirs))
 
 
-def _run_compare(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
+def _run_compare(cfg: ExperimentConfig, outdir: Path) -> None:
     _need(cfg, "R", "W")
     wave = _resolve_wave(cfg)
     m = wave.dirs.dim
@@ -485,7 +489,7 @@ def _run_compare(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
     _emit(outdir, "covariance.csv", _report_rows(cov, lag_labels), meta)
 
 
-def _run_kacrice(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
+def _run_kacrice(cfg: ExperimentConfig, outdir: Path) -> None:
     measure, dirs = _resolve_measure(cfg)
     density, err = stats.kac_rice_density(measure, n_mc=cfg.samples, seed=cfg.seed)
     row = {"kind": measure.kind, "density": density, "stderr": err}
@@ -493,11 +497,10 @@ def _run_kacrice(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
     print(f"expected zero-set volume per unit volume: {density!r}")
 
 
-def _run_ns_estimate(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
+def _run_ns_estimate(cfg: ExperimentConfig, outdir: Path) -> None:
     _need(cfg, "W")
     measure, dirs = _resolve_measure(cfg)
-    est = stats.ns_constant_estimate(measure, cfg.W, cfg.trials, cfg.seed, h=cfg.h,
-                                     workers=threads)
+    est = stats.ns_constant_estimate(measure, cfg.W, cfg.trials, cfg.seed, h=cfg.h)
     rows = [
         {
             "kind": "density",
@@ -521,7 +524,7 @@ def _run_ns_estimate(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
     print(f"count density {est.mean!r} +- {est.stderr!r} ({est.excluded} excluded{reasons})")
 
 
-def _run_sandwich(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
+def _run_sandwich(cfg: ExperimentConfig, outdir: Path) -> None:
     _need(cfg, "R", "r")
     wave = _resolve_wave(cfg)
     grid = sample_on_grid(wave, np.zeros(wave.dirs.dim), cfg.R + cfg.r, cfg.h)
@@ -537,7 +540,7 @@ def _run_sandwich(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
     print(f"sandwich holds: {rep.passed}")
 
 
-def _run_semilocal(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
+def _run_semilocal(cfg: ExperimentConfig, outdir: Path) -> None:
     _need(cfg, "R", "W")
     wave = _resolve_wave(cfg)
     rep = stats.semilocal_count_check(wave, cfg.R, cfg.W, h=cfg.h)
@@ -553,11 +556,10 @@ def _run_semilocal(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
     print(f"gap bounded: {rep.passed}")
 
 
-def _run_discrepancy(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
+def _run_discrepancy(cfg: ExperimentConfig, outdir: Path) -> None:
     _need(cfg, "W")
     measure, dirs = _resolve_measure(cfg)
-    rep = stats.discrepancy_estimate(measure, cfg.W, cfg.trials, cfg.seed, h=cfg.h,
-                                     workers=threads)
+    rep = stats.discrepancy_estimate(measure, cfg.W, cfg.trials, cfg.seed, h=cfg.h)
     row = {
         "mean_abs_deviation": rep.mean_abs_deviation,
         "stderr": rep.stderr,
@@ -567,7 +569,7 @@ def _run_discrepancy(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
     _emit(outdir, "discrepancy.csv", [row], _meta(cfg, cfg.trials, dirs))
 
 
-def _run_fig1(cfg: ExperimentConfig, outdir: Path, threads: int) -> None:
+def _run_fig1(cfg: ExperimentConfig, outdir: Path) -> None:
     """Zero contours of g(x) = (1/N) sum_n cos(w <r_n, x>) over [-20, 20]^2.
 
     The library convention puts the wavelength at 1 (frequencies on the unit
@@ -635,7 +637,11 @@ def main(argv=None) -> int:
     )
     ap.add_argument("--config", required=True, help="path to a key=value config file")
     ap.add_argument("--out", default=None, help="output directory (overrides config)")
-    ap.add_argument("--threads", type=int, default=1, help="worker cap for trial loops")
+    # every run's trials run in order on one thread; the flag still parses
+    # only because perfbench/child.py::run_cli passes it, and the benchmark
+    # change of ROADMAP item 1 deletes both the flag and that argument
+    ap.add_argument("--threads", type=int, default=1,
+                    help="ignored: trials run on one thread")
     ap.add_argument("--seed", type=int, default=None, help="overrides the config seed")
     try:
         args = ap.parse_args(argv)
@@ -650,7 +656,7 @@ def main(argv=None) -> int:
             cfg = replace(cfg, out=args.out)
         outdir = Path(cfg.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        _RUNNERS[cfg.command](cfg, outdir, max(1, args.threads))
+        _RUNNERS[cfg.command](cfg, outdir)
     except DegenerateSampleError as exc:
         print(f"degenerate sample: {exc}", file=sys.stderr)
         return 3

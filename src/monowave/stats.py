@@ -9,6 +9,7 @@ whether the estimate fell within it.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -291,24 +292,16 @@ def _ball_volume(m: int, r: float) -> float:
     return math.pi ** (m / 2) / math.gamma(m / 2 + 1) * r**m
 
 
-def _map_trials(fn, trials: int, workers: int) -> list:
-    """Run fn(0..trials-1), optionally on a thread pool; order is fixed either way."""
-    if workers <= 1:
-        return [fn(j) for j in range(trials)]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(trials)))
-
-
 def ns_constant_estimate(measure: SpectralMeasure, W: float, trials: int, seed: int,
-                         h: float = 0.05, workers: int = 1) -> ConstantEstimate:
+                         h: float = 0.05) -> ConstantEstimate:
     """Mean interior nodal-domain count per unit volume over draws of the measure.
 
-    The fields, grids and balls live in R^m with m = measure.dim. Each kept
-    draw also counts its topology classes and interior nesting-tree codes.
-    Degenerate draws (failed nondegeneracy probe, unresolved adjacency or
-    topology) are excluded and counted; more than 20% exclusions aborts.
+    The fields, grids and balls live in R^m with m = measure.dim. Trial j
+    draws from child stream j, and the trials run in order on the calling
+    thread. Each kept draw also counts its topology classes and interior
+    nesting-tree codes. Degenerate draws (failed nondegeneracy probe,
+    unresolved adjacency or topology) are excluded and counted; more than 20%
+    exclusions aborts.
     """
     if W < 4:
         raise ValueError("need W >= 4")
@@ -318,7 +311,12 @@ def ns_constant_estimate(measure: SpectralMeasure, W: float, trials: int, seed: 
     draw = _resolve_sampler(measure)
     vol = _ball_volume(m, W)
 
-    def one_trial(j: int):
+    densities = []
+    # per tag or code: (index among the kept trials, density) of each nonzero count
+    per_class: dict[str, list[tuple[int, float]]] = {}
+    per_tree: dict[str, list[tuple[int, float]]] = {}
+    by_reason: dict[str, int] = {}
+    for j in range(trials):
         realization = draw(int(child_rng(seed, j).integers(2**63)))
         try:
             # probe at the coarsest permitted pitch: it gates outliers, it is
@@ -329,30 +327,15 @@ def ns_constant_estimate(measure: SpectralMeasure, W: float, trials: int, seed: 
                 raise DegenerateSampleError("nondegeneracy probe failed", "probe_failed")
             g = sample_on_grid(report.lattice, np.zeros(m), W, h)
             dec = nodal.label_domains(g)
-            classes = dict(nodal.classify_topology(dec))
+            classes = nodal.classify_topology(dec)
             tree = nodal.build_nesting_tree(dec)
-            trees: dict[str, int] = {}
-            for c in dec.components:
-                if not c.touches_boundary:
-                    code = tree.codes[c.id]
-                    trees[code] = trees.get(code, 0) + 1
         except DegenerateSampleError as exc:
-            return exc.reason or "other"
-        return dec.interior_count / vol, classes, trees
-
-    results = _map_trials(one_trial, trials, workers)
-    densities = []
-    # per tag or code: (index among the kept trials, density) of each nonzero count
-    per_class: dict[str, list[tuple[int, float]]] = {}
-    per_tree: dict[str, list[tuple[int, float]]] = {}
-    by_reason: dict[str, int] = {}
-    for res in results:
-        if isinstance(res, str):
-            by_reason[res] = by_reason.get(res, 0) + 1
+            reason = exc.reason or "other"
+            by_reason[reason] = by_reason.get(reason, 0) + 1
             continue
-        density, classes, trees = res
+        trees = Counter(tree.codes[c.id] for c in dec.components if not c.touches_boundary)
         k = len(densities)
-        densities.append(density)
+        densities.append(dec.interior_count / vol)
         for tag, cnt in classes.items():
             per_class.setdefault(tag, []).append((k, cnt / vol))
         for code, cnt in trees.items():
@@ -416,14 +399,12 @@ class _ZeroClipper:
                     pts.append((i + 1 / 3, j + 1 / 3))
                     if i + j <= k - 2:
                         pts.append((i + 2 / 3, j + 2 / 3))
-            bary = np.array(pts) / k  # (16, 2) in (e1, e2) coordinates
-            e1 = tri[:, 1, :] - tri[:, 0, :]
-            e2 = tri[:, 2, :] - tri[:, 0, :]
-            self.probes = (
-                tri[:, None, 0, :]
-                + bary[None, :, 0, None] * e1[:, None, :]
-                + bary[None, :, 1, None] * e2[:, None, :]
-            )  # (T, 16, 3)
+            self.bary = np.array(pts) / k  # (16, 2) in (e1, e2) coordinates
+            # (3, T, 3): each triangle's first corner and its edge vectors e1,
+            # e2. The probes are formed in measure_in_ball, for the triangles
+            # a sphere crosses only: all of them would be 384 B a triangle
+            self.frame = tri.transpose(1, 0, 2).copy()
+            self.frame[1:] -= self.frame[0]
 
     def measure_in_ball(self, center: np.ndarray, r: float) -> float:
         if self.dim == 2:
@@ -441,8 +422,12 @@ class _ZeroClipper:
         total = float(self.measure[dist <= r - self.reach].sum())
         cross = np.nonzero((dist > r - self.reach) & (dist < r + self.reach))[0]
         if len(cross):
-            hit = np.linalg.norm(self.probes[cross] - center, axis=-1) <= r
-            total += float((self.measure[cross] * hit.mean(axis=1)).sum())
+            # (16, 3 len(cross)): one flat row of (x, y, z) per barycentric
+            # point, so the arithmetic runs along long rows
+            f = self.frame.take(cross, axis=1).reshape(3, -1)
+            probes = f[0] + self.bary[:, 0, None] * f[1] + self.bary[:, 1, None] * f[2]
+            hit = np.linalg.norm(probes.reshape(16, -1, 3) - center, axis=-1) <= r
+            total += float((self.measure[cross] * hit.mean(axis=0)).sum())
         return total
 
 
@@ -517,20 +502,22 @@ class DiscrepancyReport:
 
 
 def discrepancy_estimate(measure: SpectralMeasure, W: float, trials: int, seed: int,
-                         h: float = 0.05, workers: int = 1) -> DiscrepancyReport:
-    """Mean absolute deviation of per-draw count densities on B(W) in R^measure.dim."""
+                         h: float = 0.05) -> DiscrepancyReport:
+    """Mean absolute deviation of per-draw count densities on B(W) in R^measure.dim.
+
+    Trial j draws from child stream j; the trials run in order on the calling thread.
+    """
     if trials < 50:
         raise ValueError("need at least 50 trials")
     m = measure.dim
     draw = _resolve_sampler(measure)
     vol = _ball_volume(m, W)
 
-    def one_trial(j: int) -> float:
+    dens = np.empty(trials)
+    for j in range(trials):
         realization = draw(int(child_rng(seed, j).integers(2**63)))
         g = sample_on_grid(realization, np.zeros(m), W, h)
-        return nodal.label_domains(g).interior_count / vol
-
-    dens = np.array(_map_trials(one_trial, trials, workers))
+        dens[j] = nodal.label_domains(g).interior_count / vol
     dev = np.abs(dens - dens.mean())
     return DiscrepancyReport(
         trials=trials,

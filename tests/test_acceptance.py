@@ -311,7 +311,7 @@ def test_a11_partition_refinement_cauchy():
     means = {}
     for K in (4, 8, 16):
         mu = measure_from_partition(build_partition(dirs, K, 2.0**-8))
-        est = stats.ns_constant_estimate(mu, 10.0, 150, seed=900 + K, h=0.1, workers=4)
+        est = stats.ns_constant_estimate(mu, 10.0, 150, seed=900 + K, h=0.1)
         assert est.excluded == 0
         means[K] = est.mean
     g1 = abs(means[8] - means[4])

@@ -70,7 +70,7 @@ def test_exit_codes(tmp_path, monkeypatch):
     # argparse errors come back as exit 2, not SystemExit
     assert main(["--config"]) == 2
 
-    def boom(cfg, outdir, threads):
+    def boom(cfg, outdir):
         raise DegenerateSampleError("planted")
 
     monkeypatch.setitem(cli._RUNNERS, "gen-wave", boom)
@@ -177,6 +177,17 @@ def test_load_wave_rejects_malformed(tmp_path):
     p.write_text("2 4\n1 0\n")
     with pytest.raises((ValueError, OSError)):
         load_wave(p)
+
+
+@pytest.mark.parametrize("header", ["", "2\n"], ids=["empty", "one-token"])
+def test_malformed_wave_header_exits_2(tmp_path, capsys, header):
+    wavep = tmp_path / "broken.txt"
+    wavep.write_text(header)
+    with pytest.raises(ValueError, match="header"):
+        load_wave(wavep)
+    cfgp = write_cfg(tmp_path, f"command = nodal-stats\ngenerator = file\nwave = {wavep}\nW = 4\n")
+    assert main(["--config", cfgp, "--out", str(tmp_path / "o")]) == 2
+    assert "header must be 'm N'" in capsys.readouterr().err
 
 
 def test_nodal_stats_on_cosine_fixture(tmp_path, cosine_wave):
@@ -341,9 +352,9 @@ def test_charfn_header_and_meta(tmp_path):
     assert float(rows[0]["predicted"]) == 1.0
 
 
-def test_ns_estimate_thread_invariance(tmp_path, capsys, monkeypatch):
+def test_ns_estimate_rerun_invariance(tmp_path, capsys, monkeypatch):
     # the probe runs at the threshold 0.075, which fails 4 of these 50 draws,
-    # so the exclusions are counted on every thread count
+    # so the exclusions are counted on every run
     monkeypatch.setattr(stats, "check_nondegenerate",
                         lambda F, W, h: check_nondegenerate(F, W, h, tau0=0.075))
     text = (
@@ -352,12 +363,13 @@ def test_ns_estimate_thread_invariance(tmp_path, capsys, monkeypatch):
     )
     cfgp = write_cfg(tmp_path, text)
     outs = [tmp_path / f"o{i}" for i in range(3)]
-    assert main(["--config", cfgp, "--out", str(outs[0]), "--threads", "1"]) == 0
-    assert main(["--config", cfgp, "--out", str(outs[1]), "--threads", "3"]) == 0
-    assert main(["--config", cfgp, "--out", str(outs[2]), "--threads", "1"]) == 0
+    assert main(["--config", cfgp, "--out", str(outs[0])]) == 0
+    assert main(["--config", cfgp, "--out", str(outs[1])]) == 0
+    # the benchmark's command line still passes --threads: parsed and ignored
+    assert main(["--config", cfgp, "--out", str(outs[2]), "--threads", "2"]) == 0
     b0 = (outs[0] / "ns.csv").read_bytes()
-    assert (outs[1] / "ns.csv").read_bytes() == b0  # workers change nothing
-    assert (outs[2] / "ns.csv").read_bytes() == b0  # reruns change nothing
+    assert (outs[1] / "ns.csv").read_bytes() == b0  # reruns change nothing
+    assert (outs[2] / "ns.csv").read_bytes() == b0
     # stdout names the exclusions by reason; they add up to the CSV's count
     lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("count density")]
     assert len(lines) == 3 and len(set(lines)) == 1

@@ -14,7 +14,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from monowave import _mc_tables as mct
-from monowave import nodal
+from monowave import nodal, stats
 from monowave.cli import bessel_zero_table
 from monowave.field import bessel_j
 from monowave.gaussian import sample_uniform
@@ -754,6 +754,15 @@ def test_zero_set_extraction_memory():
     dec = label_domains(g)
     interior = np.array([not c.touches_boundary for c in dec.components])
     assert traced_peak(lambda: nodal._extract_zero_set(g, dec.labels, interior)) < 4.5 * g.values.nbytes
+
+
+def test_sandwich_clipper_memory():
+    # peak traced heap of one m=3 _ZeroClipper, in units of the value grid:
+    # 24.1 with a (T, 16, 3) array of sandwich probes for every triangle,
+    # 8.6 with each triangle's corner and edge vectors kept and the probes
+    # formed per ball for the triangles its sphere crosses
+    g = memory_test_grid()
+    assert traced_peak(lambda: stats._ZeroClipper(g)) < 12 * g.values.nbytes
 
 
 def test_labeling_memory():

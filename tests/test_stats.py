@@ -122,19 +122,16 @@ def test_ns_constant_guards():
         ns_constant_estimate(mu, 4.0, 20, 0)
 
 
-def test_ns_constant_worker_invariance():
+def test_ns_constant_frozen_mean():
     from monowave.directions import log_rational_directions
     from monowave.gaussian import measure_from_partition
 
     mu = measure_from_partition(build_partition(log_rational_directions(8), 4, 1e-3))
-    e1 = ns_constant_estimate(mu, 4.0, 50, seed=6, h=0.2, workers=1)
-    e4 = ns_constant_estimate(mu, 4.0, 50, seed=6, h=0.2, workers=4)
-    assert e1.mean == e4.mean
-    assert e1.stderr == e4.stderr
+    est = ns_constant_estimate(mu, 4.0, 50, seed=6, h=0.2)
     # frozen run; 0.2379366399223835 while negatives were 4-connected: this
     # nearly periodic field has many saddles, and joining negatives across
     # them halves its count
-    assert e1.mean == pytest.approx(0.12613029240032705, rel=1e-12)
+    assert est.mean == pytest.approx(0.12613029240032705, rel=1e-12)
 
 
 def test_ns_constant_with_topology():
@@ -144,7 +141,7 @@ def test_ns_constant_with_topology():
     # excluded more than 20% of the draws, and in 2D the circle count is the
     # interior count, draw by draw
     for h in (0.08, 0.15):
-        est = ns_constant_estimate(mu, 5.0, 50, seed=6, h=h, workers=2)
+        est = ns_constant_estimate(mu, 5.0, 50, seed=6, h=h)
         assert est.excluded == 0
         dens, se = est.class_density["circle"]
         assert dens > 0 and se >= 0
@@ -246,7 +243,7 @@ def test_discrepancy_against_direct_loop():
     mu = empirical_measure(generate_uniform_directions(2, 16, 3))
     with pytest.raises(ValueError):
         discrepancy_estimate(mu, 4.0, 10, 0)
-    rep = discrepancy_estimate(mu, 4.0, 50, seed=3, h=0.2, workers=2)
+    rep = discrepancy_estimate(mu, 4.0, 50, seed=3, h=0.2)
     # oracle: the same child streams drawn, sampled and labelled one by one
     dens = []
     for j in range(50):
