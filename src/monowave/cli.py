@@ -36,7 +36,6 @@ from .directions import (
     log_rational_directions,
 )
 from .field import (
-    CoefficientSet,
     MonochromaticWave,
     PlaneWaveSum,
     bessel_j,
@@ -167,7 +166,7 @@ def save_wave(wave: MonochromaticWave, path) -> None:
     lines = [f"{wave.dirs.dim} {wave.dirs.count}"]
     for row in wave.dirs.vectors:
         lines.append(" ".join(f"{x:.17g}" for x in row))
-    for c in wave.coeffs.values:
+    for c in wave.coeffs:
         lines.append(f"{c.real:.17g} {c.imag:.17g}")
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -182,8 +181,7 @@ def load_wave(path) -> MonochromaticWave:
                              f"got {head.strip()!r}") from None
         vecs = np.loadtxt(fh, dtype=float, max_rows=n).reshape(n, m)
         cols = np.loadtxt(fh, dtype=float, max_rows=n).reshape(n, 2)
-    dirs = DirectionSet(dim=m, count=n, vectors=vecs)
-    return MonochromaticWave(dirs, CoefficientSet(n, cols[:, 0] + 1j * cols[:, 1]))
+    return MonochromaticWave(DirectionSet(vecs), cols[:, 0] + 1j * cols[:, 1])
 
 
 def _resolve_dirs(cfg: ExperimentConfig) -> DirectionSet:

@@ -18,15 +18,21 @@ COLLISION_TOL = 1e-9
 class DirectionSet:
     """N unit vectors in R^m, pairwise distinct and non-antipodal, spanning R^m."""
 
-    dim: int
-    count: int
     vectors: np.ndarray  # shape (N, m)
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=float)
-        if self.vectors.shape != (self.count, self.dim):
-            raise ValueError("vector array shape does not match (count, dim)")
+        if self.vectors.ndim != 2:
+            raise ValueError("direction vectors must form an (N, m) array")
         validate_directions(self.vectors)
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[1]
+
+    @property
+    def count(self) -> int:
+        return self.vectors.shape[0]
 
 
 def validate_directions(vectors: np.ndarray) -> None:
@@ -78,7 +84,7 @@ def generate_uniform_directions(m: int, N: int, seed: int) -> DirectionSet:
             np.fill_diagonal(gram, 0.0)
             i = int(np.unravel_index(np.argmax(np.abs(gram)), gram.shape)[0])
             vecs[i] = _unit_rows(rng.standard_normal((1, m)))[0]
-    return DirectionSet(dim=m, count=N, vectors=vecs)
+    return DirectionSet(vecs)
 
 
 def _unit_rows(a: np.ndarray) -> np.ndarray:
@@ -96,7 +102,7 @@ def log_rational_directions(N: int) -> DirectionSet:
     n = np.arange(1, N + 1, dtype=float)
     theta = np.log1p(n / (N + 1))
     vecs = np.column_stack([np.cos(2 * np.pi * theta), np.sin(2 * np.pi * theta)])
-    return DirectionSet(dim=2, count=N, vectors=vecs)
+    return DirectionSet(vecs)
 
 
 def empirical_measure(dirs: DirectionSet):

@@ -20,14 +20,15 @@ over its box and the measurement grid of the same draw reuses it.
 plane_wave_grid is the direct rank-J product they are checked against.
 The deterministic wave is
 f(x) = (2N)^{-1/2} * sum over |n| <= N of a_n e(<r_n, x>) with
-a_{-n} = conj(a_n), r_{-n} = -r_n; MonochromaticWave folds it to the one-sided
-form c_n = sqrt(2/N) a_n, so results are exactly real.
+a_{-n} = conj(a_n), r_{-n} = -r_n and |a_n| = 1. A MonochromaticWave is its
+DirectionSet of the r_n and the complex array of the a_n (make_wave draws
+them); it folds the sum to the one-sided form c_n = sqrt(2/N) a_n, so results
+are exactly real.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,28 +46,6 @@ def _row_blocks(n: int, width: int):
     """Slices over n rows whose (rows, width) tables hold at most _TABLE_ENTRIES entries."""
     step = max(1, _TABLE_ENTRIES // max(1, width))
     return (slice(lo, lo + step) for lo in range(0, n, step))
-
-
-@dataclass
-class CoefficientSet:
-    count: int
-    values: np.ndarray  # complex, |a_n| = 1
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != (self.count,):
-            raise ValueError("coefficient array shape does not match count")
-        if np.any(np.abs(np.abs(self.values) - 1.0) > 1e-12):
-            raise ValueError("coefficients must have unit modulus within 1e-12")
-
-
-def random_phase_coefficients(N: int, seed: int) -> CoefficientSet:
-    rng = np.random.default_rng(seed)
-    return CoefficientSet(N, np.exp(2j * np.pi * rng.random(N)))
-
-
-def all_ones_coefficients(N: int) -> CoefficientSet:
-    return CoefficientSet(N, np.ones(N, dtype=complex))
 
 
 class PlaneWaveSum:
@@ -116,13 +95,14 @@ class PlaneWaveSum:
         return grad.reshape(*batch, self.dim)
 
     def value_and_gradient(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """value and gradient, bitwise, from one phase table per block."""
+        """value and gradient, bitwise: their own passes, one after the other.
+
+        Each pass forms its phase tables in its one buffer, so one table is
+        alive at a time and every BLAS product is the one value or gradient
+        makes (a product over a block cut in two can round a row differently).
+        """
         pts, batch = self._points(x)
-        val, grad = np.empty(len(pts)), np.empty(pts.shape)
-        for rows, psi in self._phases(pts):
-            val[rows] = np.cos(psi) @ self._weight
-            grad[rows] = np.sin(psi, out=psi) @ self._slope
-        return val.reshape(batch), grad.reshape(*batch, self.dim)
+        return self.value(pts).reshape(batch), self.gradient(pts).reshape(*batch, self.dim)
 
     def _points(self, x) -> tuple[np.ndarray, tuple]:
         """x as a (P, m) array of points, and its leading batch shape."""
@@ -429,26 +409,34 @@ def _barycentric_weights(t: np.ndarray, count: int) -> tuple[np.ndarray, np.ndar
 class MonochromaticWave(PlaneWaveSum):
     """Finite symmetric plane-wave sum; a weak solution of Delta f = -4 pi^2 f.
 
-    One-sided complex form: f(x) = Re sum_n c_n e(<r_n, x>), c_n = sqrt(2/N) a_n.
+    dirs holds the directions r_n and coeffs the complex a_n, one per
+    direction, each of unit modulus within 1e-12. One-sided complex form:
+    f(x) = Re sum_n c_n e(<r_n, x>), c_n = sqrt(2/N) a_n.
     """
 
-    def __init__(self, dirs: DirectionSet, coeffs: CoefficientSet):
-        if coeffs.count != dirs.count:
-            raise ValueError("coefficient count must match direction count")
-        super().__init__(dirs.vectors, np.sqrt(2.0 / dirs.count) * coeffs.values)
+    def __init__(self, dirs: DirectionSet, coeffs):
+        coeffs = np.asarray(coeffs, dtype=complex)
+        if coeffs.shape != (dirs.count,):
+            raise ValueError("need one coefficient per direction")
+        if np.any(np.abs(np.abs(coeffs) - 1.0) > 1e-12):
+            raise ValueError("coefficients must have unit modulus within 1e-12")
+        super().__init__(dirs.vectors, np.sqrt(2.0 / dirs.count) * coeffs)
         self.dirs = dirs
         self.coeffs = coeffs
 
 
-def make_wave(dirs: DirectionSet, coeffs: CoefficientSet | None = None, seed: int = 0,
-              mode: str = "random-phase") -> MonochromaticWave:
-    if coeffs is None:
-        if mode == "random-phase":
-            coeffs = random_phase_coefficients(dirs.count, seed)
-        elif mode == "all-ones":
-            coeffs = all_ones_coefficients(dirs.count)
-        else:
-            raise ValueError(f"unknown coefficient mode {mode!r}")
+def make_wave(dirs: DirectionSet, seed: int = 0, mode: str = "random-phase") -> MonochromaticWave:
+    """The wave on dirs with drawn or unit coefficients.
+
+    "random-phase" draws a_n = e(u_n) with u_n = default_rng(seed).random(N);
+    "all-ones" sets every a_n = 1.
+    """
+    if mode == "random-phase":
+        coeffs = np.exp(2j * np.pi * np.random.default_rng(seed).random(dirs.count))
+    elif mode == "all-ones":
+        coeffs = np.ones(dirs.count, dtype=complex)
+    else:
+        raise ValueError(f"unknown coefficient mode {mode!r}")
     return MonochromaticWave(dirs, coeffs)
 
 
@@ -490,7 +478,7 @@ def eval_bk(wave: MonochromaticWave, part: SpherePartition, x) -> np.ndarray:
     for rows in _row_blocks(len(pts), n_dirs):  # one (rows, N) table within the entry budget
         E = 2j * np.pi * (pts[rows] @ wave.dirs.vectors.T)
         np.exp(E, out=E)
-        E *= wave.coeffs.values
+        E *= wave.coeffs
         for col, (norm, atoms, negated) in enumerate(cells):
             terms = np.take(E, atoms, axis=-1)  # C order, so each row sums as before
             terms.imag[:, negated] *= -1

@@ -4,12 +4,14 @@ Sign components are found over run-length encoded rows by array hooking and
 pointer jumping (_connected), with positive vertices 4-connected (6 in 3D)
 and negative ones 8-connected (18 in 3D), the pair the sign-case tables
 imply. The same pass flags the components on the rim and pairs the
-components across opposite-sign grid edges; nesting trees and the 2D class
-counts are read from that decomposition alone. The labels are int32 when
-the grid has fewer than 2^31 vertices (intp otherwise), and so are the
-union-find parents and pairs below 2^31 entries. The zero set, extracted
-per cell from the sign-case tables, is one NodalGeometry, built on first
-use and cached on the decomposition; nodal_volume returns it. Its crossing
+components across opposite-sign grid edges. The decomposition keeps what
+the pass computes, per component label, as arrays: sign, size (vertex
+count) and touches_boundary (the rim flag); nesting trees and the 2D class
+counts are read from it alone. The labels are int32 when the grid has
+fewer than 2^31 vertices (intp otherwise), and so are the union-find
+parents and pairs below 2^31 entries. The zero set, extracted per cell
+from the sign-case tables, is one NodalGeometry, built on first use and
+cached on the decomposition; nodal_volume returns it. Its crossing
 grid edges are ranked per axis block, from one bool mark and one int32 rank
 table that serve every block, and the ranks are written over the element
 edge ids, so no sort runs over them. The crossings are measured by linear
@@ -107,22 +109,20 @@ def _connected(n: int, pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, int]
 
 
 @dataclass
-class ComponentRecord:
-    id: int
-    sign: int  # +1 or -1
-    size: int  # vertex count
-    touches_boundary: bool
-
-
-@dataclass
 class NodalDecomposition:
+    """The sign components of a grid: vertex labels, per-component arrays, adjacency.
+
+    sign, size and touches_boundary hold one entry per component, indexed by
+    its label.
+    """
+
     grid: ScalarGrid
     # flat, -1 outside the mask; int32 when the grid has fewer than 2^31
     # vertices, so a key formed from two labels is computed in int64
     labels: np.ndarray
-    components: list[ComponentRecord]
-    interior_count: int
-    boundary_count: int
+    sign: np.ndarray  # int8, +1 or -1
+    size: np.ndarray  # int64 vertex counts
+    touches_boundary: np.ndarray  # bool: the component reaches the rim
     # (E, 2) sorted unique component pairs a < b joined by an opposite-sign
     # grid edge between in-mask vertices
     adjacency: np.ndarray
@@ -130,12 +130,19 @@ class NodalDecomposition:
 
     @property
     def total_components(self) -> int:
-        return len(self.components)
+        return len(self.touches_boundary)
+
+    @property
+    def interior_count(self) -> int:
+        return int(np.count_nonzero(~self.touches_boundary))
+
+    @property
+    def boundary_count(self) -> int:
+        return int(np.count_nonzero(self.touches_boundary))
 
     def _ensure_zero(self) -> "NodalGeometry":
         if self._zero is None:
-            interior = np.array([not c.touches_boundary for c in self.components])
-            self._zero = _extract_zero_set(self.grid, self.labels, interior)
+            self._zero = _extract_zero_set(self.grid, self.labels, ~self.touches_boundary)
         return self._zero
 
 
@@ -301,23 +308,8 @@ def label_domains(grid: ScalarGrid) -> NodalDecomposition:
     run_label[inmask] = comp_of_run
     labels = np.repeat(run_label, run_len)
 
-    comps = [
-        ComponentRecord(
-            id=i,
-            sign=int(signs[i]),
-            size=int(sizes[i]),
-            touches_boundary=bool(touches[i]),
-        )
-        for i in range(ncomp)
-    ]
-    dec = NodalDecomposition(
-        grid=grid,
-        labels=labels,
-        components=comps,
-        interior_count=int(np.sum(~touches)),
-        boundary_count=int(np.sum(touches)),
-        adjacency=adjacency,
-    )
+    dec = NodalDecomposition(grid=grid, labels=labels, sign=signs, size=sizes,
+                             touches_boundary=touches, adjacency=adjacency)
     grid.__dict__["_nodal_dec"] = weakref.ref(dec)
     return dec
 
@@ -590,11 +582,11 @@ def build_nesting_tree(dec: NodalDecomposition) -> NestingTree:
     connectivity every interior component has one enclosing neighbour, so
     what remains is a tree; a cycle, or no component on the rim, is refused.
     """
-    touches = [c.touches_boundary for c in dec.components]
+    touches = dec.touches_boundary.tolist()
     ncomp = len(touches)
     edges = [(a, b) for a, b in dec.adjacency.tolist() if not (touches[a] and touches[b])]
 
-    boundary_comps = [i for i in range(ncomp) if touches[i]]
+    boundary_comps = np.flatnonzero(dec.touches_boundary).tolist()
     if len(boundary_comps) == 1:
         root = boundary_comps[0]
         virtual_links: list[int] = []
@@ -723,12 +715,13 @@ def export_components_csv(dec: NodalDecomposition, path: str) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["id", "sign", "size", "boundary", "measure", "class"])
-        for c in dec.components:
+        rows = zip(dec.sign.tolist(), dec.size.tolist(), dec.touches_boundary.tolist())
+        for c, (sign, size, rim) in enumerate(rows):
             measure = ""
             tag = ""
-            p = pieces.get(c.id)
+            p = pieces.get(c)
             if p is not None:
                 measure = repr(float(z.piece_measure[p]))
                 if not z.piece_boundary[p]:
                     tag = tag_of(p)
-            w.writerow([c.id, "+" if c.sign > 0 else "-", c.size, int(c.touches_boundary), measure, tag])
+            w.writerow([c, "+" if sign > 0 else "-", size, int(rim), measure, tag])

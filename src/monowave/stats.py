@@ -100,7 +100,9 @@ def _gaussian_moment(p: int) -> float:
 
 def window_moment_report(wave: MonochromaticWave, R: float, W: float, y_points,
                          p_max: int, n_samples: int, seed: int) -> ComparisonReport:
-    """Empirical window moments E_x[f(x+y)^p] against the Gaussian values."""
+    """Empirical window moments E_x[f(x+y)^p], p = 1..p_max, against the Gaussian values."""
+    if p_max < 1:
+        raise ValueError(f"p_max must be at least 1, got {p_max}")
     if p_max > 12:
         raise ValueError("moments above order 12 need more samples than desk scale allows")
     y_points = np.atleast_2d(np.asarray(y_points, dtype=float))
@@ -333,7 +335,7 @@ def ns_constant_estimate(measure: SpectralMeasure, W: float, trials: int, seed: 
             reason = exc.reason or "other"
             by_reason[reason] = by_reason.get(reason, 0) + 1
             continue
-        trees = Counter(tree.codes[c.id] for c in dec.components if not c.touches_boundary)
+        trees = Counter(tree.codes[c] for c in np.flatnonzero(~dec.touches_boundary).tolist())
         k = len(densities)
         densities.append(dec.interior_count / vol)
         for tag, cnt in classes.items():

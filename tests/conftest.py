@@ -4,21 +4,20 @@ import numpy as np
 import pytest
 
 from monowave.directions import DirectionSet, generate_uniform_directions
-from monowave.field import CoefficientSet, MonochromaticWave, make_wave, random_phase_coefficients
+from monowave.field import MonochromaticWave, make_wave
 
 
 @pytest.fixture(scope="session")
 def cosine_wave():
     """Single-frequency fixture: f(x) = sqrt(2) cos(2 pi x1)."""
-    dirs = DirectionSet(2, 1, np.array([[1.0, 0.0]]))
-    return MonochromaticWave(dirs, CoefficientSet(1, np.array([1.0 + 0j])))
+    return MonochromaticWave(DirectionSet(np.array([[1.0, 0.0]])), np.array([1.0 + 0j]))
 
 
 @pytest.fixture(scope="session")
 def wave64():
     # the workhorse deterministic wave used across the statistical tests
     dirs = generate_uniform_directions(2, 64, 5)
-    return make_wave(dirs, coeffs=random_phase_coefficients(64, 105))
+    return make_wave(dirs, seed=105)
 
 
 def traced_peak(fn) -> int:

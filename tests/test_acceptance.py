@@ -16,7 +16,7 @@ import pytest
 from monowave import nodal, stats
 from monowave.cli import bessel_zero_table
 from monowave.directions import empirical_measure, generate_uniform_directions
-from monowave.field import bessel_j, make_wave, random_phase_coefficients
+from monowave.field import bessel_j, make_wave
 from monowave.gaussian import (
     SpectralMeasure,
     child_rng,
@@ -90,7 +90,7 @@ def test_a03_characteristic_function(wave64):
 def test_a04_cell_packet_gaussianization():
     t0 = time.perf_counter()
     dirs = generate_uniform_directions(2, 512, 8)
-    wave = make_wave(dirs, coeffs=random_phase_coefficients(512, 104))
+    wave = make_wave(dirs, seed=104)
     part = build_partition(dirs, 8, 2.0**-8)
     cells = [0, 1, 2]
     moments = []
@@ -143,7 +143,7 @@ def test_a06_derandomized_vs_ensemble():
     t0 = time.perf_counter()
     m, N, R, W, h = 2, 128, 80.0, 12.0, 0.05
     dirs = generate_uniform_directions(m, N, 5)
-    wave = make_wave(dirs, coeffs=random_phase_coefficients(N, 105))
+    wave = make_wave(dirs, seed=105)
 
     # identical window estimator on both sides; see notes for the bias study
     k = math.ceil((R - W) / W)
@@ -254,7 +254,7 @@ def test_a09_radial_nesting_path():
     )
     dec = label_domains(g)
     tree = build_nesting_tree(dec)
-    interior = {c.id for c in dec.components if not c.touches_boundary}
+    interior = set(np.flatnonzero(~dec.touches_boundary).tolist())
 
     edges = []
     for c in interior:

@@ -90,9 +90,11 @@ def test_exit_codes(tmp_path, monkeypatch):
         ("command = nodal-stats\nW = 2\nh = 0\n", "spacing"),
         ("command = nodal-stats\nW = 2\nh = -0.05\n", "spacing"),
         ("command = fig1\nh = 0\n", "spacing"),
+        # moments of order 1..p_max: p_max = 0 asks for none
+        ("command = moments\nR = 20\nW = 1\np_max = 0\nsamples = 50\n", "p_max"),
     ],
     ids=["smallvalues-0", "doubling-0", "doubling-no-samples", "charfn-0", "kacrice-atomic-0",
-         "charfn-1", "nodal-stats-h0", "nodal-stats-h-negative", "fig1-h0"],
+         "charfn-1", "nodal-stats-h0", "nodal-stats-h-negative", "fig1-h0", "moments-p_max-0"],
 )
 def test_out_of_range_samples_and_spacing_exit_2(tmp_path, capsys, body, err):
     # every Monte Carlo stderr uses ddof=1, so fewer than 2 samples has none

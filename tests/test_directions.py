@@ -93,7 +93,7 @@ def test_save_load_round_trip(tmp_path):
     back = load_wave(p)
     assert back.dirs.dim == 3 and back.dirs.count == 9
     assert np.array_equal(back.dirs.vectors, dirs.vectors)
-    assert np.array_equal(back.coeffs.values, wave.coeffs.values)
+    assert np.array_equal(back.coeffs, wave.coeffs)
 
 
 def test_load_truncated_file_fails(tmp_path):

@@ -117,14 +117,21 @@ def test_labels_match_flood_fill_on_random_grids():
         dec = label_domains(g)
         # the fill numbers components by their first vertex in flat order, as
         # label_domains does, so the values agree and not only the partition
+        ref = flood_fill_labels(g).reshape(-1)
         assert dec.labels.dtype == np.int32
-        assert np.array_equal(dec.labels, flood_fill_labels(g).reshape(-1))
+        assert np.array_equal(dec.labels, ref)
         assert dec.interior_count + dec.boundary_count == dec.total_components
+        # sizes and signs of the oracle's components: its vertex counts, and the
+        # sign rule (values clamped to +TIE_EPS) at every vertex of each
+        inside = ref >= 0
+        assert dec.size.dtype == np.int64 and dec.sign.dtype == np.int8
+        assert np.array_equal(dec.size, np.bincount(ref[inside]))
+        assert np.array_equal(dec.sign[ref[inside]],
+                              np.where(clamped(g).reshape(-1)[inside] > 0, 1, -1))
         # a component touches the boundary exactly when one of its vertices is on the rim
-        on_shell = set(dec.labels[rim_reference(g).reshape(-1)].tolist())
-        assert [c.touches_boundary for c in dec.components] == [
-            c.id in on_shell for c in dec.components
-        ]
+        on_shell = np.zeros(dec.total_components, dtype=bool)
+        on_shell[ref[rim_reference(g).reshape(-1)]] = True
+        assert np.array_equal(dec.touches_boundary, on_shell)
 
 
 def clamped(grid: ScalarGrid) -> np.ndarray:
@@ -155,7 +162,7 @@ def test_label_signs_follow_the_tie_rule(shape):
         clamped_pos = clamped(g).reshape(-1) > 0
         assert np.array_equal(g.values > -eps, clamped_pos)
         dec = label_domains(g)
-        signs = np.array([c.sign for c in dec.components])[dec.labels]
+        signs = dec.sign[dec.labels]
         assert np.array_equal(signs > 0, clamped_pos)
 
 
@@ -194,8 +201,7 @@ def test_cosine_fixture_decomposition(cosine_wave):
     _, mesh = set_loop_grouping(dec._ensure_zero(), dec.labels)
     assert sorted(list(k) for k, _ in mesh) == dec.adjacency.tolist()
     assert all(len(p) == 1 for _, p in mesh)
-    signs = [c.sign for c in dec.components]
-    assert set(signs) == {-1, 1}
+    assert set(dec.sign.tolist()) == {-1, 1}
     tree = build_nesting_tree(dec)
     assert tree.root == -1
     assert tree.code == "(" + "()" * 17 + ")"
@@ -284,7 +290,7 @@ def test_j0_topology_classes():
     assert classify_topology(dec) == {"circle": 6}
     codes = build_nesting_tree(dec).codes
     # exactly one component wraps just the core disk
-    assert sum(1 for c in dec.components if not c.touches_boundary and codes[c.id] == "(())") == 1
+    assert sum(codes[c] == "(())" for c in np.flatnonzero(~dec.touches_boundary).tolist()) == 1
 
 
 def test_crossing_curves_resolve_into_a_tree():
@@ -299,8 +305,8 @@ def test_crossing_curves_resolve_into_a_tree():
         0.05,
     )
     dec = label_domains(g)
-    assert [(c.sign, c.touches_boundary) for c in dec.components] == [
-        (-1, True), (1, False), (1, True)]
+    assert dec.sign.tolist() == [-1, 1, 1]
+    assert dec.touches_boundary.tolist() == [True, False, True]
     assert dec.adjacency.tolist() == [[0, 1], [0, 2]]
     tree = build_nesting_tree(dec)
     assert tree.code == "((())())" and tree.parent[1] == 0
@@ -315,8 +321,8 @@ def test_crossing_curves_resolve_into_a_tree():
 
 def _fake_decomposition(touches, adjacency):
     """What build_nesting_tree reads of a decomposition, and nothing else."""
-    comps = [SimpleNamespace(touches_boundary=t) for t in touches]
-    return SimpleNamespace(components=comps, adjacency=np.array(adjacency, dtype=np.intp).reshape(-1, 2))
+    return SimpleNamespace(touches_boundary=np.array(touches, dtype=bool),
+                           adjacency=np.array(adjacency, dtype=np.intp).reshape(-1, 2))
 
 
 @pytest.mark.parametrize("dec, reason", [
@@ -508,7 +514,7 @@ def test_pair_keys_do_not_wrap_with_int32_labels():
     assert tree.parent[hole] == block
     # every interior component finds the piece toward its parent, the hole too
     pieces = nodal._parent_pieces(dec, tree)
-    assert set(pieces) == {c.id for c in dec.components if not c.touches_boundary}
+    assert set(pieces) == set(np.flatnonzero(~dec.touches_boundary).tolist())
     z = dec._ensure_zero()
     ends = dec.labels[z.edge_ends[z.edge_piece == pieces[hole]]]
     assert set(ends.reshape(-1).tolist()) == {block, hole}
@@ -554,7 +560,8 @@ def test_zero_set_matches_list_dsu_and_set_loops(monkeypatch, m, W, h):
         _, ref_dec, ref_geom, ref = decompose()
     assert np.array_equal(dec.labels, ref_dec.labels)
     assert dec.adjacency.tobytes() == ref_dec.adjacency.tobytes()
-    assert dec.components == ref_dec.components
+    for name in ("sign", "size", "touches_boundary"):
+        assert getattr(dec, name).tobytes() == getattr(ref_dec, name).tobytes(), name
     assert np.array_equal(z.edge_piece, ref.edge_piece)
     assert z.piece_boundary.tobytes() == ref.piece_boundary.tobytes()
     assert z.piece_measure.tobytes() == ref.piece_measure.tobytes()
@@ -570,7 +577,7 @@ def test_zero_set_matches_list_dsu_and_set_loops(monkeypatch, m, W, h):
 
 def off_rim_pairs(dec, pairs) -> set[tuple[int, int]]:
     """The component pairs (a, b) of which at least one is off the rim."""
-    touches = [c.touches_boundary for c in dec.components]
+    touches = dec.touches_boundary.tolist()
     return {(a, b) for a, b in pairs if not (touches[a] and touches[b])}
 
 
@@ -721,7 +728,7 @@ def oracle_grid(name: str) -> ScalarGrid:
 def test_zero_set_bitwise_equals_sorted_reference(name):
     grid = oracle_grid(name)
     dec = label_domains(grid)
-    interior = np.array([not c.touches_boundary for c in dec.components])
+    interior = ~dec.touches_boundary
     z = nodal._extract_zero_set(grid, dec.labels, interior)
     ref = sorted_zero_set(grid, dec.labels, interior)
     if name.startswith("one-sign"):
@@ -752,7 +759,7 @@ def test_zero_set_extraction_memory():
     # edges' grid ids
     g = memory_test_grid()
     dec = label_domains(g)
-    interior = np.array([not c.touches_boundary for c in dec.components])
+    interior = ~dec.touches_boundary
     assert traced_peak(lambda: nodal._extract_zero_set(g, dec.labels, interior)) < 4.5 * g.values.nbytes
 
 
@@ -820,12 +827,11 @@ def test_run_end_shell_matches_grid_sized_shell(m):
         if g.ball_radius is not None:
             assert not all(want)
         dec = label_domains(g)
-        on_shell = set(dec.labels[shell.reshape(-1)].tolist())
-        assert [c.touches_boundary for c in dec.components] == [
-            c.id in on_shell for c in dec.components
-        ]
-        assert dec.interior_count == sum(c.id not in on_shell for c in dec.components)
-        assert dec.boundary_count == len(on_shell)
+        on_shell = np.zeros(dec.total_components, dtype=bool)
+        on_shell[dec.labels[shell.reshape(-1)]] = True
+        assert np.array_equal(dec.touches_boundary, on_shell)
+        assert dec.interior_count == np.count_nonzero(~on_shell)
+        assert dec.boundary_count == np.count_nonzero(on_shell)
 
 
 @pytest.mark.parametrize("m", [2, 3])
