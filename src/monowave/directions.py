@@ -1,7 +1,8 @@
 """Direction sequences {r_n} on S^{m-1} and their empirical spectral measure.
 
 A direction set stores only the positive half of a symmetric frequency set:
-r_{-n} = -r_n is implicit everywhere downstream.
+r_{-n} = -r_n is implicit everywhere downstream. The empirical measure is
+stored the same way, one atom per +- pair with the mass of the pair.
 """
 
 from __future__ import annotations
@@ -106,9 +107,13 @@ def log_rational_directions(N: int) -> DirectionSet:
 
 
 def empirical_measure(dirs: DirectionSet):
-    """Atomic spectral measure with atoms at +-r_n, each of weight 1/(2N)."""
-    from .gaussian import SpectralMeasure
+    """Atomic spectral measure with atoms at +-r_n: one atom per pair, each pair of mass 1/N.
 
-    atoms = np.vstack([dirs.vectors, -dirs.vectors])
-    weights = np.full(2 * dirs.count, 1.0 / (2 * dirs.count))
-    return SpectralMeasure(kind="atomic", dim=dirs.dim, atoms=atoms, weights=weights)
+    The atom kept is the positive-side row of [r; -r], in that list's order.
+    """
+    from .gaussian import SpectralMeasure
+    from .partition import positive_side
+
+    both = np.vstack([dirs.vectors, -dirs.vectors])
+    freqs = both[[positive_side(v) for v in both]]
+    return SpectralMeasure(dim=dirs.dim, freqs=freqs, weights=np.full(dirs.count, 1.0 / dirs.count))

@@ -84,8 +84,6 @@ class PlaneWaveSum:
             val[rows] = np.cos(psi, out=psi) @ self._weight
         return float(val[0]) if batch == () else val.reshape(batch)
 
-    __call__ = value
-
     def gradient(self, x) -> np.ndarray:
         """Exact term-by-term gradient, shape x.shape."""
         pts, batch = self._points(x)
@@ -93,16 +91,6 @@ class PlaneWaveSum:
         for rows, psi in self._phases(pts):
             grad[rows] = np.sin(psi, out=psi) @ self._slope
         return grad.reshape(*batch, self.dim)
-
-    def value_and_gradient(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """value and gradient, bitwise: their own passes, one after the other.
-
-        Each pass forms its phase tables in its one buffer, so one table is
-        alive at a time and every BLAS product is the one value or gradient
-        makes (a product over a block cut in two can round a row differently).
-        """
-        pts, batch = self._points(x)
-        return self.value(pts).reshape(batch), self.gradient(pts).reshape(*batch, self.dim)
 
     def _points(self, x) -> tuple[np.ndarray, tuple]:
         """x as a (P, m) array of points, and its leading batch shape."""

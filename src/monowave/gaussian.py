@@ -1,9 +1,9 @@
 """Gaussian comparison fields and the nondegeneracy check.
 
-Every draw is a PlaneWaveSum. Atomic measures sample F(y) = sum_k sqrt(2 w_k)
-[g_k cos(2 pi <z_k, y>) + h_k sin(2 pi <z_k, y>)] over one representative per
-+- atom pair; the uniform measure is approximated by M random plane waves with
-uniform phases.
+Every draw is a PlaneWaveSum. Atomic measures sample F(y) = sum_k sqrt(w_k)
+[g_k cos(2 pi <z_k, y>) + h_k sin(2 pi <z_k, y>)] over their one atom z_k per
++- pair, with w_k the mass of the pair; the uniform measure is approximated by
+M random plane waves with uniform phases.
 """
 
 from __future__ import annotations
@@ -38,95 +38,69 @@ def child_rng(seed: int, j: int) -> np.random.Generator:
 
 @dataclass
 class SpectralMeasure:
-    """Symmetric probability measure on S^{m-1}, atomic or uniform."""
+    """Symmetric probability measure on S^{m-1}: uniform, or atomic stored by +- pairs.
 
-    kind: str  # "atomic" | "uniform"
+    An atomic measure keeps one atom per +- pair, on the side that
+    partition.positive_side accepts, and the mass of the pair: the measure
+    puts w_k / 2 on each of z_k and -z_k. freqs None is the uniform measure.
+    """
+
     dim: int
-    atoms: np.ndarray | None = None  # (2A, m), closed under negation
-    weights: np.ndarray | None = None
-    hyperplane_ok: bool = dc_field(init=False)  # atoms span R^m (always, for uniform)
+    freqs: np.ndarray | None = None  # (A, m), one atom z_k per pair
+    weights: np.ndarray | None = None  # (A,), pair masses w_k summing to 1
 
     def __post_init__(self):
-        if self.kind == "uniform":
-            if self.atoms is not None:
-                raise ValueError("uniform measure carries no atoms")
-            self.hyperplane_ok = True
+        if self.freqs is None:
+            if self.weights is not None:
+                raise ValueError("uniform measure carries no weights")
             return
-        if self.kind != "atomic":
-            raise ValueError("kind must be atomic or uniform")
-        self.atoms = np.asarray(self.atoms, dtype=float)
+        self.freqs = np.asarray(self.freqs, dtype=float)
         self.weights = np.asarray(self.weights, dtype=float)
+        if self.weights.ndim != 1 or self.freqs.shape != (len(self.weights), self.dim):
+            raise ValueError("need one weight per atom in R^dim")
         if np.any(self.weights <= 0):
             raise ValueError("atom weights must be positive")
         if abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValueError("atom weights must sum to 1 within 1e-12")
-        self._pair = self._match_antipodes()
-        reps = {i if positive_side(self.atoms[i]) else j
-                for i, j in enumerate(self._pair) if i <= j}
-        self._reps = np.array(sorted(reps), dtype=np.intp)
-        self._reps.flags.writeable = False
-        self.hyperplane_ok = np.linalg.matrix_rank(self.atoms) == self.dim
 
-    def _match_antipodes(self) -> np.ndarray:
-        """Pair every atom with its negation (equal weight required)."""
-        n = len(self.atoms)
-        pair = np.full(n, -1, dtype=np.intp)
-        # nearest-neighbor match against -atoms; exact constructions match to 0
-        for i in range(n):
-            if pair[i] >= 0:
-                continue
-            d = np.linalg.norm(self.atoms + self.atoms[i], axis=1)
-            j = int(np.argmin(d))
-            if d[j] > 1e-9 or pair[j] >= 0:
-                raise ValueError("atom set is not symmetric under negation")
-            if abs(self.weights[i] - self.weights[j]) > 1e-12:
-                raise ValueError("antipodal atoms carry unequal weights")
-            pair[i], pair[j] = j, i
-        return pair
+    @property
+    def kind(self) -> str:
+        return "uniform" if self.freqs is None else "atomic"
 
-    def positive_representatives(self) -> np.ndarray:
-        """One index per +- pair, chosen by the last-nonzero-coordinate sign rule (read-only)."""
-        return self._reps
+    @property
+    def hyperplane_ok(self) -> bool:
+        """The atoms span R^m (always, for uniform)."""
+        return self.freqs is None or bool(np.linalg.matrix_rank(self.freqs) == self.dim)
 
 
 def uniform_measure(m: int) -> SpectralMeasure:
-    return SpectralMeasure(kind="uniform", dim=m)
+    return SpectralMeasure(dim=m)
 
 
 def measure_from_partition(part: SpherePartition) -> SpectralMeasure:
-    """Atoms at selected cell centers, weights mu_k normalized by kappa^2.
+    """One atom per selected +- cell pair: its positive-side center, weight 2 mu_k / kappa^2.
 
-    A self-paired cell (K = 1) contributes a +- atom pair with the weight
-    split evenly, keeping the measure symmetric.
+    A self-paired cell (K = 1) is a pair by itself: its center is flipped to
+    the positive side and carries mu_k / kappa^2.
     """
-    if part.selected is None or len(part.selected) == 0:
+    if len(part.selected) == 0:
         raise ValueError("no selected cells; partition is degenerate")
-    kappa_sq = float(part.masses[part.selected].sum())
-    atoms = []
-    weights = []
-    for k in part.selected:
-        gamma = part.masses[k] / kappa_sq
-        if part.pair[k] == k:
-            atoms.extend([part.centers[k], -part.centers[k]])
-            weights.extend([gamma / 2, gamma / 2])
-        else:
-            atoms.append(part.centers[k])
-            weights.append(gamma)
-    return SpectralMeasure(
-        kind="atomic", dim=part.dim, atoms=np.array(atoms), weights=np.array(weights)
-    )
+    reps = part.selected_positive
+    gamma = part.masses[reps] / float(part.masses[part.selected].sum())
+    freqs = np.array([c if positive_side(c) else -c for c in part.centers[reps]])
+    weights = np.where(part.pair[reps] == reps, gamma, 2 * gamma)
+    return SpectralMeasure(dim=part.dim, freqs=freqs, weights=weights)
 
 
 def sample_atomic(measure: SpectralMeasure, seed: int) -> PlaneWaveSum:
-    """Draw g_k, h_k iid N(0,1) per positive atom; E|c_k|^2 = 1 normalization."""
+    """Draw g_k, h_k iid N(0,1) per atom pair; c_k = sqrt(w_k) (g_k - i h_k), so E F(y)^2 = 1."""
     if measure.kind != "atomic":
         raise ValueError("sample_atomic needs an atomic measure")
-    reps = measure.positive_representatives()
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal(len(reps))
-    h = rng.standard_normal(len(reps))
-    coeffs = np.sqrt(2.0 * measure.weights[reps]) * (g - 1j * h)
-    return PlaneWaveSum(measure.atoms[reps], coeffs)
+    g = rng.standard_normal(len(measure.weights))
+    h = rng.standard_normal(len(measure.weights))
+    coeffs = np.sqrt(measure.weights) * (g - 1j * h)
+    return PlaneWaveSum(measure.freqs, coeffs)
 
 
 def sample_uniform(m: int, M: int = 1024, seed: int = 0) -> PlaneWaveSum:
@@ -254,7 +228,7 @@ def check_nondegenerate(field: PlaneWaveSum, W: float, h: float = 0.05,
         min_sph = float((np.abs(val_c) + np.abs(tangential)).min())
     else:
         sph = _sphere_mesh(W, h)
-        vals_s, grads_s = field.value_and_gradient(sph)
+        vals_s, grads_s = field.value(sph), field.gradient(sph)
         radial = (np.sum(sph * grads_s, axis=-1) / W**2)[:, None] * sph
         min_sph = float((np.abs(vals_s) + np.linalg.norm(grads_s - radial, axis=-1)).min())
 

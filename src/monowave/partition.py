@@ -7,7 +7,7 @@ the images of the axis-aligned K-grid boxes. Each of the 2N signed atoms
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,6 +70,15 @@ def _axis_cells(t: np.ndarray, K: int) -> np.ndarray:
     return np.clip(i, 0, K - 1).astype(np.intp)
 
 
+def _cells_of(v: np.ndarray, m: int, K: int) -> np.ndarray:
+    """Row-major index of the K-grid cell that holds each point v on S^{m-1}."""
+    idx = _axis_cells(theta_coordinates(v, m), K)
+    flat = idx[..., 0]
+    for a in range(1, m - 1):
+        flat = flat * K + idx[..., a]
+    return flat
+
+
 @dataclass
 class SpherePartition:
     """K^{m-1} cells with centers, masses, threshold and selected index sets."""
@@ -81,17 +90,12 @@ class SpherePartition:
     masses: np.ndarray  # (C,)
     atom_cells: np.ndarray  # (2N,) cell index of each signed atom
     pair: np.ndarray  # (C,) index of the cell holding the antipodal center
-    selected: np.ndarray = field(default=None)  # K: cells with mass > delta
-    selected_positive: np.ndarray = field(default=None)  # K+ per the sign rule
+    selected: np.ndarray  # K: cells with mass > delta
+    selected_positive: np.ndarray  # K+ per the sign rule
 
     def cell_of_points(self, v: np.ndarray) -> np.ndarray:
         """Cell index for points on the sphere (idempotent with the builder)."""
-        theta = theta_coordinates(v, self.dim)
-        idx = _axis_cells(theta, self.resolution)
-        flat = idx[..., 0]
-        for a in range(1, self.dim - 1):
-            flat = flat * self.resolution + idx[..., a]
-        return flat
+        return _cells_of(v, self.dim, self.resolution)
 
 
 def positive_side(center: np.ndarray) -> bool:
@@ -124,36 +128,32 @@ def build_partition(dirs: DirectionSet, K: int, delta: float) -> SpherePartition
     multi = np.stack([g.reshape(-1) for g in grids], axis=-1)  # (C, m-1) row-major
     centers = hyperspherical_map((multi + 0.5) / K, m)
 
-    part = SpherePartition(
+    atoms = np.vstack([dirs.vectors, -dirs.vectors])
+    atom_cells = _cells_of(atoms, m, K)
+    masses = np.bincount(atom_cells, minlength=n_cells) / (2.0 * dirs.count)
+    pair = _cells_of(-centers, m, K)
+
+    if abs(masses.sum() - 1.0) > 1e-12:
+        raise AssertionError("cell masses do not sum to 1")
+    if np.any(masses[pair] != masses):
+        raise AssertionError("antipodal cells carry unequal mass")
+    # every assigned direction sits within the Lipschitz tolerance of its center
+    dist = np.linalg.norm(atoms - centers[atom_cells], axis=1)
+    if np.any(dist > lipschitz_constant(m) * np.sqrt(m - 1) / K + 1e-9):
+        raise AssertionError("direction strays beyond C_G*sqrt(m-1)/K of its cell center")
+
+    selected = np.nonzero(masses > delta)[0]
+    if masses[selected].sum() < 1.0 - delta * n_cells - 1e-12:
+        raise AssertionError("selected mass fell below 1 - delta*K^(m-1)")
+    pos = [k for k in selected if pair[k] == k or positive_side(centers[k])]
+    return SpherePartition(
         dim=m,
         resolution=K,
         dirs=dirs,
         centers=centers,
-        masses=None,
-        atom_cells=None,
-        pair=None,
+        masses=masses,
+        atom_cells=atom_cells,
+        pair=pair,
+        selected=selected,
+        selected_positive=np.asarray(pos, dtype=np.intp),
     )
-    atoms = np.vstack([dirs.vectors, -dirs.vectors])
-    part.atom_cells = part.cell_of_points(atoms)
-    part.masses = np.bincount(part.atom_cells, minlength=n_cells) / (2.0 * dirs.count)
-    part.pair = part.cell_of_points(-centers)
-
-    if abs(part.masses.sum() - 1.0) > 1e-12:
-        raise AssertionError("cell masses do not sum to 1")
-    if np.any(part.masses[part.pair] != part.masses):
-        raise AssertionError("antipodal cells carry unequal mass")
-    # every assigned direction sits within the Lipschitz tolerance of its center
-    dist = np.linalg.norm(atoms - centers[part.atom_cells], axis=1)
-    if np.any(dist > lipschitz_constant(m) * np.sqrt(m - 1) / K + 1e-9):
-        raise AssertionError("direction strays beyond C_G*sqrt(m-1)/K of its cell center")
-
-    part.selected = np.nonzero(part.masses > delta)[0]
-    if part.masses[part.selected].sum() < 1.0 - delta * n_cells - 1e-12:
-        raise AssertionError("selected mass fell below 1 - delta*K^(m-1)")
-    pos = [
-        k
-        for k in part.selected
-        if part.pair[k] == k or positive_side(part.centers[k])
-    ]
-    part.selected_positive = np.asarray(pos, dtype=np.intp)
-    return part

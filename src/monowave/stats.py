@@ -149,7 +149,7 @@ def covariance_compare(wave: MonochromaticWave, R: float, W: float, lags,
     x = spatial_sample(wave.dirs.dim, R, n_samples, seed)
     f0 = wave.value(x)
     mu = empirical_measure(wave.dirs)
-    kernel = PlaneWaveSum(mu.atoms, mu.weights)  # E[F(x) F(x - tau)], kernel(0) = 1
+    kernel = PlaneWaveSum(mu.freqs, mu.weights)  # E[F(x) F(x - tau)], kernel(0) = 1
     rep = _mc_judge((f0 * wave.value(x + tau) for tau in lags),
                     [kernel.value(tau) for tau in lags], n_samples)
     rep.meta["max_abs_error"] = float(np.max(np.abs(rep.estimate - rep.predicted)))
@@ -232,7 +232,7 @@ def pushforward_distance(wave: MonochromaticWave, R: float, sampler, y_points,
     draw = _resolve_sampler(sampler)
     cloud_b = np.empty_like(cloud_a)
     for j, s in enumerate(child_rng(seed, 2).integers(2**63, size=n_samples)):
-        cloud_b[j] = draw(int(s))(y_points)
+        cloud_b[j] = draw(int(s)).value(y_points)
 
     ks = np.array([_ks_to_standard_normal(cloud_a[:, i]) for i in range(len(y_points))])
 
@@ -276,7 +276,7 @@ def kac_rice_density(measure: SpectralMeasure, n_mc: int = 10**6, seed: int = 0)
         return e_norm / math.sqrt(2 * math.pi), 0.0
     if not measure.hyperplane_ok:
         raise ValueError("measure is hyperplane-supported; the zero set is degenerate")
-    cov = 4 * math.pi**2 * (measure.atoms.T * measure.weights) @ measure.atoms
+    cov = 4 * math.pi**2 * (measure.freqs.T * measure.weights) @ measure.freqs
     chol = np.linalg.cholesky(cov)
     rng = np.random.default_rng(seed)
     norms = np.linalg.norm(rng.standard_normal((n_mc, m)) @ chol.T, axis=1)

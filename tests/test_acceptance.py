@@ -114,12 +114,7 @@ def test_a05_zero_volume_density():
     val3, err3 = stats.kac_rice_density(uniform_measure(3))
     assert val2 == pytest.approx(PI_OVER_SQRT2, rel=1e-12) and err2 == 0.0
     assert val3 == pytest.approx(FOUR_OVER_SQRT3, rel=1e-12) and err3 == 0.0
-    axes = SpectralMeasure(
-        kind="atomic",
-        dim=2,
-        atoms=np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
-        weights=np.full(4, 0.25),
-    )
+    axes = SpectralMeasure(dim=2, freqs=np.array([[1.0, 0.0], [0.0, 1.0]]), weights=np.full(2, 0.5))
     mc, err = stats.kac_rice_density(axes, n_mc=200000, seed=11)
     assert abs(mc - PI_OVER_SQRT2) <= 4 * err
 

@@ -11,6 +11,7 @@ from monowave.directions import (
     validate_directions,
 )
 from monowave.field import make_wave
+from monowave.partition import positive_side
 
 
 def test_generate_uniform_shapes_and_norms():
@@ -79,9 +80,12 @@ def test_empirical_measure_symmetry():
     dirs = generate_uniform_directions(3, 10, 2)
     mu = empirical_measure(dirs)
     assert mu.kind == "atomic"
-    assert mu.atoms.shape == (20, 3)
-    assert np.array_equal(mu.atoms[10:], -mu.atoms[:10])
-    assert np.all(mu.weights == 1.0 / 20)
+    # one atom per +- pair, on the positive side: |<z_k, r_n>| = 1 matches a permutation
+    assert mu.freqs.shape == (10, 3)
+    assert all(positive_side(z) for z in mu.freqs)
+    match = np.abs(mu.freqs @ dirs.vectors.T) > 1 - 1e-12
+    assert np.all(match.sum(axis=0) == 1) and np.all(match.sum(axis=1) == 1)
+    assert np.all(mu.weights == 1.0 / 10)
 
 
 def test_save_load_round_trip(tmp_path):

@@ -67,7 +67,6 @@ def test_value_batches_match_scalars():
     batch = w.value(pts)
     singles = np.array([w.value(p) for p in pts])
     assert np.allclose(batch, singles, atol=1e-13)
-    assert w(pts[0]) == w.value(pts[0])
 
 
 def test_wave_solves_helmholtz():
@@ -131,8 +130,6 @@ def test_value_and_gradient_match_complex_sum(kind, batch):
     assert isinstance(val, float) == (batch == ())
     assert np.max(np.abs(val - want_val), initial=0.0) <= tol
     assert np.max(np.abs(grad - want_grad)) <= 2 * np.pi * tol
-    pair_val, pair_grad = F.value_and_gradient(x)
-    assert np.shape(pair_val) == batch and pair_grad.shape == x.shape
 
 
 def test_blocks_are_evaluated_independently():
@@ -164,14 +161,6 @@ def test_pointwise_tables_stay_within_the_entry_budget(J):
     table = 8 * field._TABLE_ENTRIES
     assert traced_peak(lambda: F.value(x)) < 8 * len(x) + 2 * table
     assert traced_peak(lambda: F.gradient(x)) < x.nbytes + 2 * table
-    # value_and_gradient makes the two passes one after the other (traced: 1.13
-    # tables above both outputs; 2.02 while it took the cosines into a fresh
-    # table beside each block's phases)
-    assert traced_peak(lambda: F.value_and_gradient(x)) < 8 * len(x) + x.nbytes + 1.5 * table
-    # bitwise over many blocks, not only the one or two of the hypothesis lattices
-    val, grad = F.value_and_gradient(x)
-    assert val.tobytes() == F.value(x).tobytes()
-    assert grad.tobytes() == F.gradient(x).tobytes()
 
 
 def test_eval_bk_tables_stay_within_the_entry_budget():
@@ -350,7 +339,7 @@ def test_covariance_kernels():
     # the atomic kernel is the plane-wave sum of the measure's atoms and weights
     cos_dirs = DirectionSet(np.array([[1.0, 0.0]]))
     mu = empirical_measure(cos_dirs)
-    kernel = PlaneWaveSum(mu.atoms, mu.weights)
+    kernel = PlaneWaveSum(mu.freqs, mu.weights)
     tau = np.array([0.37, 5.0])
     assert kernel.value(tau) == pytest.approx(math.cos(2 * math.pi * 0.37), rel=1e-12)
     # kernel(0) = 1
@@ -368,13 +357,3 @@ def test_bessel_input_guards():
         bessel_j(0, -0.5)
     with pytest.raises(ValueError):
         bessel_sequence(-1.0, 3)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
-def test_value_and_gradient_equal_separate_calls(seed, m):
-    F, origin, shape, h = _random_sum(seed, m)
-    pts = _lattice(origin, shape, h).reshape(-1, m)
-    val, grad = F.value_and_gradient(pts)
-    assert val.tobytes() == F.value(pts).tobytes()
-    assert grad.tobytes() == F.gradient(pts).tobytes()

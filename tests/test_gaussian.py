@@ -35,44 +35,88 @@ def test_child_rng_streams():
 
 
 def test_spectral_measure_validation():
-    with pytest.raises(ValueError):  # missing antipode
-        SpectralMeasure(kind="atomic", dim=2, atoms=np.array([[1.0, 0.0]]),
-                        weights=np.array([1.0]))
-    with pytest.raises(ValueError):  # antipodal weights differ
-        SpectralMeasure(kind="atomic", dim=2,
-                        atoms=np.array([[1.0, 0.0], [-1.0, 0.0]]),
-                        weights=np.array([0.7, 0.3]))
-    mu = SpectralMeasure(kind="atomic", dim=2,
-                         atoms=np.array([[1.0, 0.0], [-1.0, 0.0]]),
-                         weights=np.array([0.5, 0.5]))
-    assert not mu.hyperplane_ok  # both atoms on one line
-    mu2 = SpectralMeasure(kind="atomic", dim=2,
-                          atoms=np.array([[1.0, 0], [-1.0, 0], [0, 1.0], [0, -1.0]]),
-                          weights=np.full(4, 0.25))
+    with pytest.raises(ValueError):  # pair masses must sum to 1
+        SpectralMeasure(dim=2, freqs=np.array([[1.0, 0.0], [0.0, 1.0]]),
+                        weights=np.array([0.5, 0.4]))
+    with pytest.raises(ValueError):  # one weight per atom in R^dim
+        SpectralMeasure(dim=3, freqs=np.array([[1.0, 0.0], [0.0, 1.0]]),
+                        weights=np.array([0.5, 0.5]))
+    mu = SpectralMeasure(dim=2, freqs=np.array([[1.0, 0.0]]), weights=np.array([1.0]))
+    assert mu.kind == "atomic"
+    assert not mu.hyperplane_ok  # one +- pair on one line
+    mu2 = SpectralMeasure(dim=2, freqs=np.array([[1.0, 0.0], [0.0, 1.0]]),
+                          weights=np.full(2, 0.5))
     assert mu2.hyperplane_ok
-    assert len(mu2.positive_representatives()) == 2
 
 
-def test_positive_representatives_are_cached_and_read_only():
-    mu = empirical_measure(generate_uniform_directions(2, 64, 5))
-    fresh = sorted({i if positive_side(mu.atoms[i]) else j
-                    for i, j in enumerate(mu._pair) if i <= j})
-    reps = mu.positive_representatives()
-    assert reps is mu.positive_representatives()
-    assert np.array_equal(reps, fresh) and reps.dtype == np.intp
-    with pytest.raises(ValueError):
-        reps[0] = 0
-    # sample_atomic still draws one coefficient pair per representative
-    rng = np.random.default_rng(7)
-    g, h = rng.standard_normal(len(fresh)), rng.standard_normal(len(fresh))
-    freqs, amps = sample_atomic(mu, 7).plane_waves()
-    assert np.array_equal(freqs, mu.atoms[fresh])
-    assert np.array_equal(amps, np.sqrt(2.0 * mu.weights[fresh]) * (g - 1j * h))
+def _two_sided_reference(atoms, weights, seed):
+    """The two-sided rule: atoms closed under negation, each pair found by its
+    nearest antipode, one coefficient pair per +- pair at the positive-side atom
+    (sorted atom indices), c = sqrt(2 w) (g - i h) with w the atom's own weight."""
+    pair = np.full(len(atoms), -1)
+    for i in range(len(atoms)):
+        if pair[i] < 0:
+            j = int(np.argmin(np.linalg.norm(atoms + atoms[i], axis=1)))
+            pair[i], pair[j] = j, i
+    reps = sorted({i if positive_side(atoms[i]) else j for i, j in enumerate(pair) if i <= j})
+    rng = np.random.default_rng(seed)
+    g, h = rng.standard_normal(len(reps)), rng.standard_normal(len(reps))
+    return atoms[reps], np.sqrt(2.0 * weights[reps]) * (g - 1j * h)
+
+
+def _two_sided_empirical(dirs):
+    atoms = np.vstack([dirs.vectors, -dirs.vectors])
+    return atoms, np.full(len(atoms), 1.0 / len(atoms))
+
+
+def _two_sided_partition(part):
+    """Selected cell centers with weights mu_k / kappa^2, a self-paired cell split into +-c."""
+    kappa_sq = float(part.masses[part.selected].sum())
+    atoms, weights = [], []
+    for k in part.selected:
+        gamma = part.masses[k] / kappa_sq
+        if part.pair[k] == k:
+            atoms += [part.centers[k], -part.centers[k]]
+            weights += [gamma / 2, gamma / 2]
+        else:
+            atoms.append(part.centers[k])
+            weights.append(gamma)
+    return np.array(atoms), np.array(weights)
+
+
+def test_one_sided_draws_match_the_two_sided_rule():
+    cases = []
+    for m in (2, 3):
+        dirs = generate_uniform_directions(m, 64, 5)
+        cases.append((empirical_measure(dirs), _two_sided_empirical(dirs)))
+    dirs = generate_uniform_directions(2, 64, 5)
+    for K, delta in ((1, 0.5), (4, 2**-8)):
+        part = build_partition(dirs, K, delta)
+        cases.append((measure_from_partition(part), _two_sided_partition(part)))
+    assert len(cases[2][1][0]) == 2  # K = 1: one self-paired cell, split into +-c
+    tau = np.array([[0.0, 0.0], [0.37, -1.2], [2.5, 4.0]])
+    for mu, (atoms, weights) in cases:
+        for seed in (0, 7, 2**40 + 3):
+            want_freqs, want_amps = _two_sided_reference(atoms, weights, seed)
+            freqs, amps = sample_atomic(mu, seed).plane_waves()
+            assert freqs.tobytes() == want_freqs.tobytes()
+            assert amps.tobytes() == want_amps.tobytes()
+        # the covariance kernel and the Kac-Rice gradient covariance, against their two-sided sums
+        m = mu.dim
+        lags = np.zeros((3, m))
+        lags[:, :2] = tau
+        one = PlaneWaveSum(mu.freqs, mu.weights).value(lags)
+        two = np.cos(2 * np.pi * lags @ atoms.T) @ weights
+        assert np.max(np.abs(one - two)) <= 1e-15 * np.max(np.abs(two))
+        cov_one = (mu.freqs.T * mu.weights) @ mu.freqs
+        cov_two = (atoms.T * weights) @ atoms
+        assert np.max(np.abs(cov_one - cov_two)) <= 1e-15 * np.max(np.abs(cov_two))
 
 
 def test_uniform_measure():
     mu = uniform_measure(3)
     assert mu.kind == "uniform" and mu.dim == 3
+    assert mu.freqs is None and mu.hyperplane_ok
 
 
 def test_measure_from_partition_weights():
@@ -82,14 +126,15 @@ def test_measure_from_partition_weights():
     assert mu.kind == "atomic"
     assert mu.weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert mu.hyperplane_ok
-    # atoms sit at selected cell centers
-    assert len(mu.atoms) == len(part.selected)
-    # K = 1: the single self-paired cell splits into a +- pair
+    # one atom per selected pair of cells, at the positive-side center
+    assert np.array_equal(mu.freqs, part.centers[part.selected_positive])
+    assert 2 * len(mu.freqs) == len(part.selected)
+    # K = 1: the single self-paired cell is one pair, its center on the positive side
     part1 = build_partition(generate_uniform_directions(2, 8, 1), 1, 0.5)
     mu1 = measure_from_partition(part1)
-    assert len(mu1.atoms) == 2
-    assert np.array_equal(mu1.atoms[1], -mu1.atoms[0])
-    assert np.array_equal(mu1.weights, [0.5, 0.5])
+    assert np.array_equal(mu1.freqs, [-part1.centers[0]])
+    assert positive_side(mu1.freqs[0]) and not positive_side(part1.centers[0])
+    assert np.array_equal(mu1.weights, [1.0])
 
 
 def test_sample_atomic_determinism_and_energy():
@@ -97,13 +142,13 @@ def test_sample_atomic_determinism_and_energy():
     F = sample_atomic(mu, 99)
     G = sample_atomic(mu, 99)
     pts = _ball_points(np.random.default_rng(0), 2, 10.0, 64)
-    assert np.array_equal(F(pts), G(pts))
-    assert not np.array_equal(F(pts), sample_atomic(mu, 100)(pts))
+    assert np.array_equal(F.value(pts), G.value(pts))
+    assert not np.array_equal(F.value(pts), sample_atomic(mu, 100).value(pts))
     # spatial mean square approaches the realization's own kernel at lag 0
     freqs, coeffs = F.plane_waves()
     own0 = float(np.sum(np.abs(coeffs) ** 2) / 2)
     x = _ball_points(np.random.default_rng(5), 2, 60.0, 60000)
-    assert np.mean(F(x) ** 2) == pytest.approx(own0, abs=0.02)
+    assert np.mean(F.value(x) ** 2) == pytest.approx(own0, abs=0.02)
 
 
 def test_sample_atomic_gradient():
@@ -115,7 +160,7 @@ def test_sample_atomic_gradient():
     for a in range(3):
         e = np.zeros(3)
         e[a] = h
-        assert g[a] == pytest.approx((F(x + e) - F(x - e)) / (2 * h), abs=1e-6)
+        assert g[a] == pytest.approx((F.value(x + e) - F.value(x - e)) / (2 * h), abs=1e-6)
 
 
 def test_sample_uniform_self_consistency():
@@ -126,7 +171,7 @@ def test_sample_uniform_self_consistency():
     tau = np.array([1.3, 0.0])
     own = float(np.sum(np.abs(coeffs) ** 2 * np.cos(2 * np.pi * (freqs @ tau))) / 2)
     x = _ball_points(child_rng(9, 0), 2, 40.0, 60000)
-    est = float(np.mean(F(x) * F(x + tau)))
+    est = float(np.mean(F.value(x) * F.value(x + tau)))
     # the spatial average reproduces the draw's own atom kernel; the J0 target
     # is only reached as M grows (atom sampling noise ~ M^{-1/2})
     assert est == pytest.approx(own, abs=0.01)
@@ -212,7 +257,7 @@ def test_circle_series_matches_pointwise(W, atomic):
         F = sample_uniform(2, 1024, 7)
     h = 0.1
     pts = _circle_points(W, h)
-    val, grad = F.value_and_gradient(pts)
+    val, grad = F.value(pts), F.gradient(pts)
     tangential = (pts[:, 0] * grad[:, 1] - pts[:, 1] * grad[:, 0]) / W
     series_val, series_tangential = _circle_series(F, W, h)
     scale = np.abs(F.plane_waves()[1]).sum()
@@ -234,7 +279,7 @@ def test_circle_series_with_cached_factors():
         for W in order + order:
             assert np.array_equal(_circle_factors(W), _circle_factors.__wrapped__(W))
             pts = _circle_points(W, h)
-            val, grad = F.value_and_gradient(pts)
+            val, grad = F.value(pts), F.gradient(pts)
             tangential = (pts[:, 0] * grad[:, 1] - pts[:, 1] * grad[:, 0]) / W
             series_val, series_tangential = _circle_series(F, W, h)
             assert np.max(np.abs(series_val - val)) <= 1e-12 * scale

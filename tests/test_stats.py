@@ -92,24 +92,14 @@ def test_kac_rice_closed_forms():
 def test_kac_rice_atomic_agrees_with_isotropic_lattice():
     # the four-atom axis measure shares the uniform second moments, so its
     # Monte Carlo route must land on pi/sqrt 2 as well: a two-way oracle
-    mu = SpectralMeasure(
-        kind="atomic",
-        dim=2,
-        atoms=np.array([[1.0, 0], [-1.0, 0], [0, 1.0], [0, -1.0]]),
-        weights=np.full(4, 0.25),
-    )
+    mu = SpectralMeasure(dim=2, freqs=np.array([[1.0, 0], [0, 1.0]]), weights=np.full(2, 0.5))
     val, err = kac_rice_density(mu, n_mc=200000, seed=11)
     assert err < 0.01
     assert abs(val - PI_OVER_SQRT2) <= 4 * err
 
 
 def test_kac_rice_rejects_degenerate_support():
-    flat = SpectralMeasure(
-        kind="atomic",
-        dim=2,
-        atoms=np.array([[1.0, 0.0], [-1.0, 0.0]]),
-        weights=np.array([0.5, 0.5]),
-    )
+    flat = SpectralMeasure(dim=2, freqs=np.array([[1.0, 0.0]]), weights=np.array([1.0]))
     with pytest.raises(ValueError):
         kac_rice_density(flat)
 
