@@ -589,7 +589,7 @@ def _run_fig1(cfg: ExperimentConfig, outdir: Path) -> None:
     origin = np.array([-half, -half])
     g_field = PlaneWaveSum(freqs, coeffs)
     vals = g_field.on_grid(origin, (n, n), cfg.h)
-    grid = ScalarGrid(dim=2, origin=origin, spacing=cfg.h, shape=(n, n), values=vals)
+    grid = ScalarGrid(origin=origin, spacing=cfg.h, shape=(n, n), values=vals)
     geom = nodal_volume(grid)
 
     radii = [z / w for z in bessel_zero_table(20) if z / w <= half]

@@ -28,7 +28,6 @@ MAX_SPACING = 0.25  # unit wavelength: coarser grids alias
 
 @dataclass
 class ScalarGrid:
-    dim: int
     origin: np.ndarray
     spacing: float
     shape: tuple
@@ -40,6 +39,8 @@ class ScalarGrid:
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=float)
         self.values = np.asarray(self.values, dtype=float).reshape(-1)
+        if self.origin.shape != (self.dim,):
+            raise ValueError("origin needs one entry per axis")
         if self.spacing <= 0:
             raise ValueError("spacing must be positive")
         if int(np.prod(self.shape)) != self.values.size:
@@ -49,6 +50,10 @@ class ScalarGrid:
             extent = (np.asarray(self.shape) - 1) * self.spacing
             if self.ball_radius > extent.min() / 2 + self.spacing:
                 raise ValueError("mask radius exceeds half the box extent")
+
+    @property
+    def dim(self) -> int:
+        return len(self.shape)
 
     def axis_coords(self, a: int) -> np.ndarray:
         return self.origin[a] + self.spacing * np.arange(self.shape[a])
@@ -159,7 +164,6 @@ def sample_on_grid(evaluator, center, radius: float, h: float) -> ScalarGrid:
         for lo in range(0, pts.shape[0], step):
             vals[lo : lo + step] = evaluator(pts[lo : lo + step])
     return ScalarGrid(
-        dim=m,
         origin=origin,
         spacing=h,
         shape=shape,

@@ -3,11 +3,12 @@
 Sign components are found over run-length encoded rows by array hooking and
 pointer jumping (_connected), with positive vertices 4-connected (6 in 3D)
 and negative ones 8-connected (18 in 3D), the pair the sign-case tables
-imply. The same pass flags the components on the rim and pairs the
-components across opposite-sign grid edges. The decomposition keeps what
-the pass computes, per component label, as arrays: sign, size (vertex
-count) and touches_boundary (the rim flag); nesting trees and the 2D class
-counts are read from it alone. The labels are int32 when the grid has
+imply. The same pass flags the components on the rim, which it reads off
+the cells the zero set scans, and pairs the components across
+opposite-sign grid edges. The decomposition keeps what the pass computes,
+per component label, as arrays: sign, size (vertex count) and
+touches_boundary (the rim flag); nesting trees and the 2D class counts are
+read from it alone. The labels are int32 when the grid has
 fewer than 2^31 vertices (intp otherwise), and so are the union-find
 parents and pairs below 2^31 entries. The zero set, extracted per cell
 from the sign-case tables, is one NodalGeometry, built on first use and
@@ -19,7 +20,7 @@ interpolation and split into connected pieces by a second _connected pass
 over the crossing edges; a piece is interior when it borders an interior
 component. The extraction's peak heap is about 2.6 times the value grid's
 bytes on a 101^3 ball grid of an m = 3 draw (4.1 on a 61^3 one), and the
-labeling's about 1.4 times.
+labeling's about 1.5 times (1.6 on the 61^3 one).
 """
 
 from __future__ import annotations
@@ -146,44 +147,6 @@ class NodalDecomposition:
         return self._zero
 
 
-def _line_interiors(shape, run_line, run_s, run_e) -> tuple[np.ndarray, np.ndarray]:
-    """Per grid line, the index interval [lo, hi] of its vertices off the rim.
-
-    A vertex is off the rim when its whole 3^m neighbourhood lies in the grid
-    and the mask. A line's in-mask vertices form one interval [a, b]: a box
-    grid has no mask, and along a line the squared distance that within_ball
-    thresholds adds the line's axis last, a quasi-convex term in the index.
-    So vertex k is off the rim exactly when a' + 1 <= k <= b' - 1 for the
-    spans [a', b'] of the 3^(m-1) lines next to and including its own; a
-    line outside the grid or without in-mask vertices has the empty span
-    (L, -1). The runs tile each line's span, so its first and last run give
-    it, and no grid-sized array is built.
-    """
-    line_shape, L = shape[:-1], shape[-1]
-    new_line = np.empty(len(run_line), dtype=bool)
-    new_line[0] = True
-    np.not_equal(run_line[1:], run_line[:-1], out=new_line[1:])
-    first = np.flatnonzero(new_line)
-    last = np.append(first[1:], len(run_line)) - 1
-    a = np.full(line_shape, L, dtype=np.intp)
-    b = np.full(line_shape, -1, dtype=np.intp)
-    a.reshape(-1)[run_line[first]] = run_s[first]
-    b.reshape(-1)[run_line[last]] = run_e[last] - 1
-    for axis in range(len(line_shape)):  # the 3^(m-1) window is separable
-        a = _window3(a, axis, L, np.maximum)
-        b = _window3(b, axis, -1, np.minimum)
-    return a.reshape(-1) + 1, b.reshape(-1) - 1
-
-
-def _window3(x: np.ndarray, axis: int, fill: int, op) -> np.ndarray:
-    """op over each entry and its two neighbours along axis, fill beyond the ends."""
-    n = x.shape[axis]
-    pad = np.full(x.shape[:axis] + (n + 2,) + x.shape[axis + 1 :], fill, dtype=x.dtype)
-    cut = lambda lo, hi: (slice(None),) * axis + (slice(lo, hi),)
-    pad[cut(1, n + 1)] = x
-    return op(op(pad[cut(0, n)], x), pad[cut(2, n + 2)])
-
-
 def _run_pairs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(i, j) for every run i and every j in lo[i] <= j < hi[i]."""
     counts = np.maximum(hi - lo, 0)
@@ -200,10 +163,12 @@ def label_domains(grid: ScalarGrid) -> NodalDecomposition:
     sign-case tables imply, since a saddle face joins its negative corners
     and cuts off its positive ones, and a cube joins nothing across a body
     diagonal. So two components are separated exactly by zero-set pieces. A
-    component touches the rim when one of its vertices has a vertex outside
-    the grid or the mask in its 3^m neighbourhood, that is, when it is a
-    corner of a cell the zero set does not scan. The adjacency pairs the
-    components on either side of each opposite-sign grid edge.
+    component touches the rim when one of its vertices is a corner of a cell
+    that lies outside the grid or that the zero set does not scan: the rim
+    is read off the zero set's scanned cells (_scanned_cells), for a mask of
+    any shape. Equivalently, the vertex has a vertex outside the grid or the
+    mask in its 3^m neighbourhood. The adjacency pairs the components on
+    either side of each opposite-sign grid edge.
 
     The grid caches the result by weak reference: it is reused while a caller
     holds it, and grid and decomposition form no reference cycle.
@@ -216,6 +181,9 @@ def label_domains(grid: ScalarGrid) -> NodalDecomposition:
     mask = grid.mask()
     if not mask.any():
         raise ValueError("mask selects no vertices")
+    # the in-mask vertices with a cell that is not scanned or lies outside
+    # the grid: taken before the runs, so its grid-sized temporaries are gone
+    rim = np.flatnonzero(mask & ~_scanned_cells(np.pad(_scanned_cells(mask), 1)))
     pos = grid.grid_values() > -TIE_EPS  # == (value clamped to TIE_EPS) > 0
     shape = grid.shape
     L = shape[-1]
@@ -296,17 +264,12 @@ def label_domains(grid: ScalarGrid) -> NodalDecomposition:
     adjacency = np.stack(np.divmod(pair[first], ncomp), axis=-1)
     del adj_a, adj_b, ca, cb, pair, first
 
-    # a run reaches the rim exactly when one of its ends leaves its line's
-    # off-rim interval
-    lo, hi = _line_interiors(shape, run_line, run_s, run_e)
-    run_rim = (run_s < lo[run_line]) | (run_e - 1 > hi[run_line])
-    touches = np.zeros(ncomp, dtype=bool)
-    touches[comp_of_run[run_rim]] = True
-
     # the runs, in mask or not, tile the grid in flat order
     run_label = np.full(len(run_len), -1, dtype=_index_dtype(mask.size))
     run_label[inmask] = comp_of_run
     labels = np.repeat(run_label, run_len)
+    touches = np.zeros(ncomp, dtype=bool)
+    touches[labels[rim]] = True
 
     dec = NodalDecomposition(grid=grid, labels=labels, sign=signs, size=sizes,
                              touches_boundary=touches, adjacency=adjacency)
@@ -394,21 +357,32 @@ def _row_major_strides(shape) -> list[int]:
     return [int(np.prod(shape[d + 1 :])) for d in range(len(shape))]
 
 
-def _cell_cases(pos: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per cell: the sign case and whether every corner is in the mask.
+def _scanned_cells(mask: np.ndarray) -> np.ndarray:
+    """Per cell: every corner is in the mask, so the zero set scans it.
 
-    Bit c of the case is set when corner c is positive, and corner c is
-    offset along axis a by bit a of c. The corners are gathered one axis at
-    a time: each pass joins the lower and upper faces of every cell along
-    that axis, so bit c moves up by 2^a for the upper face.
+    The corners are gathered one axis at a time: each pass ANDs the lower
+    and upper faces of every cell along that axis.
     """
-    case, ok = pos.view(np.uint8), mask
+    for a in range(mask.ndim):
+        lo = (slice(None),) * a + (slice(None, -1),)
+        hi = (slice(None),) * a + (slice(1, None),)
+        mask = mask[lo] & mask[hi]
+    return mask
+
+
+def _cell_cases(pos: np.ndarray) -> np.ndarray:
+    """Per cell: the sign case, bit c set when corner c is positive.
+
+    Corner c is offset along axis a by bit a of c. The corners are gathered
+    one axis at a time: each pass joins the lower and upper faces of every
+    cell along that axis, so bit c moves up by 2^a for the upper face.
+    """
+    case = pos.view(np.uint8)
     for a in reversed(range(pos.ndim)):
         lo = (slice(None),) * a + (slice(None, -1),)
         hi = (slice(None),) * a + (slice(1, None),)
         case = case[lo] | case[hi] << np.uint8(1 << a)
-        ok = ok[lo] & ok[hi]
-    return case, ok
+    return case
 
 
 def _crossing_elements(grid: ScalarGrid, pos: np.ndarray) -> tuple[np.ndarray, int]:
@@ -425,7 +399,7 @@ def _crossing_elements(grid: ScalarGrid, pos: np.ndarray) -> tuple[np.ndarray, i
         table, edge_axis, edge_base = mct.SQUARE_CASES, mct.SQ_EDGE_AXIS, mct.SQ_EDGE_BASE
     else:
         table, edge_axis, edge_base = mct.CUBE_CASES, mct.EDGE_AXIS, mct.EDGE_BASE
-    case, cell_ok = _cell_cases(pos, grid.mask())
+    case, cell_ok = _cell_cases(pos), _scanned_cells(grid.mask())
     covered = int(np.count_nonzero(cell_ok))
     full = 2 ** 2**m - 1
     work = np.flatnonzero(cell_ok & (case > 0) & (case < full))

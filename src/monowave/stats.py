@@ -313,10 +313,7 @@ def ns_constant_estimate(measure: SpectralMeasure, W: float, trials: int, seed: 
     draw = _resolve_sampler(measure)
     vol = _ball_volume(m, W)
 
-    densities = []
-    # per tag or code: (index among the kept trials, density) of each nonzero count
-    per_class: dict[str, list[tuple[int, float]]] = {}
-    per_tree: dict[str, list[tuple[int, float]]] = {}
+    kept = []  # per kept draw: interior count, class tag counts, interior tree code counts
     by_reason: dict[str, int] = {}
     for j in range(trials):
         realization = draw(int(child_rng(seed, j).integers(2**63)))
@@ -336,36 +333,29 @@ def ns_constant_estimate(measure: SpectralMeasure, W: float, trials: int, seed: 
             by_reason[reason] = by_reason.get(reason, 0) + 1
             continue
         trees = Counter(tree.codes[c] for c in np.flatnonzero(~dec.touches_boundary).tolist())
-        k = len(densities)
-        densities.append(dec.interior_count / vol)
-        for tag, cnt in classes.items():
-            per_class.setdefault(tag, []).append((k, cnt / vol))
-        for code, cnt in trees.items():
-            per_tree.setdefault(code, []).append((k, cnt / vol))
+        kept.append((dec.interior_count, classes, trees))
     excluded = sum(by_reason.values())
     if excluded > 0.2 * trials:
         raise DegenerateSampleError(
             f"{excluded}/{trials} draws degenerate ({format_reasons(by_reason)}); "
             "refine h or enlarge W", "too_many_excluded"
         )
-    arr = np.array(densities)
-    n = len(arr)
 
-    def summarize(vals: list[tuple[int, float]]) -> tuple[float, float]:
-        # each value at its trial's place, so the sum runs in the density
-        # row's order; absent trials contribute zero counts
-        padded = np.zeros(n)
-        for k, v in vals:
-            padded[k] = v
-        return float(padded.mean()), float(padded.std(ddof=1) / math.sqrt(n))
+    def summarize(counts: list[int]) -> tuple[float, float]:
+        # one count per kept draw, in draw order: mean and stderr per unit volume
+        dens = np.array(counts) / vol
+        return float(dens.mean()), float(dens.std(ddof=1) / math.sqrt(len(dens)))
 
+    mean, stderr = summarize([n for n, _, _ in kept])
+    tags = dict.fromkeys(tag for _, classes, _ in kept for tag in classes)
+    codes = dict.fromkeys(code for _, _, trees in kept for code in trees)
     return ConstantEstimate(
         trials=trials,
-        mean=float(arr.mean()),
-        stderr=float(arr.std(ddof=1) / math.sqrt(n)),
+        mean=mean,
+        stderr=stderr,
         excluded_by_reason=by_reason,
-        class_density={k: summarize(v) for k, v in per_class.items()},
-        tree_density={k: summarize(v) for k, v in per_tree.items()},
+        class_density={t: summarize([classes[t] for _, classes, _ in kept]) for t in tags},
+        tree_density={c: summarize([trees[c] for _, _, trees in kept]) for c in codes},
     )
 
 

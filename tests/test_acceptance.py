@@ -175,7 +175,7 @@ def box_grid(lo, hi, h, fn, m):
     n = int(round((hi - lo) / h)) + 1
     axes = [lo + h * np.arange(n)] * m
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
-    return ScalarGrid(dim=m, origin=np.full(m, lo), spacing=h, shape=(n,) * m, values=fn(pts))
+    return ScalarGrid(origin=np.full(m, lo), spacing=h, shape=(n,) * m, values=fn(pts))
 
 
 def test_a07_labeling_and_surface_extraction():
@@ -186,7 +186,6 @@ def test_a07_labeling_and_surface_extraction():
         n = int(rng.integers(6, 14 if m == 3 else 22))
         radius = (n - 1) * 0.1 / 2
         g = ScalarGrid(
-            dim=m,
             origin=np.full(m, -radius),
             spacing=0.1,
             shape=(n,) * m,

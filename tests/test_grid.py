@@ -375,11 +375,16 @@ def test_grid_fills_refuse_a_dimension_mismatch():
             with pytest.raises(ValueError, match="one entry per axis"):
                 fill(origin, shape, 0.1)
     assert F.on_grid(np.zeros(3), (3, 3, 3), 0.1).shape == (3, 3, 3)
+    # a grid takes its dimension from its shape, and refuses the same boxes
+    for origin, shape in boxes:
+        with pytest.raises(ValueError, match="one entry per axis"):
+            ScalarGrid(origin=origin, spacing=0.1, shape=shape, values=np.zeros(np.prod(shape)))
+    assert ScalarGrid(origin=np.zeros(3), spacing=0.1, shape=(3, 4, 2), values=np.zeros(24)).dim == 3
 
 
 def test_box_grid_without_ball_mask():
     vals = np.arange(12, dtype=float)
-    g = ScalarGrid(dim=2, origin=np.zeros(2), spacing=0.5, shape=(3, 4), values=vals)
+    g = ScalarGrid(origin=np.zeros(2), spacing=0.5, shape=(3, 4), values=vals)
     assert g.mask().all()
     assert np.array_equal(g.axis_coords(1), 0.5 * np.arange(4))
 
@@ -392,7 +397,7 @@ def test_mask_is_computed_once_and_read_only():
     assert not mask.flags.writeable
     with pytest.raises(ValueError):
         mask[0, 0, 0] = True
-    box = ScalarGrid(dim=2, origin=np.zeros(2), spacing=0.5, shape=(3, 4), values=np.zeros(12))
+    box = ScalarGrid(origin=np.zeros(2), spacing=0.5, shape=(3, 4), values=np.zeros(12))
     assert box.mask() is box.mask() and not box.mask().flags.writeable
 
 

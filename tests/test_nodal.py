@@ -106,7 +106,6 @@ def test_labels_match_flood_fill_on_random_grids():
         vals = rng.standard_normal(n**m)
         radius = (n - 1) * 0.1 / 2
         g = ScalarGrid(
-            dim=m,
             origin=np.full(m, -radius),
             spacing=0.1,
             shape=(n,) * m,
@@ -157,7 +156,7 @@ def test_label_signs_follow_the_tie_rule(shape):
     grids += [rng.uniform(-3 * eps, 3 * eps, size) for _ in range(5)]
     grids += [rng.standard_normal(size) for _ in range(5)]
     for vals in grids:
-        g = ScalarGrid(dim=len(shape), origin=np.zeros(len(shape)), spacing=0.1,
+        g = ScalarGrid(origin=np.zeros(len(shape)), spacing=0.1,
                        shape=shape, values=vals)
         clamped_pos = clamped(g).reshape(-1) > 0
         assert np.array_equal(g.values > -eps, clamped_pos)
@@ -228,7 +227,7 @@ def test_circle_length():
     lo = -(n - 1) / 2 * h
     axes = [lo + h * np.arange(n)] * 2
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
-    g = ScalarGrid(dim=2, origin=np.full(2, lo), spacing=h, shape=(n, n),
+    g = ScalarGrid(origin=np.full(2, lo), spacing=h, shape=(n, n),
                    values=1.0 - (pts**2).sum(axis=1))
     geom = nodal_volume(g)
     assert abs(geom.total - 2 * math.pi) / (2 * math.pi) < 0.005
@@ -240,7 +239,7 @@ def test_sphere_area_and_tag():
     lo = -(n - 1) / 2 * h
     axes = [lo + h * np.arange(n)] * 3
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-    g = ScalarGrid(dim=3, origin=np.full(3, lo), spacing=h, shape=(n,) * 3,
+    g = ScalarGrid(origin=np.full(3, lo), spacing=h, shape=(n,) * 3,
                    values=1.0 - (pts**2).sum(axis=1))
     geom = nodal_volume(g)
     assert abs(geom.total - 4 * math.pi) / (4 * math.pi) < 0.02
@@ -254,7 +253,7 @@ def test_torus_genus():
     axes = [lo + h * np.arange(n)] * 3
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
     rho = np.sqrt(pts[:, 0] ** 2 + pts[:, 1] ** 2)
-    g = ScalarGrid(dim=3, origin=np.full(3, lo), spacing=h, shape=(n,) * 3,
+    g = ScalarGrid(origin=np.full(3, lo), spacing=h, shape=(n,) * 3,
                    values=(rho - 1.0) ** 2 + pts[:, 2] ** 2 - 0.16)
     assert classify_topology(label_domains(g)) == {"genus1": 1}
 
@@ -503,7 +502,7 @@ def test_pair_keys_do_not_wrap_with_int32_labels():
     v[:73:2, ::2, ::2] = 1.0
     v[75:78, 30:33, 30:33] = 1.0
     v[76, 31, 31] = -1.0
-    g = ScalarGrid(dim=3, origin=np.zeros(3), spacing=0.1, shape=shape, values=v.reshape(-1))
+    g = ScalarGrid(origin=np.zeros(3), spacing=0.1, shape=shape, values=v.reshape(-1))
     dec = label_domains(g)
     labels = dec.labels.reshape(shape)
     block, hole, ncomp = int(labels[75, 30, 30]), int(labels[76, 31, 31]), dec.total_components
@@ -720,7 +719,7 @@ def oracle_grid(name: str) -> ScalarGrid:
         near = rng.random(vals.size) < 0.3
         vals[near] = rng.choice([0.0, -0.0, 5e-14, -5e-14, nodal.TIE_EPS, -nodal.TIE_EPS,
                                  np.nextafter(-nodal.TIE_EPS, 0)], int(near.sum()))
-    return ScalarGrid(dim=m, origin=np.full(m, -0.5), spacing=0.1, shape=shape, values=vals)
+    return ScalarGrid(origin=np.full(m, -0.5), spacing=0.1, shape=shape, values=vals)
 
 
 @pytest.mark.parametrize("name", [f"{kind}-m{m}" for kind in ("ball", "box", "one-sign", "tie-band")
@@ -775,7 +774,8 @@ def test_sandwich_clipper_memory():
 def test_labeling_memory():
     # peak traced heap of one m=3 labeling, in units of the value grid: 3.29
     # for intp labels written through the mask, 1.57 for int32 labels
-    # repeated from every run with the vertex-sized sign arrays freed first
+    # repeated from every run with the vertex-sized sign arrays freed first,
+    # 1.64 with the rim read off the scanned cells before the runs are built
     g = memory_test_grid()
     assert traced_peak(lambda: label_domains(g)) < 1.75 * g.values.nbytes
 
@@ -789,49 +789,24 @@ def shell_test_grids(m: int, rng) -> list[ScalarGrid]:
         F = sample_uniform(m, 64, int(rng.integers(1000)))
         grids.append(sample_on_grid(F, centre, float(rng.uniform(1.0, 1.5 if m == 3 else 3.0)), h))
     for shape in ([(9, 12), (2, 17)] if m == 2 else [(5, 6, 7), (2, 9, 3)]):
-        grids.append(ScalarGrid(dim=m, origin=rng.uniform(-1.0, 1.0, m), spacing=0.1, shape=shape,
+        grids.append(ScalarGrid(origin=rng.uniform(-1.0, 1.0, m), spacing=0.1, shape=shape,
                                 values=rng.standard_normal(math.prod(shape))))
     return grids
 
 
 @pytest.mark.parametrize("m", [2, 3])
-def test_run_end_shell_matches_grid_sized_shell(m):
-    # label_domains reads the rim at each run's first and last vertex only,
-    # against its line's off-rim interval; a run meets the grid-sized rim
-    # (the mask minus its 3^m erosion) exactly when one of its ends does, so
-    # the touches flags are the ones the grid-sized rim gives
+def test_rim_flags_match_grid_sized_rim(m):
+    # label_domains reads the rim off the zero set's scanned cells; its
+    # touches flags are the ones the grid-sized rim (the mask minus its 3^m
+    # erosion) gives
     for g in shell_test_grids(m, np.random.default_rng(40 + m)):
-        mask = g.mask().reshape(-1, g.shape[-1])
-        pos = (g.grid_values() > -nodal.TIE_EPS).reshape(mask.shape)
-        shell = rim_reference(g).reshape(mask.shape)
-        lines, starts, ends, want = [], [], [], []
-        for line in range(len(mask)):  # maximal in-mask same-sign runs, line by line
-            i, n = 0, mask.shape[1]
-            while i < n:
-                if not mask[line, i]:
-                    i += 1
-                    continue
-                j = i
-                while j + 1 < n and mask[line, j + 1] and pos[line, j + 1] == pos[line, i]:
-                    j += 1
-                lines.append(line)
-                starts.append(i)
-                ends.append(j)
-                want.append(bool(shell[line, i : j + 1].any()))
-                i = j + 1
-        lines, starts, ends = np.array(lines), np.array(starts), np.array(ends)
-        lo, hi = nodal._line_interiors(g.shape, lines, starts, ends + 1)
-        got = (starts < lo[lines]) | (ends > hi[lines])
-        assert got.tolist() == want
-        assert any(want)
-        if g.ball_radius is not None:
-            assert not all(want)
         dec = label_domains(g)
         on_shell = np.zeros(dec.total_components, dtype=bool)
-        on_shell[dec.labels[shell.reshape(-1)]] = True
+        on_shell[dec.labels[rim_reference(g).reshape(-1)]] = True
         assert np.array_equal(dec.touches_boundary, on_shell)
         assert dec.interior_count == np.count_nonzero(~on_shell)
         assert dec.boundary_count == np.count_nonzero(on_shell)
+        assert on_shell.any()
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -842,7 +817,7 @@ def test_piece_boundary_matches_grid_sized_shell(m):
     # pieces and pieces that reach the rim
     grids = bubble_grids(m, np.random.default_rng(53))
     shape = (37, 52) if m == 2 else (15, 18, 21)
-    grids.append(ScalarGrid(dim=m, origin=np.full(m, -0.5), spacing=0.1, shape=shape,
+    grids.append(ScalarGrid(origin=np.full(m, -0.5), spacing=0.1, shape=shape,
                             values=sample_uniform(m, 64, 9).on_grid(np.zeros(m), shape, 0.1)))
     for g in grids:
         dec = label_domains(g)
@@ -914,7 +889,9 @@ def test_crossing_elements_match_per_cell_loop(m, W, h):
 @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
 def test_cell_cases_match_corner_by_corner(seed, m):
     # the axis-by-axis gather against one slice per corner: corner c is
-    # offset along axis a by bit a of c and sets bit c of the case
+    # offset along axis a by bit a of c and sets bit c of the case. The masks
+    # are not balls, and the labeling's rim, read off the scanned cells, is
+    # still the mask minus its 3^m erosion
     rng = np.random.default_rng(seed)
     shape = tuple(int(n) for n in rng.integers(2, 30 if m == 2 else 12, m))
     pos = rng.random(shape) < rng.uniform(0.1, 0.9)
@@ -926,17 +903,24 @@ def test_cell_cases_match_corner_by_corner(seed, m):
         sl = tuple(slice((c >> a) & 1, ((c >> a) & 1) + n) for a, n in enumerate(cells))
         want_ok &= mask[sl]
         want_case |= pos[sl].astype(np.uint8) << np.uint8(c)
-    case, ok = nodal._cell_cases(pos, mask)
+    case, ok = nodal._cell_cases(pos), nodal._scanned_cells(mask)
     assert case.dtype == np.uint8 and ok.dtype == bool
     assert case.tobytes() == want_case.tobytes() and case.shape == cells
     assert ok.tobytes() == want_ok.tobytes() and ok.shape == cells
+    g = ScalarGrid(origin=np.zeros(m), spacing=0.1, shape=shape, values=np.where(pos, 1.0, -1.0))
+    g._mask = mask
+    if mask.any():
+        dec = label_domains(g)
+        rim = np.zeros(dec.total_components, dtype=bool)
+        rim[dec.labels[rim_reference(g).reshape(-1)]] = True
+        assert np.array_equal(dec.touches_boundary, rim)
 
 
 @pytest.mark.parametrize("m, W, h", [(2, 2.0, 0.1), (3, 0.9, 0.1), (2, None, 0.1)])
 def test_covered_volume_matches_per_cell_loop(m, W, h):
     if W is None:  # a box grid without a ball mask
         vals = sample_uniform(2, 64, 3).on_grid(np.zeros(2), (17, 23), h)
-        g = ScalarGrid(dim=2, origin=np.zeros(2), spacing=h, shape=(17, 23), values=vals)
+        g = ScalarGrid(origin=np.zeros(2), spacing=h, shape=(17, 23), values=vals)
     else:
         g = sample_on_grid(sample_uniform(m, 64, 5 + m), np.full(m, 0.2), W, h)
     mask = g.mask()
