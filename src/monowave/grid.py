@@ -17,11 +17,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .field import PlaneWaveSum, _LowRankLattice
 from .field import plane_wave_grid  # noqa: F401  (re-exported)
+
+if TYPE_CHECKING:
+    from .nodal import NodalGeometry
 
 MAX_SPACING = 0.25  # unit wavelength: coarser grids alias
 
@@ -35,6 +39,8 @@ class ScalarGrid:
     ball_center: np.ndarray | None = None
     ball_radius: float | None = None
     _mask: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    # the zero set, set by nodal.nodal_volume; it holds no reference to the grid
+    _zero: NodalGeometry | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=float)
@@ -69,14 +75,18 @@ class ScalarGrid:
     def mask(self) -> np.ndarray:
         """Boolean in-region array, read-only and computed once per grid.
 
-        All True when no ball mask is set.
+        All True when no ball mask is set; a mask that selects no vertex is
+        refused.
         """
         if self._mask is None:
             if self.ball_radius is None:
-                self._mask = np.ones(self.shape, dtype=bool)
+                mask = np.ones(self.shape, dtype=bool)
             else:
-                self._mask = self.within(self.ball_radius)
-            self._mask.flags.writeable = False
+                mask = self.within(self.ball_radius)
+            if not mask.any():
+                raise ValueError("mask selects no vertices")
+            mask.flags.writeable = False
+            self._mask = mask
         return self._mask
 
 

@@ -33,8 +33,10 @@ def spatial_sample(m: int, R: float, n: int, seed: int) -> np.ndarray:
 
     The spatial average that stands in for the ensemble average: every
     fixed-wave report averages over these points, so reports with one seed
-    share one sample.
+    share one sample. R must be positive.
     """
+    if not R > 0:
+        raise ValueError("radius R must be positive")
     rng = child_rng(seed, 0)
     x = rng.standard_normal((n, m))
     x /= np.linalg.norm(x, axis=1, keepdims=True)

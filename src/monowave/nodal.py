@@ -10,24 +10,25 @@ per component label, as arrays: sign, size (vertex count) and
 touches_boundary (the rim flag); nesting trees and the 2D class counts are
 read from it alone. The labels are int32 when the grid has
 fewer than 2^31 vertices (intp otherwise), and so are the union-find
-parents and pairs below 2^31 entries. The zero set, extracted per cell
-from the sign-case tables, is one NodalGeometry, built on first use and
-cached on the decomposition; nodal_volume returns it. Its crossing
-grid edges are ranked per axis block, from one bool mark and one int32 rank
-table that serve every block, and the ranks are written over the element
-edge ids, so no sort runs over them. The crossings are measured by linear
-interpolation and split into connected pieces by a second _connected pass
-over the crossing edges; a piece is interior when it borders an interior
-component. The extraction's peak heap is about 2.6 times the value grid's
+parents and pairs below 2^31 entries. The zero set is a function of the
+grid alone: extracted per cell from the sign-case tables, it is one
+NodalGeometry, built on first use and cached on the grid; nodal_volume
+returns it. Its crossing grid edges are ranked per axis block, from one
+bool mark and one int32 rank table that serve every block, and the ranks
+are written over the element edge ids, so no sort runs over them. The
+crossings are measured by linear interpolation and split into connected
+pieces by a second _connected pass over the crossing edges. A piece is
+interior when one of its crossing edges has an end in an interior
+component (_interior_pieces), read off the decomposition and the zero set
+together. The extraction's peak heap is about 2.6 times the value grid's
 bytes on a 101^3 ball grid of an m = 3 draw (4.1 on a 61^3 one), and the
 labeling's about 1.5 times (1.6 on the 61^3 one).
 """
 
 from __future__ import annotations
 
-import weakref
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,7 +128,6 @@ class NodalDecomposition:
     # (E, 2) sorted unique component pairs a < b joined by an opposite-sign
     # grid edge between in-mask vertices
     adjacency: np.ndarray
-    _zero: "NodalGeometry | None" = field(default=None, repr=False)
 
     @property
     def total_components(self) -> int:
@@ -140,11 +140,6 @@ class NodalDecomposition:
     @property
     def boundary_count(self) -> int:
         return int(np.count_nonzero(self.touches_boundary))
-
-    def _ensure_zero(self) -> "NodalGeometry":
-        if self._zero is None:
-            self._zero = _extract_zero_set(self.grid, self.labels, ~self.touches_boundary)
-        return self._zero
 
 
 def _run_pairs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -169,18 +164,8 @@ def label_domains(grid: ScalarGrid) -> NodalDecomposition:
     any shape. Equivalently, the vertex has a vertex outside the grid or the
     mask in its 3^m neighbourhood. The adjacency pairs the components on
     either side of each opposite-sign grid edge.
-
-    The grid caches the result by weak reference: it is reused while a caller
-    holds it, and grid and decomposition form no reference cycle.
     """
-    ref = grid.__dict__.get("_nodal_dec")
-    cached = ref() if ref is not None else None
-    if cached is not None:
-        return cached
-
     mask = grid.mask()
-    if not mask.any():
-        raise ValueError("mask selects no vertices")
     # the in-mask vertices with a cell that is not scanned or lies outside
     # the grid: taken before the runs, so its grid-sized temporaries are gone
     rim = np.flatnonzero(mask & ~_scanned_cells(np.pad(_scanned_cells(mask), 1)))
@@ -271,10 +256,8 @@ def label_domains(grid: ScalarGrid) -> NodalDecomposition:
     touches = np.zeros(ncomp, dtype=bool)
     touches[labels[rim]] = True
 
-    dec = NodalDecomposition(grid=grid, labels=labels, sign=signs, size=sizes,
-                             touches_boundary=touches, adjacency=adjacency)
-    grid.__dict__["_nodal_dec"] = weakref.ref(dec)
-    return dec
+    return NodalDecomposition(grid=grid, labels=labels, sign=signs, size=sizes,
+                              touches_boundary=touches, adjacency=adjacency)
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +266,10 @@ def label_domains(grid: ScalarGrid) -> NodalDecomposition:
 
 @dataclass
 class NodalGeometry:
-    """The zero set of a sampled field, extracted once per decomposition.
+    """The zero set of a sampled field, extracted once per grid.
 
     The U crossing grid edges, in _edge_blocks order, are the vertices of the
     elements: segments (2D) or triangles (3D), split into connected pieces.
-    The properties, which cli and perfbench read, derive from edge_points,
-    elements, piece_measure and covered_volume. Of the fields, _parent_pieces
-    reads edge_ends and edge_piece; classify_topology and _genus_tagger
-    element_piece and piece_boundary; export_components_csv piece_measure and
-    piece_boundary; and stats._ZeroClipper element_measure.
     """
 
     dim: int
@@ -300,7 +278,6 @@ class NodalGeometry:
     edge_ends: np.ndarray  # (U, 2) flat indices of each crossing edge's lower and upper vertex
     covered_volume: float  # volume of the cells with every corner in the mask: the ones scanned
     piece_measure: np.ndarray  # length (2D) or area (3D) per piece
-    piece_boundary: np.ndarray  # the piece borders no interior component
     elements: np.ndarray  # (S, 2) or (T, 3) indices into the crossing edges
     element_piece: np.ndarray
     element_measure: np.ndarray
@@ -455,9 +432,8 @@ def _element_measures(points: np.ndarray, elements: np.ndarray) -> np.ndarray:
     return out
 
 
-def _extract_zero_set(grid: ScalarGrid, labels: np.ndarray, interior: np.ndarray) -> NodalGeometry:
-    """The zero set of grid, its pieces interior when they border a component
-    flagged in interior (one entry per label)."""
+def _extract_zero_set(grid: ScalarGrid) -> NodalGeometry:
+    """The zero set of grid's in-mask cells."""
     if grid.dim not in (2, 3):
         raise ValueError("zero-set extraction supports m in {2, 3} only")
     elements, covered = _crossing_elements(grid, grid.grid_values() > -TIE_EPS)
@@ -514,10 +490,6 @@ def _extract_zero_set(grid: ScalarGrid, labels: np.ndarray, interior: np.ndarray
     elem_piece = edge_piece[elements[:, 0]] if U else np.empty(0, dtype=np.intp)
     piece_measure = np.bincount(elem_piece, weights=measure, minlength=piece_count)
 
-    # every crossing edge lies in the mask, so both its end labels are >= 0
-    piece_boundary = np.ones(piece_count, dtype=bool)
-    piece_boundary[edge_piece[interior[labels[edge_ends]].any(axis=1)]] = False
-
     return NodalGeometry(
         dim=grid.dim,
         edge_points=edge_points,
@@ -525,7 +497,6 @@ def _extract_zero_set(grid: ScalarGrid, labels: np.ndarray, interior: np.ndarray
         edge_ends=edge_ends,
         covered_volume=covered * grid.spacing**grid.dim,
         piece_measure=piece_measure,
-        piece_boundary=piece_boundary,
         elements=elements,
         element_piece=elem_piece,
         element_measure=measure,
@@ -533,8 +504,21 @@ def _extract_zero_set(grid: ScalarGrid, labels: np.ndarray, interior: np.ndarray
 
 
 def nodal_volume(grid: ScalarGrid) -> NodalGeometry:
-    """The zero set of grid as cached on its decomposition: length (2D) or area (3D) per piece."""
-    return label_domains(grid)._ensure_zero()
+    """The zero set of grid, extracted once and cached on it: length (2D) or area (3D) per piece."""
+    if grid._zero is None:
+        grid._zero = _extract_zero_set(grid)
+    return grid._zero
+
+
+def _interior_pieces(dec: NodalDecomposition, z: NodalGeometry) -> np.ndarray:
+    """Per piece of z, the zero set of dec.grid: one of its crossing edges has
+    an end in an interior component. Every crossing edge lies in the mask, so
+    both its end labels are >= 0."""
+    lower, upper = dec.touches_boundary[dec.labels[z.edge_ends.T]]  # rim flags of the ends
+    interior = np.zeros(len(z.piece_measure), dtype=bool)
+    interior[z.edge_piece[~(lower & upper)]] = True
+    return interior
+
 
 # ---------------------------------------------------------------------------
 # nesting tree
@@ -609,7 +593,7 @@ def _parent_pieces(dec: NodalDecomposition, tree: NestingTree) -> dict[int, int]
     root has no piece). Where several pieces cross one edge the lowest id is
     taken; an interior component has exactly one toward its parent.
     """
-    z = dec._ensure_zero()
+    z = nodal_volume(dec.grid)
     ncomp = dec.total_components
     lab = dec.labels[z.edge_ends].astype(np.int64)  # int32 labels: ncomp^2 may pass 2^31
     keys = lab.min(axis=1) * ncomp + lab.max(axis=1)
@@ -627,16 +611,16 @@ def _parent_pieces(dec: NodalDecomposition, tree: NestingTree) -> dict[int, int]
 # topology classes of interior zero pieces
 
 
-def _genus_tagger(z: NodalGeometry):
-    """Tag function "genusG" for the interior pieces of a 3D zero set.
+def _genus_tagger(z: NodalGeometry, interior: np.ndarray):
+    """Tag function "genusG" for the pieces of a 3D zero set flagged in interior.
 
     The tag of a piece that is not a closed surface is a
     DegenerateSampleError. The element rows of the interior pieces are
     grouped by piece with one stable argsort.
     """
-    rows = np.flatnonzero(~z.piece_boundary[z.element_piece])
+    rows = np.flatnonzero(interior[z.element_piece])
     rows = rows[np.argsort(z.element_piece[rows], kind="stable")]
-    bounds = np.searchsorted(z.element_piece[rows], np.arange(len(z.piece_boundary) + 1))
+    bounds = np.searchsorted(z.element_piece[rows], np.arange(len(interior) + 1))
 
     def tag(p: int) -> str:
         tris = z.elements[rows[bounds[p] : bounds[p + 1]]]
@@ -668,24 +652,25 @@ def classify_topology(dec: NodalDecomposition) -> Counter:
     """
     if dec.grid.dim == 2:
         return Counter({"circle": dec.interior_count} if dec.interior_count else {})
-    z = dec._ensure_zero()
-    interior = np.flatnonzero(~z.piece_boundary).tolist()
-    if not interior:
+    z = nodal_volume(dec.grid)
+    interior = _interior_pieces(dec, z)
+    if not interior.any():
         return Counter()
-    tag = _genus_tagger(z)
-    return Counter(tag(p) for p in interior)
+    tag = _genus_tagger(z, interior)
+    return Counter(tag(p) for p in np.flatnonzero(interior).tolist())
 
 
 def export_components_csv(dec: NodalDecomposition, path: str) -> None:
     """One row per sign component; measure/class describe the zero piece toward its tree parent."""
     import csv
 
-    z = dec._ensure_zero()
+    z = nodal_volume(dec.grid)
+    interior = _interior_pieces(dec, z)
     try:
         pieces = _parent_pieces(dec, build_nesting_tree(dec))
     except DegenerateSampleError:
         pieces = {}
-    tag_of = _genus_tagger(z) if z.dim == 3 else (lambda p: "circle")
+    tag_of = _genus_tagger(z, interior) if z.dim == 3 else (lambda p: "circle")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["id", "sign", "size", "boundary", "measure", "class"])
@@ -696,6 +681,6 @@ def export_components_csv(dec: NodalDecomposition, path: str) -> None:
             p = pieces.get(c)
             if p is not None:
                 measure = repr(float(z.piece_measure[p]))
-                if not z.piece_boundary[p]:
+                if interior[p]:
                     tag = tag_of(p)
             w.writerow([c, "+" if sign > 0 else "-", size, int(rim), measure, tag])

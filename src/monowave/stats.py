@@ -150,10 +150,8 @@ def covariance_compare(wave: MonochromaticWave, R: float, W: float, lags,
     f0 = wave.value(x)
     mu = empirical_measure(wave.dirs)
     kernel = PlaneWaveSum(mu.freqs, mu.weights)  # E[F(x) F(x - tau)], kernel(0) = 1
-    rep = _mc_judge((f0 * wave.value(x + tau) for tau in lags),
-                    [kernel.value(tau) for tau in lags], n_samples)
-    rep.meta["max_abs_error"] = float(np.max(np.abs(rep.estimate - rep.predicted)))
-    return rep
+    return _mc_judge((f0 * wave.value(x + tau) for tau in lags),
+                     [kernel.value(tau) for tau in lags], n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +250,7 @@ def pushforward_distance(wave: MonochromaticWave, R: float, sampler, y_points,
     est = np.concatenate([ks, [energy]])
     pred = np.zeros(len(ks) + 1)
     tol = np.concatenate([np.full(len(ks), np.inf), [threshold]])
-    rep = _judge(est, pred, np.zeros_like(est), tol, n_samples,
-                 ks=ks, energy=energy, threshold=threshold)
-    rep.meta["gaussian_indistinguishable"] = energy <= threshold
-    return rep
+    return _judge(est, pred, np.zeros_like(est), tol, n_samples)
 
 
 # ---------------------------------------------------------------------------

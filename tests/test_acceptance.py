@@ -261,7 +261,7 @@ def test_a09_radial_nesting_path():
         deg[b] += 1
     is_path = len(interior) == 6 and len(edges) == 5 and max(deg.values()) <= 2
 
-    z = dec._ensure_zero()
+    z = nodal_volume(g)
     pieces = nodal._parent_pieces(dec, tree)
     radii = sorted(z.piece_measure[pieces[c]] / (2 * math.pi) for c, _ in edges)
     errs = [abs(2 * math.pi * r - zk) for r, zk in zip(radii, bessel_zero_table(5))]

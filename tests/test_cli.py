@@ -92,9 +92,13 @@ def test_exit_codes(tmp_path, monkeypatch):
         ("command = fig1\nh = 0\n", "spacing"),
         # moments of order 1..p_max: p_max = 0 asks for none
         ("command = moments\nR = 20\nW = 1\np_max = 0\nsamples = 50\n", "p_max"),
+        # the spatial sample is drawn from B(R): R must be positive
+        ("command = moments\nR = 0\nW = 1\nsamples = 50\n", "R must be positive"),
+        ("command = smallvalues\nR = -20\nsamples = 50\n", "R must be positive"),
     ],
     ids=["smallvalues-0", "doubling-0", "doubling-no-samples", "charfn-0", "kacrice-atomic-0",
-         "charfn-1", "nodal-stats-h0", "nodal-stats-h-negative", "fig1-h0", "moments-p_max-0"],
+         "charfn-1", "nodal-stats-h0", "nodal-stats-h-negative", "fig1-h0", "moments-p_max-0",
+         "moments-R-0", "smallvalues-R-negative"],
 )
 def test_out_of_range_samples_and_spacing_exit_2(tmp_path, capsys, body, err):
     # every Monte Carlo stderr uses ddof=1, so fewer than 2 samples has none
@@ -219,7 +223,7 @@ def test_nodal_stats_on_cosine_fixture(tmp_path, cosine_wave):
 @pytest.mark.parametrize("m, N, W, h", [(2, 8, 4, 0.05), (3, 16, 2, 0.1)])
 def test_nodal_stats_extracts_the_zero_set_once(tmp_path, monkeypatch, m, N, W, h):
     # the measures, the 3D classes, the component export and the svg all read
-    # the zero set that the decomposition caches
+    # the zero set that the grid caches
     calls = []
     extract = nodal._extract_zero_set
 

@@ -401,6 +401,19 @@ def test_mask_is_computed_once_and_read_only():
     assert box.mask() is box.mask() and not box.mask().flags.writeable
 
 
+def test_empty_mask_is_refused():
+    # a ball clear of the box selects no vertex: the labeling and the zero
+    # set, which reach the mask separately, both refuse it
+    from monowave.nodal import label_domains, nodal_volume
+
+    for measure in (ScalarGrid.mask, label_domains, nodal_volume):
+        g = ScalarGrid(origin=np.zeros(2), spacing=0.5, shape=(3, 4), values=np.ones(12),
+                       ball_center=np.array([10.0, 10.0]), ball_radius=0.5)
+        with pytest.raises(ValueError, match="selects no vertices"):
+            measure(g)
+        assert g._mask is None
+
+
 def test_mask_cache_leaves_no_cycle():
     # with the cyclic collector off, reference counting alone must free the grid
     gc.disable()

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import itertools
 import math
+import os
 import weakref
 from collections import deque
 from types import SimpleNamespace
@@ -165,28 +166,74 @@ def test_label_signs_follow_the_tie_rule(shape):
         assert np.array_equal(signs > 0, clamped_pos)
 
 
-def test_label_domains_caches_and_is_deterministic(cosine_wave):
+def test_label_domains_is_deterministic(cosine_wave):
     g = sample_on_grid(cosine_wave, np.zeros(2), 4.0, 0.05)
     dec1 = label_domains(g)
-    assert label_domains(g) is dec1  # cached on the grid
     g2 = sample_on_grid(cosine_wave, np.zeros(2), 4.0, 0.05)
     assert np.array_equal(label_domains(g2).labels, dec1.labels)
 
 
-def test_decomposition_cache_leaves_no_cycle(cosine_wave):
+def test_zero_set_cache_leaves_no_cycle(cosine_wave):
     # with the cyclic collector off, only reference counting can free the
-    # grid: the cached decomposition must not keep it alive
+    # grid: the zero set cached on it must not keep it alive
     gc.disable()
     try:
         g = sample_on_grid(cosine_wave, np.zeros(2), 4.0, 0.05)
-        dec = label_domains(g)
-        nodal_volume(g)
-        assert label_domains(g) is dec
-        grid_ref = weakref.ref(g)
-        del dec, g
-        assert grid_ref() is None
+        z = nodal_volume(g)
+        assert nodal_volume(g) is z
+        grid_ref, zero_ref = weakref.ref(g), weakref.ref(z)
+        del g
+        assert grid_ref() is None and zero_ref() is z
+        del z
+        assert zero_ref() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("m, R, r, h", [(2, 5.0, 1.0, 0.05), (3, 0.7, 0.5, 0.1)])
+def test_zero_set_needs_no_labeling(monkeypatch, m, R, r, h):
+    # the zero set is a function of the grid alone: with the labeling made to
+    # fail, the measures and the sandwich read the same values as before
+    F = sample_uniform(m, 256, 30 + m)
+    want_geom = nodal_volume(sample_on_grid(F, np.zeros(m), R + r, h))
+    want_sw = stats.volume_sandwich_check(sample_on_grid(F, np.zeros(m), R + r, h), R, r)
+
+    def refuse(grid):
+        raise AssertionError("the zero set reached for the labeling")
+
+    monkeypatch.setattr(nodal, "label_domains", refuse)
+    geom = nodal_volume(sample_on_grid(F, np.zeros(m), R + r, h))
+    assert len(geom.edge_ends) > 100
+    for f in dataclasses.fields(geom):
+        got, want = getattr(geom, f.name), getattr(want_geom, f.name)
+        if isinstance(want, np.ndarray):
+            assert got.tobytes() == want.tobytes(), f.name
+        else:
+            assert got == want, f.name
+    sw = stats.volume_sandwich_check(sample_on_grid(F, np.zeros(m), R + r, h), R, r)
+    assert sw.meta == want_sw.meta and sw.n_samples == want_sw.n_samples
+    for name in ("estimate", "predicted", "tolerance", "within"):
+        assert getattr(sw, name).tobytes() == getattr(want_sw, name).tobytes(), name
+
+
+def test_one_extraction_per_grid(monkeypatch):
+    # labeling, measures, 3D classes and the component export of one grid
+    # share the zero set cached on it
+    calls = []
+    extract = nodal._extract_zero_set
+
+    def counted(grid):
+        calls.append(grid)
+        return extract(grid)
+
+    monkeypatch.setattr(nodal, "_extract_zero_set", counted)
+    g = bubble_grids(3, np.random.default_rng(53))[0]
+    dec = label_domains(g)
+    z = nodal_volume(g)
+    classify_topology(dec)
+    export_components_csv(dec, os.devnull)
+    assert nodal._interior_pieces(dec, z).any()
+    assert len(calls) == 1 and calls[0] is g
 
 
 def test_cosine_fixture_decomposition(cosine_wave):
@@ -197,7 +244,7 @@ def test_cosine_fixture_decomposition(cosine_wave):
     assert dec.total_components == 17
     assert dec.interior_count == 0
     assert len(dec.adjacency) == 16
-    _, mesh = set_loop_grouping(dec._ensure_zero(), dec.labels)
+    _, mesh = set_loop_grouping(nodal_volume(g), dec.labels)
     assert sorted(list(k) for k, _ in mesh) == dec.adjacency.tolist()
     assert all(len(p) == 1 for _, p in mesh)
     assert set(dec.sign.tolist()) == {-1, 1}
@@ -266,7 +313,7 @@ def test_j0_nesting_tree_regression():
     assert dec.total_components == 7
     tree = build_nesting_tree(dec)
     assert tree.code == "(" * 7 + ")" * 7
-    z = dec._ensure_zero()
+    z = nodal_volume(g)
     radii = sorted(z.piece_measure[p] / (2 * math.pi)
                    for p in nodal._parent_pieces(dec, tree).values())
     zeros = bessel_zero_table(6)
@@ -309,9 +356,9 @@ def test_crossing_curves_resolve_into_a_tree():
     assert dec.adjacency.tolist() == [[0, 1], [0, 2]]
     tree = build_nesting_tree(dec)
     assert tree.code == "((())())" and tree.parent[1] == 0
-    z = dec._ensure_zero()
+    z = nodal_volume(g)
     (piece,) = nodal._parent_pieces(dec, tree).values()
-    assert not z.piece_boundary[piece] and piece not in open_curve_pieces(z)
+    assert nodal._interior_pieces(dec, z)[piece] and piece not in open_curve_pieces(z)
     # the circle's arc left of the line x = 0.017 and the chord along it
     r, x = 0.51, 0.017
     want = 2 * r * (math.pi - math.acos(x / r)) + 2 * math.sqrt(r * r - x * x)
@@ -348,10 +395,9 @@ def _tetrahedron(base: int) -> list[list[int]]:
 ])
 def test_piece_tag_exclusion_reasons(dim, elements, reason):
     elements = np.array(elements)
-    z = SimpleNamespace(dim=dim, elements=elements, element_piece=np.zeros(len(elements), int),
-                        piece_boundary=np.array([False]))
+    z = SimpleNamespace(dim=dim, elements=elements, element_piece=np.zeros(len(elements), int))
     with pytest.raises(DegenerateSampleError) as info:
-        nodal._genus_tagger(z)(0)
+        nodal._genus_tagger(z, np.array([True]))(0)
     assert info.value.reason == reason
 
 
@@ -368,9 +414,13 @@ def test_classify_raises_the_first_bad_piece_in_piece_order(first, second):
     rows += [[30, 31, 32]]
     piece = [2] * len(bad[second]) + [1] * len(bad[first]) + [0]
     elements = np.array(rows)
+    # one crossing edge per piece: piece 0's joins two vertices of the rim
+    # component 0, pieces 1 and 2 join it to the interior component 1
     z = SimpleNamespace(dim=3, elements=elements, element_piece=np.array(piece),
-                        piece_boundary=np.array([True, False, False]))
-    dec = SimpleNamespace(_ensure_zero=lambda: z, grid=SimpleNamespace(dim=3))
+                        piece_measure=np.zeros(3), edge_piece=np.arange(3),
+                        edge_ends=np.arange(6).reshape(3, 2))
+    dec = SimpleNamespace(grid=SimpleNamespace(dim=3, _zero=z), labels=np.array([0, 0, 0, 1, 1, 0]),
+                          touches_boundary=np.array([True, False]))
     with pytest.raises(DegenerateSampleError) as info:
         classify_topology(dec)
     assert info.value.reason == first
@@ -386,7 +436,7 @@ def test_open_curve_found_in_its_own_piece():
     # 2D: piece 1 is a closed square loop, piece 0 an open path listed after it
     elements = np.array([[0, 1], [1, 2], [2, 3], [3, 0], [4, 5], [5, 6]])
     z = SimpleNamespace(dim=2, elements=elements, element_piece=np.array([1, 1, 1, 1, 0, 0]),
-                        piece_boundary=np.array([False, False]), edge_ends=np.zeros((7, 2), int))
+                        edge_ends=np.zeros((7, 2), int))
     assert open_curve_pieces(z) == {0}
 
 
@@ -514,7 +564,7 @@ def test_pair_keys_do_not_wrap_with_int32_labels():
     # every interior component finds the piece toward its parent, the hole too
     pieces = nodal._parent_pieces(dec, tree)
     assert set(pieces) == set(np.flatnonzero(~dec.touches_boundary).tolist())
-    z = dec._ensure_zero()
+    z = nodal_volume(g)
     ends = dec.labels[z.edge_ends[z.edge_piece == pieces[hole]]]
     assert set(ends.reshape(-1).tolist()) == {block, hole}
 
@@ -551,20 +601,19 @@ def test_zero_set_matches_list_dsu_and_set_loops(monkeypatch, m, W, h):
     def decompose():
         g = sample_on_grid(F, np.full(m, 0.3), W, h)
         dec = label_domains(g)
-        return g, dec, nodal_volume(g), dec._ensure_zero()
+        return g, dec, nodal_volume(g)
 
-    g, dec, geom, z = decompose()
+    g, dec, z = decompose()
     with monkeypatch.context() as mp:
         mp.setattr(nodal, "_connected", list_dsu_ids)
-        _, ref_dec, ref_geom, ref = decompose()
+        _, ref_dec, ref = decompose()
     assert np.array_equal(dec.labels, ref_dec.labels)
     assert dec.adjacency.tobytes() == ref_dec.adjacency.tobytes()
     for name in ("sign", "size", "touches_boundary"):
         assert getattr(dec, name).tobytes() == getattr(ref_dec, name).tobytes(), name
     assert np.array_equal(z.edge_piece, ref.edge_piece)
-    assert z.piece_boundary.tobytes() == ref.piece_boundary.tobytes()
+    assert nodal._interior_pieces(dec, z).tobytes() == nodal._interior_pieces(ref_dec, ref).tobytes()
     assert z.piece_measure.tobytes() == ref.piece_measure.tobytes()
-    assert geom.measures.tobytes() == ref_geom.measures.tobytes()
 
     # the mesh's component pairs, grouped by a per-edge set loop, are the
     # labeling's adjacency once contacts between two rim components drop out
@@ -591,12 +640,12 @@ def check_mesh_against_labeling(g: ScalarGrid) -> int:
     interior component; and the tree builds. Returns the interior piece count.
     """
     dec = label_domains(g)
-    z = dec._ensure_zero()
+    z = nodal_volume(g)
     neigh, mesh = set_loop_grouping(z, dec.labels)
     off_rim = off_rim_pairs(dec, (k for k, _ in mesh))
     assert off_rim == off_rim_pairs(dec, dec.adjacency.tolist())
     assert all(len(pieces) == 1 for k, pieces in mesh if k in off_rim)
-    interior = np.flatnonzero(~z.piece_boundary)
+    interior = np.flatnonzero(nodal._interior_pieces(dec, z))
     assert all(len(neigh[p]) == 2 for p in interior)
     if g.dim == 2:
         assert not open_curve_pieces(z) & set(interior.tolist())
@@ -668,8 +717,12 @@ def summed_case_elements(grid: ScalarGrid, v: np.ndarray) -> tuple[np.ndarray, i
     return (np.concatenate(rows) if rows else np.empty((0, m), dtype=np.int64)), covered
 
 
-def sorted_zero_set(grid: ScalarGrid, labels: np.ndarray, interior: np.ndarray) -> nodal.NodalGeometry:
-    """Reference: the former extraction, np.unique over the element edge ids and a clamped copy."""
+def sorted_zero_set(grid: ScalarGrid, labels: np.ndarray,
+                    interior: np.ndarray) -> tuple[nodal.NodalGeometry, np.ndarray]:
+    """Reference: the former extraction, np.unique over the element edge ids and a clamped copy.
+
+    Also returns, per piece, that it borders no component flagged in interior.
+    """
     v = clamped(grid)
     elements, covered = summed_case_elements(grid, v)
     uniq, inv = np.unique(elements.reshape(-1), return_inverse=True)
@@ -698,9 +751,9 @@ def sorted_zero_set(grid: ScalarGrid, labels: np.ndarray, interior: np.ndarray) 
     return nodal.NodalGeometry(
         dim=grid.dim, edge_points=edge_points, edge_piece=edge_piece,
         edge_ends=np.stack([ends_u, ends_v], axis=-1), covered_volume=covered * grid.spacing**grid.dim,
-        piece_measure=piece_measure, piece_boundary=~piece_interior,
-        elements=elements, element_piece=elem_piece, element_measure=measure,
-    )
+        piece_measure=piece_measure, elements=elements, element_piece=elem_piece,
+        element_measure=measure,
+    ), ~piece_interior
 
 
 def oracle_grid(name: str) -> ScalarGrid:
@@ -727,9 +780,9 @@ def oracle_grid(name: str) -> ScalarGrid:
 def test_zero_set_bitwise_equals_sorted_reference(name):
     grid = oracle_grid(name)
     dec = label_domains(grid)
-    interior = ~dec.touches_boundary
-    z = nodal._extract_zero_set(grid, dec.labels, interior)
-    ref = sorted_zero_set(grid, dec.labels, interior)
+    z = nodal._extract_zero_set(grid)
+    ref, ref_boundary = sorted_zero_set(grid, dec.labels, ~dec.touches_boundary)
+    assert (~nodal._interior_pieces(dec, z)).tobytes() == ref_boundary.tobytes()
     if name.startswith("one-sign"):
         assert len(ref.edge_ends) == 0
     else:
@@ -757,9 +810,7 @@ def test_zero_set_extraction_memory():
     # and the element measures taken in blocks, 4.11 without the crossing
     # edges' grid ids
     g = memory_test_grid()
-    dec = label_domains(g)
-    interior = ~dec.touches_boundary
-    assert traced_peak(lambda: nodal._extract_zero_set(g, dec.labels, interior)) < 4.5 * g.values.nbytes
+    assert traced_peak(lambda: nodal._extract_zero_set(g)) < 4.5 * g.values.nbytes
 
 
 def test_sandwich_clipper_memory():
@@ -821,15 +872,16 @@ def test_piece_boundary_matches_grid_sized_shell(m):
                             values=sample_uniform(m, 64, 9).on_grid(np.zeros(m), shape, 0.1)))
     for g in grids:
         dec = label_domains(g)
-        z = dec._ensure_zero()
+        z = nodal_volume(g)
         on_rim = set(dec.labels[rim_reference(g).reshape(-1)].tolist())
         u, v = z.edge_ends.T
         want = np.ones(len(z.piece_measure), dtype=bool)
         for p, a, b in zip(z.edge_piece.tolist(), dec.labels[u].tolist(), dec.labels[v].tolist()):
             if a not in on_rim or b not in on_rim:
                 want[p] = False
-        assert z.piece_boundary.dtype == bool
-        assert z.piece_boundary.tobytes() == want.tobytes()
+        interior = nodal._interior_pieces(dec, z)
+        assert interior.dtype == bool
+        assert (~interior).tobytes() == want.tobytes()
         assert want.any()
         if g.ball_radius is not None:
             assert not want.all()
@@ -878,7 +930,7 @@ def per_cell_elements(grid: ScalarGrid):
 @pytest.mark.parametrize("m, W, h", [(2, 2.0, 0.1), (3, 0.9, 0.1)])
 def test_crossing_elements_match_per_cell_loop(m, W, h):
     g = sample_on_grid(sample_uniform(m, 64, 5 + m), np.full(m, 0.2), W, h)
-    z = label_domains(g)._ensure_zero()
+    z = nodal_volume(g)
     ends, measures = per_cell_elements(g)
     assert len(ends) > 20
     assert np.array_equal(z.edge_ends[z.elements], ends)

@@ -79,7 +79,7 @@ def test_covariance_compare(cosine_wave):
         [math.cos(2 * math.pi * 0.3), 1.0, math.cos(2 * math.pi * 1.3)],
         atol=1e-12,
     )
-    assert rep.meta["max_abs_error"] < 0.02
+    assert np.max(np.abs(rep.estimate - rep.predicted)) < 0.02
 
 
 def test_kac_rice_closed_forms():
@@ -292,9 +292,11 @@ def test_pushforward_distance(wave64):
         wave64, 150.0, mu, [[0.0, 0.0], [0.3, 0.4]], 800, seed=21,
         subsample=400, permutations=100,
     )
-    assert rep.meta["gaussian_indistinguishable"]
-    assert rep.meta["energy"] <= rep.meta["threshold"]
-    assert np.all(rep.meta["ks"] < 0.1)
+    # rows: the KS distance per window point, then the energy distance
+    # against its permutation threshold
+    assert rep.within[-1]
+    assert rep.estimate[-1] <= rep.tolerance[-1]
+    assert np.all(rep.estimate[:-1] < 0.1)
 
 
 def _distances(pts):
@@ -373,7 +375,7 @@ def test_pushforward_null_matches_per_split_loop(wave64, monkeypatch):
         assert np.all(seen["signs"][perm[:keep], i + 1] == 1.0)
         null[i] = _energy_from_matrix(D, perm[:keep], perm[keep:])
     tol = 1e-14 * D.mean()
-    assert abs(rep.meta["energy"] - energy) <= tol
-    assert abs(rep.meta["threshold"] - np.quantile(null, 0.95)) <= tol
+    assert abs(rep.estimate[-1] - energy) <= tol
+    assert abs(rep.tolerance[-1] - np.quantile(null, 0.95)) <= tol
     assert seen["signs"].shape == (2 * keep, permutations + 1)
     assert np.all(seen["signs"].sum(axis=0) == 0)
