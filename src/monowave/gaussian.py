@@ -14,7 +14,14 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import PlaneWaveSum, _chebyshev_count, _LowRankLattice, bessel_sequence
+from .field import (
+    PlaneWaveSum,
+    _chebyshev_count,
+    _circle_spectrum,
+    _LowRankLattice,
+    _on_unit_circle,
+    bessel_sequence,
+)
 from .grid import lattice_ball
 from .partition import SpherePartition, positive_side
 
@@ -158,29 +165,24 @@ def _circle_series(field: PlaneWaveSum, W: float, h: float) -> tuple[np.ndarray,
     is the same series with terms times ik / W. Since J_{-k} = (-1)^k J_k,
     the factor of order k is i^|k| J_|k|(w); the factors depend on W alone
     and are computed once per W (_circle_factors). S_k comes from the powers
-    of e^{-i theta_j} = v_j1 - i v_j2, a (K, J) table built one order at a
-    time; each series is one inverse FFT of the spectrum folded mod n, which
-    is exact at n equispaced angles, so 2K + 1 may exceed n. The orders stop
-    at K = _chebyshev_count(w, 2). Since |J_k(w)| <= (w/2)^k / k!, the
-    dropped terms weigh at most 2 sum_{k > K} (w/2)^k / k! sum_j |c_j| in
-    the value and 2 pi sum_{k >= K} (w/2)^k / k! sum_j |c_j| in the
-    derivative, both below 1e-15 sum_j |c_j|. The powers need |v_j| = 1:
-    frequencies off the unit circle by more than 1e-12 are refused.
+    of e^{-i theta_j} = v_j1 - i v_j2 (field._circle_spectrum, which also
+    compresses the lattice core of a 2D draw); each series is one inverse
+    FFT of the spectrum folded mod n, which is exact at n equispaced angles,
+    so 2K + 1 may exceed n. The orders stop at K = _chebyshev_count(w, 2).
+    Since |J_k(w)| <= (w/2)^k / k!, the dropped terms weigh at most
+    2 sum_{k > K} (w/2)^k / k! sum_j |c_j| in the value and
+    2 pi sum_{k >= K} (w/2)^k / k! sum_j |c_j| in the derivative, both below
+    1e-15 sum_j |c_j|. The powers need |v_j| = 1: frequencies off the unit
+    circle by more than 1e-12 are refused, and the others are read as their
+    directions v_j / |v_j|.
     """
     freqs, c = field.plane_waves()
-    u = freqs[:, 0] + 1j * freqs[:, 1]  # e^{i theta_j}
-    if np.any(np.abs(np.abs(u) - 1.0) > 1e-12):
+    if not _on_unit_circle(freqs):
         raise ValueError("the circle probe needs unit frequencies (within 1e-12)")
     factors = _circle_factors(W)
     K = len(factors) // 2
-    # e^{ik theta_j} for k = 1..K, then S_k for k = -K..K
-    powers = np.empty((K, len(u)), dtype=complex)
-    powers[0] = u
-    for row in range(1, K):
-        np.multiply(powers[row - 1], u, out=powers[row])
-    S = np.concatenate([(powers @ c)[::-1], [np.sum(c)], np.conj(powers @ np.conj(c))])
     k = np.arange(-K, K + 1)
-    terms = factors * S
+    terms = factors * _circle_spectrum(freqs, c, K)
     n = max(64, int(np.ceil(TWO_PI * W / h)))
     spec = np.zeros((2, n), dtype=complex)
     np.add.at(spec[0], k % n, terms)
@@ -198,9 +200,14 @@ def check_nondegenerate(field: PlaneWaveSum, W: float, h: float = 0.05,
     partial derivative (the same sum with coefficients 2 pi i v_a c) come from
     one Chebyshev core over that box (field._LowRankLattice), contracted once
     with the interpolation tables and once per axis with that axis's
-    differentiated table. The report keeps the core as its lattice: any grid
-    inside the box, such as the measurement grid on B(W), is filled
-    from it by sample_on_grid(report.lattice, ...) without a second core.
+    differentiated table. In R^2 a sum of unit frequencies with more than
+    P = 2K + 1 terms, such as a draw of sample_uniform, builds that core
+    from P equispaced directions with the same circular spectrum up to the
+    order K that the box's disc needs (Rokhlin, J. Comput. Phys. 86, 1990;
+    Appl. Comput. Harmon. Anal. 1, 1993): 179 directions instead of 1024 at
+    W = 4. The report keeps the core as its lattice: any grid inside the
+    box, such as the measurement grid on B(W), is filled from it by
+    sample_on_grid(report.lattice, ...) without a second core.
     The spherical part is |g|
     plus the tangential gradient: in R^2 on max(64, ceil(2 pi W / h)) equispaced
     points of the circle, from the field's Jacobi-Anger series

@@ -595,8 +595,9 @@ def _parent_pieces(dec: NodalDecomposition, tree: NestingTree) -> dict[int, int]
     """
     z = nodal_volume(dec.grid)
     ncomp = dec.total_components
-    lab = dec.labels[z.edge_ends].astype(np.int64)  # int32 labels: ncomp^2 may pass 2^31
-    keys = lab.min(axis=1) * ncomp + lab.max(axis=1)
+    # the two end labels as two rows; int32 labels: ncomp^2 may pass 2^31
+    a, b = dec.labels[z.edge_ends.T].astype(np.int64)
+    keys = np.minimum(a, b) * ncomp + np.maximum(a, b)
     order = np.argsort(z.edge_piece, kind="stable")[::-1]  # the lowest piece comes last and stays
     piece_of = dict(zip(keys[order].tolist(), z.edge_piece[order].tolist()))
     pieces = {}

@@ -71,7 +71,7 @@ def test_exit_codes(tmp_path, monkeypatch):
     assert main(["--config"]) == 2
 
     def boom(cfg, outdir):
-        raise DegenerateSampleError("planted")
+        raise DegenerateSampleError("planted", "not_a_tree")
 
     monkeypatch.setitem(cli._RUNNERS, "gen-wave", boom)
     g = write_cfg(tmp_path, "command = gen-wave\nN = 4\n", "g.cfg")

@@ -8,18 +8,21 @@ from hypothesis import strategies as st
 from monowave import field
 from monowave.directions import DirectionSet, empirical_measure, generate_uniform_directions
 from monowave.field import (
+    _LOWRANK_TOL,
     MonochromaticWave,
     PlaneWaveSum,
     _chebyshev_count,
+    _LowRankLattice,
     bessel_j,
     bessel_sequence,
     eval_bk,
     make_wave,
 )
-from monowave.gaussian import child_rng
+from monowave.gaussian import child_rng, sample_uniform
+from monowave.grid import lattice_ball, plane_wave_grid
 from monowave.partition import build_partition
 
-from conftest import traced_peak
+from conftest import chebyshev_tail, fill_rounding, traced_peak
 
 # frozen with mpmath at 30 digits
 BESSEL_TABLE = [
@@ -211,6 +214,81 @@ def test_derivative_sums_on_grid_match_gradient(seed, m):
     for a in range(m):
         part = PlaneWaveSum(freqs, 2j * math.pi * freqs[:, a] * c).on_grid(origin, shape, h)
         assert np.max(np.abs(part - grad[..., a])) < 1e-12 * 2 * math.pi
+
+
+@pytest.mark.parametrize("K", [0, 1, 3, 8, 15, 89, 237])  # ladder widths 1, 2, 2, 3, 4, 10, 16
+def test_circle_spectrum_matches_direct_powers(K):
+    # S_k = sum_j c_j e^{-ik theta_j}, k = -K..K, against exp of k theta_j; both
+    # round phases of size |k| pi, so they agree within a few (1 + K) eps sum_j |c_j|
+    F = sample_uniform(2, 1024, K)
+    freqs, c = F.plane_waves()
+    theta = np.arctan2(freqs[:, 1], freqs[:, 0])
+    want = np.exp(-1j * np.outer(np.arange(-K, K + 1), theta)) @ c
+    got = field._circle_spectrum(freqs, c, K)
+    assert got.shape == (2 * K + 1,)
+    assert np.abs(got - want).max() <= 4 * (1 + K) * np.finfo(float).eps * np.abs(c).sum()
+
+
+@pytest.mark.parametrize("W", [4.0, 16.0])
+def test_compressed_fill_stays_within_its_bound(W, monkeypatch):
+    # a Gaussian draw at M = 1024 over the probe's box of B(W + 1): its core
+    # sums P = 2K + 1 < J equispaced directions (179 at W = 4, 475 at W = 16),
+    # and the fills on the box and on an off-centre sub-lattice at half the
+    # pitch stay within the bound of the Compression paragraph of
+    # _LowRankLattice against the direct rank-J fill
+    F = sample_uniform(2, 1024, 7)
+    freqs, c = F.plane_waves()
+    axes, inside = lattice_ball(np.zeros(2), W + 1, 0.1)
+    cover = (np.array([ax[0] for ax in axes]), inside.shape, 0.1)
+    R = cover[2] * (np.asarray(cover[1]) - 1) / 2
+    w = 2 * math.pi * math.hypot(*R)
+    K = _chebyshev_count(w, 2)
+    P = 2 * K + 1
+    compressed = []
+    equispaced = field._equispaced
+
+    def spy(*args):
+        compressed.append(equispaced(*args))
+        return compressed[-1]
+
+    monkeypatch.setattr(field, "_equispaced", spy)
+    lattice = _LowRankLattice(freqs, c, *cover)
+    assert len(compressed) == 1 and len(compressed[0][1]) == P < len(c)
+
+    # the spectrum S_k of the coefficients with the centre's phase, straight
+    # from exp; the compressed sum has S_{k mod P} at every order
+    theta = np.arctan2(freqs[:, 1], freqs[:, 0])
+    centred = c * np.exp(2j * math.pi * (freqs @ (cover[0] + R)))
+    S = np.exp(-1j * np.outer(np.arange(-K, K + 1), theta)) @ centred
+    p_freqs, p_coeffs = compressed[0]
+    k = np.arange(-K - P, K + P + 1)
+    aliased = np.exp(-1j * np.outer(k, np.arctan2(p_freqs[:, 1], p_freqs[:, 0]))) @ p_coeffs
+    total = np.abs(c).sum()
+    assert np.abs(aliased - S[(k + K) % P]).max() <= 1e-12 * total
+
+    # sum_p |c'_p| <= (sum_k |S_k|^2)^{1/2}; the aliased orders, the spectrum's
+    # rounding and both fills' rounding weigh on sum_j |c_j|, the core's
+    # interpolation and rounding on sum_p |c'_p|
+    weight = math.sqrt(np.sum(np.abs(S) ** 2))
+    assert np.abs(p_coeffs).sum() <= weight <= math.sqrt(P) * total
+    eps = np.finfo(float).eps
+    spectrum = 4 * eps * (1 + w / math.sqrt(2)) * math.sqrt(2 * K + 1)
+    rounding = fill_rounding(*cover)
+    value_tol = ((chebyshev_tail(w, K + 1) + spectrum + rounding) * total
+                 + (_LOWRANK_TOL + rounding) * weight)
+    # a sub-lattice at half the pitch, its centre off the cover's
+    shifted = (cover[0] + 0.1 * np.array([13, 5]), (cover[1][0] // 3, cover[1][1] // 4), 0.05)
+    for box in (cover, shifted):
+        val, grads = lattice.grid_and_gradient(*box)
+        assert np.array_equal(val, lattice.grid(*box))
+        assert np.abs(val - plane_wave_grid(freqs, c, *box)).max() <= value_tol
+        for a, grad in enumerate(grads):
+            L = lattice.core.shape[a]
+            interpolation = chebyshev_tail(2 * math.pi * R[a], L - 1) + _LOWRANK_TOL
+            grad_tol = 2 * math.pi * ((chebyshev_tail(w, K) + spectrum + rounding) * total
+                                      + (interpolation + rounding) * weight)
+            want = plane_wave_grid(freqs, 2j * math.pi * freqs[:, a] * c, *box)
+            assert np.abs(grad - want).max() <= grad_tol
 
 
 def test_eval_bk_against_direct_sum():

@@ -26,6 +26,8 @@ from monowave.grid import (
     sample_on_grid,
 )
 
+from conftest import chebyshev_tail, fill_rounding
+
 
 def vertex_radii(g: ScalarGrid) -> np.ndarray:
     """Oracle: np.linalg.norm of every vertex's offset from the mask center."""
@@ -93,33 +95,10 @@ def test_plane_wave_grid_against_direct_sum():
     assert np.max(np.abs(got - direct)) < 1e-11
 
 
-def _rounding(origin, shape, h) -> float:
-    """Rounding of a fill relative to the coefficient scale.
-
-    Both fills round phases of size up to 2 pi |x| on the lattice, so each
-    value may differ by a few eps (1 + 2 pi |x|) times the scale.
-    """
-    far = np.linalg.norm(np.abs(origin) + h * (np.asarray(shape) - 1))
-    return 4 * np.finfo(float).eps * (1 + 2 * math.pi * far)
-
-
 def _lowrank_tolerance(coeffs, origin, shape, h) -> float:
     """Allowed |low-rank - direct| on any lattice in the cover (origin, shape, h):
     the truncation bound plus rounding of both fills."""
-    return (_LOWRANK_TOL + _rounding(origin, shape, h)) * np.abs(coeffs).sum()
-
-
-def _tail(omega: float, L: int) -> float:
-    """4 sum_{k >= L} (omega/2)^k / k!, summed until the terms fall below rounding."""
-    half = omega / 2
-    if half == 0:
-        return 0.0
-    k, term, total = L, math.exp(L * math.log(half) - math.lgamma(L + 1)), 0.0
-    while term > 1e-20 * total or k <= half:
-        total += term
-        k += 1
-        term *= half / k
-    return 4 * total
+    return (_LOWRANK_TOL + fill_rounding(origin, shape, h)) * np.abs(coeffs).sum()
 
 
 def _gradient_tolerance(freqs, coeffs, origin, shape, h, a) -> float:
@@ -135,7 +114,7 @@ def _gradient_tolerance(freqs, coeffs, origin, shape, h, a) -> float:
     omega = 2 * math.pi * rho * h * (shape[a] - 1) / 2
     L = _chebyshev_count(omega, m)
     scale = 2 * math.pi * rho * np.abs(coeffs).sum()
-    return (_tail(omega, L - 1) + _LOWRANK_TOL + _rounding(origin, shape, h)) * scale
+    return (chebyshev_tail(omega, L - 1) + _LOWRANK_TOL + fill_rounding(origin, shape, h)) * scale
 
 
 def _assert_lattice_matches_direct(lattice, cover, freqs, coeffs, origin, shape, h):

@@ -124,6 +124,17 @@ def test_ns_constant_frozen_mean():
     assert est.mean == pytest.approx(0.12613029240032705, rel=1e-12)
 
 
+@pytest.mark.parametrize("seed, mean", [(1, 0.12931339126216498), (9, 0.12294719353848914)])
+def test_ns_constant_benchmark_config_frozen(seed, mean):
+    # the density row of ns.csv on the benchmark's ns-estimate config (uniform
+    # m = 2, W = 4, h = 0.05, 50 trials), frozen exactly from the fill of all
+    # J = 1024 plane waves: the core over 179 equispaced directions moves the
+    # fills by rounding only, and leaves every count and exclusion as it was
+    est = ns_constant_estimate(uniform_measure(2), 4.0, 50, seed=seed, h=0.05)
+    assert est.excluded == 0
+    assert est.mean == mean
+
+
 def test_ns_constant_with_topology():
     mu = empirical_measure(generate_uniform_directions(2, 32, 12))
     # the labeling and the zero set agree at saddle cells and at the rim, so
