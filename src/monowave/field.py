@@ -171,7 +171,8 @@ class _LowRankLattice:
     """Low-rank fills of one plane-wave sum on any regular lattice inside a cover box.
 
     Built from the sum (freqs, one coefficient each) and a cover box
-    (origin, shape, h), like plane_wave_grid, with the same refusals. Let
+    (origin, shape, h), like plane_wave_grid, with the same refusals, and
+    a sum in R^m with m outside {2, 3} is refused. Let
     c = origin + R, R_a = h (n_a - 1) / 2, be the cover's centre, so that
     F(c + y) = Re sum_j c_j e(<v_j, c>) prod_a e(v_ja y_a) with |y_a| <= R_a.
     On axis a, with rho_a = max_j |v_ja| and t_j = v_ja / rho_a in [-1, 1],
@@ -282,6 +283,8 @@ class _LowRankLattice:
 
     def __init__(self, freqs: np.ndarray, coeffs, origin, shape, h: float):
         m = freqs.shape[1]
+        if m not in (2, 3):
+            raise ValueError("grid geometry supports m in {2, 3}")
         origin = _checked_origin(m, origin, shape)
         coeffs = _checked_coeffs(freqs, coeffs)
         n = np.asarray(shape)

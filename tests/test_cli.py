@@ -70,6 +70,15 @@ def test_exit_codes(tmp_path, monkeypatch):
     # argparse errors come back as exit 2, not SystemExit
     assert main(["--config"]) == 2
 
+    # the doubling probe box is 2D or 3D: m = 4 (a 161^4 box, gigabytes) is
+    # refused before lattice_ball builds it
+    def no_box(*args):
+        raise AssertionError("the m = 4 probe box was built")
+
+    monkeypatch.setattr("monowave.growth.lattice_ball", no_box)
+    m4 = write_cfg(tmp_path, "command = doubling\nm = 4\nR = 20\nW = 1\nsamples = 2\n", "m4.cfg")
+    assert main(["--config", m4, "--out", str(tmp_path / "o4")]) == 2
+
     def boom(cfg, outdir):
         raise DegenerateSampleError("planted", "not_a_tree")
 

@@ -361,6 +361,13 @@ def test_grid_fills_refuse_a_dimension_mismatch():
     assert ScalarGrid(origin=np.zeros(3), spacing=0.1, shape=(3, 4, 2), values=np.zeros(24)).dim == 3
 
 
+@pytest.mark.parametrize("m", [1, 4])
+def test_lowrank_fill_refuses_m_outside_2_3(m):
+    F = PlaneWaveSum(np.eye(m)[:1], np.array([1.0 + 0j]))
+    with pytest.raises(ValueError, match=r"m in \{2, 3\}"):
+        F.on_grid(np.zeros(m), (3,) * m, 0.1)
+
+
 def test_box_grid_without_ball_mask():
     vals = np.arange(12, dtype=float)
     g = ScalarGrid(origin=np.zeros(2), spacing=0.5, shape=(3, 4), values=vals)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from monowave.directions import generate_uniform_directions
-from monowave.field import PlaneWaveSum, make_wave
+from monowave.field import _LOWRANK_TOL, PlaneWaveSum, make_wave
+from monowave.gaussian import child_rng
+from monowave.grid import lattice_ball
 from monowave.growth import (
     PROBE_DENSITY,
     DoublingStats,
@@ -15,6 +17,8 @@ from monowave.growth import (
     small_value_fraction,
 )
 from monowave.nodal import DegenerateSampleError
+
+from conftest import fill_rounding
 
 
 def test_scaling_factor():
@@ -32,7 +36,8 @@ def test_doubling_index_of_cosine(cosine_wave):
 
 def _doubling_oracle(field, x, W):
     """Brute force: every point of the box of (1/PROBE_DENSITY) Z^m around the
-    outer ball, each kept by its own norm test, then both suprema with x added."""
+    outer ball, each kept by its own norm test, then both suprema with x added.
+    Returns the index and the inner supremum."""
     h = 1.0 / PROBE_DENSITY
     R = scaling_factor(len(x)) * W
     ks = [np.arange(math.floor((c - R) / h), math.ceil((c + R) / h) + 1) for c in x]
@@ -40,15 +45,67 @@ def _doubling_oracle(field, x, W):
     dist = np.linalg.norm(pts - x, axis=1)
     keep = dist <= R
     vals = np.abs(field.value(np.concatenate([pts[keep], x[None, :]])))
-    inner = np.append(dist[keep] <= W, True)
-    return math.log(vals.max() / vals[inner].max()) + 1.0
+    sup_inner = vals[np.append(dist[keep] <= W, True)].max()
+    return math.log(vals.max() / sup_inner) + 1.0, sup_inner
 
 
-@pytest.mark.parametrize("m, W", [(2, 1.5), (3, 1.0)])
+class _PointwiseOnly:
+    """A wave seen only through .dirs and .value, as the benchmark's traced proxy sees it."""
+
+    def __init__(self, wave):
+        self.dirs, self.value = wave.dirs, wave.value
+
+
+BRUTE_FORCE_CASES = pytest.mark.parametrize("m, W", [(2, 1.5), (3, 1.0)])
+OFF_LATTICE = np.array([0.3137, -1.2718, 0.0421])  # no coordinate on the probe lattice
+
+
+@BRUTE_FORCE_CASES
 def test_doubling_index_matches_brute_force(m, W):
+    # an evaluator that is not a PlaneWaveSum is probed pointwise: bitwise the oracle
     w = make_wave(generate_uniform_directions(m, 12, 4), seed=6)
-    x = np.array([0.3137, -1.2718, 0.0421][:m])  # off the probe lattice
-    assert doubling_index(w, x, W) == _doubling_oracle(w, x, W)  # bitwise
+    x = OFF_LATTICE[:m]
+    assert doubling_index(_PointwiseOnly(w), x, W) == _doubling_oracle(w, x, W)[0]  # bitwise
+
+
+@BRUTE_FORCE_CASES
+def test_doubling_index_fill_within_bound_of_brute_force(m, W):
+    w = make_wave(generate_uniform_directions(m, 12, 4), seed=6)
+    x = OFF_LATTICE[:m]
+    want, sup_inner = _doubling_oracle(w, x, W)
+    # A PlaneWaveSum fills the probe box through on_grid. Each filled value is
+    # within delta of the pointwise one: the low-rank fill's truncation
+    # _LOWRANK_TOL plus the rounding of the fill and of the pointwise
+    # evaluation, each fill_rounding of the box, all times sum_j |c_j|. A
+    # supremum over a set moves by at most the largest move of its values, so
+    # each log supremum moves by at most delta / sup_inner (the outer
+    # supremum is the larger), and the index by at most 2 delta / sup_inner.
+    axes, _ = lattice_ball(x, scaling_factor(m) * W, 1.0 / PROBE_DENSITY)
+    box = ([ax[0] for ax in axes], tuple(map(len, axes)), 1.0 / PROBE_DENSITY)
+    delta = (_LOWRANK_TOL + 2 * fill_rounding(*box)) * np.abs(w.amps).sum()
+    got = doubling_index(w, x, W)
+    assert abs(got - want) <= 2 * delta / sup_inner
+
+
+# the tails of the benchmark's wave-report doubling (m = 2, N = 64, uniform
+# directions, R = 200, W = 2, 20 centres) on the CLI's Q grid, as counts of
+# the 20 centres above each Q, frozen from the pointwise probe: the lattice
+# fill moves the indices only at rounding, and no index crosses a Q
+WAVE_REPORT_TAIL_COUNTS = {
+    1: [16, 14, 12, 10, 10, 6, 2, 2, 1],
+    9: [17, 17, 15, 12, 8, 7, 7, 3, 1, 1, 1, 1],
+}
+
+
+@pytest.mark.parametrize("seed", [1, 9], ids=["1", "9"])
+def test_doubling_tails_frozen_on_benchmark_config(seed):
+    dirs = generate_uniform_directions(2, 64, seed)
+    # the CLI's coefficient stream for generator = uniform
+    wave = make_wave(dirs, seed=int(child_rng(seed, 1).integers(2**63)))
+    q_grid = np.arange(1.0, 4.0 + 1e-9, 0.05)
+    counts = WAVE_REPORT_TAIL_COUNTS[seed]
+    want = np.array(counts + [0] * (len(q_grid) - len(counts))) / 20
+    assert np.array_equal(doubling_tail(wave, 200.0, 2.0, 20, seed).tail(q_grid), want)
 
 
 def test_doubling_index_degenerate_field():
