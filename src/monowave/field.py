@@ -19,9 +19,14 @@ than P = 2K + 1, K the circular orders that the cover's disc resolves, is
 first put on P equispaced directions with the same circular spectrum
 S_k = sum_j c_j e^{-ik theta_j}, |k| <= K (Rokhlin, J. Comput. Phys. 86,
 1990; Appl. Comput. Harmon. Anal. 1, 1993), so the core of a Gaussian
-draw sums P terms, not J. on_grid
+draw sums P terms, not J. What depends on the lattice geometry alone (the
+Chebyshev counts, the per-axis tables and, for those P directions, the
+directions and their interpolation weights) is memoized on scalar keys in
+read-only arrays, so a run of draws on one geometry builds it once and each
+draw builds only its spectrum, core and contractions. on_grid
 builds the core over the lattice itself; the nondegeneracy probe builds one
-over its box and the measurement grid of the same draw reuses it.
+over its box, from the circular spectrum it also reads the circle from, and
+the measurement grid of the same draw reuses it.
 plane_wave_grid is the direct rank-J product they are checked against.
 The deterministic wave is
 f(x) = (2N)^{-1/2} * sum over |n| <= N of a_n e(<r_n, x>) with
@@ -33,6 +38,7 @@ are exactly real.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -278,10 +284,38 @@ class _LowRankLattice:
     and 1.4e-13 at W = 16 (1.1e-13, 4 draws). Sums with P >= J (atomic
     measures of few atoms, and N = 64 waves on every cover whose corner is
     more than about 1.3 from its centre), sums off the unit circle, and all
-    3D sums keep their J terms.
+    3D sums keep their J terms. A caller that has computed S_k of the sum
+    to the cover's K may pass it as spectrum (check_nondegenerate does,
+    and reads its circle from the same S_k): it stands for the spectrum
+    of the coefficients with the centre's phase, so the cover must be
+    centred exactly at 0, where that phase is 1, and a spectrum of any
+    other length is refused.
+
+    Set-up. What depends on the lattice geometry alone is memoized on
+    scalar keys (functools.lru_cache, safe under threads), so a run of
+    draws on one geometry builds it once: _chebyshev_count on (omega, m);
+    the tables T_a and D_a (_axis_table, _axis_derivative_table) on
+    (rho_a, L_a, n_a, h, shift_a), which fix theta_l = 2 pi rho_a x_l and
+    the y_i (self.axes holds (rho_a, L_a), and _axis_keys gives a
+    lattice's keys); and, for a compressed sum, the P directions
+    (_equispaced_directions, on P) and their weights Lam_a
+    (_equispaced_weights, on (P, a, L_a)). Every draw of a 2D uniform
+    measure is compressed onto the same P directions, so it repeats
+    every key, and builds only its spectrum, coefficients c'_p, core and
+    contractions. Sums kept with their J terms build their weights per
+    sum as before; a random rho_a (3D uniform draws) misses the table
+    memo on every draw. At maxsize the memos hold 16 tables T_a and 8
+    tables D_a of L_a n_a doubles, 8 weight tables of L_a P doubles, 4
+    direction sets and 256 counts. The ns-estimate geometry (probe box
+    101^2 at pitch 0.1, grid 161^2, L_a = 70, P = 179 at W = 4) fills
+    4 + 2 tables and 2 weight tables, 0.61 MB; at W = 16 (341^2, 641^2,
+    L_a = 176, P = 475) 5.1 MB, and 24 MB if every slot of each memo held
+    its largest W = 16 array. Each memoized array is read-only: writing
+    to it raises ValueError, so no caller can change what the next
+    lattice reads.
     """
 
-    def __init__(self, freqs: np.ndarray, coeffs, origin, shape, h: float):
+    def __init__(self, freqs: np.ndarray, coeffs, origin, shape, h: float, spectrum=None):
         m = freqs.shape[1]
         if m not in (2, 3):
             raise ValueError("grid geometry supports m in {2, 3}")
@@ -290,17 +324,22 @@ class _LowRankLattice:
         n = np.asarray(shape)
         self.radius = h * (n - 1) / 2
         self.centre = origin + self.radius
+        if spectrum is not None and np.any(self.centre != 0):
+            raise ValueError("a shared spectrum needs a cover centred at 0")
         c = coeffs * np.exp(2j * np.pi * (freqs @ self.centre))
+        P = 0  # the equispaced directions of a compressed 2D sum; 0 keeps the J terms
         if m == 2:
-            freqs, c = _equispaced(freqs, c, math.hypot(*self.radius))
+            P, c = _equispaced(freqs, c, _disc_order(self.radius), spectrum)
+            if P:
+                freqs = _equispaced_directions(P)
         rho = np.abs(freqs).max(axis=0, initial=0.0)
         rho[rho == 0] = 1.0  # an axis without frequency content: every t_j is 0
-        lams, self.theta = [], []
+        lams, self.axes = [], []
         for a in range(m):
             count = _chebyshev_count(TWO_PI * rho[a] * self.radius[a], m)
-            lam, nodes = _barycentric_weights(freqs[:, a] / rho[a], count)
-            lams.append(lam)  # (L_a, J)
-            self.theta.append(TWO_PI * rho[a] * nodes[: count // 2])  # the top nodes, x_l > 0
+            lams.append(_equispaced_weights(P, a, count) if P  # (L_a, J)
+                        else _barycentric_weights(freqs[:, a] / rho[a], count)[0])
+            self.axes.append((float(rho[a]), count))
 
         # the complex core by real products, one block per real or imaginary
         # part; 2D keeps each weighted table small, 3D chunks the (J, L_2 L_3)
@@ -330,54 +369,35 @@ class _LowRankLattice:
 
     def grid(self, origin, shape, h: float) -> np.ndarray:
         """The values on origin + h * index, shape shape: plane_wave_grid to the bound."""
-        return self._contract(self._tables(origin, shape, h))
+        return self._contract([_axis_table(*key) for key in self._axis_keys(origin, shape, h)])
 
     def grid_and_gradient(self, origin, shape, h: float) -> tuple[np.ndarray, list[np.ndarray]]:
         """grid, bitwise, and the m partial-derivative grids, from the same tables."""
-        tabs = self._tables(origin, shape, h)
-        grads = [self._contract(tabs[:a] + [d_tab] + tabs[a + 1 :])
-                 for a, d_tab in enumerate(self._derivative_tables(tabs))]
+        keys = self._axis_keys(origin, shape, h)
+        tabs = [_axis_table(*key) for key in keys]
+        grads = [self._contract(tabs[:a] + [_axis_derivative_table(*key)] + tabs[a + 1 :])
+                 for a, key in enumerate(keys)]
         return self._contract(tabs), grads
 
-    def _derivative_tables(self, tabs: list[np.ndarray]) -> list[np.ndarray]:
-        """d/dy of each table: cos and sin rows swapped, times -theta_l and theta_l; 1 row 0."""
-        d_tabs = []
-        for tab, theta in zip(tabs, self.theta):
-            L, H = len(tab), len(theta)
-            d_tab = np.zeros_like(tab)
-            np.multiply(-theta[:, None], tab[L - H :], out=d_tab[:H])
-            np.multiply(theta[:, None], tab[:H], out=d_tab[L - H :])
-            d_tabs.append(d_tab)
-        return d_tabs
+    def _axis_keys(self, origin, shape, h: float) -> list[tuple]:
+        """(rho_a, L_a, n_a, h, shift_a) per axis of a lattice in the cover: _axis_table's keys.
 
-    def _tables(self, origin, shape, h: float) -> list[np.ndarray]:
-        """T_a (L_a, n_a) of a lattice in the cover; one that reaches outside is refused.
-
-        Rows cos(theta_l y_i), then 1 when L_a is odd, then sin(theta_l y_i),
-        over the top nodes l. Each exp(i theta_l y_i), i = q B + r with
-        B = ceil(sqrt(n_a)), is the product of two ladder entries:
-        exp(i theta_l y_{qB}) at the lattice's own coordinates and
-        exp(i theta_l h r).
+        shift = c' - c, exactly 0 on the cover itself. A lattice with a
+        coordinate |y_i| > R_a (1 + 1e-12) is refused; y_i is monotone in i,
+        so its end points are the extremes.
         """
-        origin = _checked_origin(len(self.theta), origin, shape)
+        origin = _checked_origin(len(self.axes), origin, shape)
         n = np.asarray(shape)
         r = h * (n - 1) / 2
-        shift = origin + r - self.centre  # exactly 0 on the cover itself
-        tabs = []
-        for a, theta in enumerate(self.theta):
-            y = h * (np.arange(n[a]) - (n[a] - 1) / 2) + shift[a]
-            if np.abs(y).max(initial=0.0) > self.radius[a] * (1 + 1e-12):
+        shift = origin + r - self.centre
+        keys = []
+        for a, (rho, count) in enumerate(self.axes):
+            n_a, s_a = int(n[a]), float(shift[a])
+            ends = (_axis_coordinates(i, n_a, h, s_a) for i in (0, n_a - 1))
+            if max(map(abs, ends)) > self.radius[a] * (1 + 1e-12):
                 raise ValueError("the lattice reaches outside the cover of the low-rank fill")
-            L, H = self.core.shape[a], len(theta)
-            B = math.isqrt(n[a] - 1) + 1
-            coarse = np.exp(1j * np.outer(theta, y[::B]))  # (H, ceil(n_a / B))
-            fine = np.exp(1j * np.outer(theta, h * np.arange(B)))  # (H, B)
-            phase = (coarse[:, :, None] * fine[:, None, :]).reshape(H, -1)[:, : n[a]]
-            tab = np.ones((L, n[a]))
-            tab[:H] = phase.real
-            tab[L - H :] = phase.imag
-            tabs.append(tab)
-        return tabs
+            keys.append((rho, count, n_a, float(h), s_a))
+        return keys
 
     def _contract(self, tabs: list[np.ndarray]) -> np.ndarray:
         """The real core contracted with one table per axis: the grid, shape (n_1, ..., n_m).
@@ -396,6 +416,56 @@ class _LowRankLattice:
         out = np.empty((n[0], int(np.prod(n[1:]))))
         np.matmul(tabs[0].T, rest, out=out)
         return out.reshape(n)
+
+
+def _axis_coordinates(i, n: int, h: float, shift: float):
+    """y_i = h (i - (n - 1) / 2) + shift: the coordinates of a lattice axis about the cover's centre."""
+    return h * (i - (n - 1) / 2) + shift
+
+
+def _phase_rates(rho: float, count: int) -> np.ndarray:
+    """theta_l = 2 pi rho x_l over the top Chebyshev points x_l > 0 (l < count // 2)."""
+    return TWO_PI * rho * _chebyshev_points(count)[: count // 2]
+
+
+@functools.lru_cache(maxsize=16)
+def _axis_table(rho: float, count: int, n: int, h: float, shift: float) -> np.ndarray:
+    """T_a (count, n) at y_i = _axis_coordinates(i, n, h, shift): read-only, once per key.
+
+    Rows cos(theta_l y_i), then 1 when count is odd, then sin(theta_l y_i),
+    theta_l = _phase_rates(rho, count). Each exp(i theta_l y_i),
+    i = q B + r with B = ceil(sqrt(n)), is the product of two ladder
+    entries: exp(i theta_l y_{qB}) at the lattice's own coordinates and
+    exp(i theta_l h r).
+    """
+    theta = _phase_rates(rho, count)
+    y = _axis_coordinates(np.arange(n), n, h, shift)
+    H = len(theta)
+    B = math.isqrt(n - 1) + 1
+    coarse = np.exp(1j * np.outer(theta, y[::B]))  # (H, ceil(n / B))
+    fine = np.exp(1j * np.outer(theta, h * np.arange(B)))  # (H, B)
+    phase = (coarse[:, :, None] * fine[:, None, :]).reshape(H, -1)[:, :n]
+    tab = np.ones((count, n))
+    tab[:H] = phase.real
+    tab[count - H :] = phase.imag
+    tab.flags.writeable = False
+    return tab
+
+
+@functools.lru_cache(maxsize=8)
+def _axis_derivative_table(rho: float, count: int, n: int, h: float, shift: float) -> np.ndarray:
+    """D_a = d/dy of _axis_table at the same key: read-only, once per key.
+
+    The cos and sin rows swapped, times -theta_l and theta_l; the 1 row 0.
+    """
+    tab = _axis_table(rho, count, n, h, shift)
+    theta = _phase_rates(rho, count)
+    H = len(theta)
+    d_tab = np.zeros_like(tab)
+    np.multiply(-theta[:, None], tab[count - H :], out=d_tab[:H])
+    np.multiply(theta[:, None], tab[:H], out=d_tab[count - H :])
+    d_tab.flags.writeable = False
+    return d_tab
 
 
 def _on_unit_circle(freqs: np.ndarray) -> bool:
@@ -432,24 +502,51 @@ def _ladder(z: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-def _equispaced(freqs: np.ndarray, c: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """The 2D sum on P = 2K + 1 equispaced directions that matches it on the disc of radius r.
+def _disc_order(radius) -> int:
+    """K = _chebyshev_count(2 pi |R|, 2): the circular orders of a 2D cover of half-widths R."""
+    return _chebyshev_count(TWO_PI * math.hypot(*radius), 2)
 
-    K = _chebyshev_count(2 pi r, 2); theta_p = 2 pi p / P and c'_p the inverse
-    FFT of S_k, |k| <= K (_circle_spectrum), so the new sum has the spectrum
-    S_{k mod P}, within the bound of the Compression paragraph of
-    _LowRankLattice of the old one on the disc. A sum that is not on the
-    unit circle, or has no more than P terms, is returned as it is.
+
+def _equispaced(freqs: np.ndarray, c: np.ndarray, K: int, spectrum=None) -> tuple[int, np.ndarray]:
+    """(P, c'_p): the 2D sum on P = 2K + 1 equispaced directions that matches it on its disc.
+
+    K = _disc_order of the cover; theta_p = 2 pi p / P (_equispaced_directions)
+    and c'_p the inverse FFT of S_k, |k| <= K: the given spectrum, or
+    _circle_spectrum of (freqs, c). The new sum has the spectrum S_{k mod P},
+    within the bound of the Compression paragraph of _LowRankLattice of the
+    old one on the disc. A sum that is not on the unit circle, or has no more
+    than P terms, is kept: (0, c). A given spectrum stands for a sum on the
+    unit circle, since _circle_spectrum needs one.
     """
-    K = _chebyshev_count(TWO_PI * r, 2)
     P = 2 * K + 1
-    if P >= len(c) or not _on_unit_circle(freqs):
-        return freqs, c
+    if P >= len(c) or (spectrum is None and not _on_unit_circle(freqs)):
+        return 0, c
+    if spectrum is None:
+        spectrum = _circle_spectrum(freqs, c, K)
+    elif len(spectrum) != P:
+        raise ValueError("a shared spectrum needs the cover's orders -K..K")
+    return P, np.fft.ifft(np.fft.ifftshift(spectrum))  # S_k at k mod P
+
+
+@functools.lru_cache(maxsize=4)
+def _equispaced_directions(P: int) -> np.ndarray:
+    """(cos theta_p, sin theta_p), theta_p = 2 pi p / P: shape (P, 2), read-only, once per P."""
     theta = TWO_PI * np.arange(P) / P
-    spectrum = np.fft.ifftshift(_circle_spectrum(freqs, c, K))  # S_k at k mod P
-    return np.column_stack([np.cos(theta), np.sin(theta)]), np.fft.ifft(spectrum)
+    dirs = np.column_stack([np.cos(theta), np.sin(theta)])
+    dirs.flags.writeable = False
+    return dirs
 
 
+@functools.lru_cache(maxsize=8)
+def _equispaced_weights(P: int, axis: int, count: int) -> np.ndarray:
+    """Lam (count, P) of _barycentric_weights on one axis of the P directions: read-only."""
+    v = _equispaced_directions(P)[:, axis]
+    lam = _barycentric_weights(v / np.abs(v).max(), count)[0]
+    lam.flags.writeable = False
+    return lam
+
+
+@functools.lru_cache(maxsize=256)
 def _chebyshev_count(omega: float, m: int) -> int:
     """Fewest points L >= 2 with 4 m sum_{k >= L} (omega/2)^k / k! <= _LOWRANK_TOL.
 
@@ -485,10 +582,8 @@ def _barycentric_weights(t: np.ndarray, count: int) -> tuple[np.ndarray, np.ndar
     j interpolates at t_j. A t that equals a point gets that point's unit
     column.
     """
-    l = np.arange(count)
-    # cos(pi l / (count - 1)), written so the points are exactly odd about 0
-    nodes = np.sin(np.pi * (count - 1 - 2 * l) / (2 * (count - 1)))
-    w = np.where(l % 2, -1.0, 1.0)
+    nodes = _chebyshev_points(count)
+    w = np.where(np.arange(count) % 2, -1.0, 1.0)
     w[[0, -1]] /= 2
     diff = np.subtract.outer(nodes, t)  # the sign cancels in the normalisation
     hit = diff == 0
@@ -498,6 +593,12 @@ def _barycentric_weights(t: np.ndarray, count: int) -> tuple[np.ndarray, np.ndar
     q[:, on_node] = hit[:, on_node]
     q /= q.sum(axis=0)
     return q, nodes
+
+
+def _chebyshev_points(count: int) -> np.ndarray:
+    """The count >= 2 second-kind Chebyshev points cos(pi l / (count - 1)), exactly odd about 0."""
+    l = np.arange(count)
+    return np.sin(np.pi * (count - 1 - 2 * l) / (2 * (count - 1)))
 
 
 class MonochromaticWave(PlaneWaveSum):

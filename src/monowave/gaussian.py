@@ -18,6 +18,7 @@ from .field import (
     PlaneWaveSum,
     _chebyshev_count,
     _circle_spectrum,
+    _disc_order,
     _LowRankLattice,
     _on_unit_circle,
     bessel_sequence,
@@ -154,8 +155,8 @@ def _circle_factors(W: float) -> np.ndarray:
     return factors
 
 
-def _circle_series(field: PlaneWaveSum, W: float, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """f and its tangential derivative at W (cos a_p, sin a_p), a_p = 2 pi p / n.
+def _circle_series(spectrum: np.ndarray, W: float, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """f and its tangential derivative at W (cos a_p, sin a_p), a_p = 2 pi p / n, from f's S_k.
 
     n = max(64, ceil(2 pi W / h)) equispaced angles. With
     v_j = (cos theta_j, sin theta_j) and w = 2 pi W, the Jacobi-Anger
@@ -164,25 +165,27 @@ def _circle_series(field: PlaneWaveSum, W: float, h: float) -> tuple[np.ndarray,
     S_k = sum_j c_j e^{-ik theta_j}. The tangential derivative, d/da over W,
     is the same series with terms times ik / W. Since J_{-k} = (-1)^k J_k,
     the factor of order k is i^|k| J_|k|(w); the factors depend on W alone
-    and are computed once per W (_circle_factors). S_k comes from the powers
-    of e^{-i theta_j} = v_j1 - i v_j2 (field._circle_spectrum, which also
-    compresses the lattice core of a 2D draw); each series is one inverse
-    FFT of the spectrum folded mod n, which is exact at n equispaced angles,
-    so 2K + 1 may exceed n. The orders stop at K = _chebyshev_count(w, 2).
-    Since |J_k(w)| <= (w/2)^k / k!, the dropped terms weigh at most
+    and are computed once per W (_circle_factors). spectrum holds S_k for
+    k = -K'..K' (field._circle_spectrum) with K' at least the circle's
+    K = _chebyshev_count(w, 2), such as the S_k to the probe box's larger K
+    that also compresses the box's core in check_nondegenerate; the series
+    reads its central orders -K..K, and a shorter spectrum is refused. Each
+    series is one inverse FFT of the spectrum folded mod n, which is exact
+    at n equispaced angles, so 2K + 1 may exceed n. Since
+    |J_k(w)| <= (w/2)^k / k!, the dropped terms weigh at most
     2 sum_{k > K} (w/2)^k / k! sum_j |c_j| in the value and
     2 pi sum_{k >= K} (w/2)^k / k! sum_j |c_j| in the derivative, both below
-    1e-15 sum_j |c_j|. The powers need |v_j| = 1: frequencies off the unit
-    circle by more than 1e-12 are refused, and the others are read as their
-    directions v_j / |v_j|.
+    1e-15 sum_j |c_j|; the rounding of S_k (within about |k| eps sum_j |c_j|,
+    see field._circle_spectrum) comes on top. The powers behind S_k need
+    |v_j| = 1, so check_nondegenerate refuses frequencies off the unit
+    circle by more than 1e-12 before it computes the spectrum.
     """
-    freqs, c = field.plane_waves()
-    if not _on_unit_circle(freqs):
-        raise ValueError("the circle probe needs unit frequencies (within 1e-12)")
     factors = _circle_factors(W)
-    K = len(factors) // 2
+    K, mid = len(factors) // 2, len(spectrum) // 2
+    if mid < K:
+        raise ValueError("the spectrum stops below the circle's orders")
     k = np.arange(-K, K + 1)
-    terms = factors * _circle_spectrum(freqs, c, K)
+    terms = factors * spectrum[mid - K : mid + K + 1]
     n = max(64, int(np.ceil(TWO_PI * W / h)))
     spec = np.zeros((2, n), dtype=complex)
     np.add.at(spec[0], k % n, terms)
@@ -213,9 +216,13 @@ def check_nondegenerate(field: PlaneWaveSum, W: float, h: float = 0.05,
     points of the circle, from the field's Jacobi-Anger series
     (_circle_series; within 1e-15 sum_j |c_j| of pointwise evaluation before
     rounding, so the field's frequencies must be unit vectors); in R^3
-    pointwise on a Fibonacci sphere. A fail is a valid report: the
-    thresholded minima are a finite-sample convention, not an almost-sure
-    statement.
+    pointwise on a Fibonacci sphere. In R^2 the spectrum
+    S_k = sum_j c_j e^{-ik theta_j} is computed once per draw, to the order
+    K of the box's disc (field._disc_order, 89 at W = 4): the box is
+    centred exactly at 0, so the core's compression reads it as it is, and
+    the circle series reads its own orders from it. A fail is a valid
+    report: the thresholded minima are a finite-sample convention, not an
+    almost-sure statement.
     """
     if h > 0.1:
         raise ValueError("need h <= 0.1 for the nondegeneracy probe")
@@ -223,15 +230,23 @@ def check_nondegenerate(field: PlaneWaveSum, W: float, h: float = 0.05,
         raise ValueError("threshold must be positive")
     m = field.dim
 
+    freqs, c = field.plane_waves()
     axes, inside = lattice_ball(np.zeros(m), W + 1, h)
     origin = np.array([ax[0] for ax in axes])
-    lattice = _LowRankLattice(*field.plane_waves(), origin, inside.shape, h)
+    spectrum = None
+    if m == 2:
+        # the box is centred exactly at 0: one S_k, to its disc's orders,
+        # compresses its core and gives the circle series
+        if not _on_unit_circle(freqs):
+            raise ValueError("the circle probe needs unit frequencies (within 1e-12)")
+        spectrum = _circle_spectrum(freqs, c, _disc_order(h * (np.asarray(inside.shape) - 1) / 2))
+    lattice = _LowRankLattice(freqs, c, origin, inside.shape, h, spectrum)
     val, grads = lattice.grid_and_gradient(origin, inside.shape, h)
     psi = np.abs(val) + np.sqrt(sum(g**2 for g in grads))
     min_bulk = float(psi[inside].min())
 
     if m == 2:
-        val_c, tangential = _circle_series(field, W, h)
+        val_c, tangential = _circle_series(spectrum, W, h)
         min_sph = float((np.abs(val_c) + np.abs(tangential)).min())
     else:
         sph = _sphere_mesh(W, h)

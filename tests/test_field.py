@@ -260,7 +260,8 @@ def test_compressed_fill_stays_within_its_bound(W, monkeypatch):
     theta = np.arctan2(freqs[:, 1], freqs[:, 0])
     centred = c * np.exp(2j * math.pi * (freqs @ (cover[0] + R)))
     S = np.exp(-1j * np.outer(np.arange(-K, K + 1), theta)) @ centred
-    p_freqs, p_coeffs = compressed[0]
+    p_count, p_coeffs = compressed[0]
+    p_freqs = field._equispaced_directions(p_count)
     k = np.arange(-K - P, K + P + 1)
     aliased = np.exp(-1j * np.outer(k, np.arctan2(p_freqs[:, 1], p_freqs[:, 0]))) @ p_coeffs
     total = np.abs(c).sum()
@@ -289,6 +290,25 @@ def test_compressed_fill_stays_within_its_bound(W, monkeypatch):
                                       + (interpolation + rounding) * weight)
             want = plane_wave_grid(freqs, 2j * math.pi * freqs[:, a] * c, *box)
             assert np.abs(grad - want).max() <= grad_tol
+
+
+def test_shared_spectrum_builds_the_same_core():
+    # the probe passes the S_k it computed to the lattice of its box, which is
+    # centred exactly at 0: the core is the one the lattice builds from its own
+    # S_k, bit for bit; a cover off 0, or a spectrum without the cover's
+    # orders, is refused
+    F = sample_uniform(2, 1024, 7)
+    freqs, c = F.plane_waves()
+    axes, inside = lattice_ball(np.zeros(2), 5.0, 0.1)
+    origin = np.array([ax[0] for ax in axes])
+    S = field._circle_spectrum(freqs, c, field._disc_order(0.1 * (np.asarray(inside.shape) - 1) / 2))
+    shared = _LowRankLattice(freqs, c, origin, inside.shape, 0.1, S)
+    assert not shared.centre.any() and len(S) == 179
+    assert shared.core.tobytes() == _LowRankLattice(freqs, c, origin, inside.shape, 0.1).core.tobytes()
+    with pytest.raises(ValueError, match="centred"):
+        _LowRankLattice(freqs, c, origin + 0.1, inside.shape, 0.1, S)
+    with pytest.raises(ValueError, match="orders"):
+        _LowRankLattice(freqs, c, origin, inside.shape, 0.1, S[1:-1])
 
 
 def test_eval_bk_against_direct_sum():
@@ -411,6 +431,37 @@ def test_chebyshev_count_bisection_matches_linear_scan(m):
     ])
     for omega in omegas.tolist():
         assert _chebyshev_count(omega, m) == _linear_chebyshev_count(omega, m), omega
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_memoized_set_up_equals_a_fresh_computation(seed):
+    # every memo of the lattice set-up, on keys it has not seen, returns what
+    # its function computes afresh, bit for bit, and hands out that one
+    # read-only array on the next call with the same key
+    rng = np.random.default_rng(seed)
+    count, P = int(rng.integers(2, 40)), 2 * int(rng.integers(2, 40)) + 1
+    table_key = (float(rng.uniform(0.5, 1.0)), count, int(rng.integers(1, 50)),
+                 float(rng.uniform(0.01, 0.25)), float(rng.uniform(-0.1, 0.1)))
+    cases = [
+        (field._chebyshev_count, (float(rng.uniform(0.0, 200.0)), int(rng.integers(2, 4)))),
+        (field._axis_table, table_key),
+        (field._axis_derivative_table, table_key),
+        (field._equispaced_directions, (P,)),
+        (field._equispaced_weights, (P, int(rng.integers(0, 2)), count)),
+    ]
+    for memo, key in cases:
+        memo.cache_clear()
+        got = memo(*key)
+        assert memo(*key) is got
+        assert memo.cache_info()[:2] == (1, 1)  # one hit, one miss
+        want = memo.__wrapped__(*key)
+        if isinstance(want, int):
+            assert got == want
+            continue
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] = 0
 
 
 def test_covariance_kernels():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monowave.directions import generate_uniform_directions, empirical_measure
-from monowave.field import PlaneWaveSum, bessel_j
+from monowave.field import PlaneWaveSum, _chebyshev_count, _circle_spectrum, bessel_j
 from monowave.gaussian import (
     SpectralMeasure,
     _circle_factors,
@@ -248,6 +248,11 @@ def test_check_nondegenerate_bulk_matches_pointwise(m, atomic, seed):
         assert rep.min_spherical == _separate_min_spherical(F, W, h)  # bitwise
 
 
+def _spectrum(F, W: float, extra: int = 0) -> np.ndarray:
+    """S_k of F for |k| <= K + extra, K the circle's order _chebyshev_count(2 pi W, 2)."""
+    return _circle_spectrum(*F.plane_waves(), _chebyshev_count(2 * np.pi * W, 2) + extra)
+
+
 @pytest.mark.parametrize("W", [0.5, 1.0, 4.0, 12.0])  # W = 1: 59 orders on 64 points
 @pytest.mark.parametrize("atomic", [False, True])
 def test_circle_series_matches_pointwise(W, atomic):
@@ -259,11 +264,15 @@ def test_circle_series_matches_pointwise(W, atomic):
     pts = _circle_points(W, h)
     val, grad = F.value(pts), F.gradient(pts)
     tangential = (pts[:, 0] * grad[:, 1] - pts[:, 1] * grad[:, 0]) / W
-    series_val, series_tangential = _circle_series(F, W, h)
     scale = np.abs(F.plane_waves()[1]).sum()
-    assert len(series_val) == len(pts)
-    assert np.max(np.abs(series_val - val)) <= 1e-12 * scale
-    assert np.max(np.abs(series_tangential - tangential)) <= 1e-12 * scale
+    # the circle's own orders, and a longer spectrum such as the probe box's
+    for extra in (0, 40):
+        series_val, series_tangential = _circle_series(_spectrum(F, W, extra), W, h)
+        assert len(series_val) == len(pts)
+        assert np.max(np.abs(series_val - val)) <= 1e-12 * scale
+        assert np.max(np.abs(series_tangential - tangential)) <= 1e-12 * scale
+    with pytest.raises(ValueError, match="orders"):
+        _circle_series(_spectrum(F, W, -1), W, h)
 
 
 def test_circle_series_with_cached_factors():
@@ -281,7 +290,7 @@ def test_circle_series_with_cached_factors():
             pts = _circle_points(W, h)
             val, grad = F.value(pts), F.gradient(pts)
             tangential = (pts[:, 0] * grad[:, 1] - pts[:, 1] * grad[:, 0]) / W
-            series_val, series_tangential = _circle_series(F, W, h)
+            series_val, series_tangential = _circle_series(_spectrum(F, W), W, h)
             assert np.max(np.abs(series_val - val)) <= 1e-12 * scale
             assert np.max(np.abs(series_tangential - tangential)) <= 1e-12 * scale
         assert _circle_factors.cache_info().misses == len(Ws)
@@ -297,3 +306,20 @@ def test_circle_probe_refuses_non_unit_frequencies():
         check_nondegenerate(off, 4.0, 0.1)
     near = PlaneWaveSum(np.array([[1.0, 0.0], [0.0, 1.0 + 1e-13]]), np.ones(2, dtype=complex))
     assert check_nondegenerate(near, 4.0, 0.1).min_spherical >= 0
+
+
+@pytest.mark.parametrize("W", [4.0, 16.0])
+def test_min_spherical_from_the_shared_spectrum(W):
+    # check_nondegenerate computes S_k once, to the order K of the probe box's
+    # disc (89 at W = 4, 237 at W = 16), for the box's core and for the circle
+    # series, which reads its own orders from it. Tolerance, fixed before the
+    # run: the series drops terms below 1e-15 sum_j |c_j|, the ladder powers
+    # of S_k round by about |k| eps sum_j |c_j| each, and the pointwise
+    # oracle rounds by about eps (1 + 2 pi W) sum_j |c_j|; all of it lies
+    # well inside 1e-12 sum_j |c_j|
+    h = 0.1  # the pitch ns_constant_estimate probes at
+    for j in range(3 if W == 4.0 else 2):
+        F = sample_uniform(2, 1024, int(child_rng(9, j).integers(2**63)))
+        scale = np.abs(F.plane_waves()[1]).sum()
+        rep = check_nondegenerate(F, W, h)
+        assert abs(rep.min_spherical - _separate_min_spherical(F, W, h)) <= 1e-12 * scale

@@ -11,9 +11,12 @@ from monowave.directions import generate_uniform_directions, log_rational_direct
 from monowave.field import (
     _LOWRANK_TOL,
     PlaneWaveSum,
+    _axis_derivative_table,
+    _axis_table,
     _barycentric_weights,
     _chebyshev_count,
     _LowRankLattice,
+    _phase_rates,
     make_wave,
 )
 from monowave.gaussian import check_nondegenerate, sample_uniform
@@ -250,11 +253,13 @@ def _assert_tables_match_direct_phases(lattice, freqs, cover, origin, shape, h) 
     over covers of 1 to 401 points). Returns the parities of the tables' row
     counts.
     """
-    tabs = lattice._tables(origin, shape, h)
-    d_tabs = lattice._derivative_tables(tabs)
+    keys = lattice._axis_keys(origin, shape, h)
+    tabs = [_axis_table(*key) for key in keys]
+    d_tabs = [_axis_derivative_table(*key) for key in keys]
     eps = np.finfo(float).eps
     parities = set()
-    for a, (tab, d_tab, theta) in enumerate(zip(tabs, d_tabs, lattice.theta)):
+    for a, (tab, d_tab, key) in enumerate(zip(tabs, d_tabs, keys)):
+        theta = _phase_rates(*key[:2])
         L, H = len(tab), len(theta)
         assert tab.shape == d_tab.shape == (L, shape[a]) and tab.dtype == float
         assert L == lattice.core.shape[a] and H == L // 2

@@ -1,12 +1,16 @@
+import dataclasses
 import itertools
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from monowave import stats
+from monowave import field, gaussian, stats
 from monowave.directions import generate_uniform_directions, empirical_measure
+from monowave.field import make_wave
 from monowave.gaussian import (
     SpectralMeasure,
     check_nondegenerate,
@@ -16,6 +20,7 @@ from monowave.gaussian import (
     uniform_measure,
 )
 from monowave.grid import sample_on_grid
+from monowave.growth import doubling_tail
 from monowave import nodal
 from monowave.nodal import DegenerateSampleError, label_domains
 from monowave.partition import build_partition
@@ -133,6 +138,67 @@ def test_ns_constant_benchmark_config_frozen(seed, mean):
     est = ns_constant_estimate(uniform_measure(2), 4.0, 50, seed=seed, h=0.05)
     assert est.excluded == 0
     assert est.mean == mean
+
+
+# the memos of the lattice set-up in field; _clear_set_up_memos also clears the
+# circle's Bessel factors
+SET_UP_MEMOS = (field._axis_table, field._axis_derivative_table, field._equispaced_weights,
+                field._equispaced_directions, field._chebyshev_count)
+
+
+def _clear_set_up_memos():
+    for memo in SET_UP_MEMOS + (gaussian._circle_factors,):
+        memo.cache_clear()
+
+
+def test_ns_constant_estimate_independent_of_the_set_up_memos():
+    # the 2D set-up that depends on the lattice geometry alone is memoized in
+    # field; a cold run, a warm one, and one after a W = 16 run and a
+    # doubling_tail have put other geometries through the memos all give the
+    # same estimate, field by field and bit by bit
+    _clear_set_up_memos()
+    mu = uniform_measure(2)
+    cold = ns_constant_estimate(mu, 4.0, 50, seed=9, h=0.05)
+    # one set-up per geometry, not per draw (50 draws): on each of the two axes
+    # a table of the probe box and one of the measurement grid, a derivative
+    # table of the probe box, and the weights of the one set of P = 179
+    # directions; the orders of the probe box's disc, of the circle and of
+    # the two axes
+    assert [memo.cache_info().misses for memo in SET_UP_MEMOS] == [4, 2, 2, 1, 4]
+    warm = ns_constant_estimate(mu, 4.0, 50, seed=9, h=0.05)
+    assert [memo.cache_info().misses for memo in SET_UP_MEMOS] == [4, 2, 2, 1, 4]
+    ns_constant_estimate(mu, 16.0, 50, seed=9, h=0.05)
+    wave = make_wave(generate_uniform_directions(2, 64, 9), seed=int(child_rng(9, 1).integers(2**63)))
+    doubling_tail(wave, 200.0, 2.0, 20, 9)
+    after = ns_constant_estimate(mu, 4.0, 50, seed=9, h=0.05)
+    assert cold.mean == 0.12294719353848914  # test_ns_constant_benchmark_config_frozen[9]
+    for est in (warm, after):
+        assert repr(dataclasses.asdict(est)) == repr(dataclasses.asdict(cold))
+
+
+def test_set_up_memos_shared_by_threads():
+    # every thread of a process reads the same memos (the traced benchmark
+    # replays its trials on a thread pool): more threads than cores, from cold
+    # memos and with a short switch interval, give each draw the probe minima
+    # and measurement grid of a run on one thread, bit for bit
+    draws = [sample_uniform(2, 1024, int(child_rng(9, j).integers(2**63))) for j in range(8)]
+
+    def trial(F):
+        report = check_nondegenerate(F, 4.0, 0.1)
+        grid = sample_on_grid(report.lattice, np.zeros(2), 4.0, 0.05)
+        return report.min_bulk, report.min_spherical, grid.values.tobytes()
+
+    want = [trial(F) for F in draws]
+    _clear_set_up_memos()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(trial, F) for F in draws]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
 
 
 def test_ns_constant_with_topology():
