@@ -23,10 +23,14 @@ draw sums P terms, not J. What depends on the lattice geometry alone (the
 Chebyshev counts, the per-axis tables and, for those P directions, the
 directions and their interpolation weights) is memoized on scalar keys in
 read-only arrays, so a run of draws on one geometry builds it once and each
-draw builds only its spectrum, core and contractions. on_grid
-builds the core over the lattice itself; the nondegeneracy probe builds one
-over its box, from the circular spectrum it also reads the circle from, and
-the measurement grid of the same draw reuses it.
+draw builds only its spectrum, core and contractions. The lattice owns its
+circular spectrum: it computes S_k of its centred 2D sum at most once, when
+the compression or its circle (the value and tangential derivative on a
+circle about the cover's centre, a Jacobi-Anger series) first reads it, so
+2D sums kept with their J terms compute it only for a circle, and 3D sums
+never. on_grid builds the core over the lattice itself; the nondegeneracy
+probe builds one over its box and reads its circle |x| = W from it, and the
+measurement grid of the same draw reuses the core.
 plane_wave_grid is the direct rank-J product they are checked against.
 The deterministic wave is
 f(x) = (2N)^{-1/2} * sum over |n| <= N of a_n e(<r_n, x>) with
@@ -121,7 +125,7 @@ class PlaneWaveSum:
 
     def on_grid(self, origin, shape, h: float) -> np.ndarray:
         """Values at origin + h * index over a grid of the given shape."""
-        return _LowRankLattice(self.freqs, self.amps, origin, shape, h).grid(origin, shape, h)
+        return _LowRankLattice(self.freqs, self.amps, origin, shape, h).on_grid(origin, shape, h)
 
 
 def _checked_origin(m: int, origin, shape) -> np.ndarray:
@@ -196,7 +200,7 @@ class _LowRankLattice:
     construction the complex core is folded this way, axis by axis, onto the
     real basis cos(theta_l y), then 1 when L_a is odd (the point 0), then
     sin(theta_l y), and only its real part is kept: F and the basis are
-    real. grid and
+    real. on_grid and
     grid_and_gradient contract this real core with real per-axis tables
     T_a (L_a, n'_a) of that basis at the coordinates of any lattice
     (origin', shape', h') in the cover, y_i = h' (i - (n'_a - 1) / 2) +
@@ -243,16 +247,17 @@ class _LowRankLattice:
     at most about 2 pi rho_a (eps_a(L_a - 1) + _LOWRANK_TOL) sum_j |c_j|
     before rounding.
 
-    Compression. In 2D, when every frequency is a unit vector (within
-    1e-12) and P = 2K + 1 < J, with K = _chebyshev_count(w, 2), w = 2 pi |R|
-    and |R| the distance from the cover's centre to its corner, the sum is
-    first put on the P directions theta_p = 2 pi p / P (Rokhlin, J. Comput.
-    Phys. 86, 1990; Appl. Comput. Harmon. Anal. 1, 1993). With
+    Compression. In 2D, when P = 2K + 1 < J and every frequency is a unit
+    vector (within 1e-12), with K = _chebyshev_count(w, 2) (_disc_order),
+    w = 2 pi |R| and |R| the distance from the cover's centre to its corner,
+    the sum is first put on the P directions theta_p = 2 pi p / P (Rokhlin,
+    J. Comput. Phys. 86, 1990; Appl. Comput. Harmon. Anal. 1, 1993). With
     y = |y| (cos phi, sin phi) and v_j = (cos theta_j, sin theta_j), the
     Jacobi-Anger expansion gives sum_j c_j e(<v_j, y>) =
     sum_k i^k J_k(2 pi |y|) S_k e^{ik phi}, S_k = sum_j c_j e^{-ik theta_j}
-    (_circle_spectrum, with c_j carrying the centre's phase). The new
-    coefficients c'_p, the inverse FFT of S_k, |k| <= K, give the spectrum
+    (the lattice's own spectrum: _circle_spectrum of the sum about the
+    centre, c_j carrying the centre's phase). The new coefficients c'_p,
+    the inverse FFT of S_k, |k| <= K, give the spectrum
     S'_k = S_{k mod P} (the residue taken in -K..K): S'_k = S_k for
     |k| <= K, and |S'_k| <= sum_j |c_j| for every k. Every point of the
     cover has |y| <= |R| (1 + 1e-12) and |J_k(2 pi |y|)| <= (w/2)^k / k!
@@ -265,7 +270,7 @@ class _LowRankLattice:
     pi (S_{k-1} - S_{k+1})): unchanged for |k| < K and at most
     2 pi sum_j |c_j| elsewhere, so the derivatives differ by at most
     2 pi 4 sum_{k >= K} (w/2)^k / k! sum_j |c_j| <= pi _LOWRANK_TOL
-    sum_j |c_j|, as in the derivative bound of gaussian._circle_series. The
+    sum_j |c_j|, as in the derivative bound of circle. The
     core, the tables and the contractions are then those of the sum
     (theta_p, c'_p), and the bounds above hold for it with sum_p |c'_p| in
     place of sum_j |c_j|. By Cauchy-Schwarz and Parseval,
@@ -284,12 +289,12 @@ class _LowRankLattice:
     and 1.4e-13 at W = 16 (1.1e-13, 4 draws). Sums with P >= J (atomic
     measures of few atoms, and N = 64 waves on every cover whose corner is
     more than about 1.3 from its centre), sums off the unit circle, and all
-    3D sums keep their J terms. A caller that has computed S_k of the sum
-    to the cover's K may pass it as spectrum (check_nondegenerate does,
-    and reads its circle from the same S_k): it stands for the spectrum
-    of the coefficients with the centre's phase, so the cover must be
-    centred exactly at 0, where that phase is 1, and a spectrum of any
-    other length is refused.
+    3D sums keep their J terms. The spectrum is computed at most once per
+    lattice, and only when it is read: at construction for a compressed
+    sum, otherwise on the first circle, which reads the same S_k. A
+    kept sum that reads no circle (a doubling box of an N = 64 wave, a
+    semilocal window) computes none; computed eagerly, S_k (K = 98,
+    J = 64) would add 36 us to the 1.0 ms fill of a 229^2 doubling box.
 
     Set-up. What depends on the lattice geometry alone is memoized on
     scalar keys (functools.lru_cache, safe under threads), so a run of
@@ -299,23 +304,24 @@ class _LowRankLattice:
     the y_i (self.axes holds (rho_a, L_a), and _axis_keys gives a
     lattice's keys); and, for a compressed sum, the P directions
     (_equispaced_directions, on P) and their weights Lam_a
-    (_equispaced_weights, on (P, a, L_a)). Every draw of a 2D uniform
+    (_equispaced_weights, on (P, a, L_a)); the circle's Bessel factors
+    (_circle_factors, on its radius). Every draw of a 2D uniform
     measure is compressed onto the same P directions, so it repeats
     every key, and builds only its spectrum, coefficients c'_p, core and
     contractions. Sums kept with their J terms build their weights per
     sum as before; a random rho_a (3D uniform draws) misses the table
     memo on every draw. At maxsize the memos hold 16 tables T_a and 8
     tables D_a of L_a n_a doubles, 8 weight tables of L_a P doubles, 4
-    direction sets and 256 counts. The ns-estimate geometry (probe box
-    101^2 at pitch 0.1, grid 161^2, L_a = 70, P = 179 at W = 4) fills
-    4 + 2 tables and 2 weight tables, 0.61 MB; at W = 16 (341^2, 641^2,
+    direction sets, 8 circles' factors and 256 counts. The ns-estimate
+    geometry (probe box 101^2 at pitch 0.1, grid 161^2, L_a = 70, P = 179
+    at W = 4) fills 4 + 2 tables and 2 weight tables, 0.61 MB; at W = 16 (341^2, 641^2,
     L_a = 176, P = 475) 5.1 MB, and 24 MB if every slot of each memo held
     its largest W = 16 array. Each memoized array is read-only: writing
     to it raises ValueError, so no caller can change what the next
     lattice reads.
     """
 
-    def __init__(self, freqs: np.ndarray, coeffs, origin, shape, h: float, spectrum=None):
+    def __init__(self, freqs: np.ndarray, coeffs, origin, shape, h: float):
         m = freqs.shape[1]
         if m not in (2, 3):
             raise ValueError("grid geometry supports m in {2, 3}")
@@ -324,20 +330,19 @@ class _LowRankLattice:
         n = np.asarray(shape)
         self.radius = h * (n - 1) / 2
         self.centre = origin + self.radius
-        if spectrum is not None and np.any(self.centre != 0):
-            raise ValueError("a shared spectrum needs a cover centred at 0")
         c = coeffs * np.exp(2j * np.pi * (freqs @ self.centre))
-        P = 0  # the equispaced directions of a compressed 2D sum; 0 keeps the J terms
-        if m == 2:
-            P, c = _equispaced(freqs, c, _disc_order(self.radius), spectrum)
-            if P:
-                freqs = _equispaced_directions(P)
+        self._centred = freqs, c  # the sum about the centre, whose S_k _spectrum reads
+        compressed = (m == 2 and 2 * _disc_order(self.radius) + 1 < len(c)
+                      and _on_unit_circle(freqs))
+        if compressed:  # onto P = 2K + 1 equispaced directions, c'_p the inverse FFT of S_k
+            c = np.fft.ifft(np.fft.ifftshift(self._spectrum))  # S_k at k mod P
+            freqs = _equispaced_directions(len(c))
         rho = np.abs(freqs).max(axis=0, initial=0.0)
         rho[rho == 0] = 1.0  # an axis without frequency content: every t_j is 0
         lams, self.axes = [], []
         for a in range(m):
             count = _chebyshev_count(TWO_PI * rho[a] * self.radius[a], m)
-            lams.append(_equispaced_weights(P, a, count) if P  # (L_a, J)
+            lams.append(_equispaced_weights(len(c), a, count) if compressed  # (L_a, J)
                         else _barycentric_weights(freqs[:, a] / rho[a], count)[0])
             self.axes.append((float(rho[a]), count))
 
@@ -367,17 +372,73 @@ class _LowRankLattice:
             core = np.moveaxis(k, 0, a)
         self.core = np.ascontiguousarray(core.real)
 
-    def grid(self, origin, shape, h: float) -> np.ndarray:
+    def on_grid(self, origin, shape, h: float) -> np.ndarray:
         """The values on origin + h * index, shape shape: plane_wave_grid to the bound."""
         return self._contract([_axis_table(*key) for key in self._axis_keys(origin, shape, h)])
 
     def grid_and_gradient(self, origin, shape, h: float) -> tuple[np.ndarray, list[np.ndarray]]:
-        """grid, bitwise, and the m partial-derivative grids, from the same tables."""
+        """on_grid, bitwise, and the m partial-derivative grids, from the same tables."""
         keys = self._axis_keys(origin, shape, h)
         tabs = [_axis_table(*key) for key in keys]
         grads = [self._contract(tabs[:a] + [_axis_derivative_table(*key)] + tabs[a + 1 :])
                  for a, key in enumerate(keys)]
         return self._contract(tabs), grads
+
+    def circle(self, radius: float, h: float) -> tuple[np.ndarray, np.ndarray]:
+        """F and its tangential derivative at c + r (cos a_p, sin a_p), a_p = 2 pi p / n.
+
+        c is the cover's centre, r the radius and n = max(64, ceil(2 pi r / h))
+        equispaced angles. With v_j = (cos theta_j, sin theta_j) and
+        w = 2 pi r, the Jacobi-Anger expansion e^{i w cos t} =
+        sum_k i^k J_k(w) e^{ikt} gives F(c + r (cos a, sin a)) =
+        Re sum_k i^k J_k(w) S_k e^{ika}, with S_k the lattice's spectrum of the
+        sum about c. The tangential derivative, d/da over r, is the same
+        series with terms times ik / r. Since J_{-k} = (-1)^k J_k, the factor
+        of order k is i^|k| J_|k|(w); the factors depend on r alone and are
+        computed once per r (_circle_factors). The series reads the central
+        orders -K..K, K = _chebyshev_count(w, 2), of the lattice's S_k, which
+        runs to the cover's K (_disc_order), so a circle that needs more
+        orders than the cover's disc, about one reaching past its corner, is
+        refused. Each series is one inverse FFT of the spectrum folded mod n,
+        which is exact at n equispaced angles, so 2K + 1 may exceed n. Since
+        |J_k(w)| <= (w/2)^k / k!, the dropped terms weigh at most
+        2 sum_{k > K} (w/2)^k / k! sum_j |c_j| in the value and
+        2 pi sum_{k >= K} (w/2)^k / k! sum_j |c_j| in the derivative, both
+        below 1e-15 sum_j |c_j|; the rounding of S_k (within about
+        |k| eps sum_j |c_j|, see _circle_spectrum) comes on top. A sum outside
+        R^2, a radius that is not finite and > 0, a pitch that is not > 0, and
+        frequencies off the unit circle by more than 1e-12 (the powers behind
+        S_k need |v_j| = 1) are refused.
+        """
+        if len(self.axes) != 2:
+            raise ValueError("the circle needs a sum in R^2")
+        if not (0 < radius < math.inf and h > 0):
+            raise ValueError("the circle needs a finite radius > 0 and a pitch > 0")
+        spectrum = self._spectrum
+        factors = _circle_factors(radius)
+        K, mid = len(factors) // 2, len(spectrum) // 2
+        if mid < K:
+            raise ValueError("the circle needs orders beyond the cover's disc")
+        k = np.arange(-K, K + 1)
+        terms = factors * spectrum[mid - K : mid + K + 1]
+        n = max(64, int(np.ceil(TWO_PI * radius / h)))
+        spec = np.zeros((2, n), dtype=complex)
+        np.add.at(spec[0], k % n, terms)
+        np.add.at(spec[1], k % n, 1j * k / radius * terms)
+        val, tangential = np.fft.ifft(spec, norm="forward").real
+        return val, tangential
+
+    @functools.cached_property
+    def _spectrum(self) -> np.ndarray:
+        """S_k of the 2D sum about the centre, k = -K..K, K = _disc_order: once, when first read.
+
+        The compression reads it at construction, the circle otherwise; a sum
+        off the unit circle by more than 1e-12 is refused.
+        """
+        freqs, c = self._centred
+        if not _on_unit_circle(freqs):
+            raise ValueError("the circle needs unit frequencies (within 1e-12)")
+        return _circle_spectrum(freqs, c, _disc_order(self.radius))
 
     def _axis_keys(self, origin, shape, h: float) -> list[tuple]:
         """(rho_a, L_a, n_a, h, shift_a) per axis of a lattice in the cover: _axis_table's keys.
@@ -493,6 +554,17 @@ def _circle_spectrum(freqs: np.ndarray, coeffs: np.ndarray, K: int) -> np.ndarra
     return np.concatenate([np.conj(neg.reshape(-1)[K:0:-1]), pos.reshape(-1)[: K + 1]])
 
 
+@functools.lru_cache(maxsize=8)
+def _circle_factors(W: float) -> np.ndarray:
+    """i^|k| J_|k|(2 pi W) for k = -K..K, K = _chebyshev_count(2 pi W, 2): read-only, once per W."""
+    w = TWO_PI * W
+    K = _chebyshev_count(w, 2)
+    k = np.abs(np.arange(-K, K + 1))
+    factors = np.array([1, 1j, -1, -1j])[k % 4] * bessel_sequence(w, K)[k]
+    factors.flags.writeable = False
+    return factors
+
+
 def _ladder(z: np.ndarray, count: int) -> np.ndarray:
     """The powers z^0, ..., z^(count - 1), one product per row: shape (count, len(z))."""
     out = np.empty((count, len(z)), dtype=complex)
@@ -505,27 +577,6 @@ def _ladder(z: np.ndarray, count: int) -> np.ndarray:
 def _disc_order(radius) -> int:
     """K = _chebyshev_count(2 pi |R|, 2): the circular orders of a 2D cover of half-widths R."""
     return _chebyshev_count(TWO_PI * math.hypot(*radius), 2)
-
-
-def _equispaced(freqs: np.ndarray, c: np.ndarray, K: int, spectrum=None) -> tuple[int, np.ndarray]:
-    """(P, c'_p): the 2D sum on P = 2K + 1 equispaced directions that matches it on its disc.
-
-    K = _disc_order of the cover; theta_p = 2 pi p / P (_equispaced_directions)
-    and c'_p the inverse FFT of S_k, |k| <= K: the given spectrum, or
-    _circle_spectrum of (freqs, c). The new sum has the spectrum S_{k mod P},
-    within the bound of the Compression paragraph of _LowRankLattice of the
-    old one on the disc. A sum that is not on the unit circle, or has no more
-    than P terms, is kept: (0, c). A given spectrum stands for a sum on the
-    unit circle, since _circle_spectrum needs one.
-    """
-    P = 2 * K + 1
-    if P >= len(c) or (spectrum is None and not _on_unit_circle(freqs)):
-        return 0, c
-    if spectrum is None:
-        spectrum = _circle_spectrum(freqs, c, K)
-    elif len(spectrum) != P:
-        raise ValueError("a shared spectrum needs the cover's orders -K..K")
-    return P, np.fft.ifft(np.fft.ifftshift(spectrum))  # S_k at k mod P
 
 
 @functools.lru_cache(maxsize=4)

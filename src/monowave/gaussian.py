@@ -3,26 +3,20 @@
 Every draw is a PlaneWaveSum. Atomic measures sample F(y) = sum_k sqrt(w_k)
 [g_k cos(2 pi <z_k, y>) + h_k sin(2 pi <z_k, y>)] over their one atom z_k per
 +- pair, with w_k the mass of the pair; the uniform measure is approximated by
-M random plane waves with uniform phases.
+M random plane waves with uniform phases. The nondegeneracy check fills a
+draw's probe box through one low-rank lattice (field._LowRankLattice) and, in
+R^2, reads the circle |x| = W from the same lattice, which owns the circular
+spectrum behind both.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import (
-    PlaneWaveSum,
-    _chebyshev_count,
-    _circle_spectrum,
-    _disc_order,
-    _LowRankLattice,
-    _on_unit_circle,
-    bessel_sequence,
-)
+from .field import PlaneWaveSum, _LowRankLattice
 from .grid import lattice_ball
 from .partition import SpherePartition, positive_side
 
@@ -144,56 +138,6 @@ def _sphere_mesh(radius: float, h: float) -> np.ndarray:
     )
 
 
-@functools.lru_cache(maxsize=8)
-def _circle_factors(W: float) -> np.ndarray:
-    """i^|k| J_|k|(2 pi W) for k = -K..K, K = _chebyshev_count(2 pi W, 2): read-only, once per W."""
-    w = TWO_PI * W
-    K = _chebyshev_count(w, 2)
-    k = np.abs(np.arange(-K, K + 1))
-    factors = np.array([1, 1j, -1, -1j])[k % 4] * bessel_sequence(w, K)[k]
-    factors.flags.writeable = False
-    return factors
-
-
-def _circle_series(spectrum: np.ndarray, W: float, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """f and its tangential derivative at W (cos a_p, sin a_p), a_p = 2 pi p / n, from f's S_k.
-
-    n = max(64, ceil(2 pi W / h)) equispaced angles. With
-    v_j = (cos theta_j, sin theta_j) and w = 2 pi W, the Jacobi-Anger
-    expansion e^{i w cos t} = sum_k i^k J_k(w) e^{ikt} gives
-    f(W cos a, W sin a) = Re sum_k i^k J_k(w) S_k e^{ika} with
-    S_k = sum_j c_j e^{-ik theta_j}. The tangential derivative, d/da over W,
-    is the same series with terms times ik / W. Since J_{-k} = (-1)^k J_k,
-    the factor of order k is i^|k| J_|k|(w); the factors depend on W alone
-    and are computed once per W (_circle_factors). spectrum holds S_k for
-    k = -K'..K' (field._circle_spectrum) with K' at least the circle's
-    K = _chebyshev_count(w, 2), such as the S_k to the probe box's larger K
-    that also compresses the box's core in check_nondegenerate; the series
-    reads its central orders -K..K, and a shorter spectrum is refused. Each
-    series is one inverse FFT of the spectrum folded mod n, which is exact
-    at n equispaced angles, so 2K + 1 may exceed n. Since
-    |J_k(w)| <= (w/2)^k / k!, the dropped terms weigh at most
-    2 sum_{k > K} (w/2)^k / k! sum_j |c_j| in the value and
-    2 pi sum_{k >= K} (w/2)^k / k! sum_j |c_j| in the derivative, both below
-    1e-15 sum_j |c_j|; the rounding of S_k (within about |k| eps sum_j |c_j|,
-    see field._circle_spectrum) comes on top. The powers behind S_k need
-    |v_j| = 1, so check_nondegenerate refuses frequencies off the unit
-    circle by more than 1e-12 before it computes the spectrum.
-    """
-    factors = _circle_factors(W)
-    K, mid = len(factors) // 2, len(spectrum) // 2
-    if mid < K:
-        raise ValueError("the spectrum stops below the circle's orders")
-    k = np.arange(-K, K + 1)
-    terms = factors * spectrum[mid - K : mid + K + 1]
-    n = max(64, int(np.ceil(TWO_PI * W / h)))
-    spec = np.zeros((2, n), dtype=complex)
-    np.add.at(spec[0], k % n, terms)
-    np.add.at(spec[1], k % n, 1j * k / W * terms)
-    val, tangential = np.fft.ifft(spec, norm="forward").real
-    return val, tangential
-
-
 def check_nondegenerate(field: PlaneWaveSum, W: float, h: float = 0.05,
                         tau0: float = 1e-3) -> NondegeneracyReport:
     """Probe |g| + |grad g| over B(W+1) and the spherical part on the boundary of B(W).
@@ -211,21 +155,24 @@ def check_nondegenerate(field: PlaneWaveSum, W: float, h: float = 0.05,
     W = 4. The report keeps the core as its lattice: any grid inside the
     box, such as the measurement grid on B(W), is filled from it by
     sample_on_grid(report.lattice, ...) without a second core.
-    The spherical part is |g|
-    plus the tangential gradient: in R^2 on max(64, ceil(2 pi W / h)) equispaced
-    points of the circle, from the field's Jacobi-Anger series
-    (_circle_series; within 1e-15 sum_j |c_j| of pointwise evaluation before
-    rounding, so the field's frequencies must be unit vectors); in R^3
-    pointwise on a Fibonacci sphere. In R^2 the spectrum
-    S_k = sum_j c_j e^{-ik theta_j} is computed once per draw, to the order
-    K of the box's disc (field._disc_order, 89 at W = 4): the box is
-    centred exactly at 0, so the core's compression reads it as it is, and
-    the circle series reads its own orders from it. A fail is a valid
+    The spherical part is |g| plus the tangential gradient: in R^2 on
+    max(64, ceil(2 pi W / h)) equispaced points of the circle, from the
+    lattice's Jacobi-Anger series about the box's centre (lattice.circle;
+    within 1e-15 sum_j |c_j| of pointwise evaluation before rounding, so the
+    field's frequencies must be unit vectors); in R^3 pointwise on a
+    Fibonacci sphere. The box is centred exactly at 0, so that circle is
+    |x| = W. In R^2 the lattice computes the spectrum
+    S_k = sum_j c_j e^{-ik theta_j} once per draw, to the order K of the
+    box's disc (89 at W = 4), and both the compression and the circle read
+    it. A pitch outside 0 < h <= 0.1, a radius W that is not finite and > 0
+    and a threshold tau0 <= 0 are refused. A fail is a valid
     report: the thresholded minima are a finite-sample convention, not an
     almost-sure statement.
     """
-    if h > 0.1:
-        raise ValueError("need h <= 0.1 for the nondegeneracy probe")
+    if not 0 < h <= 0.1:
+        raise ValueError("need 0 < h <= 0.1 for the nondegeneracy probe")
+    if not 0 < W < math.inf:
+        raise ValueError("need a finite W > 0 for the nondegeneracy probe")
     if tau0 <= 0:
         raise ValueError("threshold must be positive")
     m = field.dim
@@ -233,20 +180,13 @@ def check_nondegenerate(field: PlaneWaveSum, W: float, h: float = 0.05,
     freqs, c = field.plane_waves()
     axes, inside = lattice_ball(np.zeros(m), W + 1, h)
     origin = np.array([ax[0] for ax in axes])
-    spectrum = None
-    if m == 2:
-        # the box is centred exactly at 0: one S_k, to its disc's orders,
-        # compresses its core and gives the circle series
-        if not _on_unit_circle(freqs):
-            raise ValueError("the circle probe needs unit frequencies (within 1e-12)")
-        spectrum = _circle_spectrum(freqs, c, _disc_order(h * (np.asarray(inside.shape) - 1) / 2))
-    lattice = _LowRankLattice(freqs, c, origin, inside.shape, h, spectrum)
+    lattice = _LowRankLattice(freqs, c, origin, inside.shape, h)
     val, grads = lattice.grid_and_gradient(origin, inside.shape, h)
     psi = np.abs(val) + np.sqrt(sum(g**2 for g in grads))
     min_bulk = float(psi[inside].min())
 
     if m == 2:
-        val_c, tangential = _circle_series(spectrum, W, h)
+        val_c, tangential = lattice.circle(W, h)
         min_sph = float((np.abs(val_c) + np.abs(tangential)).min())
     else:
         sph = _sphere_mesh(W, h)

@@ -143,10 +143,11 @@ def lattice_points(axes, mask: np.ndarray) -> np.ndarray:
 def sample_on_grid(evaluator, center, radius: float, h: float) -> ScalarGrid:
     """Sample a field on the axis-aligned box circumscribing B(center, radius).
 
-    The evaluator is a PlaneWaveSum (wave or Gaussian draw, filled through
-    its low-rank on_grid), the low-rank fill of one over a box that holds
-    this one (the lattice of a NondegeneracyReport; a box reaching outside
-    it is refused), or any callable mapping point batches (..., m) to values.
+    The evaluator fills through its on_grid when it is a PlaneWaveSum (wave
+    or Gaussian draw, through its low-rank fill) or the low-rank fill of one
+    over a box that holds this one (the lattice of a NondegeneracyReport; a
+    box reaching outside it is refused); any other callable maps point
+    batches (..., m) to values.
     """
     center = np.asarray(center, dtype=float)
     m = center.size
@@ -162,10 +163,8 @@ def sample_on_grid(evaluator, center, radius: float, h: float) -> ScalarGrid:
     n = int(np.ceil(2 * radius / h - 1e-9)) + 1
     shape = (n,) * m
     origin = center - radius
-    if isinstance(evaluator, PlaneWaveSum):
+    if isinstance(evaluator, (PlaneWaveSum, _LowRankLattice)):
         vals = evaluator.on_grid(origin, shape, h)
-    elif isinstance(evaluator, _LowRankLattice):
-        vals = evaluator.grid(origin, shape, h)
     else:
         axes = [origin[a] + h * np.arange(n) for a in range(m)]
         pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)

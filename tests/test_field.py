@@ -18,8 +18,15 @@ from monowave.field import (
     eval_bk,
     make_wave,
 )
-from monowave.gaussian import child_rng, sample_uniform
+from monowave.gaussian import (
+    check_nondegenerate,
+    child_rng,
+    measure_from_partition,
+    sample_atomic,
+    sample_uniform,
+)
 from monowave.grid import lattice_ball, plane_wave_grid
+from monowave.growth import PROBE_DENSITY, scaling_factor
 from monowave.partition import build_partition
 
 from conftest import chebyshev_tail, fill_rounding, traced_peak
@@ -244,24 +251,26 @@ def test_compressed_fill_stays_within_its_bound(W, monkeypatch):
     w = 2 * math.pi * math.hypot(*R)
     K = _chebyshev_count(w, 2)
     P = 2 * K + 1
-    compressed = []
-    equispaced = field._equispaced
+    spectra = []
+    circle_spectrum = field._circle_spectrum
 
     def spy(*args):
-        compressed.append(equispaced(*args))
-        return compressed[-1]
+        spectra.append(circle_spectrum(*args))
+        return spectra[-1]
 
-    monkeypatch.setattr(field, "_equispaced", spy)
+    monkeypatch.setattr(field, "_circle_spectrum", spy)
     lattice = _LowRankLattice(freqs, c, *cover)
-    assert len(compressed) == 1 and len(compressed[0][1]) == P < len(c)
+    assert len(spectra) == 1 and len(spectra[0]) == P < len(c)
+    assert lattice._spectrum is spectra[0]
 
     # the spectrum S_k of the coefficients with the centre's phase, straight
-    # from exp; the compressed sum has S_{k mod P} at every order
+    # from exp; the compressed sum, c'_p the inverse FFT of the lattice's
+    # S_k, has S_{k mod P} at every order
     theta = np.arctan2(freqs[:, 1], freqs[:, 0])
     centred = c * np.exp(2j * math.pi * (freqs @ (cover[0] + R)))
     S = np.exp(-1j * np.outer(np.arange(-K, K + 1), theta)) @ centred
-    p_count, p_coeffs = compressed[0]
-    p_freqs = field._equispaced_directions(p_count)
+    p_coeffs = np.fft.ifft(np.fft.ifftshift(spectra[0]))
+    p_freqs = field._equispaced_directions(P)
     k = np.arange(-K - P, K + P + 1)
     aliased = np.exp(-1j * np.outer(k, np.arctan2(p_freqs[:, 1], p_freqs[:, 0]))) @ p_coeffs
     total = np.abs(c).sum()
@@ -281,7 +290,7 @@ def test_compressed_fill_stays_within_its_bound(W, monkeypatch):
     shifted = (cover[0] + 0.1 * np.array([13, 5]), (cover[1][0] // 3, cover[1][1] // 4), 0.05)
     for box in (cover, shifted):
         val, grads = lattice.grid_and_gradient(*box)
-        assert np.array_equal(val, lattice.grid(*box))
+        assert np.array_equal(val, lattice.on_grid(*box))
         assert np.abs(val - plane_wave_grid(freqs, c, *box)).max() <= value_tol
         for a, grad in enumerate(grads):
             L = lattice.core.shape[a]
@@ -292,23 +301,65 @@ def test_compressed_fill_stays_within_its_bound(W, monkeypatch):
             assert np.abs(grad - want).max() <= grad_tol
 
 
-def test_shared_spectrum_builds_the_same_core():
-    # the probe passes the S_k it computed to the lattice of its box, which is
-    # centred exactly at 0: the core is the one the lattice builds from its own
-    # S_k, bit for bit; a cover off 0, or a spectrum without the cover's
-    # orders, is refused
-    F = sample_uniform(2, 1024, 7)
-    freqs, c = F.plane_waves()
-    axes, inside = lattice_ball(np.zeros(2), 5.0, 0.1)
-    origin = np.array([ax[0] for ax in axes])
-    S = field._circle_spectrum(freqs, c, field._disc_order(0.1 * (np.asarray(inside.shape) - 1) / 2))
-    shared = _LowRankLattice(freqs, c, origin, inside.shape, 0.1, S)
-    assert not shared.centre.any() and len(S) == 179
-    assert shared.core.tobytes() == _LowRankLattice(freqs, c, origin, inside.shape, 0.1).core.tobytes()
-    with pytest.raises(ValueError, match="centred"):
-        _LowRankLattice(freqs, c, origin + 0.1, inside.shape, 0.1, S)
-    with pytest.raises(ValueError, match="orders"):
-        _LowRankLattice(freqs, c, origin, inside.shape, 0.1, S[1:-1])
+def test_circle_about_an_off_centre_cover():
+    # the lattice reads its circle about its cover's centre, wherever that
+    # lies: the value and tangential derivative equal pointwise value and
+    # gradient on that circle within 1e-12 sum_j |c_j|, for a compressed
+    # uniform draw and an atomic draw kept with its J = 64 terms; a circle
+    # that needs more orders than the cover's disc (|R| = 5) is refused
+    atomic = sample_atomic(empirical_measure(generate_uniform_directions(2, 64, 3)), 11)
+    h = 0.1
+    for F in (sample_uniform(2, 1024, 7), atomic):
+        freqs, c = F.plane_waves()
+        lattice = _LowRankLattice(freqs, c, np.array([3.3, -1.7]), (61, 81), h)
+        assert np.allclose(lattice.centre, [6.3, 2.3])
+        scale = np.abs(c).sum()
+        for r in (0.7, 2.5, 5.0):
+            n = max(64, math.ceil(2 * math.pi * r / h))
+            a = 2 * math.pi * np.arange(n) / n
+            d = r * np.column_stack([np.cos(a), np.sin(a)])
+            pts = lattice.centre + d
+            val, tangential = lattice.circle(r, h)
+            grad = F.gradient(pts)
+            assert np.abs(val - F.value(pts)).max() <= 1e-12 * scale
+            want = (d[:, 0] * grad[:, 1] - d[:, 1] * grad[:, 0]) / r
+            assert np.abs(tangential - want).max() <= 1e-12 * scale
+        with pytest.raises(ValueError, match="orders"):
+            lattice.circle(6.0, h)
+
+
+def test_circle_spectrum_is_computed_once_and_only_when_read(monkeypatch):
+    # S_k is computed at most once per lattice, and only when the compression
+    # or the circle reads it: once per 2D probe, for a compressed uniform
+    # draw (M = 1024, W = 4) and a kept draw of the 4-atom K = 8 partition
+    # measure; never for a fill of a kept 64-term wave on a doubling box, or
+    # for a 3D probe
+    calls = []
+    circle_spectrum = field._circle_spectrum
+
+    def spy(freqs, coeffs, K):
+        calls.append((len(coeffs), K))
+        return circle_spectrum(freqs, coeffs, K)
+
+    monkeypatch.setattr(field, "_circle_spectrum", spy)
+    check_nondegenerate(sample_uniform(2, 1024, 5), 4.0, 0.1)
+    assert calls == [(1024, 89)]
+    mu = measure_from_partition(build_partition(generate_uniform_directions(2, 64, 1), 8, 0.004))
+    assert len(mu.weights) == 4
+    calls.clear()
+    check_nondegenerate(sample_atomic(mu, 3), 4.0, 0.1)
+    assert calls == [(4, 89)]
+
+    calls.clear()
+    wave = make_wave(generate_uniform_directions(2, 64, 9), seed=1)
+    axes, _ = lattice_ball(np.array([37.0, -11.0]), scaling_factor(2) * 2.0, 1 / PROBE_DENSITY)
+    origin, shape = np.array([ax[0] for ax in axes]), tuple(map(len, axes))
+    lattice = _LowRankLattice(*wave.plane_waves(), origin, shape, 1 / PROBE_DENSITY)
+    assert shape == (229, 229) and 2 * field._disc_order(lattice.radius) + 1 == 197
+    lattice.on_grid(origin, shape, 1 / PROBE_DENSITY)
+    wave.on_grid(origin, shape, 1 / PROBE_DENSITY)
+    check_nondegenerate(sample_uniform(3, 64, 1), 1.0, 0.1)
+    assert calls == []
 
 
 def test_eval_bk_against_direct_sum():

@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from monowave.directions import generate_uniform_directions, empirical_measure
-from monowave.field import PlaneWaveSum, _chebyshev_count, _circle_spectrum, bessel_j
+from monowave.field import PlaneWaveSum, _circle_factors, _LowRankLattice, bessel_j
 from monowave.gaussian import (
     SpectralMeasure,
-    _circle_factors,
-    _circle_series,
     _sphere_mesh,
     check_nondegenerate,
     child_rng,
@@ -248,9 +246,16 @@ def test_check_nondegenerate_bulk_matches_pointwise(m, atomic, seed):
         assert rep.min_spherical == _separate_min_spherical(F, W, h)  # bitwise
 
 
-def _spectrum(F, W: float, extra: int = 0) -> np.ndarray:
-    """S_k of F for |k| <= K + extra, K the circle's order _chebyshev_count(2 pi W, 2)."""
-    return _circle_spectrum(*F.plane_waves(), _chebyshev_count(2 * np.pi * W, 2) + extra)
+def _circle_of(F, W: float, h: float, half_width: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """F's circle of radius W about 0, read from a lattice over a cover centred at 0.
+
+    The cover (origin (-a, 0), shape (2, 1), pitch 2a) has half-widths
+    (a, 0), a = half_width (W by default), so its disc's orders are the
+    circle's own when a = W.
+    """
+    a = W if half_width is None else half_width
+    freqs, c = F.plane_waves()
+    return _LowRankLattice(freqs, c, np.array([-a, 0.0]), (2, 1), 2 * a).circle(W, h)
 
 
 @pytest.mark.parametrize("W", [0.5, 1.0, 4.0, 12.0])  # W = 1: 59 orders on 64 points
@@ -265,14 +270,15 @@ def test_circle_series_matches_pointwise(W, atomic):
     val, grad = F.value(pts), F.gradient(pts)
     tangential = (pts[:, 0] * grad[:, 1] - pts[:, 1] * grad[:, 0]) / W
     scale = np.abs(F.plane_waves()[1]).sum()
-    # the circle's own orders, and a longer spectrum such as the probe box's
-    for extra in (0, 40):
-        series_val, series_tangential = _circle_series(_spectrum(F, W, extra), W, h)
+    # a cover with the circle's own orders, and a wider one with more, such
+    # as the probe box
+    for half_width in (W, W + 20.0):
+        series_val, series_tangential = _circle_of(F, W, h, half_width)
         assert len(series_val) == len(pts)
         assert np.max(np.abs(series_val - val)) <= 1e-12 * scale
         assert np.max(np.abs(series_tangential - tangential)) <= 1e-12 * scale
     with pytest.raises(ValueError, match="orders"):
-        _circle_series(_spectrum(F, W, -1), W, h)
+        _circle_of(F, W, h, W / 2)
 
 
 def test_circle_series_with_cached_factors():
@@ -290,7 +296,7 @@ def test_circle_series_with_cached_factors():
             pts = _circle_points(W, h)
             val, grad = F.value(pts), F.gradient(pts)
             tangential = (pts[:, 0] * grad[:, 1] - pts[:, 1] * grad[:, 0]) / W
-            series_val, series_tangential = _circle_series(_spectrum(F, W), W, h)
+            series_val, series_tangential = _circle_of(F, W, h)
             assert np.max(np.abs(series_val - val)) <= 1e-12 * scale
             assert np.max(np.abs(series_tangential - tangential)) <= 1e-12 * scale
         assert _circle_factors.cache_info().misses == len(Ws)
@@ -298,6 +304,24 @@ def test_circle_series_with_cached_factors():
     assert not factors.flags.writeable
     with pytest.raises(ValueError):
         factors[0] = 0
+
+
+def test_probe_refuses_pitch_and_radius_out_of_range():
+    # h <= 0 and W <= 0 once failed deep inside the probe (OverflowError,
+    # IndexError, a math domain error, or min_spherical NaN with divide
+    # warnings); they and NaN are refused up front, as is a circle of
+    # radius not > 0
+    F = sample_uniform(2, 64, 1)
+    for h in (0.0, -0.1, math.nan, 0.2):
+        with pytest.raises(ValueError, match="h <= 0.1"):
+            check_nondegenerate(F, 4.0, h)
+    for W in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="W > 0"):
+            check_nondegenerate(F, W, 0.1)
+    lattice = check_nondegenerate(F, 1.0, 0.1).lattice
+    for radius in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="radius"):
+            lattice.circle(radius, 0.1)
 
 
 def test_circle_probe_refuses_non_unit_frequencies():
@@ -310,9 +334,9 @@ def test_circle_probe_refuses_non_unit_frequencies():
 
 @pytest.mark.parametrize("W", [4.0, 16.0])
 def test_min_spherical_from_the_shared_spectrum(W):
-    # check_nondegenerate computes S_k once, to the order K of the probe box's
-    # disc (89 at W = 4, 237 at W = 16), for the box's core and for the circle
-    # series, which reads its own orders from it. Tolerance, fixed before the
+    # the probe box's lattice computes S_k once, to the order K of the box's
+    # disc (89 at W = 4, 237 at W = 16), for its compressed core and for its
+    # circle, which reads its own orders from it. Tolerance, fixed before the
     # run: the series drops terms below 1e-15 sum_j |c_j|, the ladder powers
     # of S_k round by about |k| eps sum_j |c_j| each, and the pointwise
     # oracle rounds by about eps (1 + 2 pi W) sum_j |c_j|; all of it lies
@@ -323,3 +347,7 @@ def test_min_spherical_from_the_shared_spectrum(W):
         scale = np.abs(F.plane_waves()[1]).sum()
         rep = check_nondegenerate(F, W, h)
         assert abs(rep.min_spherical - _separate_min_spherical(F, W, h)) <= 1e-12 * scale
+        # the report's lattice reads the same circle from its cached S_k
+        val, tangential = rep.lattice.circle(W, h)
+        assert float((np.abs(val) + np.abs(tangential)).min()) == rep.min_spherical
+

@@ -123,10 +123,10 @@ def _gradient_tolerance(freqs, coeffs, origin, shape, h, a) -> float:
 def _assert_lattice_matches_direct(lattice, cover, freqs, coeffs, origin, shape, h):
     """The lattice's fills of (origin, shape, h) against plane_wave_grid, within the cover's bounds.
 
-    The value grid of grid_and_gradient is grid's, bitwise, and each d/dx_a
+    The value grid of grid_and_gradient is on_grid's, bitwise, and each d/dx_a
     grid is the direct fill with coefficients 2 pi i v_a c.
     """
-    got = lattice.grid(origin, shape, h)
+    got = lattice.on_grid(origin, shape, h)
     want = plane_wave_grid(freqs, coeffs, origin, shape, h)
     assert got.shape == want.shape == shape
     assert not np.isnan(got).any()
@@ -145,7 +145,7 @@ def _assert_lowrank_matches_direct(freqs, coeffs, origin, shape, h):
     cover = (origin, shape, h)
     lattice = _LowRankLattice(freqs, coeffs, *cover)
     _assert_lattice_matches_direct(lattice, cover, freqs, coeffs, *cover)
-    assert PlaneWaveSum(freqs, coeffs).on_grid(*cover).tobytes() == lattice.grid(*cover).tobytes()
+    assert PlaneWaveSum(freqs, coeffs).on_grid(*cover).tobytes() == lattice.on_grid(*cover).tobytes()
 
 
 def _random_sum(rng, m: int):
@@ -190,13 +190,13 @@ def test_lattice_refuses_a_box_outside_its_cover(m):
     F = sample_uniform(m, 64, m)
     origin, shape, h = np.full(m, -1.0), (21, 17, 11)[:m], 0.1
     lattice = _LowRankLattice(F.freqs, F.amps, origin, shape, h)
-    assert lattice.grid(origin, shape, h).tobytes() == F.on_grid(origin, shape, h).tobytes()
+    assert lattice.on_grid(origin, shape, h).tobytes() == F.on_grid(origin, shape, h).tobytes()
     for a in range(m):
         # one step past either end of one axis
         longer = tuple(n + (i == a) for i, n in enumerate(shape))
         shifted = origin - h * (np.arange(m) == a)
         for box in [(origin, longer, h), (shifted, shape, h)]:
-            for fill in (lattice.grid, lattice.grid_and_gradient):
+            for fill in (lattice.on_grid, lattice.grid_and_gradient):
                 with pytest.raises(ValueError, match="outside the cover"):
                     fill(*box)
     # a ball box as wide as the cover's longest axis overhangs its shorter ones
@@ -205,7 +205,7 @@ def test_lattice_refuses_a_box_outside_its_cover(m):
                        h * (np.asarray(shape) - 1).max() / 2, h)
     # the finest sub-lattice that reaches both ends of the cover is accepted
     fine = tuple(2 * n - 1 for n in shape)
-    assert lattice.grid(origin, fine, h / 2).shape == fine
+    assert lattice.on_grid(origin, fine, h / 2).shape == fine
     # the nondegeneracy probe's box holds the measurement grid on B(W)
     report = check_nondegenerate(F, 4.0, 0.1)
     g = sample_on_grid(report.lattice, np.zeros(m), 4.0, 0.05 if m == 2 else 0.1)
@@ -354,7 +354,7 @@ def test_grid_fills_refuse_a_dimension_mismatch():
         for coeffs in (np.vstack([F2.amps, F2.amps]), F2.amps[:-1]):
             with pytest.raises(ValueError, match="one coefficient per plane wave"):
                 fill(F2.freqs, coeffs, np.zeros(2), (3, 3), 0.1)
-    for fill in (lattice.grid, lattice.grid_and_gradient):
+    for fill in (lattice.on_grid, lattice.grid_and_gradient):
         for origin, shape in boxes:
             with pytest.raises(ValueError, match="one entry per axis"):
                 fill(origin, shape, 0.1)

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from monowave import field, gaussian, stats
+from monowave import field, stats
 from monowave.directions import generate_uniform_directions, empirical_measure
 from monowave.field import make_wave
 from monowave.gaussian import (
@@ -147,7 +147,7 @@ SET_UP_MEMOS = (field._axis_table, field._axis_derivative_table, field._equispac
 
 
 def _clear_set_up_memos():
-    for memo in SET_UP_MEMOS + (gaussian._circle_factors,):
+    for memo in SET_UP_MEMOS + (field._circle_factors,):
         memo.cache_clear()
 
 
