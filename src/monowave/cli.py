@@ -122,6 +122,8 @@ def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
             raise ValueError(
                 f"config key {key!r} expects {_EXPECTS[convert]}, got {val!r}"
             ) from None
+        if convert is float and not math.isfinite(kwargs[key]):
+            raise ValueError(f"config key {key!r} expects a finite number, got {val!r}")
     if "command" not in kwargs:
         raise ValueError("config must set command=<name>")
     cfg = ExperimentConfig(**kwargs)

@@ -17,12 +17,12 @@ returns it. Its crossing grid edges are ranked per axis block, from one
 bool mark and one int32 rank table that serve every block, and the ranks
 are written over the element edge ids, so no sort runs over them. The
 crossings are measured by linear interpolation and split into connected
-pieces by a second _connected pass over the crossing edges. A piece is
-interior when one of its crossing edges has an end in an interior
-component (_interior_pieces), read off the decomposition and the zero set
-together. The extraction's peak heap is about 2.6 times the value grid's
-bytes on a 101^3 ball grid of an m = 3 draw (4.1 on a 61^3 one), and the
-labeling's about 1.5 times (1.6 on the 61^3 one).
+pieces by a second _connected pass over the crossing edges. A piece's two
+sides are the components at the ends of its first crossing edge
+(_piece_sides): it is interior when one side is, and the tree edges and
+3D genera read per-piece arrays. The extraction's peak heap is about 2.6
+times the value grid's bytes on a 101^3 ball grid of an m = 3 draw (4.1 on
+a 61^3 one), and the labeling's about 1.5 times (1.6 on the 61^3 one).
 """
 
 from __future__ import annotations
@@ -510,14 +510,19 @@ def nodal_volume(grid: ScalarGrid) -> NodalGeometry:
     return grid._zero
 
 
+def _piece_sides(dec: NodalDecomposition, z: NodalGeometry) -> np.ndarray:
+    """(P, 2) component labels at the ends of each piece's first crossing edge.
+
+    _connected numbers pieces by their lowest edge: the first edges are where the running maximum
+    of edge_piece rises. A piece on an interior component borders exactly two components.
+    """
+    rise = np.diff(np.maximum.accumulate(z.edge_piece), prepend=-1)  # nonzero at the first edges
+    return dec.labels[z.edge_ends[np.flatnonzero(rise)]]
+
+
 def _interior_pieces(dec: NodalDecomposition, z: NodalGeometry) -> np.ndarray:
-    """Per piece of z, the zero set of dec.grid: one of its crossing edges has
-    an end in an interior component. Every crossing edge lies in the mask, so
-    both its end labels are >= 0."""
-    lower, upper = dec.touches_boundary[dec.labels[z.edge_ends.T]]  # rim flags of the ends
-    interior = np.zeros(len(z.piece_measure), dtype=bool)
-    interior[z.edge_piece[~(lower & upper)]] = True
-    return interior
+    """Per piece of z, the zero set of dec.grid: one of its two sides is an interior component."""
+    return ~dec.touches_boundary[_piece_sides(dec, z)].all(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -590,16 +595,14 @@ def _parent_pieces(dec: NodalDecomposition, tree: NestingTree) -> dict[int, int]
     """Component -> the zero piece between it and its tree parent.
 
     Only tree edges that the zero set crosses appear (an edge to the virtual
-    root has no piece). Where several pieces cross one edge the lowest id is
-    taken; an interior component has exactly one toward its parent.
+    root has no piece). A tree edge has an interior end, so the pieces that
+    cross it are those whose two sides (_piece_sides) are its ends; the
+    lowest id is taken, and an interior component has exactly one.
     """
-    z = nodal_volume(dec.grid)
     ncomp = dec.total_components
-    # the two end labels as two rows; int32 labels: ncomp^2 may pass 2^31
-    a, b = dec.labels[z.edge_ends.T].astype(np.int64)
-    keys = np.minimum(a, b) * ncomp + np.maximum(a, b)
-    order = np.argsort(z.edge_piece, kind="stable")[::-1]  # the lowest piece comes last and stays
-    piece_of = dict(zip(keys[order].tolist(), z.edge_piece[order].tolist()))
+    a, b = _piece_sides(dec, nodal_volume(dec.grid)).T.astype(np.int64)  # ncomp^2 may pass 2^31
+    keys = (np.minimum(a, b) * ncomp + np.maximum(a, b)).tolist()
+    piece_of = dict(zip(reversed(keys), reversed(range(len(keys)))))  # the lowest piece is set last
     pieces = {}
     for c, p in tree.parent.items():
         k = min(c, p) * ncomp + max(c, p)
@@ -612,33 +615,30 @@ def _parent_pieces(dec: NodalDecomposition, tree: NestingTree) -> dict[int, int]
 # topology classes of interior zero pieces
 
 
-def _genus_tagger(z: NodalGeometry, interior: np.ndarray):
-    """Tag function "genusG" for the pieces of a 3D zero set flagged in interior.
+def _genera(z: NodalGeometry, interior: np.ndarray) -> np.ndarray:
+    """Per piece of a 3D zero set, the genus, read where interior is set.
 
-    The tag of a piece that is not a closed surface is a
-    DegenerateSampleError. The element rows of the interior pieces are
-    grouped by piece with one stable argsort.
+    Each mesh vertex and edge lies in one piece, so V, E and F of every
+    interior piece come from one np.unique over the interior triangles'
+    vertices, one over their edge keys, and np.bincount. If an interior piece
+    is not a closed surface, the lowest such id raises DegenerateSampleError.
     """
     rows = np.flatnonzero(interior[z.element_piece])
-    rows = rows[np.argsort(z.element_piece[rows], kind="stable")]
-    bounds = np.searchsorted(z.element_piece[rows], np.arange(len(interior) + 1))
-
-    def tag(p: int) -> str:
-        tris = z.elements[rows[bounds[p] : bounds[p + 1]]]
-        verts = np.unique(tris)
-        pairs = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [0, 2]]])
-        pairs = np.sort(pairs, axis=1)
-        uniq_edges, counts = np.unique(pairs, axis=0, return_counts=True)
-        if not np.all(counts == 2):
-            raise DegenerateSampleError("an interior zero surface is not a closed 2-manifold",
-                                        "non_manifold")
-        chi = len(verts) - len(uniq_edges) + len(tris)
-        if chi % 2 or chi > 2:
-            raise DegenerateSampleError("mesh Euler characteristic is not that of a closed surface",
-                                        "bad_euler")
-        return f"genus{(2 - chi) // 2}"
-
-    return tag
+    tris, piece = z.elements[rows], z.element_piece[rows]
+    pairs = np.sort(tris[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), axis=1)  # three per triangle
+    _, vert_first = np.unique(tris, return_index=True)
+    _, edge_first, counts = np.unique(pairs[:, 0] * (tris.max(initial=-1) + 1) + pairs[:, 1],
+                                      return_index=True, return_counts=True)
+    edge_piece = piece[edge_first // 3]
+    V, E, F = (np.bincount(x, minlength=len(interior)) for x in (piece[vert_first // 3], edge_piece, piece))
+    non_manifold = np.bincount(edge_piece[counts != 2], minlength=len(interior)) > 0
+    chi = V - E + F
+    bad = np.flatnonzero(interior & (non_manifold | (chi % 2 == 1) | (chi > 2)))
+    if len(bad) and non_manifold[bad[0]]:
+        raise DegenerateSampleError("an interior zero surface is not a closed 2-manifold", "non_manifold")
+    if len(bad):
+        raise DegenerateSampleError("mesh Euler characteristic is not that of a closed surface", "bad_euler")
+    return (2 - chi) // 2
 
 
 def classify_topology(dec: NodalDecomposition) -> Counter:
@@ -657,8 +657,7 @@ def classify_topology(dec: NodalDecomposition) -> Counter:
     interior = _interior_pieces(dec, z)
     if not interior.any():
         return Counter()
-    tag = _genus_tagger(z, interior)
-    return Counter(tag(p) for p in np.flatnonzero(interior).tolist())
+    return Counter(f"genus{g}" for g in _genera(z, interior)[interior].tolist())
 
 
 def export_components_csv(dec: NodalDecomposition, path: str) -> None:
@@ -671,7 +670,7 @@ def export_components_csv(dec: NodalDecomposition, path: str) -> None:
         pieces = _parent_pieces(dec, build_nesting_tree(dec))
     except DegenerateSampleError:
         pieces = {}
-    tag_of = _genus_tagger(z, interior) if z.dim == 3 else (lambda p: "circle")
+    genera = _genera(z, interior) if z.dim == 3 and pieces else None  # no tree: blank classes
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["id", "sign", "size", "boundary", "measure", "class"])
@@ -683,5 +682,5 @@ def export_components_csv(dec: NodalDecomposition, path: str) -> None:
             if p is not None:
                 measure = repr(float(z.piece_measure[p]))
                 if interior[p]:
-                    tag = tag_of(p)
+                    tag = "circle" if genera is None else f"genus{genera[p]}"
             w.writerow([c, "+" if sign > 0 else "-", size, int(rim), measure, tag])

@@ -104,10 +104,24 @@ def test_exit_codes(tmp_path, monkeypatch):
         # the spatial sample is drawn from B(R): R must be positive
         ("command = moments\nR = 0\nW = 1\nsamples = 50\n", "R must be positive"),
         ("command = smallvalues\nR = -20\nsamples = 50\n", "R must be positive"),
+        # inf and nan parse as floats: every float key refuses them before a
+        # run can overflow or write NaN rows
+        ("command = doubling\nR = inf\nW = 1\nsamples = 5\n", "key 'R' expects a finite number, got 'inf'"),
+        ("command = nodal-stats\nW = inf\n", "key 'W' expects a finite number, got 'inf'"),
+        ("command = semilocal\nR = inf\nW = 4\n", "key 'R' expects a finite number, got 'inf'"),
+        ("command = sandwich\nR = inf\nr = 0.5\n", "key 'R' expects a finite number, got 'inf'"),
+        ("command = fig1\nwavenumber = inf\n", "key 'wavenumber' expects a finite number, got 'inf'"),
+        ("command = moments\nR = inf\nW = 1\nsamples = 50\n", "key 'R' expects a finite number, got 'inf'"),
+        ("command = moments\nR = -Infinity\nW = 1\nsamples = 50\n",
+         "key 'R' expects a finite number, got '-Infinity'"),
+        ("command = smallvalues\nR = 20\nbeta = nan\nsamples = 50\n",
+         "key 'beta' expects a finite number, got 'nan'"),
     ],
     ids=["smallvalues-0", "doubling-0", "doubling-no-samples", "charfn-0", "kacrice-atomic-0",
          "charfn-1", "nodal-stats-h0", "nodal-stats-h-negative", "fig1-h0", "moments-p_max-0",
-         "moments-R-0", "smallvalues-R-negative"],
+         "moments-R-0", "smallvalues-R-negative", "doubling-R-inf", "nodal-stats-W-inf",
+         "semilocal-R-inf", "sandwich-R-inf", "fig1-wavenumber-inf", "moments-R-inf",
+         "moments-R-minus-inf", "smallvalues-beta-nan"],
 )
 def test_out_of_range_samples_and_spacing_exit_2(tmp_path, capsys, body, err):
     # every Monte Carlo stderr uses ddof=1, so fewer than 2 samples has none

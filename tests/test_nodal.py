@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import gc
+import io
 import itertools
 import math
 import os
@@ -290,7 +292,9 @@ def test_sphere_area_and_tag():
                    values=1.0 - (pts**2).sum(axis=1))
     geom = nodal_volume(g)
     assert abs(geom.total - 4 * math.pi) / (4 * math.pi) < 0.02
-    assert classify_topology(label_domains(g)) == {"genus0": 1}
+    dec = label_domains(g)
+    assert classify_topology(dec) == {"genus0": 1}
+    check_piece_readers_against_references(dec)
 
 
 def test_torus_genus():
@@ -302,7 +306,9 @@ def test_torus_genus():
     rho = np.sqrt(pts[:, 0] ** 2 + pts[:, 1] ** 2)
     g = ScalarGrid(origin=np.full(3, lo), spacing=h, shape=(n,) * 3,
                    values=(rho - 1.0) ** 2 + pts[:, 2] ** 2 - 0.16)
-    assert classify_topology(label_domains(g)) == {"genus1": 1}
+    dec = label_domains(g)
+    assert classify_topology(dec) == {"genus1": 1}
+    check_piece_readers_against_references(dec)
 
 
 def test_j0_nesting_tree_regression():
@@ -397,8 +403,9 @@ def test_piece_tag_exclusion_reasons(dim, elements, reason):
     elements = np.array(elements)
     z = SimpleNamespace(dim=dim, elements=elements, element_piece=np.zeros(len(elements), int))
     with pytest.raises(DegenerateSampleError) as info:
-        nodal._genus_tagger(z, np.array([True]))(0)
+        nodal._genera(z, np.array([True]))
     assert info.value.reason == reason
+    assert raised_reason(genus_tagger(z, np.array([True])), 0) == reason
 
 
 @pytest.mark.parametrize("first, second", [
@@ -424,12 +431,104 @@ def test_classify_raises_the_first_bad_piece_in_piece_order(first, second):
     with pytest.raises(DegenerateSampleError) as info:
         classify_topology(dec)
     assert info.value.reason == first
+    # the former readers: the any-edge flags, then each interior piece's tag in piece order
+    interior = any_edge_interior_pieces(dec, z)
+    assert interior.tolist() == [False, True, True]
+    tag = genus_tagger(z, interior)
+    assert [raised_reason(tag, p) for p in (1, 2)] == [first, second]
 
 
 def open_curve_pieces(z) -> set[int]:
     """Reference: the 2D pieces with an element end that is not shared by exactly two elements."""
     closed = np.bincount(z.elements.reshape(-1), minlength=len(z.edge_ends)) == 2
     return set(z.element_piece[~np.all(closed[z.elements], axis=1)].tolist())
+
+
+def any_edge_interior_pieces(dec, z) -> np.ndarray:
+    """Reference: the former per-edge scan, a piece is interior when one of
+    its crossing edges has an end in an interior component."""
+    lower, upper = dec.touches_boundary[dec.labels[z.edge_ends.T]]
+    interior = np.zeros(len(z.piece_measure), dtype=bool)
+    interior[z.edge_piece[~(lower & upper)]] = True
+    return interior
+
+
+def all_edges_parent_pieces(dec, tree) -> dict[int, int]:
+    """Reference: the former dict over all crossing edges, keyed by their end
+    labels; the lowest piece on a tree edge is taken."""
+    z = nodal_volume(dec.grid)
+    ncomp = dec.total_components
+    a, b = dec.labels[z.edge_ends.T].astype(np.int64)
+    keys = np.minimum(a, b) * ncomp + np.maximum(a, b)
+    order = np.argsort(z.edge_piece, kind="stable")[::-1]  # the lowest piece comes last and stays
+    piece_of = dict(zip(keys[order].tolist(), z.edge_piece[order].tolist()))
+    return {c: piece_of[min(c, p) * ncomp + max(c, p)] for c, p in tree.parent.items()
+            if p >= 0 and min(c, p) * ncomp + max(c, p) in piece_of}
+
+
+def genus_tagger(z, interior: np.ndarray):
+    """Reference: the former per-piece closure, one np.unique(axis=0) over each piece's edges."""
+    rows = np.flatnonzero(interior[z.element_piece])
+    rows = rows[np.argsort(z.element_piece[rows], kind="stable")]
+    bounds = np.searchsorted(z.element_piece[rows], np.arange(len(interior) + 1))
+
+    def tag(p: int) -> str:
+        tris = z.elements[rows[bounds[p] : bounds[p + 1]]]
+        verts = np.unique(tris)
+        pairs = np.sort(np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [0, 2]]]), axis=1)
+        uniq_edges, counts = np.unique(pairs, axis=0, return_counts=True)
+        if not np.all(counts == 2):
+            raise DegenerateSampleError("not a closed 2-manifold", "non_manifold")
+        chi = len(verts) - len(uniq_edges) + len(tris)
+        if chi % 2 or chi > 2:
+            raise DegenerateSampleError("not the Euler characteristic of a closed surface", "bad_euler")
+        return f"genus{(2 - chi) // 2}"
+
+    return tag
+
+
+def raised_reason(f, *args) -> str | None:
+    try:
+        f(*args)
+    except DegenerateSampleError as exc:
+        return exc.reason
+    return None
+
+
+def check_piece_readers_against_references(dec) -> None:
+    """The per-piece arrays agree with the former per-edge readers: interior
+    flags bitwise, parent-piece maps and, in 3D, the tag of every interior piece."""
+    z = nodal_volume(dec.grid)
+    interior = nodal._interior_pieces(dec, z)
+    assert (interior.dtype, interior.tobytes()) == (np.dtype(bool), any_edge_interior_pieces(dec, z).tobytes())
+    tree = build_nesting_tree(dec)
+    assert nodal._parent_pieces(dec, tree) == all_edges_parent_pieces(dec, tree)
+    if z.dim == 3 and interior.any():
+        tag = genus_tagger(z, interior)
+        genera = nodal._genera(z, interior)
+        assert [f"genus{genera[p]}" for p in np.flatnonzero(interior)] == [
+            tag(p) for p in np.flatnonzero(interior).tolist()]
+
+
+def reference_components_csv(dec) -> bytes:
+    """Reference: the former export's bytes, from the per-edge readers above."""
+    z = nodal_volume(dec.grid)
+    interior = any_edge_interior_pieces(dec, z)
+    try:
+        pieces = all_edges_parent_pieces(dec, build_nesting_tree(dec))
+    except DegenerateSampleError:
+        pieces = {}
+    tag_of = genus_tagger(z, interior) if z.dim == 3 else (lambda p: "circle")
+    out = io.StringIO(newline="")
+    w = csv.writer(out)
+    w.writerow(["id", "sign", "size", "boundary", "measure", "class"])
+    for c, (sign, size, rim) in enumerate(zip(dec.sign.tolist(), dec.size.tolist(),
+                                              dec.touches_boundary.tolist())):
+        p = pieces.get(c)
+        measure = "" if p is None else repr(float(z.piece_measure[p]))
+        tag = tag_of(p) if p is not None and interior[p] else ""
+        w.writerow([c, "+" if sign > 0 else "-", size, int(rim), measure, tag])
+    return out.getvalue().encode()
 
 
 def test_open_curve_found_in_its_own_piece():
@@ -458,6 +557,27 @@ def test_export_components_csv(tmp_path, cosine_wave):
     pd = tmp_path / "degenerate.csv"
     export_components_csv(decd, str(pd))
     assert len(pd.read_text().strip().splitlines()) == 1 + decd.total_components
+
+
+def test_export_components_csv_3d_classes(tmp_path):
+    # a bubble lattice has interior components: each one's row names the
+    # closed surface toward its tree parent, its area and its genus class
+    g = bubble_grids(3, np.random.default_rng(53))[0]
+    dec = label_domains(g)
+    path = tmp_path / "components.csv"
+    export_components_csv(dec, str(path))
+    z = nodal_volume(g)
+    pieces = nodal._parent_pieces(dec, build_nesting_tree(dec))
+    genera = nodal._genera(z, nodal._interior_pieces(dec, z))
+    rows = list(csv.DictReader(path.open(newline="")))
+    inner = [r for r in rows if r["boundary"] == "0"]
+    assert len(inner) == dec.interior_count > 5
+    for r in inner:
+        p = pieces[int(r["id"])]
+        assert r["measure"] == repr(float(z.piece_measure[p])) and float(r["measure"]) > 0
+        assert r["class"] == f"genus{genera[p]}"
+    assert sum(bool(r["class"]) for r in rows) == dec.interior_count
+    assert path.read_bytes() == reference_components_csv(dec)
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +757,8 @@ def check_mesh_against_labeling(g: ScalarGrid) -> int:
     adjacency off rim-rim pairs; every interior piece borders exactly two
     components; two components with one off the rim share one piece; in 2D
     every interior piece is a closed curve; there is one interior piece per
-    interior component; and the tree builds. Returns the interior piece count.
+    interior component; the tree builds; and the per-piece readers agree
+    with the former per-edge ones. Returns the interior piece count.
     """
     dec = label_domains(g)
     z = nodal_volume(g)
@@ -650,7 +771,7 @@ def check_mesh_against_labeling(g: ScalarGrid) -> int:
     if g.dim == 2:
         assert not open_curve_pieces(z) & set(interior.tolist())
     assert len(interior) == dec.interior_count
-    build_nesting_tree(dec)
+    check_piece_readers_against_references(dec)
     return len(interior)
 
 
