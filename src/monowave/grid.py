@@ -11,6 +11,10 @@ shares the same index arithmetic: flat = i1*n2*n3 + i2*n3 + i3.
 within_ball is the package's one "lattice point lies in the closed ball"
 rule: the grid mask and lattice_ball (the absolute lattice h Z^m behind the
 nondegeneracy probe, the doubling index and the window centres) both use it.
+Beside it, ScalarGrid.block_squares gives the same squared distances
+maximised over each vertex's 3^m block: the labeling's per-component reach,
+which places a component inside or on the rim of B(r) for every r up to the
+mask radius, is read off them.
 """
 
 from __future__ import annotations
@@ -51,8 +55,13 @@ class ScalarGrid:
             raise ValueError("spacing must be positive")
         if int(np.prod(self.shape)) != self.values.size:
             raise ValueError("shape product does not match value count")
+        if self.ball_center is not None or self.ball_radius is not None:
+            self.ball_center = np.asarray(self.ball_center, dtype=float)  # None: shape ()
+            if self.ball_center.shape != (self.dim,):
+                raise ValueError("ball_center needs one entry per axis")
         if self.ball_radius is not None:
-            self.ball_center = np.asarray(self.ball_center, dtype=float)
+            if not (math.isfinite(self.ball_radius) and self.ball_radius > 0):
+                raise ValueError("ball_radius must be finite and positive")
             extent = (np.asarray(self.shape) - 1) * self.spacing
             if self.ball_radius > extent.min() / 2 + self.spacing:
                 raise ValueError("mask radius exceeds half the box extent")
@@ -67,10 +76,31 @@ class ScalarGrid:
     def grid_values(self) -> np.ndarray:
         return self.values.reshape(self.shape)
 
+    def _center(self) -> np.ndarray:
+        """The mask center (the origin if unmasked)."""
+        return self.ball_center if self.ball_center is not None else np.zeros(self.dim)
+
     def within(self, r: float) -> np.ndarray:
         """Vertices within distance r of the mask center (origin if unmasked)."""
-        c = self.ball_center if self.ball_center is not None else np.zeros(self.dim)
-        return within_ball([self.axis_coords(a) for a in range(self.dim)], c, r)
+        return within_ball([self.axis_coords(a) for a in range(self.dim)], self._center(), r)
+
+    def block_squares(self) -> list[np.ndarray]:
+        """Per axis, the largest squared offset from the mask center over each vertex and its neighbours.
+
+        +inf at both ends, where a neighbour is off the grid. Added in axis
+        order as within_ball adds, the tables give κ(v): the largest squared
+        distance to the center over the 3^m block around vertex v, +inf where
+        the block leaves the grid. Float addition is monotone in each term,
+        so the sum of the maxima is the largest of the block's sums: v's
+        block lies in the grid and in within(r) exactly when
+        κ(v) <= _squared_bound(r). Each table is unimodal along its axis, so
+        along a grid line κ is largest at one end of any stretch.
+        """
+        c = self._center()
+        # a neighbour past either end is infinitely far
+        sq = [np.concatenate(([np.inf], (self.axis_coords(a) - c[a]) ** 2, [np.inf]))
+              for a in range(self.dim)]
+        return [np.maximum(np.maximum(s[:-2], s[1:-1]), s[2:]) for s in sq]
 
     def mask(self) -> np.ndarray:
         """Boolean in-region array, read-only and computed once per grid.

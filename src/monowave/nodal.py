@@ -3,12 +3,14 @@
 Sign components are found over run-length encoded rows by array hooking and
 pointer jumping (_connected), with positive vertices 4-connected (6 in 3D)
 and negative ones 8-connected (18 in 3D), the pair the sign-case tables
-imply. The same pass flags the components on the rim, which it reads off
-the cells the zero set scans, and pairs the components across
-opposite-sign grid edges. The decomposition keeps what the pass computes,
-per component label, as arrays: sign, size (vertex count) and
-touches_boundary (the rim flag); nesting trees and the 2D class counts are
-read from it alone. The labels are int32 when the grid has
+imply. The same pass pairs the components across opposite-sign grid edges
+and takes each component's reach, the largest squared distance to the mask
+centre over the 3^m blocks of its vertices, from the ends of its runs. The
+decomposition keeps what the pass computes, per component label, as arrays:
+sign, size (vertex count) and reach. The rim flag touches_boundary is read
+off the reach, as is which components lie inside any smaller ball about
+the same centre; nesting trees and the 2D class counts are read from the
+decomposition alone. The labels are int32 when the grid has
 fewer than 2^31 vertices (intp otherwise), and so are the union-find
 parents and pairs below 2^31 entries. The zero set is a function of the
 grid alone: extracted per cell from the sign-case tables, it is one
@@ -22,7 +24,7 @@ sides are the components at the ends of its first crossing edge
 (_piece_sides): it is interior when one side is, and the tree edges and
 3D genera read per-piece arrays. The extraction's peak heap is about 2.6
 times the value grid's bytes on a 101^3 ball grid of an m = 3 draw (4.1 on
-a 61^3 one), and the labeling's about 1.5 times (1.6 on the 61^3 one).
+a 61^3 one), and the labeling's about 1.4 times (1.6 on the 61^3 one).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _mc_tables as mct
-from .grid import ScalarGrid
+from .grid import ScalarGrid, _squared_bound
 
 TIE_EPS = 1e-13  # |value| below this is treated as +TIE_EPS everywhere
 _MEASURE_BLOCK = 2**15  # elements per block of _element_measures
@@ -114,8 +116,9 @@ def _connected(n: int, pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, int]
 class NodalDecomposition:
     """The sign components of a grid: vertex labels, per-component arrays, adjacency.
 
-    sign, size and touches_boundary hold one entry per component, indexed by
-    its label.
+    sign, size and reach hold one entry per component, indexed by its label.
+    A component lies inside B(r), off its rim, for r up to the mask radius
+    about the mask centre, exactly when reach <= _squared_bound(r).
     """
 
     grid: ScalarGrid
@@ -124,14 +127,22 @@ class NodalDecomposition:
     labels: np.ndarray
     sign: np.ndarray  # int8, +1 or -1
     size: np.ndarray  # int64 vertex counts
-    touches_boundary: np.ndarray  # bool: the component reaches the rim
+    # float64: the largest κ over the component's vertices (grid.block_squares),
+    # +inf when a vertex's 3^m block leaves the grid
+    reach: np.ndarray
     # (E, 2) sorted unique component pairs a < b joined by an opposite-sign
     # grid edge between in-mask vertices
     adjacency: np.ndarray
 
     @property
+    def touches_boundary(self) -> np.ndarray:
+        """bool per component: the 3^m block of one of its vertices leaves the mask or the grid."""
+        r = self.grid.ball_radius
+        return self.reach > _squared_bound(r) if r is not None else self.reach == np.inf
+
+    @property
     def total_components(self) -> int:
-        return len(self.touches_boundary)
+        return len(self.reach)
 
     @property
     def interior_count(self) -> int:
@@ -151,24 +162,24 @@ def _run_pairs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def label_domains(grid: ScalarGrid) -> NodalDecomposition:
-    """Sign components of the in-mask vertices, their rim flags and adjacency.
+    """Sign components of the in-mask vertices, their reach and adjacency.
 
     Positive vertices are 4-connected (6 in 3D) and negative ones 8-connected
     (18 in 3D): the consistent pair (Kong & Rosenfeld 1989) that the
     sign-case tables imply, since a saddle face joins its negative corners
     and cuts off its positive ones, and a cube joins nothing across a body
     diagonal. So two components are separated exactly by zero-set pieces. A
-    component touches the rim when one of its vertices is a corner of a cell
-    that lies outside the grid or that the zero set does not scan: the rim
-    is read off the zero set's scanned cells (_scanned_cells), for a mask of
-    any shape. Equivalently, the vertex has a vertex outside the grid or the
-    mask in its 3^m neighbourhood. The adjacency pairs the components on
-    either side of each opposite-sign grid edge.
+    component's reach is the largest κ over its vertices: κ(v), from
+    grid.block_squares, is the largest squared distance to the mask centre
+    over v's 3^m block, the corners of v's cells. κ is unimodal along a grid
+    line, so a run's largest is at one of its ends. The component touches
+    the rim of the ball mask, a vertex of one of its cells lying outside the
+    grid or the mask so that the zero set does not scan that cell, exactly
+    when its reach exceeds the squared radius; on a grid without a mask,
+    when its reach is +inf. The adjacency pairs the components on either
+    side of each opposite-sign grid edge.
     """
     mask = grid.mask()
-    # the in-mask vertices with a cell that is not scanned or lies outside
-    # the grid: taken before the runs, so its grid-sized temporaries are gone
-    rim = np.flatnonzero(mask & ~_scanned_cells(np.pad(_scanned_cells(mask), 1)))
     pos = grid.grid_values() > -TIE_EPS  # == (value clamped to TIE_EPS) > 0
     shape = grid.shape
     L = shape[-1]
@@ -239,6 +250,13 @@ def label_domains(grid: ScalarGrid) -> NodalDecomposition:
     sizes = np.bincount(comp_of_run, weights=lengths, minlength=ncomp).astype(np.int64)
     signs = np.zeros(ncomp, dtype=np.int8)
     signs[comp_of_run] = np.where(neg, -1, 1)
+    # each run's largest κ, summed in axis order as within_ball sums: its
+    # line's terms, then the larger end term, which gives the larger sum as
+    # float addition is monotone; the per-run sums are gone before the labels
+    *outer, along = grid.block_squares()
+    line_terms = sum(np.meshgrid(*outer, indexing="ij", sparse=True)).reshape(-1)  # per line
+    reach = np.full(ncomp, -np.inf)
+    np.maximum.at(reach, comp_of_run, line_terms[run_line] + np.maximum(along[run_s], along[run_e - 1]))
 
     ca = comp_of_run[np.concatenate(adj_a)]  # intp, so the pair keys cannot wrap
     cb = comp_of_run[np.concatenate(adj_b)]
@@ -253,11 +271,9 @@ def label_domains(grid: ScalarGrid) -> NodalDecomposition:
     run_label = np.full(len(run_len), -1, dtype=_index_dtype(mask.size))
     run_label[inmask] = comp_of_run
     labels = np.repeat(run_label, run_len)
-    touches = np.zeros(ncomp, dtype=bool)
-    touches[labels[rim]] = True
 
     return NodalDecomposition(grid=grid, labels=labels, sign=signs, size=sizes,
-                              touches_boundary=touches, adjacency=adjacency)
+                              reach=reach, adjacency=adjacency)
 
 
 # ---------------------------------------------------------------------------

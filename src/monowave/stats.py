@@ -363,7 +363,8 @@ class _ZeroClipper:
 
     m=2: exact quadratic clipping of each segment. m=3: each triangle is
     split into 16 congruent subtriangles and scored by centroid membership;
-    only triangles whose reach touches the ball are examined.
+    only triangles whose centroid lies within their spread (the largest
+    centroid-to-corner distance) of the sphere are examined.
     """
 
     def __init__(self, grid: ScalarGrid):
@@ -378,7 +379,7 @@ class _ZeroClipper:
         else:
             tri = geom.vertices[geom.triangles]  # (T, 3, 3)
             self.centroid = tri.mean(axis=1)
-            self.reach = np.linalg.norm(tri - self.centroid[:, None, :], axis=-1).max(axis=1)
+            self.spread = np.linalg.norm(tri - self.centroid[:, None, :], axis=-1).max(axis=1)
             k = 4
             pts = []
             for i in range(k):
@@ -406,8 +407,8 @@ class _ZeroClipper:
             inside = (disc > 0) & (self.dd > 0)
             return float(np.sum(np.where(inside, t1 - t0, 0.0) * self.measure))
         dist = np.linalg.norm(self.centroid - center, axis=1)
-        total = float(self.measure[dist <= r - self.reach].sum())
-        cross = np.nonzero((dist > r - self.reach) & (dist < r + self.reach))[0]
+        total = float(self.measure[dist <= r - self.spread].sum())
+        cross = np.nonzero((dist > r - self.spread) & (dist < r + self.spread))[0]
         if len(cross):
             # (16, 3 len(cross)): one flat row of (x, y, z) per barycentric
             # point, so the arithmetic runs along long rows

@@ -380,6 +380,23 @@ def test_box_grid_without_ball_mask():
     assert np.array_equal(g.axis_coords(1), 0.5 * np.arange(4))
 
 
+def test_ball_parameters_are_refused_at_construction():
+    # the mask and the labeling's reach tables read the centre axis by axis
+    def grid(centre, radius):
+        return ScalarGrid(origin=np.zeros(2), spacing=0.5, shape=(5, 5), values=np.zeros(25),
+                          ball_center=centre, ball_radius=radius)
+
+    for centre in (np.zeros(3), np.zeros(1), np.zeros((2, 1)), None):
+        with pytest.raises(ValueError, match="one entry per axis"):
+            grid(centre, 1.0)
+    with pytest.raises(ValueError, match="one entry per axis"):
+        grid(np.zeros(3), None)  # the unmasked grid's distances are about it too
+    for radius in (math.nan, -1.0, 0.0, math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            grid(np.ones(2), radius)
+    assert grid(np.ones(2), 1.0).mask().sum() == 13
+
+
 def test_mask_is_computed_once_and_read_only():
     g = sample_on_grid(lambda p: p[:, 0], np.array([0.3, -0.2, 0.1]), 1.5, 0.07)
     mask = g.mask()

@@ -21,7 +21,7 @@ from monowave import nodal, stats
 from monowave.cli import bessel_zero_table
 from monowave.field import bessel_j
 from monowave.gaussian import sample_uniform
-from monowave.grid import ScalarGrid, sample_on_grid
+from monowave.grid import ScalarGrid, _squared_bound, sample_on_grid
 from monowave.nodal import (
     DegenerateSampleError,
     build_nesting_tree,
@@ -947,7 +947,8 @@ def test_labeling_memory():
     # peak traced heap of one m=3 labeling, in units of the value grid: 3.29
     # for intp labels written through the mask, 1.57 for int32 labels
     # repeated from every run with the vertex-sized sign arrays freed first,
-    # 1.64 with the rim read off the scanned cells before the runs are built
+    # 1.64 with the rim read off the scanned cells before the runs are built,
+    # 1.57 with the reach read off the run ends instead (1.43 on a 101^3 grid)
     g = memory_test_grid()
     assert traced_peak(lambda: label_domains(g)) < 1.75 * g.values.nbytes
 
@@ -968,9 +969,9 @@ def shell_test_grids(m: int, rng) -> list[ScalarGrid]:
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_rim_flags_match_grid_sized_rim(m):
-    # label_domains reads the rim off the zero set's scanned cells; its
-    # touches flags are the ones the grid-sized rim (the mask minus its 3^m
-    # erosion) gives
+    # label_domains reads the rim off each component's reach; its touches
+    # flags are the ones the grid-sized rim (the mask minus its 3^m erosion)
+    # gives
     for g in shell_test_grids(m, np.random.default_rng(40 + m)):
         dec = label_domains(g)
         on_shell = np.zeros(dec.total_components, dtype=bool)
@@ -979,6 +980,78 @@ def test_rim_flags_match_grid_sized_rim(m):
         assert dec.interior_count == np.count_nonzero(~on_shell)
         assert dec.boundary_count == np.count_nonzero(on_shell)
         assert on_shell.any()
+
+
+def reach_reference(g: ScalarGrid, labels: np.ndarray) -> np.ndarray:
+    """Per label, the largest κ over its vertices, vertex by vertex: the
+    squared distance to the mask centre of every one of the 3^m offsets,
+    summed in axis order, +inf past the ends of the grid."""
+    c = g.ball_center if g.ball_center is not None else np.zeros(g.dim)
+    sq = [np.pad((g.axis_coords(a) - c[a]) ** 2, 1, constant_values=np.inf) for a in range(g.dim)]
+    kappa = np.full(g.shape, -np.inf)
+    for off in itertools.product(range(3), repeat=g.dim):
+        total = 0.0
+        for a, o in enumerate(off):
+            total = total + sq[a][o : o + g.shape[a]].reshape([-1 if i == a else 1 for i in range(g.dim)])
+        kappa = np.maximum(kappa, total)
+    labels = labels.reshape(g.shape)
+    return np.array([kappa[labels == k].max() for k in range(labels.max() + 1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.booleans())
+def test_reach_matches_per_vertex_blocks(seed, m, ball):
+    # the run-end reach against every vertex's 3^m block, bitwise, on ball
+    # grids (any centre in the box, any radius the grid admits) and box grids
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(n) for n in rng.integers(3, 24 if m == 2 else 10, m))
+    h = float(rng.uniform(0.05, 0.2))
+    origin = rng.uniform(-1.0, 1.0, m)
+    centre = radius = None
+    if ball:
+        extent = (np.array(shape) - 1) * h
+        centre = origin + rng.uniform(0.0, 1.0, m) * extent
+        radius = float(rng.uniform(h * math.sqrt(m), extent.min() / 2 + h))
+    g = ScalarGrid(origin=origin, spacing=h, shape=shape, values=rng.standard_normal(math.prod(shape)),
+                   ball_center=centre, ball_radius=radius)
+    dec = label_domains(g)
+    assert dec.reach.dtype == np.float64
+    assert dec.reach.tobytes() == reach_reference(g, dec.labels).tobytes()
+
+
+def sub_ball_grids(m: int, rng) -> list[ScalarGrid]:
+    """Ball grids with interior components: uniform draws, centred and
+    off-centre, and (in 3D, where desk-scale draws have none) bubble lattices."""
+    if m == 3:
+        return bubble_grids(3, rng)[:3]
+    return [sample_on_grid(sample_uniform(2, 256, 90 + s), np.zeros(2) if s % 2 else rng.uniform(-1.0, 1.0, 2),
+                           5.0, 0.05) for s in range(4)]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_reach_gives_the_interior_count_of_every_sub_ball(m):
+    # a fresh labeling of the same values under a B(r) mask about the same
+    # centre finds as interior exactly the components with reach within r:
+    # radii below the smallest reach, at and one ulp below the reach of some
+    # components (where rounding decides), between, and at the mask radius
+    for g in sub_ball_grids(m, np.random.default_rng(70 + m)):
+        dec = label_domains(g)
+        W = g.ball_radius
+        roots = np.sqrt(np.sort(dec.reach[dec.reach <= W * W]))
+        assert len(roots) > 2
+        radii = [0.9 * roots[0], math.nextafter(roots[0], 0.0), *np.linspace(roots[0], W, 5)]
+        for x in roots[:: max(1, len(roots) // 4)].tolist():
+            radii += [x, math.nextafter(x, 0.0)]
+        for r in radii:
+            sub = label_domains(ScalarGrid(origin=g.origin, spacing=g.spacing, shape=g.shape,
+                                           values=g.values, ball_center=g.ball_center, ball_radius=r))
+            inside = dec.reach <= _squared_bound(r)
+            assert np.count_nonzero(inside) == sub.interior_count, r
+            # the same components: their sizes, signs and reach
+            for name in ("size", "sign", "reach"):
+                want = np.sort(getattr(dec, name)[inside])
+                assert np.sort(getattr(sub, name)[~sub.touches_boundary]).tobytes() == want.tobytes()
+        assert np.count_nonzero(dec.reach <= _squared_bound(W)) == dec.interior_count
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -1062,9 +1135,8 @@ def test_crossing_elements_match_per_cell_loop(m, W, h):
 @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]))
 def test_cell_cases_match_corner_by_corner(seed, m):
     # the axis-by-axis gather against one slice per corner: corner c is
-    # offset along axis a by bit a of c and sets bit c of the case. The masks
-    # are not balls, and the labeling's rim, read off the scanned cells, is
-    # still the mask minus its 3^m erosion
+    # offset along axis a by bit a of c and sets bit c of the case, on masks
+    # that are not balls
     rng = np.random.default_rng(seed)
     shape = tuple(int(n) for n in rng.integers(2, 30 if m == 2 else 12, m))
     pos = rng.random(shape) < rng.uniform(0.1, 0.9)
@@ -1080,13 +1152,6 @@ def test_cell_cases_match_corner_by_corner(seed, m):
     assert case.dtype == np.uint8 and ok.dtype == bool
     assert case.tobytes() == want_case.tobytes() and case.shape == cells
     assert ok.tobytes() == want_ok.tobytes() and ok.shape == cells
-    g = ScalarGrid(origin=np.zeros(m), spacing=0.1, shape=shape, values=np.where(pos, 1.0, -1.0))
-    g._mask = mask
-    if mask.any():
-        dec = label_domains(g)
-        rim = np.zeros(dec.total_components, dtype=bool)
-        rim[dec.labels[rim_reference(g).reshape(-1)]] = True
-        assert np.array_equal(dec.touches_boundary, rim)
 
 
 @pytest.mark.parametrize("m, W, h", [(2, 2.0, 0.1), (3, 0.9, 0.1), (2, None, 0.1)])
