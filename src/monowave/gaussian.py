@@ -3,10 +3,13 @@
 Every draw is a PlaneWaveSum. Atomic measures sample F(y) = sum_k sqrt(w_k)
 [g_k cos(2 pi <z_k, y>) + h_k sin(2 pi <z_k, y>)] over their one atom z_k per
 +- pair, with w_k the mass of the pair; the uniform measure is approximated by
-M random plane waves with uniform phases. The nondegeneracy check fills a
-draw's probe box through one low-rank lattice (field._LowRankLattice) and, in
-R^2, reads the circle |x| = W from the same lattice, which owns the circular
-spectrum behind both.
+M random plane waves with uniform phases. An atomic draw's g and h are one
+row [g | h] of standard normals from its own seeded generator (_normal_row);
+atomic_cloud evaluates many such draws at a few points as row blocks of that
+layout times one (2A, points) table, without building their PlaneWaveSums.
+The nondegeneracy check fills a draw's probe box through one low-rank
+lattice (field._LowRankLattice) and, in R^2, reads the circle |x| = W from
+the same lattice, which owns the circular spectrum behind both.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import PlaneWaveSum, _LowRankLattice
+from .field import PlaneWaveSum, _LowRankLattice, _row_blocks
 from .grid import lattice_ball
 from .partition import SpherePartition, positive_side
 
@@ -29,7 +32,8 @@ def child_rng(seed: int, j: int) -> np.random.Generator:
     Stream layout under one seed:
       0      growth.spatial_sample, the uniform points of every spatial average
       1      the CLI wave's coefficient phases
-      2      stats.pushforward_distance's Gaussian draw seeds, one stream for all n
+      2      stats.pushforward_distance's Gaussian draw seeds, one stream for all n,
+             one seed per draw in order
       j      draw j of the ns_constant_estimate and discrepancy_estimate trials
       10**6  stats.pushforward_distance's permutations
     Trial streams reuse the small keys, but those commands draw no spatial
@@ -94,15 +98,52 @@ def measure_from_partition(part: SpherePartition) -> SpectralMeasure:
     return SpectralMeasure(dim=part.dim, freqs=freqs, weights=weights)
 
 
+def _normal_row(seed: int, row: np.ndarray) -> np.ndarray:
+    """Fill row, [g | h] of one atomic draw, from the generator of its seed: g first, then h."""
+    return np.random.default_rng(seed).standard_normal(out=row)
+
+
 def sample_atomic(measure: SpectralMeasure, seed: int) -> PlaneWaveSum:
-    """Draw g_k, h_k iid N(0,1) per atom pair; c_k = sqrt(w_k) (g_k - i h_k), so E F(y)^2 = 1."""
+    """Draw g_k, h_k iid N(0,1) per atom pair; c_k = sqrt(w_k) (g_k - i h_k), so E F(y)^2 = 1.
+
+    g and h are the two halves of _normal_row(seed), the row that atomic_cloud
+    reads for the same seed.
+    """
     if measure.kind != "atomic":
         raise ValueError("sample_atomic needs an atomic measure")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal(len(measure.weights))
-    h = rng.standard_normal(len(measure.weights))
+    A = len(measure.weights)
+    g, h = np.split(_normal_row(seed, np.empty(2 * A)), 2)
     coeffs = np.sqrt(measure.weights) * (g - 1j * h)
     return PlaneWaveSum(measure.freqs, coeffs)
+
+
+def atomic_cloud(measure: SpectralMeasure, seeds, y_points) -> np.ndarray:
+    """(S, Y) values of the draws sample_atomic(measure, s), s in seeds, at the Y y_points.
+
+    Draw i's row [g | h] comes from _normal_row(seeds[i]), so every draw is
+    the one sample_atomic makes from its seed; its values are the real
+    product of that row with the (2A, Y) table [sqrt(w) cos t ; sqrt(w) sin t],
+    t = 2 pi <z_k, y>, since Re(sqrt(w) (g - ih) e(t)) = sqrt(w) (g cos t + h sin t).
+    The rows are taken in field._row_blocks(S, 2A) blocks through one reused
+    buffer, so no temporary grows with the draw count beyond the output.
+    """
+    if measure.kind != "atomic":
+        raise ValueError("atomic_cloud needs an atomic measure")
+    y_points = np.atleast_2d(np.asarray(y_points, dtype=float))
+    seeds = np.asarray(seeds)
+    phase = y_points @ (TWO_PI * measure.freqs).T  # (Y, A)
+    root = np.sqrt(measure.weights)
+    table = np.concatenate([root * np.cos(phase), root * np.sin(phase)], axis=1).T
+    out = np.empty((len(seeds), len(y_points)))
+    buf = None
+    for rows in _row_blocks(len(seeds), len(table)):
+        block = seeds[rows].tolist()
+        if buf is None:
+            buf = np.empty((len(block), len(table)))
+        for row, s in zip(buf, block):
+            _normal_row(s, row)
+        np.matmul(buf[: len(block)], table, out=out[rows])
+    return out
 
 
 def sample_uniform(m: int, M: int = 1024, seed: int = 0) -> PlaneWaveSum:

@@ -665,10 +665,14 @@ def classify_topology(dec: NodalDecomposition) -> Counter:
     interior component, so the count is the interior count and no zero set
     is extracted. In 3D the genus is read off the mesh: a piece that is not
     a closed surface raises DegenerateSampleError, and the first such piece
-    in piece order gives the reason.
+    in piece order gives the reason. With no interior component there is no
+    interior piece (one of its sides would be interior) and nothing can
+    raise, so the count is empty and no zero set is extracted either.
     """
     if dec.grid.dim == 2:
         return Counter({"circle": dec.interior_count} if dec.interior_count else {})
+    if dec.touches_boundary.all():
+        return Counter()
     z = nodal_volume(dec.grid)
     interior = _interior_pieces(dec, z)
     if not interior.any():

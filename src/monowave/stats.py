@@ -19,6 +19,7 @@ from .directions import empirical_measure
 from .field import MonochromaticWave, PlaneWaveSum, eval_bk
 from .gaussian import (
     SpectralMeasure,
+    atomic_cloud,
     check_nondegenerate,
     child_rng,
     sample_atomic,
@@ -216,8 +217,15 @@ def pushforward_distance(wave: MonochromaticWave, R: float, sampler, y_points,
     """KS marginals vs N(0,1) plus calibrated energy distance of the joint clouds.
 
     Not the weak-convergence metric itself: that is not computable from finite
-    samples. The permutation threshold is the 95th percentile of the pooled
-    null. The observed split and every permuted one are +-1 label columns, so
+    samples. The Gaussian cloud holds n_samples draws whose seeds come from
+    child stream 2 of seed, one per draw in order. For an atomic
+    SpectralMeasure it is one (n_samples, Y) array from gaussian.atomic_cloud:
+    each draw's g and h are the same stream sample_atomic reads from that
+    seed, evaluated at the window points by one product in row blocks, and
+    no per-draw PlaneWaveSum is built. A uniform measure or a callable
+    sampler (seed -> field) is drawn and evaluated one draw at a time.
+    The permutation threshold is the 95th percentile of the pooled null.
+    The observed split and every permuted one are +-1 label columns, so
     the whole null is one matrix product streamed over square tiles of the
     symmetric pairwise distances (see _energy_statistics).
     """
@@ -227,10 +235,14 @@ def pushforward_distance(wave: MonochromaticWave, R: float, sampler, y_points,
     x = spatial_sample(wave.dirs.dim, R, n_samples, seed)
     cloud_a = np.stack([wave.value(x + y) for y in y_points], axis=1)
 
-    draw = _resolve_sampler(sampler)
-    cloud_b = np.empty_like(cloud_a)
-    for j, s in enumerate(child_rng(seed, 2).integers(2**63, size=n_samples)):
-        cloud_b[j] = draw(int(s)).value(y_points)
+    seeds = child_rng(seed, 2).integers(2**63, size=n_samples)
+    if isinstance(sampler, SpectralMeasure) and sampler.kind == "atomic":
+        cloud_b = atomic_cloud(sampler, seeds, y_points)
+    else:
+        draw = _resolve_sampler(sampler)
+        cloud_b = np.empty_like(cloud_a)
+        for j, s in enumerate(seeds.tolist()):
+            cloud_b[j] = draw(s).value(y_points)
 
     ks = np.array([_ks_to_standard_normal(cloud_a[:, i]) for i in range(len(y_points))])
 

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from monowave import cli, nodal, stats
+from monowave import cli, gaussian, nodal, stats
 from monowave.cli import (
     bessel_zero_table,
     config_from_mapping,
@@ -342,20 +342,23 @@ def test_report_csv_headers(tmp_path, body, report, header):
 
 def test_compare_draw_seeds_avoid_the_wave_phases(tmp_path, monkeypatch):
     # pushforward's Gaussian cloud takes its draw seeds from a stream of its own:
-    # none may equal the seed of the wave's coefficient phases, none may repeat
+    # none may equal the seed of the wave's coefficient phases, none may repeat.
+    # The wave's measure is atomic, so the cloud is gaussian.atomic_cloud, which
+    # fills each draw's [g | h] row through gaussian._normal_row, the one owner
+    # of the per-seed draw (sample_atomic reads the same line)
     coeff_seeds, draw_seeds = [], []
-    make_wave, sample_atomic = cli.make_wave, stats.sample_atomic
+    make_wave, normal_row = cli.make_wave, gaussian._normal_row
 
     def spy_make_wave(dirs, seed, mode):
         coeff_seeds.append(seed)
         return make_wave(dirs, seed=seed, mode=mode)
 
-    def spy_sampler(measure, seed):
+    def spy_normal_row(seed, row):
         draw_seeds.append(seed)
-        return sample_atomic(measure, seed)
+        return normal_row(seed, row)
 
     monkeypatch.setattr(cli, "make_wave", spy_make_wave)
-    monkeypatch.setattr(stats, "sample_atomic", spy_sampler)
+    monkeypatch.setattr(gaussian, "_normal_row", spy_normal_row)
     cfgp = write_cfg(tmp_path, "command = compare\nN = 8\nR = 20\nW = 1\nsamples = 40\n")
     for seed in range(10):
         coeff_seeds.clear()

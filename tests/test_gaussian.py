@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monowave import field
 from monowave.directions import generate_uniform_directions, empirical_measure
 from monowave.field import PlaneWaveSum, _circle_factors, _LowRankLattice, bessel_j
 from monowave.gaussian import (
     SpectralMeasure,
     _sphere_mesh,
+    atomic_cloud,
     check_nondegenerate,
     child_rng,
     measure_from_partition,
@@ -18,6 +20,8 @@ from monowave.gaussian import (
     uniform_measure,
 )
 from monowave.partition import build_partition, positive_side
+
+from conftest import traced_peak
 
 
 def _ball_points(rng, m, radius, n):
@@ -159,6 +163,55 @@ def test_sample_atomic_gradient():
         e = np.zeros(3)
         e[a] = h
         assert g[a] == pytest.approx((F.value(x + e) - F.value(x - e)) / (2 * h), abs=1e-6)
+
+
+def test_atomic_cloud_matches_per_draw_values():
+    # Bound fixed before the run: at |y| <= 1 the loop's phase t + arg c is at
+    # most 3 pi and rounds by about eps (|t| + pi) absolute, and its cosine,
+    # the products and the term sums add a few eps per term more; the cloud
+    # rounds its cosine, sine and sums alike. 16 eps sum_k sqrt(w_k)
+    # (|g_k| + |h_k|) per draw covers both sides with room.
+    part = build_partition(generate_uniform_directions(2, 64, 5), 8, 2**-8)
+    part1 = build_partition(generate_uniform_directions(2, 8, 1), 1, 0.5)  # one self-paired cell
+    cases = [
+        ("empirical m=2", empirical_measure(generate_uniform_directions(2, 64, 3))),
+        ("empirical m=3", empirical_measure(generate_uniform_directions(3, 64, 3))),
+        ("partition K=8", measure_from_partition(part)),
+        ("partition K=1", measure_from_partition(part1)),
+        # A = 2048 atoms: a row block holds 16 draws
+        ("empirical A=2048", empirical_measure(generate_uniform_directions(2, 2048, 1))),
+    ]
+    S = 40
+    for label, mu in cases:
+        m, A = mu.dim, len(mu.weights)
+        y = np.zeros((3, m))
+        y[1, 0] = 1.0
+        y[2, :2] = [0.3, -0.6]
+        seeds = child_rng(4, 2).integers(2**63, size=S)
+        got = atomic_cloud(mu, seeds, y)
+        assert got.shape == (S, 3), label
+        for s, vals in zip(seeds.tolist(), got):
+            rng = np.random.default_rng(s)  # the stream as two calls: g, then h
+            g, h = rng.standard_normal(A), rng.standard_normal(A)
+            bound = 16 * np.finfo(float).eps * np.sum(np.sqrt(mu.weights) * (np.abs(g) + np.abs(h)))
+            assert np.max(np.abs(vals - sample_atomic(mu, s).value(y))) <= bound, label
+    # the last case's blocks hold fewer draws than S, and the last one is partial
+    assert S > field._TABLE_ENTRIES // (2 * A) and S % (field._TABLE_ENTRIES // (2 * A))
+    with pytest.raises(ValueError):
+        atomic_cloud(uniform_measure(2), seeds, y)
+
+
+def test_atomic_cloud_memory():
+    # 20,000 draws at A = 64: the (S, 2A) rows alone would be 20 MiB; in row
+    # blocks one buffer of _TABLE_ENTRIES doubles is reused, next to the
+    # (S, Y) output. The 128 KiB allow for the (2A, Y) table, a block's 512
+    # seeds as Python ints (22 KB) and a generator; all of them read 50 KB
+    mu = empirical_measure(generate_uniform_directions(2, 64, 3))
+    seeds = child_rng(1, 2).integers(2**63, size=20_000)
+    y = [[0.0, 0.0], [1.0, 0.0]]
+    out_bytes = 8 * len(seeds) * len(y)
+    peak = traced_peak(lambda: atomic_cloud(mu, seeds, y))
+    assert peak < out_bytes + 8 * field._TABLE_ENTRIES + 128 * 1024
 
 
 def test_sample_uniform_self_consistency():

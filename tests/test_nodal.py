@@ -6,7 +6,7 @@ import itertools
 import math
 import os
 import weakref
-from collections import deque
+from collections import Counter, deque
 from types import SimpleNamespace
 
 import numpy as np
@@ -216,6 +216,20 @@ def test_zero_set_needs_no_labeling(monkeypatch, m, R, r, h):
     assert sw.meta == want_sw.meta and sw.n_samples == want_sw.n_samples
     for name in ("estimate", "predicted", "tolerance", "within"):
         assert getattr(sw, name).tobytes() == getattr(want_sw, name).tobytes(), name
+
+
+def test_3d_classes_without_an_interior_component_extract_no_zero_set():
+    # a 3D draw on B(2) whose 24 components all touch the rim: no piece can be
+    # interior, so the class count is empty before any zero set is extracted
+    g = sample_on_grid(sample_uniform(3, 256, 5), np.zeros(3), 2.0, 0.1)
+    dec = label_domains(g)
+    assert dec.total_components == 24 and dec.interior_count == 0
+    assert classify_topology(dec) == Counter()
+    assert g._zero is None
+    # the long way: the extracted zero set has pieces, none of them interior
+    z = nodal_volume(g)
+    assert len(z.piece_measure) > 0 and not nodal._interior_pieces(dec, z).any()
+    assert classify_topology(dec) == Counter()
 
 
 def test_one_extraction_per_grid(monkeypatch):

@@ -376,6 +376,26 @@ def test_pushforward_distance(wave64):
     assert np.all(rep.estimate[:-1] < 0.1)
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_pushforward_batched_cloud_matches_the_per_draw_loop(wave64, m):
+    # an atomic measure takes gaussian.atomic_cloud; a callable sampler of the
+    # same draws takes the per-draw loop. The KS rows read only the wave's
+    # cloud; the energy and its threshold may move at rounding, within the
+    # 1e-12 relative that the benchmark's traced replay allows
+    wave = wave64 if m == 2 else make_wave(generate_uniform_directions(3, 64, 9), seed=4)
+    mu = empirical_measure(wave.dirs)
+    y = np.zeros((2, m))
+    y[1, 0] = 0.5
+    R = 150.0 if m == 2 else 20.0
+    kw = dict(n_samples=800, seed=21, subsample=400, permutations=100)
+    batched = pushforward_distance(wave, R, mu, y, **kw)
+    loop = pushforward_distance(wave, R, lambda s: sample_atomic(mu, s), y, **kw)
+    assert batched.estimate[:-1].tobytes() == loop.estimate[:-1].tobytes()
+    assert batched.estimate[-1] == pytest.approx(loop.estimate[-1], rel=1e-12, abs=0)
+    assert batched.tolerance[-1] == pytest.approx(loop.tolerance[-1], rel=1e-12, abs=0)
+    assert np.array_equal(batched.within, loop.within)
+
+
 def _distances(pts):
     return np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
 
