@@ -2,9 +2,13 @@
 
 One experiment per process. A config names a command plus its parameters; the
 driver builds the wave or measure, runs the matching library routine, and
-serializes the report. Every report CSV starts with the same seven meta
-columns {seed, n_samples, h, W, R, N, m}, followed by the keys of its rows;
-floats are written with repr so a parse/serialize cycle is byte-identical.
+serializes the report. A config is refused where it is parsed, before any
+directory or wave is made: a key that a command requires (listed next to its
+runner in _RUNNERS) must appear in it, generator = file requires wave, and
+generator = log-rational requires m = 2. Every report CSV starts with the
+same seven meta columns {seed, n_samples, h, W, R, N, m}, followed by the
+keys of its rows; floats are written with repr so a parse/serialize cycle is
+byte-identical.
 
 Each command resolves its wave or direction set once, and that is the one
 source of m and N; the m and N keys only configure the uniform and
@@ -79,7 +83,6 @@ class ExperimentConfig:
     generator: str = "uniform"
     coeffs: str = "random-phase"
     wave: str | None = None
-    out: str = "."
 
 
 _GENERATORS = ("uniform", "log-rational", "file")
@@ -135,24 +138,20 @@ def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
         raise ValueError(f"coeffs must be one of {_COEFF_MODES}, got {cfg.coeffs!r}")
     if cfg.samples < 2:
         raise ValueError(f"samples must be at least 2 (stderrs use ddof=1), got {cfg.samples}")
-    if cfg.command == "doubling" and "samples" not in raw:
-        # each centre probes the whole outer ball: the 10000 default would run for hours
-        raise ValueError("command 'doubling' requires config key 'samples' (the number of centres)")
     if not cfg.h > 0:
         raise ValueError(f"grid spacing h must be positive, got {cfg.h}")
     if cfg.generator == "file" and {"m", "N"} & raw.keys():
         raise ValueError("generator = file takes m and N from the wave file; drop those keys")
+    for key in _RUNNERS[cfg.command][1] + (("wave",) if cfg.generator == "file" else ()):
+        if key not in raw:
+            raise ValueError(f"command {cfg.command!r} requires config key {key!r}")
+    if cfg.generator == "log-rational" and cfg.m != 2:
+        raise ValueError("log-rational directions exist only for m=2")
     return cfg
 
 
 def load_config(path) -> ExperimentConfig:
     return config_from_mapping(parse_config_text(Path(path).read_text()))
-
-
-def _need(cfg: ExperimentConfig, *names: str) -> None:
-    for nm in names:
-        if getattr(cfg, nm) is None:
-            raise ValueError(f"command {cfg.command!r} requires config key {nm!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -190,16 +189,12 @@ def _resolve_dirs(cfg: ExperimentConfig) -> DirectionSet:
     if cfg.generator == "uniform":
         return generate_uniform_directions(cfg.m, cfg.N, cfg.seed)
     if cfg.generator == "log-rational":
-        if cfg.m != 2:
-            raise ValueError("log-rational directions exist only for m=2")
         return log_rational_directions(cfg.N)
-    _need(cfg, "wave")
     return load_wave(cfg.wave).dirs
 
 
 def _resolve_wave(cfg: ExperimentConfig) -> MonochromaticWave:
     if cfg.generator == "file":
-        _need(cfg, "wave")
         return load_wave(cfg.wave)
     dirs = _resolve_dirs(cfg)
     # separate stream so coefficient phases never share bits with directions
@@ -353,7 +348,6 @@ def _run_gen_wave(cfg: ExperimentConfig, outdir: Path) -> None:
 
 
 def _run_nodal_stats(cfg: ExperimentConfig, outdir: Path) -> None:
-    _need(cfg, "W")
     wave = _resolve_wave(cfg)
     m = wave.dirs.dim
     grid = sample_on_grid(wave, np.zeros(m), cfg.W, cfg.h)
@@ -386,7 +380,6 @@ def _run_nodal_stats(cfg: ExperimentConfig, outdir: Path) -> None:
 
 
 def _run_moments(cfg: ExperimentConfig, outdir: Path) -> None:
-    _need(cfg, "R", "W")
     wave = _resolve_wave(cfg)
     m = wave.dirs.dim
     y_points = np.zeros((2, m))
@@ -400,7 +393,6 @@ def _run_moments(cfg: ExperimentConfig, outdir: Path) -> None:
 
 
 def _run_bk_moments(cfg: ExperimentConfig, outdir: Path) -> None:
-    _need(cfg, "R", "K")
     wave = _resolve_wave(cfg)
     part = build_partition(wave.dirs, cfg.K, cfg.delta)
     # one cell per antipodal pair: the twin's packet is the conjugate, so
@@ -427,7 +419,6 @@ def _run_bk_moments(cfg: ExperimentConfig, outdir: Path) -> None:
 
 
 def _run_charfn(cfg: ExperimentConfig, outdir: Path) -> None:
-    _need(cfg, "R")
     wave = _resolve_wave(cfg)
     rep = characteristic_function(wave, cfg.R, cfg.t_max, 41, cfg.samples, cfg.seed)
     rows = [
@@ -445,7 +436,6 @@ def _run_charfn(cfg: ExperimentConfig, outdir: Path) -> None:
 
 
 def _run_doubling(cfg: ExperimentConfig, outdir: Path) -> None:
-    _need(cfg, "R", "W")
     wave = _resolve_wave(cfg)
     st = doubling_tail(wave, cfg.R, cfg.W, cfg.samples, cfg.seed)
     q_grid = np.arange(1.0, 4.0 + 1e-9, 0.05)
@@ -455,7 +445,6 @@ def _run_doubling(cfg: ExperimentConfig, outdir: Path) -> None:
 
 
 def _run_smallvalues(cfg: ExperimentConfig, outdir: Path) -> None:
-    _need(cfg, "R")
     wave = _resolve_wave(cfg)
     rep = small_value_fraction(wave, cfg.R, cfg.beta, cfg.samples, cfg.seed)
     row = {
@@ -468,7 +457,6 @@ def _run_smallvalues(cfg: ExperimentConfig, outdir: Path) -> None:
 
 
 def _run_compare(cfg: ExperimentConfig, outdir: Path) -> None:
-    _need(cfg, "R", "W")
     wave = _resolve_wave(cfg)
     m = wave.dirs.dim
     measure = empirical_measure(wave.dirs)
@@ -498,7 +486,6 @@ def _run_kacrice(cfg: ExperimentConfig, outdir: Path) -> None:
 
 
 def _run_ns_estimate(cfg: ExperimentConfig, outdir: Path) -> None:
-    _need(cfg, "W")
     measure, dirs = _resolve_measure(cfg)
     est = stats.ns_constant_estimate(measure, cfg.W, cfg.trials, cfg.seed, h=cfg.h)
     rows = [
@@ -525,7 +512,6 @@ def _run_ns_estimate(cfg: ExperimentConfig, outdir: Path) -> None:
 
 
 def _run_sandwich(cfg: ExperimentConfig, outdir: Path) -> None:
-    _need(cfg, "R", "r")
     wave = _resolve_wave(cfg)
     grid = sample_on_grid(wave, np.zeros(wave.dirs.dim), cfg.R + cfg.r, cfg.h)
     rep = stats.volume_sandwich_check(grid, cfg.R, cfg.r)
@@ -541,7 +527,6 @@ def _run_sandwich(cfg: ExperimentConfig, outdir: Path) -> None:
 
 
 def _run_semilocal(cfg: ExperimentConfig, outdir: Path) -> None:
-    _need(cfg, "R", "W")
     wave = _resolve_wave(cfg)
     rep = stats.semilocal_count_check(wave, cfg.R, cfg.W, h=cfg.h)
     row = {
@@ -557,7 +542,6 @@ def _run_semilocal(cfg: ExperimentConfig, outdir: Path) -> None:
 
 
 def _run_discrepancy(cfg: ExperimentConfig, outdir: Path) -> None:
-    _need(cfg, "W")
     measure, dirs = _resolve_measure(cfg)
     rep = stats.discrepancy_estimate(measure, cfg.W, cfg.trials, cfg.seed, h=cfg.h)
     row = {
@@ -612,21 +596,24 @@ def _run_fig1(cfg: ExperimentConfig, outdir: Path) -> None:
     _emit(outdir, f"fig1_profile_N{N}.csv", rows, meta)
 
 
+# each command's runner and the config keys it requires, checked where the
+# config is parsed; generator = file also requires wave
 _RUNNERS = {
-    "gen-wave": _run_gen_wave,
-    "nodal-stats": _run_nodal_stats,
-    "moments": _run_moments,
-    "bk-moments": _run_bk_moments,
-    "charfn": _run_charfn,
-    "doubling": _run_doubling,
-    "smallvalues": _run_smallvalues,
-    "compare": _run_compare,
-    "kacrice": _run_kacrice,
-    "ns-estimate": _run_ns_estimate,
-    "sandwich": _run_sandwich,
-    "semilocal": _run_semilocal,
-    "discrepancy": _run_discrepancy,
-    "fig1": _run_fig1,
+    "gen-wave": (_run_gen_wave, ()),
+    "nodal-stats": (_run_nodal_stats, ("W",)),
+    "moments": (_run_moments, ("R", "W")),
+    "bk-moments": (_run_bk_moments, ("R", "K")),
+    "charfn": (_run_charfn, ("R",)),
+    # each centre probes the whole outer ball: the samples default would run for hours
+    "doubling": (_run_doubling, ("samples", "R", "W")),
+    "smallvalues": (_run_smallvalues, ("R",)),
+    "compare": (_run_compare, ("R", "W")),
+    "kacrice": (_run_kacrice, ()),
+    "ns-estimate": (_run_ns_estimate, ("W",)),
+    "sandwich": (_run_sandwich, ("R", "r")),
+    "semilocal": (_run_semilocal, ("R", "W")),
+    "discrepancy": (_run_discrepancy, ("W",)),
+    "fig1": (_run_fig1, ()),
 }
 
 
@@ -636,7 +623,7 @@ def main(argv=None) -> int:
         description="Run one wave/nodal-geometry experiment from a key=value config.",
     )
     ap.add_argument("--config", required=True, help="path to a key=value config file")
-    ap.add_argument("--out", default=None, help="output directory (overrides config)")
+    ap.add_argument("--out", default=".", help="output directory")
     # every run's trials run in order on one thread; the flag still parses
     # only because perfbench/child.py::run_cli passes it, and the benchmark
     # change of ROADMAP item 1 deletes both the flag and that argument
@@ -652,11 +639,9 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-        if args.out is not None:
-            cfg = replace(cfg, out=args.out)
-        outdir = Path(cfg.out)
+        outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        _RUNNERS[cfg.command](cfg, outdir)
+        _RUNNERS[cfg.command][0](cfg, outdir)
     except DegenerateSampleError as exc:
         print(f"degenerate sample: {exc}", file=sys.stderr)
         return 3

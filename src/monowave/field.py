@@ -343,7 +343,7 @@ class _LowRankLattice:
         for a in range(m):
             count = _chebyshev_count(TWO_PI * rho[a] * self.radius[a], m)
             lams.append(_equispaced_weights(len(c), a, count) if compressed  # (L_a, J)
-                        else _barycentric_weights(freqs[:, a] / rho[a], count)[0])
+                        else _barycentric_weights(freqs[:, a] / rho[a], count))
             self.axes.append((float(rho[a]), count))
 
         # the complex core by real products, one block per real or imaginary
@@ -592,7 +592,7 @@ def _equispaced_directions(P: int) -> np.ndarray:
 def _equispaced_weights(P: int, axis: int, count: int) -> np.ndarray:
     """Lam (count, P) of _barycentric_weights on one axis of the P directions: read-only."""
     v = _equispaced_directions(P)[:, axis]
-    lam = _barycentric_weights(v / np.abs(v).max(), count)[0]
+    lam = _barycentric_weights(v / np.abs(v).max(), count)
     lam.flags.writeable = False
     return lam
 
@@ -603,31 +603,21 @@ def _chebyshev_count(omega: float, m: int) -> int:
 
     Once L + 1 > omega/2 the terms fall geometrically, so the tail is at most
     its first term over 1 - omega / (2 (L + 1)); logs keep large omega finite.
-    That bound decreases in L from L = max(2, ceil(omega/2)) on, so L is
-    found by doubling the step until the bound holds, then by bisection.
+    That bound decreases in L from L = max(2, ceil(omega/2)) on, so L is the
+    first count from there on where it holds.
     """
     half = omega / 2
-    lo = max(2, math.ceil(half))
+    count = max(2, math.ceil(half))
     if half == 0:
-        return lo
-
-    def holds(count: int) -> bool:
-        return (math.log(4 * m) + count * math.log(half) - math.lgamma(count + 1)
-                - math.log1p(-half / (count + 1))) <= math.log(_LOWRANK_TOL)
-
-    if holds(lo):
-        return lo
-    hi, step = lo + 1, 1
-    while not holds(hi):  # the bound fails at lo and holds at hi
-        lo, hi, step = hi, hi + 2 * step, 2 * step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
-    return hi
+        return count
+    while (math.log(4 * m) + count * math.log(half) - math.lgamma(count + 1)
+           - math.log1p(-half / (count + 1))) > math.log(_LOWRANK_TOL):
+        count += 1
+    return count
 
 
-def _barycentric_weights(t: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lagrange weights (count, len(t)) at t over second-kind Chebyshev points, and the points.
+def _barycentric_weights(t: np.ndarray, count: int) -> np.ndarray:
+    """Lagrange weights (count, len(t)) at t over the second-kind Chebyshev points.
 
     Second barycentric form with weights (-1)^l, halved at both ends; column
     j interpolates at t_j. A t that equals a point gets that point's unit
@@ -643,7 +633,7 @@ def _barycentric_weights(t: np.ndarray, count: int) -> tuple[np.ndarray, np.ndar
     on_node = hit.any(axis=0)
     q[:, on_node] = hit[:, on_node]
     q /= q.sum(axis=0)
-    return q, nodes
+    return q
 
 
 def _chebyshev_points(count: int) -> np.ndarray:

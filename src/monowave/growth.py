@@ -114,12 +114,15 @@ class SmallValueReport:
     gaussian_limit: float  # 2 Phi(beta) - 1
 
 
-def small_value_fraction(wave: MonochromaticWave, R: float, beta: float, n_samples: int,
+def small_value_fraction(wave: PlaneWaveSum, R: float, beta: float, n_samples: int,
                          seed: int) -> SmallValueReport:
-    """Volume fraction of {|f| <= beta} in B(R), with the Gaussian-limit target."""
+    """Volume fraction of {|f| <= beta} in B(R), with the Gaussian-limit target.
+
+    wave is any plane-wave sum, a wave or a Gaussian draw: m is wave.dim.
+    """
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-    x = spatial_sample(wave.dirs.dim, R, n_samples, seed)
+    x = spatial_sample(wave.dim, R, n_samples, seed)
     hits = np.abs(wave.value(x)) <= beta
     frac = float(np.mean(hits))
     stderr = math.sqrt(max(frac * (1 - frac), 1e-300) / n_samples)

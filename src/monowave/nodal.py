@@ -65,8 +65,8 @@ def _index_dtype(n: int) -> type:
     return np.int32 if n < 2**31 else np.intp
 
 
-def _connected(n: int, pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, int]:
-    """Component id of each of n vertices after uniting all (pa[i], pb[i]), and the count.
+def _connected(n: int, pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Component id of each of n vertices after uniting all (pa[i], pb[i]), and the roots.
 
     Array form of hooking and pointer jumping (Shiloach & Vishkin 1982): every
     pair whose roots differ hooks the larger root under the smallest root it
@@ -74,9 +74,10 @@ def _connected(n: int, pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, int]
     already joined drop out. Parents never exceed their index, so each root is
     the minimum index of its tree, as with the sequential union-find. Ids are
     0..C-1 in the order of the components' minima: a root's id is the number
-    of roots below it. Pairs and parents are held in _index_dtype(n), the
-    parents in intp only while pointer jumping; pairs passed in that dtype
-    are not copied. The ids are intp.
+    of roots below it, and roots[c] is component c's lowest member, so C is
+    len(roots). Pairs and parents are held in _index_dtype(n), the parents in
+    intp only while pointer jumping; pairs passed in that dtype are not
+    copied. The ids and roots are intp.
     """
     idx = _index_dtype(n)
     p = np.arange(n, dtype=idx)
@@ -87,7 +88,7 @@ def _connected(n: int, pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, int]
         nlive = np.count_nonzero(live)
         if not nlive:
             is_root = p == np.arange(n, dtype=idx)
-            return np.cumsum(is_root, dtype=np.intp)[p] - 1, int(is_root.sum())
+            return np.cumsum(is_root, dtype=np.intp)[p] - 1, np.flatnonzero(is_root)
         if nlive < pa.size:
             # drop the joined pairs by index, which runs faster than a bool
             # mask, and gather their roots again rather than keep the old ones
@@ -244,12 +245,12 @@ def label_domains(grid: ScalarGrid) -> NodalDecomposition:
             overlap = (run_e[b] > run_s[a]) & (run_s[b] < run_e[a])
             adj_a.append(a[overlap])
             adj_b.append(b[overlap])
-    comp_of_run, ncomp = _connected(len(rs_flat), np.concatenate(join_a), np.concatenate(join_b))
+    comp_of_run, first_run = _connected(len(rs_flat), np.concatenate(join_a), np.concatenate(join_b))
     del join_a, join_b
+    ncomp = len(first_run)
     lengths = run_e - run_s
     sizes = np.bincount(comp_of_run, weights=lengths, minlength=ncomp).astype(np.int64)
-    signs = np.zeros(ncomp, dtype=np.int8)
-    signs[comp_of_run] = np.where(neg, -1, 1)
+    signs = np.where(neg[first_run], np.int8(-1), np.int8(1))
     # each run's largest κ, summed in axis order as within_ball sums: its
     # line's terms, then the larger end term, which gives the larger sum as
     # float addition is monotone; the per-run sums are gone before the labels
@@ -291,6 +292,7 @@ class NodalGeometry:
     dim: int
     edge_points: np.ndarray  # (U, m) interpolated zero crossings
     edge_piece: np.ndarray  # (U,) piece index
+    piece_edge: np.ndarray  # (P,) each piece's first crossing edge
     edge_ends: np.ndarray  # (U, 2) flat indices of each crossing edge's lower and upper vertex
     covered_volume: float  # volume of the cells with every corner in the mask: the ones scanned
     piece_measure: np.ndarray  # length (2D) or area (3D) per piece
@@ -500,16 +502,17 @@ def _extract_zero_set(grid: ScalarGrid) -> NodalGeometry:
     # an element's vertices lie in one piece; the pairs are built in
     # _connected's dtype and handed over, so it frees them as they shrink
     idx = _index_dtype(U)
-    edge_piece, piece_count = _connected(U, np.tile(elements[:, 0].astype(idx), grid.dim - 1),
-                                         elements[:, 1:].T.astype(idx, order="C").reshape(-1))
+    edge_piece, piece_edge = _connected(U, np.tile(elements[:, 0].astype(idx), grid.dim - 1),
+                                        elements[:, 1:].T.astype(idx, order="C").reshape(-1))
     measure = _element_measures(edge_points, elements)
     elem_piece = edge_piece[elements[:, 0]] if U else np.empty(0, dtype=np.intp)
-    piece_measure = np.bincount(elem_piece, weights=measure, minlength=piece_count)
+    piece_measure = np.bincount(elem_piece, weights=measure, minlength=len(piece_edge))
 
     return NodalGeometry(
         dim=grid.dim,
         edge_points=edge_points,
         edge_piece=edge_piece,
+        piece_edge=piece_edge,
         edge_ends=edge_ends,
         covered_volume=covered * grid.spacing**grid.dim,
         piece_measure=piece_measure,
@@ -529,11 +532,9 @@ def nodal_volume(grid: ScalarGrid) -> NodalGeometry:
 def _piece_sides(dec: NodalDecomposition, z: NodalGeometry) -> np.ndarray:
     """(P, 2) component labels at the ends of each piece's first crossing edge.
 
-    _connected numbers pieces by their lowest edge: the first edges are where the running maximum
-    of edge_piece rises. A piece on an interior component borders exactly two components.
+    A piece on an interior component borders exactly two components.
     """
-    rise = np.diff(np.maximum.accumulate(z.edge_piece), prepend=-1)  # nonzero at the first edges
-    return dec.labels[z.edge_ends[np.flatnonzero(rise)]]
+    return dec.labels[z.edge_ends[z.piece_edge]]
 
 
 def _interior_pieces(dec: NodalDecomposition, z: NodalGeometry) -> np.ndarray:

@@ -60,6 +60,17 @@ def test_config_from_mapping_guards():
         config_from_mapping({"command": "moments", "coeffs": "zeros"})
 
 
+# the config keys each command requires; generator = file also requires wave
+REQUIRED = {
+    "gen-wave": (), "nodal-stats": ("W",), "moments": ("R", "W"), "bk-moments": ("R", "K"),
+    "charfn": ("R",), "doubling": ("samples", "R", "W"), "smallvalues": ("R",),
+    "compare": ("R", "W"), "kacrice": (), "ns-estimate": ("W",), "sandwich": ("R", "r"),
+    "semilocal": ("R", "W"), "discrepancy": ("W",), "fig1": (),
+}
+KEY_VALUES = {"W": "4", "R": "20", "K": "4", "r": "0.5", "samples": "5"}
+MISSING = [(c, k) for c, keys in REQUIRED.items() for k in keys]
+
+
 def test_exit_codes(tmp_path, monkeypatch):
     bad = write_cfg(tmp_path, "command = moments\nbogus_key = 7\n")
     assert main(["--config", bad]) == 2
@@ -82,7 +93,7 @@ def test_exit_codes(tmp_path, monkeypatch):
     def boom(cfg, outdir):
         raise DegenerateSampleError("planted", "not_a_tree")
 
-    monkeypatch.setitem(cli._RUNNERS, "gen-wave", boom)
+    monkeypatch.setitem(cli._RUNNERS, "gen-wave", (boom, ()))
     g = write_cfg(tmp_path, "command = gen-wave\nN = 4\n", "g.cfg")
     assert main(["--config", g, "--out", str(tmp_path / "o2")]) == 3
 
@@ -131,6 +142,45 @@ def test_out_of_range_samples_and_spacing_exit_2(tmp_path, capsys, body, err):
     assert not list((tmp_path / "o").glob("*.csv"))
 
 
+def test_command_table_requires_the_runners_keys():
+    assert {c: keys for c, (_, keys) in cli._RUNNERS.items()} == REQUIRED
+    for command, keys in REQUIRED.items():
+        cfg = config_from_mapping({"command": command, **{k: KEY_VALUES[k] for k in keys}})
+        assert cfg.command == command
+
+
+@pytest.mark.parametrize("command, key", MISSING, ids=[f"{c}-{k}" for c, k in MISSING])
+def test_config_lacking_a_required_key_is_refused_where_it_is_parsed(tmp_path, capsys, command, key):
+    # load_config refuses it, so the driver makes no output directory and no wave
+    cfgp = write_cfg(tmp_path, f"command = {command}\n" + "".join(
+        f"{k} = {KEY_VALUES[k]}\n" for k in REQUIRED[command] if k != key))
+    with pytest.raises(ValueError, match=f"^command '{command}' requires config key '{key}'$"):
+        cli.load_config(cfgp)
+    out = tmp_path / "o"
+    assert main(["--config", cfgp, "--out", str(out)]) == 2
+    assert f"requires config key '{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", list(REQUIRED))
+def test_log_rational_directions_need_m_2_where_parsed(tmp_path, command):
+    keys = "".join(f"{k} = {KEY_VALUES[k]}\n" for k in REQUIRED[command])
+    cfgp = write_cfg(tmp_path, f"command = {command}\ngenerator = log-rational\nm = 3\n{keys}")
+    with pytest.raises(ValueError, match="log-rational directions exist only for m=2"):
+        cli.load_config(cfgp)
+    assert main(["--config", cfgp, "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_out_is_not_a_config_key(tmp_path):
+    # --out alone names the output directory
+    with pytest.raises(ValueError, match="unknown config key 'out'"):
+        config_from_mapping({"command": "gen-wave", "out": str(tmp_path / "x")})
+    cfgp = write_cfg(tmp_path, f"command = gen-wave\nout = {tmp_path / 'x'}\n")
+    assert main(["--config", cfgp, "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "x").exists() and not (tmp_path / "o").exists()
+
+
 def test_gen_wave_round_trip(tmp_path):
     cfgp = write_cfg(tmp_path, "command = gen-wave\nm = 2\nN = 8\nseed = 3\n")
     out = tmp_path / "out"
@@ -143,11 +193,15 @@ def test_gen_wave_round_trip(tmp_path):
     assert p2.read_bytes() == (out / "wave.txt").read_bytes()
 
 
-@pytest.mark.parametrize("command", ["kacrice", "ns-estimate", "discrepancy", "fig1"])
+@pytest.mark.parametrize("command", list(REQUIRED))
 def test_file_generator_without_wave_key(tmp_path, capsys, command):
-    cfgp = write_cfg(tmp_path, f"command = {command}\ngenerator = file\nW = 4\n")
+    keys = "".join(f"{k} = {KEY_VALUES[k]}\n" for k in REQUIRED[command])
+    cfgp = write_cfg(tmp_path, f"command = {command}\ngenerator = file\n{keys}")
+    with pytest.raises(ValueError, match=f"^command '{command}' requires config key 'wave'$"):
+        cli.load_config(cfgp)
     assert main(["--config", cfgp, "--out", str(tmp_path / "o")]) == 2
     assert "requires config key 'wave'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(

@@ -460,28 +460,42 @@ def test_bessel_sequence_at_circle_probe_orders(W):
     assert np.max(np.abs(ours - special.jv(np.arange(K + 1), z))) < 1e-14
 
 
-def _linear_chebyshev_count(omega: float, m: int) -> int:
-    """Oracle: the first L from max(2, ceil(omega/2)) on where the tail bound holds, by linear scan."""
+def _tail_bound_holds(omega: float, m: int, count: int) -> bool:
+    """The tail bound of _chebyshev_count at count: 4 m (omega/2)^L / L! / (1 - omega / (2 (L + 1))).
+
+    Valid from L = max(2, ceil(omega/2)) on, where the terms fall geometrically.
+    """
     half = omega / 2
-    count = max(2, math.ceil(half))
-    if half == 0:
-        return count
-    while (math.log(4 * m) + count * math.log(half) - math.lgamma(count + 1)
-           - math.log1p(-half / (count + 1))) > math.log(field._LOWRANK_TOL):
-        count += 1
-    return count
+    return (math.log(4 * m) + count * math.log(half) - math.lgamma(count + 1)
+            - math.log1p(-half / (count + 1))) <= math.log(field._LOWRANK_TOL)
 
 
 @pytest.mark.parametrize("m", [2, 3])
-def test_chebyshev_count_bisection_matches_linear_scan(m):
+def test_chebyshev_count_is_the_first_count_meeting_the_bound(m):
+    # from max(2, ceil(omega/2)) on, the returned L meets the tail bound and
+    # L - 1 does not; on every 20th omega the exact tail 4 m e^(omega/2)
+    # P(L, omega/2), P the regularized lower incomplete gamma, is within the
+    # tolerance (mpmath)
+    mpmath = pytest.importorskip("mpmath")
     omegas = np.concatenate([
         np.linspace(0.0, 2000.0, 1601),  # step 1.25: coarse and fine counts alike
         np.linspace(0.0, 64.0, 2561),  # every count the fills and circle probes use
         [5e-324, 1e-300], np.geomspace(1e-12, 1.0, 121),  # tiny: L = 2, 3, 4, ...
         [2 * math.pi * 4, 2 * math.pi * 5],
     ])
-    for omega in omegas.tolist():
-        assert _chebyshev_count(omega, m) == _linear_chebyshev_count(omega, m), omega
+    for i, omega in enumerate(omegas.tolist()):
+        L = _chebyshev_count(omega, m)
+        start = max(2, math.ceil(omega / 2))
+        assert L >= start, omega
+        if omega / 2 == 0:  # 5e-324 halves to 0 too
+            assert L == 2
+            continue
+        assert _tail_bound_holds(omega, m, L), omega
+        assert L == start or not _tail_bound_holds(omega, m, L - 1), omega
+        if i % 20 == 0:
+            half = mpmath.mpf(omega) / 2
+            tail = 4 * m * mpmath.exp(half) * mpmath.gammainc(L, 0, half, regularized=True)
+            assert tail <= field._LOWRANK_TOL, omega
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

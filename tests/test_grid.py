@@ -15,6 +15,7 @@ from monowave.field import (
     _axis_table,
     _barycentric_weights,
     _chebyshev_count,
+    _chebyshev_points,
     _LowRankLattice,
     _phase_rates,
     make_wave,
@@ -234,7 +235,7 @@ def _direct_phases(freqs, cover, origin, shape, h, a, L) -> np.ndarray:
     x_l are the top Chebyshev points (x_l > 0) and y_i = h (i - (n_a - 1) / 2)
     + (c'_a - c_a) the lattice's coordinates about the cover's centre c.
     """
-    x = _barycentric_weights(np.zeros(1), L)[1][: L // 2]
+    x = _chebyshev_points(L)[: L // 2]
     rho = np.abs(freqs[:, a]).max()
     cover_centre = cover[0][a] + cover[2] * (cover[1][a] - 1) / 2
     centre = origin[a] + h * (shape[a] - 1) / 2
@@ -270,7 +271,7 @@ def _assert_tables_match_direct_phases(lattice, freqs, cover, origin, shape, h) 
         assert np.all(np.abs(tab[L - H :] - np.sin(phase)) <= bound)
         assert np.all(tab[H : L - H] == 1.0)  # the row of the point 0, odd L only
         # d/dy cos(theta y) = -theta sin(theta y), d/dy sin(theta y) = theta cos(theta y)
-        x = _barycentric_weights(np.zeros(1), L)[1][:H]
+        x = _chebyshev_points(L)[:H]
         assert theta.tobytes() == (2 * np.pi * np.abs(freqs[:, a]).max() * x).tobytes()
         assert d_tab[:H].tobytes() == (-theta[:, None] * tab[L - H :]).tobytes()
         assert d_tab[L - H :].tobytes() == (theta[:, None] * tab[:H]).tobytes()
@@ -316,7 +317,8 @@ def test_largest_frequency_gets_a_unit_weight_column():
             L = lattice.core.shape[a]
             v = F.freqs[:, a]
             j = int(np.abs(v).argmax())
-            lam, nodes = _barycentric_weights(v / np.abs(v).max(), L)
+            lam = _barycentric_weights(v / np.abs(v).max(), L)
+            nodes = _chebyshev_points(L)
             assert nodes[0] == 1.0 and nodes[-1] == -1.0
             unit = np.zeros(L)
             unit[0 if v[j] > 0 else -1] = 1.0

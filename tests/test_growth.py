@@ -5,7 +5,7 @@ import pytest
 
 from monowave.directions import generate_uniform_directions
 from monowave.field import _LOWRANK_TOL, PlaneWaveSum, make_wave
-from monowave.gaussian import child_rng
+from monowave.gaussian import child_rng, sample_uniform
 from monowave.grid import lattice_ball
 from monowave.growth import (
     PROBE_DENSITY,
@@ -15,6 +15,7 @@ from monowave.growth import (
     doubling_tail,
     scaling_factor,
     small_value_fraction,
+    spatial_sample,
 )
 from monowave.nodal import DegenerateSampleError
 
@@ -147,6 +148,15 @@ def test_small_value_fraction(wave64):
     assert small_value_fraction(wave64, 200.0, 1.0, 100, 0).gaussian_limit == pytest.approx(
         0.6826894921370859, rel=1e-12
     )
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_small_value_fraction_of_a_gaussian_draw(m):
+    # a draw is a PlaneWaveSum with no direction set: m is read off the sum
+    F = sample_uniform(m, 64, 1)
+    rep = small_value_fraction(F, 20.0, 0.1, 100, 0)
+    want = np.mean(np.abs(F.value(spatial_sample(m, 20.0, 100, 0))) <= 0.1)
+    assert rep.fraction == want and 0 < rep.fraction < 1
 
 
 def test_characteristic_function_report(wave64):

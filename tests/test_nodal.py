@@ -439,7 +439,7 @@ def test_classify_raises_the_first_bad_piece_in_piece_order(first, second):
     # component 0, pieces 1 and 2 join it to the interior component 1
     z = SimpleNamespace(dim=3, elements=elements, element_piece=np.array(piece),
                         piece_measure=np.zeros(3), edge_piece=np.arange(3),
-                        edge_ends=np.arange(6).reshape(3, 2))
+                        piece_edge=np.arange(3), edge_ends=np.arange(6).reshape(3, 2))
     dec = SimpleNamespace(grid=SimpleNamespace(dim=3, _zero=z), labels=np.array([0, 0, 0, 1, 1, 0]),
                           touches_boundary=np.array([True, False]))
     with pytest.raises(DegenerateSampleError) as info:
@@ -621,29 +621,32 @@ def list_dsu(n: int, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
         p = q
 
 
-def list_dsu_ids(n: int, pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, int]:
-    """Reference ids and count: list_dsu roots renumbered in sorted order."""
+def list_dsu_ids(n: int, pa: np.ndarray, pb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference ids and roots: list_dsu roots (each tree's minimum) renumbered in sorted order."""
     roots, ids = np.unique(list_dsu(n, pa, pb), return_inverse=True)
-    return ids, len(roots)
+    return ids, roots
 
 
 def check_connected(n: int, pa, pb) -> None:
     pa = np.asarray(pa, dtype=np.intp)
     pb = np.asarray(pb, dtype=np.intp)
-    ids, count = nodal._connected(n, pa, pb)
-    ref_ids, ref_count = list_dsu_ids(n, pa, pb)
-    assert ids.dtype == np.intp and np.array_equal(ids, ref_ids) and count == ref_count
+    ids, roots = nodal._connected(n, pa, pb)
+    ref_ids, ref_roots = list_dsu_ids(n, pa, pb)
+    assert ids.dtype == roots.dtype == np.intp
+    assert np.array_equal(ids, ref_ids) and np.array_equal(roots, ref_roots)
     # pairs already in the int32 that _connected works in give the same ids
-    ids32, count32 = nodal._connected(n, pa.astype(np.int32), pb.astype(np.int32))
-    assert ids32.dtype == np.intp and np.array_equal(ids32, ref_ids) and count32 == ref_count
+    ids32, roots32 = nodal._connected(n, pa.astype(np.int32), pb.astype(np.int32))
+    assert ids32.dtype == roots32.dtype == np.intp
+    assert np.array_equal(ids32, ref_ids) and np.array_equal(roots32, ref_roots)
     ncc, cc = connected_components(
         coo_matrix((np.ones(len(pa)), (pa, pb)), shape=(n, n)), directed=False
     )
-    assert count == ncc
+    assert len(roots) == ncc
     smallest = np.full(ncc, n)
     np.minimum.at(smallest, cc, np.arange(n))
-    # same partition, ids in the order of the components' minima
+    # same partition, ids in the order of the components' minima, which are the roots
     assert np.array_equal(ids, np.argsort(np.argsort(smallest))[cc])
+    assert np.array_equal(roots, np.sort(smallest))
 
 
 @st.composite
@@ -671,7 +674,7 @@ def test_connected_edge_cases():
     n = 50_000
     hi = np.arange(n - 1, 0, -1)
     check_connected(n, hi, hi - 1)
-    assert nodal._connected(n, hi, hi - 1)[1] == 1
+    assert nodal._connected(n, hi, hi - 1)[1].tolist() == [0]
     rng = np.random.default_rng(8)
     check_connected(20_000, rng.integers(0, 20_000, 15_000), rng.integers(0, 20_000, 15_000))
 
@@ -746,6 +749,7 @@ def test_zero_set_matches_list_dsu_and_set_loops(monkeypatch, m, W, h):
     for name in ("sign", "size", "touches_boundary"):
         assert getattr(dec, name).tobytes() == getattr(ref_dec, name).tobytes(), name
     assert np.array_equal(z.edge_piece, ref.edge_piece)
+    assert np.array_equal(z.piece_edge, ref.piece_edge)
     assert nodal._interior_pieces(dec, z).tobytes() == nodal._interior_pieces(ref_dec, ref).tobytes()
     assert z.piece_measure.tobytes() == ref.piece_measure.tobytes()
 
@@ -876,7 +880,8 @@ def sorted_zero_set(grid: ScalarGrid, labels: np.ndarray,
         cross = np.cross(edge_points[elements[:, 1]] - p0, edge_points[elements[:, 2]] - p0)
         measure = 0.5 * np.linalg.norm(cross, axis=-1)
     pa = np.concatenate([elements[:, 0]] * (grid.dim - 1))
-    edge_piece, piece_count = nodal._connected(U, pa, elements[:, 1:].T.reshape(-1))
+    edge_piece, piece_edge = nodal._connected(U, pa, elements[:, 1:].T.reshape(-1))
+    piece_count = len(piece_edge)
     elem_piece = edge_piece[elements[:, 0]] if U else np.empty(0, dtype=np.intp)
     piece_measure = np.bincount(elem_piece, weights=measure, minlength=piece_count)
     lab_u = labels[ends_u]
@@ -884,7 +889,7 @@ def sorted_zero_set(grid: ScalarGrid, labels: np.ndarray,
     piece_interior = np.zeros(piece_count, dtype=bool)
     np.logical_or.at(piece_interior, edge_piece, interior[lab_u] | interior[lab_v])
     return nodal.NodalGeometry(
-        dim=grid.dim, edge_points=edge_points, edge_piece=edge_piece,
+        dim=grid.dim, edge_points=edge_points, edge_piece=edge_piece, piece_edge=piece_edge,
         edge_ends=np.stack([ends_u, ends_v], axis=-1), covered_volume=covered * grid.spacing**grid.dim,
         piece_measure=piece_measure, elements=elements, element_piece=elem_piece,
         element_measure=measure,
@@ -928,6 +933,29 @@ def test_zero_set_bitwise_equals_sorted_reference(name):
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), f.name
         else:
             assert got == want, f.name
+
+
+def running_max_piece_sides(dec, z) -> np.ndarray:
+    """Reference: the former _piece_sides. _connected numbers pieces by their
+    lowest edge, so the first edges are where the running maximum of
+    edge_piece rises."""
+    rise = np.diff(np.maximum.accumulate(z.edge_piece), prepend=-1)
+    return dec.labels[z.edge_ends[np.flatnonzero(rise)]]
+
+
+@pytest.mark.parametrize("name", [f"{kind}-m{m}" for kind in ("ball", "box", "one-sign", "tie-band")
+                                  for m in (2, 3)])
+def test_piece_sides_match_running_max_reference(name):
+    grid = oracle_grid(name)
+    dec = label_domains(grid)
+    z = nodal_volume(grid)
+    sides = nodal._piece_sides(dec, z)
+    want = running_max_piece_sides(dec, z)
+    assert sides.shape == (len(z.piece_measure), 2)
+    assert (sides.dtype, sides.tobytes()) == (want.dtype, want.tobytes())
+    # each piece's first edge is its lowest, and lies on the piece
+    assert np.array_equal(z.edge_piece[z.piece_edge], np.arange(len(z.piece_edge)))
+    assert np.all(np.diff(z.piece_edge) > 0)
 
 
 def memory_test_grid() -> ScalarGrid:
