@@ -34,7 +34,9 @@ def child_rng(seed: int, j: int) -> np.random.Generator:
       1      the CLI wave's coefficient phases
       2      stats.pushforward_distance's Gaussian draw seeds, one stream for all n,
              one seed per draw in order
-      j      draw j of the ns_constant_estimate and discrepancy_estimate trials
+      j      draw j of stats._kept_draws, the one trial loop of ns_constant_estimate
+             and discrepancy_estimate: both probe draw j at h = 0.1 and keep
+             or exclude it alike
       10**6  stats.pushforward_distance's permutations
     Trial streams reuse the small keys, but those commands draw no spatial
     sample, wave phases or pushforward cloud.

@@ -301,27 +301,21 @@ def _ball_volume(m: int, r: float) -> float:
     return math.pi ** (m / 2) / math.gamma(m / 2 + 1) * r**m
 
 
-def ns_constant_estimate(measure: SpectralMeasure, W: float, trials: int, seed: int,
-                         h: float = 0.05) -> ConstantEstimate:
-    """Mean interior nodal-domain count per unit volume over draws of the measure.
+def _kept_draws(measure: SpectralMeasure, W: float, trials: int, seed: int, h: float):
+    """The one trial loop of ns_constant_estimate and discrepancy_estimate.
 
-    The fields, grids and balls live in R^m with m = measure.dim. Trial j
-    draws from child stream j, and the trials run in order on the calling
-    thread. Each kept draw also counts its topology classes and interior
-    nesting-tree codes. Degenerate draws (failed nondegeneracy probe,
-    unresolved adjacency or topology) are excluded and counted; more than 20%
-    exclusions aborts.
+    Trial j draws from child stream j, and the trials run in order on the
+    calling thread. Each draw is probed by check_nondegenerate at h = 0.1,
+    filled on B(W) at pitch h from the probe's low-rank core, labelled, and
+    has its topology classes and nesting tree built. Returns the kept draws,
+    one (interior count, class tag counts, interior tree code counts) per
+    draw in draw order, and the excluded draws counted per
+    DegenerateSampleError.reason: a failed probe, unresolved adjacency,
+    topology or tree. More than 20% exclusions aborts (too_many_excluded).
     """
-    if W < 4:
-        raise ValueError("need W >= 4")
-    if trials < 50:
-        raise ValueError("need at least 50 trials")
-    m = measure.dim
     draw = _resolve_sampler(measure)
-    vol = _ball_volume(m, W)
-
-    kept = []  # per kept draw: interior count, class tag counts, interior tree code counts
-    by_reason: dict[str, int] = {}
+    kept = []
+    by_reason = Counter()
     for j in range(trials):
         realization = draw(int(child_rng(seed, j).integers(2**63)))
         try:
@@ -331,13 +325,12 @@ def ns_constant_estimate(measure: SpectralMeasure, W: float, trials: int, seed: 
             report = check_nondegenerate(realization, W, 0.1)
             if not report.passed:
                 raise DegenerateSampleError("nondegeneracy probe failed", "probe_failed")
-            g = sample_on_grid(report.lattice, np.zeros(m), W, h)
+            g = sample_on_grid(report.lattice, np.zeros(measure.dim), W, h)
             dec = nodal.label_domains(g)
             classes = nodal.classify_topology(dec)
             tree = nodal.build_nesting_tree(dec)
         except DegenerateSampleError as exc:
-            reason = exc.reason or "other"
-            by_reason[reason] = by_reason.get(reason, 0) + 1
+            by_reason[exc.reason or "other"] += 1
             continue
         trees = Counter(tree.codes[c] for c in np.flatnonzero(~dec.touches_boundary).tolist())
         kept.append((dec.interior_count, classes, trees))
@@ -347,6 +340,26 @@ def ns_constant_estimate(measure: SpectralMeasure, W: float, trials: int, seed: 
             f"{excluded}/{trials} draws degenerate ({format_reasons(by_reason)}); "
             "refine h or enlarge W", "too_many_excluded"
         )
+    return kept, dict(by_reason)
+
+
+def ns_constant_estimate(measure: SpectralMeasure, W: float, trials: int, seed: int,
+                         h: float = 0.05) -> ConstantEstimate:
+    """Mean interior nodal-domain count per unit volume over draws of the measure.
+
+    The fields, grids and balls live in R^m with m = measure.dim. The trials
+    come from _kept_draws, the loop discrepancy_estimate shares: each draw is
+    probed at h = 0.1, and degenerate draws (failed nondegeneracy probe,
+    unresolved adjacency, topology or tree) are excluded and counted by
+    reason; more than 20% exclusions aborts. Each kept draw also counts its
+    topology classes and interior nesting-tree codes.
+    """
+    if W < 4:
+        raise ValueError("need W >= 4")
+    if trials < 50:
+        raise ValueError("need at least 50 trials")
+    kept, by_reason = _kept_draws(measure, W, trials, seed, h)
+    vol = _ball_volume(measure.dim, W)
 
     def summarize(counts: list[int]) -> tuple[float, float]:
         # one count per kept draw, in draw order: mean and stderr per unit volume
@@ -499,29 +512,27 @@ class DiscrepancyReport:
     mean_abs_deviation: float
     stderr: float
     mean_density: float
+    # excluded draws per DegenerateSampleError.reason
+    excluded_by_reason: dict[str, int] = dc_field(default_factory=dict)
 
 
 def discrepancy_estimate(measure: SpectralMeasure, W: float, trials: int, seed: int,
                          h: float = 0.05) -> DiscrepancyReport:
     """Mean absolute deviation of per-draw count densities on B(W) in R^measure.dim.
 
-    Trial j draws from child stream j; the trials run in order on the calling thread.
+    The trials come from _kept_draws, the loop ns_constant_estimate shares:
+    each draw is probed at h = 0.1, the same draws are excluded by reason
+    under the same 20% abort, and the deviation is taken over the kept ones.
     """
     if trials < 50:
         raise ValueError("need at least 50 trials")
-    m = measure.dim
-    draw = _resolve_sampler(measure)
-    vol = _ball_volume(m, W)
-
-    dens = np.empty(trials)
-    for j in range(trials):
-        realization = draw(int(child_rng(seed, j).integers(2**63)))
-        g = sample_on_grid(realization, np.zeros(m), W, h)
-        dens[j] = nodal.label_domains(g).interior_count / vol
+    kept, by_reason = _kept_draws(measure, W, trials, seed, h)
+    dens = np.array([n for n, _, _ in kept]) / _ball_volume(measure.dim, W)
     dev = np.abs(dens - dens.mean())
     return DiscrepancyReport(
         trials=trials,
         mean_abs_deviation=float(dev.mean()),
-        stderr=float(dev.std(ddof=1) / math.sqrt(trials)),
+        stderr=float(dev.std(ddof=1) / math.sqrt(len(dev))),
         mean_density=float(dens.mean()),
+        excluded_by_reason=by_reason,
     )

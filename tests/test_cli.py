@@ -204,6 +204,21 @@ def test_file_generator_without_wave_key(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("value", ["missing.txt", ""], ids=["missing-file", "empty"])
+def test_wave_key_naming_no_file_is_refused_where_it_is_parsed(tmp_path, capsys, monkeypatch,
+                                                              value):
+    # the path is read relative to the working directory, and an empty value
+    # names that directory itself: neither is a wave file
+    monkeypatch.chdir(tmp_path)
+    cfgp = write_cfg(tmp_path, f"command = kacrice\ngenerator = file\nwave = {value}\n")
+    with pytest.raises(ValueError, match="^config key 'wave' names no file"):
+        cli.load_config(cfgp)
+    out = tmp_path / "o"
+    assert main(["--config", cfgp, "--out", str(out)]) == 2
+    assert "config key 'wave' names no file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, extra, code, err",
     [
@@ -463,6 +478,25 @@ def test_ns_estimate_rerun_invariance(tmp_path, capsys, monkeypatch):
     assert excluded == 4
     by_reason = re.findall(r"([a-z_]+): (\d+)", lines[0])
     assert by_reason and sum(int(n) for _, n in by_reason) == excluded
+
+
+def test_discrepancy_counts_the_ns_estimate_draws(tmp_path, capsys, monkeypatch):
+    # the ns-estimate config above, whose probe at the threshold 0.075 fails
+    # 4 of the 50 draws: discrepancy drops the same 4, says so on stdout in
+    # ns-estimate's form, and its mean density is ns.csv's density mean
+    monkeypatch.setattr(stats, "check_nondegenerate",
+                        lambda F, W, h: check_nondegenerate(F, W, h, tau0=0.075))
+    body = "m = 2\nN = 64\nW = 4\nh = 0.1\ntrials = 50\nseed = 9\ngenerator = uniform\n"
+    for command in ("ns-estimate", "discrepancy"):
+        cfgp = write_cfg(tmp_path, f"command = {command}\n{body}", f"{command}.cfg")
+        assert main(["--config", cfgp, "--out", str(tmp_path / command)]) == 0
+    out = capsys.readouterr().out
+    assert "count density" in out
+    assert re.search(r"^mean absolute deviation \S+ \+- \S+ \(4 excluded: probe_failed: 4\)$",
+                     out, re.MULTILINE)
+    ns = next(csv.DictReader(open(tmp_path / "ns-estimate" / "ns.csv")))
+    disc = next(csv.DictReader(open(tmp_path / "discrepancy" / "discrepancy.csv")))
+    assert (disc["mean_density"], disc["trials"]) == (ns["mean"], ns["trials"])
 
 
 def test_ns_estimate_circle_row_is_the_density_row(tmp_path):

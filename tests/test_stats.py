@@ -245,6 +245,42 @@ def test_ns_constant_exclusion_reasons(monkeypatch):
     assert est.excluded == 7
 
 
+def test_discrepancy_excludes_the_draws_ns_estimate_excludes(monkeypatch):
+    # both estimators count the one trial loop's draws: the first 7 probes of
+    # each run fail, and each report counts exactly those 7 under probe_failed
+    def failing_first(k):
+        calls = iter(range(10**6))
+        return lambda *args: (check_nondegenerate(*args) if next(calls) >= k
+                              else SimpleNamespace(passed=False))
+
+    mu = uniform_measure(2)
+    monkeypatch.setattr(stats, "check_nondegenerate", failing_first(7))
+    est = ns_constant_estimate(mu, 4.0, 50, seed=1, h=0.2)
+    monkeypatch.setattr(stats, "check_nondegenerate", failing_first(7))
+    rep = discrepancy_estimate(mu, 4.0, 50, seed=1, h=0.2)
+    assert est.excluded_by_reason == rep.excluded_by_reason == {"probe_failed": 7}
+    assert rep.trials == 50
+    # the deviation is over the 43 kept draws, whose mean is ns-estimate's
+    assert rep.mean_density == est.mean
+    assert rep.stderr > 0
+
+    # every probe fails: discrepancy aborts under the same 20% rule
+    monkeypatch.setattr(stats, "check_nondegenerate", failing_first(51))
+    with pytest.raises(DegenerateSampleError) as info:
+        discrepancy_estimate(mu, 4.0, 50, seed=1, h=0.2)
+    assert info.value.reason == "too_many_excluded"
+    assert "50/50 draws degenerate (probe_failed: 50)" in str(info.value)
+
+
+def test_discrepancy_mean_density_is_the_ns_estimate_mean():
+    # the benchmark's ns-estimate config: one trial loop, so one mean, bitwise
+    mu = uniform_measure(2)
+    est = ns_constant_estimate(mu, 4.0, 50, seed=9, h=0.05)
+    rep = discrepancy_estimate(mu, 4.0, 50, seed=9, h=0.05)
+    assert est.excluded == 0 and rep.excluded_by_reason == {}
+    assert rep.mean_density == est.mean
+
+
 def test_ns_constant_against_separate_probe_and_fill(monkeypatch):
     # each trial fills its grid from the probe's low-rank core; an explicit
     # loop that probes and then fills through the field itself must see the
