@@ -45,7 +45,7 @@ def validate_directions(vectors: np.ndarray) -> None:
     """
     n, m = vectors.shape
     norms = np.linalg.norm(vectors, axis=1)
-    if np.any(np.abs(norms - 1.0) > NORM_TOL):
+    if not np.all(np.abs(norms - 1.0) <= NORM_TOL):  # NaN fails too
         raise ValueError("direction norms deviate from 1 beyond 1e-12")
     # pairwise distinct and non-antipodal within 1e-9. The Gram identities
     # |v_i -+ v_j|^2 = 2 -+ 2g only screen: for near-coincident rows the

@@ -654,7 +654,7 @@ class MonochromaticWave(PlaneWaveSum):
         coeffs = np.asarray(coeffs, dtype=complex)
         if coeffs.shape != (dirs.count,):
             raise ValueError("need one coefficient per direction")
-        if np.any(np.abs(np.abs(coeffs) - 1.0) > 1e-12):
+        if not np.all(np.abs(np.abs(coeffs) - 1.0) <= 1e-12):  # NaN fails too
             raise ValueError("coefficients must have unit modulus within 1e-12")
         super().__init__(dirs.vectors, np.sqrt(2.0 / dirs.count) * coeffs)
         self.dirs = dirs

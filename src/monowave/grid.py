@@ -51,14 +51,16 @@ class ScalarGrid:
         self.values = np.asarray(self.values, dtype=float).reshape(-1)
         if self.origin.shape != (self.dim,):
             raise ValueError("origin needs one entry per axis")
-        if self.spacing <= 0:
-            raise ValueError("spacing must be positive")
+        if not (math.isfinite(self.spacing) and self.spacing > 0):
+            raise ValueError("spacing must be finite and positive")
         if int(np.prod(self.shape)) != self.values.size:
             raise ValueError("shape product does not match value count")
         if self.ball_center is not None or self.ball_radius is not None:
             self.ball_center = np.asarray(self.ball_center, dtype=float)  # None: shape ()
             if self.ball_center.shape != (self.dim,):
                 raise ValueError("ball_center needs one entry per axis")
+            if self.ball_radius is None:
+                raise ValueError("ball_center needs a ball_radius")
         if self.ball_radius is not None:
             if not (math.isfinite(self.ball_radius) and self.ball_radius > 0):
                 raise ValueError("ball_radius must be finite and positive")

@@ -15,16 +15,19 @@ fewer than 2^31 vertices (intp otherwise), and so are the union-find
 parents and pairs below 2^31 entries. The zero set is a function of the
 grid alone: extracted per cell from the sign-case tables, it is one
 NodalGeometry, built on first use and cached on the grid; nodal_volume
-returns it. Its crossing grid edges are ranked per axis block, from one
-bool mark and one int32 rank table that serve every block, and the ranks
-are written over the element edge ids, so no sort runs over them. The
-crossings are measured by linear interpolation and split into connected
-pieces by a second _connected pass over the crossing edges. A piece's two
-sides are the components at the ends of its first crossing edge
-(_piece_sides): it is interior when one side is, and the tree edges and
-3D genera read per-piece arrays. The extraction's peak heap is about 2.6
-times the value grid's bytes on a 101^3 ball grid of an m = 3 draw (4.1 on
-a 61^3 one), and the labeling's about 1.4 times (1.6 on the 61^3 one).
+returns it. A grid edge is named by its axis a and the flat index p of its
+lower vertex, as a*V + p over the V vertices, so a cell's edges are its
+lower corner's index plus fixed shifts. The crossing edges are ranked one
+axis at a time, from one bool mark and one int32 rank table over the
+vertices that serve every axis, and the ranks are written over the
+element edge ids, so no sort runs over them. The crossings are measured by
+linear interpolation and split into connected pieces by a second
+_connected pass over the crossing edges. A piece's two sides are the
+components at the ends of its first crossing edge (_piece_sides): it is
+interior when one side is, and the tree edges and 3D genera read
+per-piece arrays. The extraction's peak heap is about 2.5 times the value
+grid's bytes on a 101^3 ball grid of an m = 3 draw (4.0 on a 61^3 one),
+and the labeling's about 1.4 times (1.6 on the 61^3 one).
 """
 
 from __future__ import annotations
@@ -285,8 +288,9 @@ def label_domains(grid: ScalarGrid) -> NodalDecomposition:
 class NodalGeometry:
     """The zero set of a sampled field, extracted once per grid.
 
-    The U crossing grid edges, in _edge_blocks order, are the vertices of the
-    elements: segments (2D) or triangles (3D), split into connected pieces.
+    The U crossing grid edges, by axis and then by lower vertex in flat
+    order, are the vertices of the elements: segments (2D) or triangles
+    (3D), split into connected pieces.
     """
 
     dim: int
@@ -334,20 +338,6 @@ class NodalGeometry:
         return self.elements if self.dim == 3 else None
 
 
-def _edge_blocks(shape) -> list[tuple[int, tuple[int, ...]]]:
-    """Grid-edge numbering: (first id, block shape) per axis.
-
-    The edges along axis a are numbered row-major over the vertex shape with
-    one fewer along a, after the edges along the lower axes.
-    """
-    blocks, first = [], 0
-    for a in range(len(shape)):
-        bshape = tuple(n - (d == a) for d, n in enumerate(shape))
-        blocks.append((first, bshape))
-        first += int(np.prod(bshape))
-    return blocks
-
-
 def _row_major_strides(shape) -> list[int]:
     return [int(np.prod(shape[d + 1 :])) for d in range(len(shape))]
 
@@ -381,7 +371,7 @@ def _cell_cases(pos: np.ndarray) -> np.ndarray:
 
 
 def _crossing_elements(grid: ScalarGrid, pos: np.ndarray) -> tuple[np.ndarray, int]:
-    """Grid-edge ids of the zero-set elements, and the number of cells scanned.
+    """Grid-edge ids a*V + p of the zero-set elements, and the number of cells scanned.
 
     pos holds the vertex signs (True for positive). The elements are (S, 2)
     segments in 2D, (T, 3) triangles in 3D. Only cells with all corners in
@@ -397,16 +387,16 @@ def _crossing_elements(grid: ScalarGrid, pos: np.ndarray) -> tuple[np.ndarray, i
     case, cell_ok = _cell_cases(pos), _scanned_cells(grid.mask())
     covered = int(np.count_nonzero(cell_ok))
     full = 2 ** 2**m - 1
-    work = np.flatnonzero(cell_ok & (case > 0) & (case < full))
-    case_w = case.reshape(-1)[work]
+    crossed = cell_ok & (case > 0) & (case < full)
+    case_w = case[crossed]
+    # each crossed cell is named by the flat index of its lower corner
+    live = np.zeros(grid.shape, dtype=bool)
+    live[(slice(-1),) * m] = crossed
+    work = np.flatnonzero(live)
 
-    # id of the edge along axis a at vertex x: first_a + x . strides_a, so the
-    # edge e of a cell is the cell's id for axis(e) plus a fixed shift
-    blocks = _edge_blocks(grid.shape)
-    strides = np.array([_row_major_strides(bshape) for _, bshape in blocks])
-    cell_index = np.stack(np.unravel_index(work, case.shape))
-    cell_gid = np.array([f for f, _ in blocks])[:, None] + strides @ cell_index
-    shift = np.sum(edge_base * strides[edge_axis], axis=1)
+    # the edge along axis a with lower vertex p has id a*V + p, so the edge e
+    # of the cell at p is p plus a fixed shift
+    shift = edge_axis * pos.size + edge_base @ _row_major_strides(grid.shape)
 
     order = np.argsort(case_w, kind="stable")
     counts = np.bincount(case_w, minlength=full + 1)
@@ -419,7 +409,7 @@ def _crossing_elements(grid: ScalarGrid, pos: np.ndarray) -> tuple[np.ndarray, i
         start += count
         tab = np.asarray(table[cs])  # (elements, m) cell-edge numbers
         rows = elements[row : row + len(tab) * count].reshape(len(tab), count, m)
-        np.add(cell_gid[:, sel][edge_axis[tab]], shift[tab][..., None], out=rows.transpose(0, 2, 1))
+        np.add(work[sel], shift[tab][..., None], out=rows.transpose(0, 2, 1))
         row += len(tab) * count
     return elements, covered
 
@@ -456,45 +446,42 @@ def _extract_zero_set(grid: ScalarGrid) -> NodalGeometry:
         raise ValueError("zero-set extraction supports m in {2, 3} only")
     elements, covered = _crossing_elements(grid, grid.grid_values() > -TIE_EPS)
 
-    # Rank the crossing grid edges one axis block at a time, in _edge_blocks
-    # order: mark the block's element edge ids in a bool array, read them
-    # back sorted and unique, map each id to its rank through a rank table
-    # over the block, and write the ranks over the ids. No sort, and no table
-    # over all grid edges; the mark and the table serve every block, the mark
-    # cleared at the block's crossings after use.
+    # Rank the crossing grid edges one axis at a time: mark the lower vertices
+    # of the axis's element edges in a bool array, read them back sorted and
+    # unique, map each to its rank through a rank table over the vertices,
+    # and write the ranks over the edge ids. No sort, and no table over all
+    # grid edges; the mark and the table serve every axis, the mark cleared
+    # at the axis's crossings after use.
     gids = elements.reshape(-1)
-    blocks = _edge_blocks(grid.shape)
-    block_of = np.zeros(gids.size, dtype=np.uint8)
-    for first, _ in blocks[1:]:
-        block_of += gids >= first
-    sizes = [int(np.prod(bshape)) for _, bshape in blocks]
-    hit = np.zeros(max(sizes), dtype=bool)
-    table = np.empty(max(sizes), dtype=_index_dtype(blocks[-1][0] + sizes[-1]))
+    V = grid.values.size
+    axis_of = np.zeros(gids.size, dtype=np.uint8)
+    for a in range(1, grid.dim):
+        axis_of += gids >= a * V
+    hit = np.zeros(V, dtype=bool)
+    table = np.empty(V, dtype=_index_dtype(grid.dim * V))
     strides = _row_major_strides(grid.shape)
     end_parts, point_parts = [], []
     U = 0
-    for a, (first, bshape) in enumerate(blocks):
-        in_block = np.flatnonzero(block_of == a)
-        local = gids[in_block] - first
+    for a in range(grid.dim):
+        on_axis = np.flatnonzero(axis_of == a)
+        local = gids[on_axis] - a * V
         hit[local] = True
-        crossing = np.flatnonzero(hit)
-        hit[crossing] = False
-        table[crossing] = np.arange(U, U + len(crossing), dtype=table.dtype)
-        gids[in_block] = table[local]
-        del local, in_block
-        U += len(crossing)
+        lower = np.flatnonzero(hit)
+        hit[lower] = False
+        table[lower] = np.arange(U, U + len(lower), dtype=table.dtype)
+        gids[on_axis] = table[local]
+        del local, on_axis
+        U += len(lower)
 
-        # the edge's lower vertex has the edge's block coordinates; the crossing
-        # point interpolates linearly along axis a, on values clamped to TIE_EPS
-        coords = np.unravel_index(crossing, bshape)
-        lower = np.ravel_multi_index(coords, grid.shape)
+        # the crossing point interpolates linearly along axis a, on values
+        # clamped to TIE_EPS
         upper = lower + strides[a]
         vu, vv = (np.where(np.abs(x) < TIE_EPS, TIE_EPS, x) for x in (grid.values[lower], grid.values[upper]))
-        points = np.stack(coords, axis=-1).astype(float)
+        points = np.stack(np.unravel_index(lower, grid.shape), axis=-1).astype(float)
         points[:, a] += vu / (vu - vv)
         end_parts.append(np.stack([lower, upper], axis=-1))
         point_parts.append(points)
-    del gids, block_of, hit, table  # elements now holds the ranks
+    del gids, axis_of, hit, table  # elements now holds the ranks
     edge_ends = np.concatenate(end_parts)
     edge_points = grid.origin + grid.spacing * np.concatenate(point_parts)
     del end_parts, point_parts

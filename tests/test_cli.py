@@ -288,6 +288,23 @@ def test_malformed_wave_header_exits_2(tmp_path, capsys, header):
     assert "header must be 'm N'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body, err", [
+    ("2 3\n1 0\n0 1\n0.6 0.8\nnan 0\n1 0\n0 1\n", "unit modulus"),
+    ("2 3\n1 0\n0 1\n0.6 0.8\n1 0\ninf 0\n0 1\n", "unit modulus"),
+    ("2 1\nnan 0\n1 0\n", "direction norms"),
+    ("2 3\nnan 0\n0 1\n0.6 0.8\n1 0\n1 0\n1 0\n", "direction norms"),
+    ("2 3\n1 0\n-inf 1\n0.6 0.8\n1 0\n1 0\n1 0\n", "direction norms"),
+], ids=["nan-coeff", "inf-coeff", "nan-one-direction", "nan-direction", "inf-direction"])
+def test_non_finite_wave_file_exits_2(tmp_path, capsys, body, err):
+    # NaN compares False, so each unit check asks that every deviation be
+    # within its tolerance rather than that none exceed it
+    wavep = tmp_path / "wave.txt"
+    wavep.write_text(body)
+    cfgp = write_cfg(tmp_path, f"command = nodal-stats\ngenerator = file\nwave = {wavep}\nW = 4\nh = 0.1\n")
+    assert main(["--config", cfgp, "--out", str(tmp_path / "o")]) == 2
+    assert err in capsys.readouterr().err
+
+
 def test_nodal_stats_on_cosine_fixture(tmp_path, cosine_wave):
     wavep = tmp_path / "cos.txt"
     save_wave(cosine_wave, wavep)
@@ -344,6 +361,17 @@ def test_sandwich_3d_frozen_row(tmp_path):
     rows = (tmp_path / "out" / "sandwich.csv").read_text().splitlines()
     assert rows[1] == ("0,2109,0.1,,1.0,16,3,1.247025753452962,9.618510747313845,"
                        "28.393633377639144,0.5678726675527829,1")
+
+
+def test_nodal_stats_3d_frozen_row(tmp_path):
+    # the 3D zero set at the mesh-3d draw size (a 101^3 ball grid): its area
+    # and density, and the nesting tree read through it
+    cfgp = write_cfg(tmp_path, "command = nodal-stats\nm = 3\ngenerator = uniform\n"
+                     "W = 3\nh = 0.06\nseed = 9\n")
+    assert main(["--config", cfgp, "--out", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+    assert rows[1] == ("9,1030301,0.06,3.0,,64,3,31,0,31,250.67087381243397,2.320692429664517,"
+                       "(" + "()" * 31 + "),")
 
 
 def test_report_csv_round_trips(tmp_path, cosine_wave):

@@ -392,11 +392,20 @@ def test_ball_parameters_are_refused_at_construction():
         with pytest.raises(ValueError, match="one entry per axis"):
             grid(centre, 1.0)
     with pytest.raises(ValueError, match="one entry per axis"):
-        grid(np.zeros(3), None)  # the unmasked grid's distances are about it too
+        grid(np.zeros(3), None)
+    # a centre alone would move the unmasked grid's distances; nothing builds one
+    with pytest.raises(ValueError, match="needs a ball_radius"):
+        grid(np.ones(2), None)
     for radius in (math.nan, -1.0, 0.0, math.inf):
         with pytest.raises(ValueError, match="finite and positive"):
             grid(np.ones(2), radius)
     assert grid(np.ones(2), 1.0).mask().sum() == 13
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+def test_spacing_must_be_finite_and_positive(h):
+    with pytest.raises(ValueError, match="spacing must be finite and positive"):
+        ScalarGrid(origin=np.zeros(2), spacing=h, shape=(3, 4), values=np.zeros(12))
 
 
 def test_mask_is_computed_once_and_read_only():

@@ -706,11 +706,29 @@ def test_pair_keys_do_not_wrap_with_int32_labels():
     assert set(ends.reshape(-1).tolist()) == {block, hole}
 
 
+def edge_blocks(shape) -> list[tuple[int, tuple[int, ...]]]:
+    """Reference grid-edge numbering: (first id, block shape) per axis.
+
+    The edges along axis a are numbered row-major over the vertex shape with
+    one fewer along a, after the edges along the lower axes.
+    """
+    blocks, first = [], 0
+    for a in range(len(shape)):
+        bshape = tuple(n - (d == a) for d, n in enumerate(shape))
+        blocks.append((first, bshape))
+        first += math.prod(bshape)
+    return blocks
+
+
+def row_major_strides(shape) -> list[int]:
+    return [math.prod(shape[d + 1 :]) for d in range(len(shape))]
+
+
 def edge_endpoints(gids: np.ndarray, shape) -> tuple[np.ndarray, np.ndarray]:
     """Reference: flat indices of the lower and upper vertex of each grid edge."""
     u = np.empty(len(gids), dtype=np.int64)
     v = np.empty(len(gids), dtype=np.int64)
-    for step, (first, bshape) in zip(nodal._row_major_strides(shape), nodal._edge_blocks(shape)):
+    for step, (first, bshape) in zip(row_major_strides(shape), edge_blocks(shape)):
         sel = (gids >= first) & (gids < first + int(np.prod(bshape)))
         u[sel] = np.ravel_multi_index(np.unravel_index(gids[sel] - first, bshape), shape)
         v[sel] = u[sel] + step
@@ -842,8 +860,8 @@ def summed_case_elements(grid: ScalarGrid, v: np.ndarray) -> tuple[np.ndarray, i
     covered = int(np.count_nonzero(cell_ok))
     work = np.flatnonzero(cell_ok & (case > 0) & (case < 2 ** 2**m - 1))
     case_w = case.reshape(-1)[work]
-    blocks = nodal._edge_blocks(grid.shape)
-    strides = np.array([nodal._row_major_strides(bshape) for _, bshape in blocks])
+    blocks = edge_blocks(grid.shape)
+    strides = np.array([row_major_strides(bshape) for _, bshape in blocks])
     cell_gid = np.array([f for f, _ in blocks])[:, None] + strides @ np.stack(np.unravel_index(work, cells))
     shift = np.sum(edge_base * strides[edge_axis], axis=1)
     order = np.argsort(case_w, kind="stable")
@@ -897,7 +915,8 @@ def sorted_zero_set(grid: ScalarGrid, labels: np.ndarray,
 
 
 def oracle_grid(name: str) -> ScalarGrid:
-    """Ball grids, box grids without a mask, single-sign and tie-band box grids."""
+    """Ball grids, box grids without a mask or with an off-centre ball mask,
+    single-sign and tie-band box grids."""
     kind, m = name.rsplit("-m", 1)
     m = int(m)
     if kind == "ball":
@@ -912,11 +931,18 @@ def oracle_grid(name: str) -> ScalarGrid:
         near = rng.random(vals.size) < 0.3
         vals[near] = rng.choice([0.0, -0.0, 5e-14, -5e-14, nodal.TIE_EPS, -nodal.TIE_EPS,
                                  np.nextafter(-nodal.TIE_EPS, 0)], int(near.sum()))
+    elif kind == "off-ball":
+        centre, radius = ((1.1, 2.2), 1.6) if m == 2 else ((0.3, 0.5, 0.6), 0.7)
+        return ScalarGrid(origin=np.full(m, -0.5), spacing=0.1, shape=shape, values=vals,
+                          ball_center=np.array(centre), ball_radius=radius)
     return ScalarGrid(origin=np.full(m, -0.5), spacing=0.1, shape=shape, values=vals)
 
 
-@pytest.mark.parametrize("name", [f"{kind}-m{m}" for kind in ("ball", "box", "one-sign", "tie-band")
-                                  for m in (2, 3)])
+ORACLE_GRIDS = [f"{kind}-m{m}" for kind in ("ball", "box", "off-ball", "one-sign", "tie-band")
+                for m in (2, 3)]
+
+
+@pytest.mark.parametrize("name", ORACLE_GRIDS)
 def test_zero_set_bitwise_equals_sorted_reference(name):
     grid = oracle_grid(name)
     dec = label_domains(grid)
@@ -943,8 +969,7 @@ def running_max_piece_sides(dec, z) -> np.ndarray:
     return dec.labels[z.edge_ends[np.flatnonzero(rise)]]
 
 
-@pytest.mark.parametrize("name", [f"{kind}-m{m}" for kind in ("ball", "box", "one-sign", "tie-band")
-                                  for m in (2, 3)])
+@pytest.mark.parametrize("name", ORACLE_GRIDS)
 def test_piece_sides_match_running_max_reference(name):
     grid = oracle_grid(name)
     dec = label_domains(grid)
@@ -971,7 +996,8 @@ def test_zero_set_extraction_memory():
     # intp union-find pairs, 4.21 with int32 pairs, one mark and one rank
     # table for all axis blocks, the ranks written over the element edge ids
     # and the element measures taken in blocks, 4.11 without the crossing
-    # edges' grid ids
+    # edges' grid ids, 3.97 with each grid edge named by its axis and lower
+    # vertex
     g = memory_test_grid()
     assert traced_peak(lambda: nodal._extract_zero_set(g)) < 4.5 * g.values.nbytes
 
