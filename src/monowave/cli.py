@@ -3,12 +3,12 @@
 One experiment per process. A config names a command plus its parameters; the
 driver builds the wave or measure, runs the matching library routine, and
 serializes the report. A config is refused where it is parsed, before any
-directory or wave is made: a key that a command requires (listed next to its
-runner in _RUNNERS) must appear in it, generator = file requires wave, and
-generator = log-rational requires m = 2. Every report CSV starts with the
-same seven meta columns {seed, n_samples, h, W, R, N, m}, followed by the
-keys of its rows; floats are written with repr so a parse/serialize cycle is
-byte-identical.
+directory is made: a key that a command requires (listed next to its runner
+in _RUNNERS) must appear in it, generator = file requires a wave file that
+load_wave reads, and generator = log-rational requires m = 2. Every report
+CSV starts with the same seven meta columns {seed, n_samples, h, W, R, N, m},
+followed by the keys of its rows; floats are written with repr so a
+parse/serialize cycle is byte-identical.
 
 Each command resolves its wave or direction set once, and that is the one
 source of m and N; the m and N keys only configure the uniform and
@@ -17,9 +17,9 @@ refused. Measure selection for the ensemble commands (kacrice, ns-estimate,
 discrepancy): a partition measure when K is set, the rotation-invariant
 measure for generator=uniform, and otherwise the empirical measure of the
 configured direction set. The rotation-invariant measure has no direction
-set, so its reports leave N empty. ns-estimate and discrepancy share one
-trial loop (stats._kept_draws): each draw is probed at h = 0.1, and both
-exclude the same draws by reason under one 20% abort.
+set, so its reports leave N empty. ns-estimate and discrepancy write one
+ensemble estimate (stats.ns_constant_estimate): each draw is probed at
+h = 0.1, and both exclude the same draws by reason under one 20% abort.
 """
 
 from __future__ import annotations
@@ -150,6 +150,8 @@ def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
     # a path that names no file (an empty value names the working directory)
     if "wave" in raw and not Path(cfg.wave).is_file():
         raise ValueError(f"config key 'wave' names no file: {cfg.wave!r}")
+    if cfg.generator == "file":
+        load_wave(cfg.wave)  # a malformed file is refused here, before --out is made
     if cfg.generator == "log-rational" and cfg.m != 2:
         raise ValueError("log-rational directions exist only for m=2")
     return cfg
@@ -498,6 +500,8 @@ def _run_kacrice(cfg: ExperimentConfig, outdir: Path) -> None:
 
 
 def _run_ns_estimate(cfg: ExperimentConfig, outdir: Path) -> None:
+    if cfg.W < 4:
+        raise ValueError("need W >= 4")
     measure, dirs = _resolve_measure(cfg)
     est = stats.ns_constant_estimate(measure, cfg.W, cfg.trials, cfg.seed, h=cfg.h)
     labelled = [("density", "", (est.mean, est.stderr))]
@@ -542,16 +546,16 @@ def _run_semilocal(cfg: ExperimentConfig, outdir: Path) -> None:
 
 def _run_discrepancy(cfg: ExperimentConfig, outdir: Path) -> None:
     measure, dirs = _resolve_measure(cfg)
-    rep = stats.discrepancy_estimate(measure, cfg.W, cfg.trials, cfg.seed, h=cfg.h)
+    est = stats.ns_constant_estimate(measure, cfg.W, cfg.trials, cfg.seed, h=cfg.h)
     row = {
-        "mean_abs_deviation": rep.mean_abs_deviation,
-        "stderr": rep.stderr,
-        "mean_density": rep.mean_density,
-        "trials": rep.trials,
+        "mean_abs_deviation": est.mean_abs_deviation,
+        "stderr": est.deviation_stderr,
+        "mean_density": est.mean,
+        "trials": est.trials,
     }
     _emit(outdir, "discrepancy.csv", [row], _meta(cfg, cfg.trials, dirs))
-    _print_estimate("mean absolute deviation", rep.mean_abs_deviation, rep.stderr,
-                    rep.excluded_by_reason)
+    _print_estimate("mean absolute deviation", est.mean_abs_deviation, est.deviation_stderr,
+                    est.excluded_by_reason)
 
 
 def _run_fig1(cfg: ExperimentConfig, outdir: Path) -> None:

@@ -78,6 +78,9 @@ class ConstantEstimate:
     trials: int
     mean: float
     stderr: float
+    # the kept draws' mean absolute deviation from mean, and its stderr
+    mean_abs_deviation: float
+    deviation_stderr: float
     # excluded draws per DegenerateSampleError.reason
     excluded_by_reason: dict[str, int] = dc_field(default_factory=dict)
     class_density: dict[str, tuple[float, float]] = dc_field(default_factory=dict)
@@ -301,30 +304,37 @@ def _ball_volume(m: int, r: float) -> float:
     return math.pi ** (m / 2) / math.gamma(m / 2 + 1) * r**m
 
 
-def _kept_draws(measure: SpectralMeasure, W: float, trials: int, seed: int, h: float):
-    """The one trial loop of ns_constant_estimate and discrepancy_estimate.
+def ns_constant_estimate(measure: SpectralMeasure, W: float, trials: int, seed: int,
+                         h: float = 0.05) -> ConstantEstimate:
+    """Interior nodal-domain counts per unit volume on B(W) over draws of the measure.
 
-    Trial j draws from child stream j, and the trials run in order on the
-    calling thread. Each draw is probed by check_nondegenerate at h = 0.1,
-    filled on B(W) at pitch h from the probe's low-rank core, labelled, and
-    has its topology classes and nesting tree built. Returns the kept draws,
-    one (interior count, class tag counts, interior tree code counts) per
-    draw in draw order, and the excluded draws counted per
-    DegenerateSampleError.reason: a failed probe, unresolved adjacency,
-    topology or tree. More than 20% exclusions aborts (too_many_excluded).
+    The one ensemble estimate: ns-estimate and discrepancy both read it. The
+    fields, grids and balls live in R^m with m = measure.dim. Trial j draws
+    from child stream j, and the trials run in order on the calling thread.
+    Each draw is probed by check_nondegenerate at h = 0.1, filled on B(W) at
+    pitch h from the probe's low-rank core, labelled, and has its topology
+    classes and nesting tree built. Degenerate draws (failed probe,
+    unresolved adjacency, topology or tree) are excluded and counted by
+    reason; more than 20% exclusions aborts (too_many_excluded). Over the
+    kept draws' densities, in draw order, the estimate holds their mean, their
+    mean absolute deviation from it, each with its stderr, and the densities
+    of each topology class and interior nesting-tree code.
     """
+    if trials < 50:
+        raise ValueError("need at least 50 trials")
     draw = _resolve_sampler(measure)
     kept = []
     by_reason = Counter()
     for j in range(trials):
         realization = draw(int(child_rng(seed, j).integers(2**63)))
+        # probe at the coarsest permitted pitch: it gates outliers, it is not
+        # the measurement grid, which is filled from the probe's low-rank core
+        # (its box over B(W+1) holds the grid over B(W))
+        report = check_nondegenerate(realization, W, 0.1)
+        if not report.passed:
+            by_reason["probe_failed"] += 1
+            continue
         try:
-            # probe at the coarsest permitted pitch: it gates outliers, it is
-            # not the measurement grid, which is filled from the probe's
-            # low-rank core (its box over B(W+1) holds the grid over B(W))
-            report = check_nondegenerate(realization, W, 0.1)
-            if not report.passed:
-                raise DegenerateSampleError("nondegeneracy probe failed", "probe_failed")
             g = sample_on_grid(report.lattice, np.zeros(measure.dim), W, h)
             dec = nodal.label_domains(g)
             classes = nodal.classify_topology(dec)
@@ -340,42 +350,28 @@ def _kept_draws(measure: SpectralMeasure, W: float, trials: int, seed: int, h: f
             f"{excluded}/{trials} draws degenerate ({format_reasons(by_reason)}); "
             "refine h or enlarge W", "too_many_excluded"
         )
-    return kept, dict(by_reason)
-
-
-def ns_constant_estimate(measure: SpectralMeasure, W: float, trials: int, seed: int,
-                         h: float = 0.05) -> ConstantEstimate:
-    """Mean interior nodal-domain count per unit volume over draws of the measure.
-
-    The fields, grids and balls live in R^m with m = measure.dim. The trials
-    come from _kept_draws, the loop discrepancy_estimate shares: each draw is
-    probed at h = 0.1, and degenerate draws (failed nondegeneracy probe,
-    unresolved adjacency, topology or tree) are excluded and counted by
-    reason; more than 20% exclusions aborts. Each kept draw also counts its
-    topology classes and interior nesting-tree codes.
-    """
-    if W < 4:
-        raise ValueError("need W >= 4")
-    if trials < 50:
-        raise ValueError("need at least 50 trials")
-    kept, by_reason = _kept_draws(measure, W, trials, seed, h)
     vol = _ball_volume(measure.dim, W)
 
-    def summarize(counts: list[int]) -> tuple[float, float]:
-        # one count per kept draw, in draw order: mean and stderr per unit volume
-        dens = np.array(counts) / vol
-        return float(dens.mean()), float(dens.std(ddof=1) / math.sqrt(len(dens)))
+    def summarize(values: np.ndarray) -> tuple[float, float]:
+        # one value per kept draw, in draw order: mean and stderr
+        return float(values.mean()), float(values.std(ddof=1) / math.sqrt(len(values)))
 
-    mean, stderr = summarize([n for n, _, _ in kept])
+    dens = np.array([n for n, _, _ in kept]) / vol
+    mean, stderr = summarize(dens)
+    mean_abs_deviation, deviation_stderr = summarize(np.abs(dens - dens.mean()))
     tags = dict.fromkeys(tag for _, classes, _ in kept for tag in classes)
     codes = dict.fromkeys(code for _, _, trees in kept for code in trees)
     return ConstantEstimate(
         trials=trials,
         mean=mean,
         stderr=stderr,
-        excluded_by_reason=by_reason,
-        class_density={t: summarize([classes[t] for _, classes, _ in kept]) for t in tags},
-        tree_density={c: summarize([trees[c] for _, _, trees in kept]) for c in codes},
+        mean_abs_deviation=mean_abs_deviation,
+        deviation_stderr=deviation_stderr,
+        excluded_by_reason=dict(by_reason),
+        class_density={t: summarize(np.array([classes[t] for _, classes, _ in kept]) / vol)
+                       for t in tags},
+        tree_density={c: summarize(np.array([trees[c] for _, _, trees in kept]) / vol)
+                      for c in codes},
     )
 
 
@@ -504,35 +500,3 @@ def semilocal_count_check(wave: MonochromaticWave, R: float, W: float,
     return _judge(local_mean, global_density, stderr, correction + allowance, len(centers),
                   gap=abs(global_density - local_mean), correction=correction,
                   allowance=allowance)
-
-
-@dataclass
-class DiscrepancyReport:
-    trials: int
-    mean_abs_deviation: float
-    stderr: float
-    mean_density: float
-    # excluded draws per DegenerateSampleError.reason
-    excluded_by_reason: dict[str, int] = dc_field(default_factory=dict)
-
-
-def discrepancy_estimate(measure: SpectralMeasure, W: float, trials: int, seed: int,
-                         h: float = 0.05) -> DiscrepancyReport:
-    """Mean absolute deviation of per-draw count densities on B(W) in R^measure.dim.
-
-    The trials come from _kept_draws, the loop ns_constant_estimate shares:
-    each draw is probed at h = 0.1, the same draws are excluded by reason
-    under the same 20% abort, and the deviation is taken over the kept ones.
-    """
-    if trials < 50:
-        raise ValueError("need at least 50 trials")
-    kept, by_reason = _kept_draws(measure, W, trials, seed, h)
-    dens = np.array([n for n, _, _ in kept]) / _ball_volume(measure.dim, W)
-    dev = np.abs(dens - dens.mean())
-    return DiscrepancyReport(
-        trials=trials,
-        mean_abs_deviation=float(dev.mean()),
-        stderr=float(dev.std(ddof=1) / math.sqrt(len(dev))),
-        mean_density=float(dens.mean()),
-        excluded_by_reason=by_reason,
-    )

@@ -127,12 +127,15 @@ def test_exit_codes(tmp_path, monkeypatch):
          "key 'R' expects a finite number, got '-Infinity'"),
         ("command = smallvalues\nR = 20\nbeta = nan\nsamples = 50\n",
          "key 'beta' expects a finite number, got 'nan'"),
+        # the W >= 4 refusal is ns-estimate's own: discrepancy reads the same
+        # estimate on B(2) (test_report_csv_headers[discrepancy])
+        ("command = ns-estimate\nm = 2\nW = 3\nh = 0.2\ntrials = 50\n", "need W >= 4"),
     ],
     ids=["smallvalues-0", "doubling-0", "doubling-no-samples", "charfn-0", "kacrice-atomic-0",
          "charfn-1", "nodal-stats-h0", "nodal-stats-h-negative", "fig1-h0", "moments-p_max-0",
          "moments-R-0", "smallvalues-R-negative", "doubling-R-inf", "nodal-stats-W-inf",
          "semilocal-R-inf", "sandwich-R-inf", "fig1-wavenumber-inf", "moments-R-inf",
-         "moments-R-minus-inf", "smallvalues-beta-nan"],
+         "moments-R-minus-inf", "smallvalues-beta-nan", "ns-estimate-W-3"],
 )
 def test_out_of_range_samples_and_spacing_exit_2(tmp_path, capsys, body, err):
     # every Monte Carlo stderr uses ddof=1, so fewer than 2 samples has none
@@ -286,6 +289,7 @@ def test_malformed_wave_header_exits_2(tmp_path, capsys, header):
     cfgp = write_cfg(tmp_path, f"command = nodal-stats\ngenerator = file\nwave = {wavep}\nW = 4\n")
     assert main(["--config", cfgp, "--out", str(tmp_path / "o")]) == 2
     assert "header must be 'm N'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("body, err", [
@@ -303,6 +307,7 @@ def test_non_finite_wave_file_exits_2(tmp_path, capsys, body, err):
     cfgp = write_cfg(tmp_path, f"command = nodal-stats\ngenerator = file\nwave = {wavep}\nW = 4\nh = 0.1\n")
     assert main(["--config", cfgp, "--out", str(tmp_path / "o")]) == 2
     assert err in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_nodal_stats_on_cosine_fixture(tmp_path, cosine_wave):

@@ -28,7 +28,6 @@ from monowave.stats import (
     _energy_statistics,
     bk_moment_report,
     covariance_compare,
-    discrepancy_estimate,
     kac_rice_density,
     ns_constant_estimate,
     pushforward_distance,
@@ -110,9 +109,9 @@ def test_kac_rice_rejects_degenerate_support():
 
 
 def test_ns_constant_guards():
+    # the W >= 4 refusal belongs to the ns-estimate command (test_cli), since
+    # discrepancy reads the same estimate on smaller balls
     mu = empirical_measure(generate_uniform_directions(2, 8, 0))
-    with pytest.raises(ValueError):
-        ns_constant_estimate(mu, 3.0, 50, 0)
     with pytest.raises(ValueError):
         ns_constant_estimate(mu, 4.0, 20, 0)
 
@@ -217,7 +216,8 @@ def test_ns_constant_with_topology():
 
 
 def test_ns_constant_exclusion_reasons(monkeypatch):
-    # every probe fails: each trial is excluded as probe_failed, then the run aborts
+    # every probe fails: each trial is counted as probe_failed without an
+    # exception of its own, then the run aborts with the one it raises
     reasons = []
 
     class Recorded(DegenerateSampleError):
@@ -232,7 +232,7 @@ def test_ns_constant_exclusion_reasons(monkeypatch):
         ns_constant_estimate(uniform_measure(2), 4.0, 50, seed=1, h=0.2)
     assert info.value.reason == "too_many_excluded"
     assert "50/50 draws degenerate (probe_failed: 50)" in str(info.value)
-    assert reasons == ["probe_failed"] * 50 + ["too_many_excluded"]
+    assert reasons == ["too_many_excluded"]
 
     # the first 7 probes fail: the estimate counts them under their reason;
     # the passing ones are real reports, whose lattice fills the grid
@@ -246,39 +246,52 @@ def test_ns_constant_exclusion_reasons(monkeypatch):
 
 
 def test_discrepancy_excludes_the_draws_ns_estimate_excludes(monkeypatch):
-    # both estimators count the one trial loop's draws: the first 7 probes of
-    # each run fail, and each report counts exactly those 7 under probe_failed
+    # discrepancy reads ns-estimate's one report: the first 7 probes fail, the
+    # report counts exactly those 7 under probe_failed, and its deviation is
+    # over the 43 kept draws' densities, whose mean is the report's mean
     def failing_first(k):
         calls = iter(range(10**6))
         return lambda *args: (check_nondegenerate(*args) if next(calls) >= k
                               else SimpleNamespace(passed=False))
 
+    counts = []
+    label = nodal.label_domains
+
+    def recording(g):
+        dec = label(g)
+        counts.append(dec.interior_count)
+        return dec
+
     mu = uniform_measure(2)
+    monkeypatch.setattr(nodal, "label_domains", recording)
     monkeypatch.setattr(stats, "check_nondegenerate", failing_first(7))
     est = ns_constant_estimate(mu, 4.0, 50, seed=1, h=0.2)
-    monkeypatch.setattr(stats, "check_nondegenerate", failing_first(7))
-    rep = discrepancy_estimate(mu, 4.0, 50, seed=1, h=0.2)
-    assert est.excluded_by_reason == rep.excluded_by_reason == {"probe_failed": 7}
-    assert rep.trials == 50
-    # the deviation is over the 43 kept draws, whose mean is ns-estimate's
-    assert rep.mean_density == est.mean
-    assert rep.stderr > 0
+    assert est.excluded_by_reason == {"probe_failed": 7}
+    assert est.trials == 50
+    assert len(counts) == 43
+    dens = np.array(counts) / (math.pi * 4.0**2)
+    dev = np.abs(dens - dens.mean())
+    assert est.mean == dens.mean()
+    assert est.mean_abs_deviation == dev.mean()
+    assert est.deviation_stderr == dev.std(ddof=1) / math.sqrt(43) > 0
 
-    # every probe fails: discrepancy aborts under the same 20% rule
+    # every probe fails: the one report aborts under the 20% rule
     monkeypatch.setattr(stats, "check_nondegenerate", failing_first(51))
     with pytest.raises(DegenerateSampleError) as info:
-        discrepancy_estimate(mu, 4.0, 50, seed=1, h=0.2)
+        ns_constant_estimate(mu, 4.0, 50, seed=1, h=0.2)
     assert info.value.reason == "too_many_excluded"
     assert "50/50 draws degenerate (probe_failed: 50)" in str(info.value)
 
 
 def test_discrepancy_mean_density_is_the_ns_estimate_mean():
-    # the benchmark's ns-estimate config: one trial loop, so one mean, bitwise
-    mu = uniform_measure(2)
-    est = ns_constant_estimate(mu, 4.0, 50, seed=9, h=0.05)
-    rep = discrepancy_estimate(mu, 4.0, 50, seed=9, h=0.05)
-    assert est.excluded == 0 and rep.excluded_by_reason == {}
-    assert rep.mean_density == est.mean
+    # the benchmark's ns-estimate config at seed 9: ns.csv's density row and
+    # discrepancy.csv's row come from one report, frozen exactly from the runs
+    # of the two commands when each had an estimator of its own
+    est = ns_constant_estimate(uniform_measure(2), 4.0, 50, seed=9, h=0.05)
+    assert est.excluded_by_reason == {}
+    assert (est.mean, est.stderr) == (0.12294719353848914, 0.007137796745091266)
+    assert (est.mean_abs_deviation, est.deviation_stderr) == (0.038658735677021376,
+                                                              0.00452196709090854)
 
 
 def test_ns_constant_against_separate_probe_and_fill(monkeypatch):
@@ -345,8 +358,8 @@ def test_interior_count_converges_under_refinement():
 def test_discrepancy_against_direct_loop():
     mu = empirical_measure(generate_uniform_directions(2, 16, 3))
     with pytest.raises(ValueError):
-        discrepancy_estimate(mu, 4.0, 10, 0)
-    rep = discrepancy_estimate(mu, 4.0, 50, seed=3, h=0.2)
+        ns_constant_estimate(mu, 4.0, 10, 0)
+    est = ns_constant_estimate(mu, 4.0, 50, seed=3, h=0.2)
     # oracle: the same child streams drawn, sampled and labelled one by one
     dens = []
     for j in range(50):
@@ -355,9 +368,11 @@ def test_discrepancy_against_direct_loop():
         dens.append(label_domains(g).interior_count / (math.pi * 4.0**2))
     dens = np.array(dens)
     assert dens.std() > 0  # the draws differ, so the deviation is not trivially 0
-    assert rep.trials == 50
-    assert rep.mean_density == pytest.approx(dens.mean(), rel=1e-12)
-    assert rep.mean_abs_deviation == pytest.approx(np.abs(dens - dens.mean()).mean(), rel=1e-12)
+    dev = np.abs(dens - dens.mean())
+    assert est.trials == 50 and est.excluded == 0
+    assert est.mean == pytest.approx(dens.mean(), rel=1e-12)
+    assert est.mean_abs_deviation == pytest.approx(dev.mean(), rel=1e-12)
+    assert est.deviation_stderr == pytest.approx(dev.std(ddof=1) / math.sqrt(50), rel=1e-12)
 
 
 def test_volume_sandwich(cosine_wave):
