@@ -2,24 +2,24 @@
 
 One experiment per process. A config names a command plus its parameters; the
 driver builds the wave or measure, runs the matching library routine, and
-serializes the report. A config is refused where it is parsed, before any
-directory is made: a key that a command requires (listed next to its runner
-in _RUNNERS) must appear in it, generator = file requires a wave file that
-load_wave reads, and generator = log-rational requires m = 2. Every report
-CSV starts with the same seven meta columns {seed, n_samples, h, W, R, N, m},
-followed by the keys of its rows; floats are written with repr so a
-parse/serialize cycle is byte-identical.
+serializes the report. The command table _RUNNERS is the config schema, and a
+config is refused where it is parsed: a key its command does not read, a
+missing required key, an unreadable wave file, or a command's static rule.
+The output directory is made by the first artifact written, so a refused run
+leaves none. Every report CSV starts with the same seven meta columns
+{seed, n_samples, h, W, R, N, m}, followed by the keys of its rows; floats
+are written with repr so a parse/serialize cycle is byte-identical.
 
-Each command resolves its wave or direction set once, and that is the one
-source of m and N; the m and N keys only configure the uniform and
-log-rational generators, so with generator=file a config that sets them is
-refused. Measure selection for the ensemble commands (kacrice, ns-estimate,
-discrepancy): a partition measure when K is set, the rotation-invariant
-measure for generator=uniform, and otherwise the empirical measure of the
-configured direction set. The rotation-invariant measure has no direction
-set, so its reports leave N empty. ns-estimate and discrepancy write one
-ensemble estimate (stats.ns_constant_estimate): each draw is probed at
-h = 0.1, and both exclude the same draws by reason under one 20% abort.
+Each command resolves its wave, direction set or measure once, and that is
+the one source of m and N; the m and N keys only configure the uniform and
+log-rational generators. Measure selection for the ensemble commands
+(kacrice, ns-estimate, discrepancy): a partition measure when K is set, the
+rotation-invariant measure for generator=uniform, and otherwise the empirical
+measure of the configured direction set. The rotation-invariant measure has
+no direction set, so it takes no N and its reports leave N empty.
+ns-estimate and discrepancy write one ensemble estimate
+(stats.ns_constant_estimate): each draw is probed at h = 0.1, and both
+exclude the same draws by reason under one 20% abort.
 """
 
 from __future__ import annotations
@@ -136,25 +136,52 @@ def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
         raise ValueError(f"unknown command {cfg.command!r}")
     if cfg.generator not in _GENERATORS:
         raise ValueError(f"generator must be one of {_GENERATORS}, got {cfg.generator!r}")
+    accepted = _accepted_keys(cfg.command, cfg.generator, "K" in raw)
+    stray = [key for key in raw if key not in accepted]
+    if stray:
+        raise ValueError(f"command {cfg.command!r} with generator = {cfg.generator} does not "
+                         f"read config key{'s' * (len(stray) > 1)} {', '.join(map(repr, stray))}")
     if cfg.coeffs not in _COEFF_MODES:
         raise ValueError(f"coeffs must be one of {_COEFF_MODES}, got {cfg.coeffs!r}")
     if cfg.samples < 2:
         raise ValueError(f"samples must be at least 2 (stderrs use ddof=1), got {cfg.samples}")
     if not cfg.h > 0:
         raise ValueError(f"grid spacing h must be positive, got {cfg.h}")
-    if cfg.generator == "file" and {"m", "N"} & raw.keys():
-        raise ValueError("generator = file takes m and N from the wave file; drop those keys")
-    for key in _RUNNERS[cfg.command][1] + (("wave",) if cfg.generator == "file" else ()):
+    for key in _RUNNERS[cfg.command][2] + (("wave",) if cfg.generator == "file" else ()):
         if key not in raw:
             raise ValueError(f"command {cfg.command!r} requires config key {key!r}")
-    # a path that names no file (an empty value names the working directory)
-    if "wave" in raw and not Path(cfg.wave).is_file():
-        raise ValueError(f"config key 'wave' names no file: {cfg.wave!r}")
+    m = cfg.m
     if cfg.generator == "file":
-        load_wave(cfg.wave)  # a malformed file is refused here, before --out is made
-    if cfg.generator == "log-rational" and cfg.m != 2:
+        # a path that names no file (an empty value names the working directory)
+        if not Path(cfg.wave).is_file():
+            raise ValueError(f"config key 'wave' names no file: {cfg.wave!r}")
+        m = load_wave(cfg.wave).dirs.dim  # a malformed file is refused here
+    if cfg.generator == "log-rational" and m != 2:
         raise ValueError("log-rational directions exist only for m=2")
+    if cfg.command == "ns-estimate" and cfg.W < 4:
+        raise ValueError("need W >= 4")
+    if cfg.command == "fig1" and m != 2:
+        raise ValueError("fig1 is a planar picture; needs m=2")
+    if cfg.command == "fig1" and not cfg.wavenumber > 0:
+        raise ValueError("wavenumber must be positive")
     return cfg
+
+
+def _accepted_keys(command: str, generator: str, has_k: bool) -> set[str]:
+    """The keys a command reads: its own, and its input's (m and N, or wave; a
+    generated wave's coeffs; a measure's K, and delta only with K). The
+    rotation-invariant measure (uniform, no K) has no direction set: no N."""
+    _, source, required, optional = _RUNNERS[command]
+    keys = {"command", "seed", "generator", *required, *optional}
+    if generator == "file":
+        keys.add("wave")
+    else:
+        keys |= {"m", "N", "coeffs"} if source == "wave" else {"m", "N"}
+    if source == "measure":
+        keys |= {"K", "delta"} if has_k else {"K"}
+        if not has_k and generator == "uniform":
+            keys.discard("N")
+    return keys
 
 
 def load_config(path) -> ExperimentConfig:
@@ -343,8 +370,14 @@ def _print_estimate(name: str, mean: float, stderr: float, by_reason: dict[str, 
     print(f"{name} {mean!r} +- {stderr!r} ({excluded} excluded{reasons})")
 
 
+def _artifact(outdir: Path, name: str) -> Path:
+    """outdir / name, outdir made first: a run refused before it writes leaves no directory."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir / name
+
+
 def _emit(outdir: Path, name: str, rows, meta) -> Path:
-    path = outdir / name
+    path = _artifact(outdir, name)
     write_report_csv(path, rows, meta)
     print(f"wrote {path}")
     return path
@@ -356,7 +389,7 @@ def _emit(outdir: Path, name: str, rows, meta) -> Path:
 
 def _run_gen_wave(cfg: ExperimentConfig, outdir: Path) -> None:
     wave = _resolve_wave(cfg)
-    path = outdir / "wave.txt"
+    path = _artifact(outdir, "wave.txt")
     save_wave(wave, path)
     print(f"wrote {path}")
 
@@ -370,7 +403,7 @@ def _run_nodal_stats(cfg: ExperimentConfig, outdir: Path) -> None:
     tree = build_nesting_tree(dec)
     topo = classify_topology(dec)
 
-    comp_path = outdir / "components.csv"
+    comp_path = _artifact(outdir, "components.csv")
     export_components_csv(dec, comp_path)
     print(f"wrote {comp_path}")
 
@@ -387,7 +420,7 @@ def _run_nodal_stats(cfg: ExperimentConfig, outdir: Path) -> None:
     _emit(outdir, "summary.csv", [row], meta)
 
     if m == 2:
-        svg = outdir / "nodal.svg"
+        svg = _artifact(outdir, "nodal.svg")
         lim = (-cfg.W, cfg.W)
         write_zero_svg(svg, geom.segments, lim, lim)
         print(f"wrote {svg}")
@@ -500,8 +533,6 @@ def _run_kacrice(cfg: ExperimentConfig, outdir: Path) -> None:
 
 
 def _run_ns_estimate(cfg: ExperimentConfig, outdir: Path) -> None:
-    if cfg.W < 4:
-        raise ValueError("need W >= 4")
     measure, dirs = _resolve_measure(cfg)
     est = stats.ns_constant_estimate(measure, cfg.W, cfg.trials, cfg.seed, h=cfg.h)
     labelled = [("density", "", (est.mean, est.stderr))]
@@ -566,11 +597,7 @@ def _run_fig1(cfg: ExperimentConfig, outdir: Path) -> None:
     so the classical w=1 picture comes out directly.
     """
     dirs = _resolve_dirs(cfg)
-    if dirs.dim != 2:
-        raise ValueError("fig1 is a planar picture; needs m=2")
     w = cfg.wavenumber
-    if w <= 0:
-        raise ValueError("wavenumber must be positive")
     N = dirs.count
     freqs = dirs.vectors * (w / (2 * math.pi))
     coeffs = np.full(N, 1.0 / N, dtype=complex)
@@ -584,7 +611,7 @@ def _run_fig1(cfg: ExperimentConfig, outdir: Path) -> None:
     geom = nodal_volume(grid)
 
     radii = [z / w for z in bessel_zero_table(20) if z / w <= half]
-    svg = outdir / f"fig1_N{N}.svg"
+    svg = _artifact(outdir, f"fig1_N{N}.svg")
     write_zero_svg(svg, geom.segments, (-half, half), (-half, half),
                    circles=[(0.0, 0.0, rad) for rad in radii])
     print(f"wrote {svg}")
@@ -601,24 +628,26 @@ def _run_fig1(cfg: ExperimentConfig, outdir: Path) -> None:
     _emit(outdir, f"fig1_profile_N{N}.csv", rows, meta)
 
 
-# each command's runner and the config keys it requires, checked where the
-# config is parsed; generator = file also requires wave
+# the config schema: each command's runner, the input it resolves (a "wave",
+# a set of "directions" or a spectral "measure", whose keys _accepted_keys
+# adds), the keys it requires and the keys it may take; command and seed
+# belong to every command, and generator = file also requires wave
 _RUNNERS = {
-    "gen-wave": (_run_gen_wave, ()),
-    "nodal-stats": (_run_nodal_stats, ("W",)),
-    "moments": (_run_moments, ("R", "W")),
-    "bk-moments": (_run_bk_moments, ("R", "K")),
-    "charfn": (_run_charfn, ("R",)),
+    "gen-wave": (_run_gen_wave, "wave", (), ()),
+    "nodal-stats": (_run_nodal_stats, "wave", ("W",), ("h",)),
+    "moments": (_run_moments, "wave", ("R", "W"), ("p_max", "samples")),
+    "bk-moments": (_run_bk_moments, "wave", ("R", "K"), ("delta", "samples")),
+    "charfn": (_run_charfn, "wave", ("R",), ("t_max", "samples")),
     # each centre probes the whole outer ball: the samples default would run for hours
-    "doubling": (_run_doubling, ("samples", "R", "W")),
-    "smallvalues": (_run_smallvalues, ("R",)),
-    "compare": (_run_compare, ("R", "W")),
-    "kacrice": (_run_kacrice, ()),
-    "ns-estimate": (_run_ns_estimate, ("W",)),
-    "sandwich": (_run_sandwich, ("R", "r")),
-    "semilocal": (_run_semilocal, ("R", "W")),
-    "discrepancy": (_run_discrepancy, ("W",)),
-    "fig1": (_run_fig1, ()),
+    "doubling": (_run_doubling, "wave", ("samples", "R", "W"), ()),
+    "smallvalues": (_run_smallvalues, "wave", ("R",), ("beta", "samples")),
+    "compare": (_run_compare, "wave", ("R", "W"), ("samples",)),
+    "kacrice": (_run_kacrice, "measure", (), ("samples",)),
+    "ns-estimate": (_run_ns_estimate, "measure", ("W",), ("h", "trials")),
+    "sandwich": (_run_sandwich, "wave", ("R", "r"), ("h",)),
+    "semilocal": (_run_semilocal, "wave", ("R", "W"), ("h",)),
+    "discrepancy": (_run_discrepancy, "measure", ("W",), ("h", "trials")),
+    "fig1": (_run_fig1, "directions", (), ("h", "wavenumber")),
 }
 
 
@@ -644,9 +673,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        _RUNNERS[cfg.command][0](cfg, outdir)
+        _RUNNERS[cfg.command][0](cfg, Path(args.out))
     except DegenerateSampleError as exc:
         print(f"degenerate sample: {exc}", file=sys.stderr)
         return 3

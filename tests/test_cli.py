@@ -15,6 +15,8 @@ from monowave.cli import (
     parse_config_text,
     save_wave,
 )
+from monowave.directions import generate_uniform_directions
+from monowave.field import make_wave
 from monowave.gaussian import check_nondegenerate
 from monowave.nodal import DegenerateSampleError
 
@@ -93,7 +95,7 @@ def test_exit_codes(tmp_path, monkeypatch):
     def boom(cfg, outdir):
         raise DegenerateSampleError("planted", "not_a_tree")
 
-    monkeypatch.setitem(cli._RUNNERS, "gen-wave", (boom, ()))
+    monkeypatch.setitem(cli._RUNNERS, "gen-wave", (boom, "wave", (), ()))
     g = write_cfg(tmp_path, "command = gen-wave\nN = 4\n", "g.cfg")
     assert main(["--config", g, "--out", str(tmp_path / "o2")]) == 3
 
@@ -130,23 +132,29 @@ def test_exit_codes(tmp_path, monkeypatch):
         # the W >= 4 refusal is ns-estimate's own: discrepancy reads the same
         # estimate on B(2) (test_report_csv_headers[discrepancy])
         ("command = ns-estimate\nm = 2\nW = 3\nh = 0.2\ntrials = 50\n", "need W >= 4"),
+        # value ranges that the library checks, after the config is read
+        ("command = ns-estimate\nW = 4\nh = 0.2\ntrials = 20\n", "need at least 50 trials"),
+        ("command = sandwich\nN = 8\nR = 1\nr = 1\nh = 0.1\n", "need 0 < r < R"),
     ],
     ids=["smallvalues-0", "doubling-0", "doubling-no-samples", "charfn-0", "kacrice-atomic-0",
          "charfn-1", "nodal-stats-h0", "nodal-stats-h-negative", "fig1-h0", "moments-p_max-0",
          "moments-R-0", "smallvalues-R-negative", "doubling-R-inf", "nodal-stats-W-inf",
          "semilocal-R-inf", "sandwich-R-inf", "fig1-wavenumber-inf", "moments-R-inf",
-         "moments-R-minus-inf", "smallvalues-beta-nan", "ns-estimate-W-3"],
+         "moments-R-minus-inf", "smallvalues-beta-nan", "ns-estimate-W-3",
+         "ns-estimate-trials-20", "sandwich-r-R"],
 )
 def test_out_of_range_samples_and_spacing_exit_2(tmp_path, capsys, body, err):
-    # every Monte Carlo stderr uses ddof=1, so fewer than 2 samples has none
+    # every Monte Carlo stderr uses ddof=1, so fewer than 2 samples has none;
+    # a refusal raised in the library (p_max, R, trials, r < R) comes before
+    # the first artifact, so it leaves no directory either
     cfgp = write_cfg(tmp_path, body)
     assert main(["--config", cfgp, "--out", str(tmp_path / "o")]) == 2
     assert err in capsys.readouterr().err
-    assert not list((tmp_path / "o").glob("*.csv"))
+    assert not (tmp_path / "o").exists()
 
 
 def test_command_table_requires_the_runners_keys():
-    assert {c: keys for c, (_, keys) in cli._RUNNERS.items()} == REQUIRED
+    assert {c: keys for c, (_, _, keys, _) in cli._RUNNERS.items()} == REQUIRED
     for command, keys in REQUIRED.items():
         cfg = config_from_mapping({"command": command, **{k: KEY_VALUES[k] for k in keys}})
         assert cfg.command == command
@@ -173,6 +181,92 @@ def test_log_rational_directions_need_m_2_where_parsed(tmp_path, command):
         cli.load_config(cfgp)
     assert main(["--config", cfgp, "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "body, err",
+    [
+        ("command = moments\nR = 20\nW = 1\nsamples = 50\nK = 4\n",
+         "command 'moments' with generator = uniform does not read config key 'K'"),
+        ("command = moments\nR = 20\nW = 1\nK = 4\ntrials = 3\nbeta = 0.5\n",
+         "command 'moments' with generator = uniform does not read config keys 'K', 'trials', 'beta'"),
+        ("command = moments\nR = 20\nW = 1\nh = 0.1\n", "does not read config key 'h'"),
+        ("command = nodal-stats\nW = 2\nR = 4\n", "does not read config key 'R'"),
+        ("command = charfn\nR = 20\nwave = exp.cfg\n",
+         "command 'charfn' with generator = uniform does not read config key 'wave'"),
+        ("command = kacrice\ndelta = 0.01\n", "does not read config key 'delta'"),
+        ("command = fig1\ncoeffs = all-ones\n", "command 'fig1' with generator = uniform "
+         "does not read config key 'coeffs'"),
+        ("command = kacrice\ngenerator = file\nwave = exp.cfg\nm = 2\nN = 8\n",
+         "command 'kacrice' with generator = file does not read config keys 'm', 'N'"),
+    ],
+    ids=["moments-K", "moments-K-trials-beta", "moments-h", "nodal-stats-R", "uniform-wave",
+         "delta-without-K", "fig1-coeffs", "file-m-N"],
+)
+def test_a_key_the_command_does_not_read_is_refused(tmp_path, capsys, body, err):
+    # the command table is the schema: a key outside it is refused where the
+    # config is read, so no run ignores it and no directory is made
+    cfgp = write_cfg(tmp_path, body)
+    with pytest.raises(ValueError, match=re.escape(err)):
+        cli.load_config(cfgp)
+    assert main(["--config", cfgp, "--out", str(tmp_path / "o")]) == 2
+    assert err in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def recording(cfg, reads):
+    """A copy of cfg that adds the name of each config field read from it to reads."""
+    class Recording(cli.ExperimentConfig):
+        def __getattribute__(self, name):
+            if name in cli._KEY_TYPES:
+                reads.add(name)
+            return super().__getattribute__(name)
+
+    return Recording(**vars(cfg))
+
+
+# small values for each command's own keys; doubling and semilocal need
+# R >= 10 W, and the ensemble runs keep their 50 trials at a coarse h
+ORACLE_KEYS = {"W": "2", "R": "3", "K": "4", "r": "0.5", "samples": "20"}
+ORACLE_OVERRIDES = {
+    "doubling": {"R": "10", "W": "1", "samples": "2"},
+    "semilocal": {"R": "10", "W": "1"},
+    "ns-estimate": {"W": "4", "h": "0.2"},
+    "discrepancy": {"h": "0.2"},
+}
+
+
+def test_each_command_accepts_exactly_the_keys_its_runner_reads(tmp_path, monkeypatch):
+    # each runner runs once per generator it can take, the measures with and
+    # without K, on a config that records what the runner reads; _meta's reads
+    # (h, W and R for every report) are not counted. Every key read is one
+    # the table accepts, and every key the table accepts is read by some run
+    wavep = tmp_path / "wave.txt"
+    save_wave(make_wave(generate_uniform_directions(2, 8, 3), seed=4), wavep)
+    inputs = {"uniform": {}, "log-rational": {"N": "16"}, "file": {"wave": str(wavep)}}
+    meta = cli._meta
+    monkeypatch.setattr(cli, "_meta", lambda cfg, *args, **kw: meta(
+        cli.ExperimentConfig(**vars(cfg)), *args, **kw))
+    for command, (run, source, required, optional) in cli._RUNNERS.items():
+        own = {key: ORACLE_KEYS[key] for key in required + optional if key in ORACLE_KEYS}
+        own.update(ORACLE_OVERRIDES.get(command, {}))
+        accepted_by_some, read_by_some = set(), set()
+        for generator, keys in inputs.items():
+            for with_k in (False, True) if source == "measure" else (False,):
+                raw = {"command": command, "generator": generator, **keys, **own}
+                raw.update({"K": "4"} if with_k else {})
+                reads = set()
+                run(recording(config_from_mapping(raw), reads), tmp_path / "out")
+                accepted = cli._accepted_keys(command, generator, with_k)
+                assert reads <= accepted, (command, generator, with_k, reads - accepted)
+                # and within one run: command and seed belong to every command,
+                # and log-rational's m is only checked to be 2
+                unread = accepted - reads - {"command", "seed"}
+                allowed = {"m"} if generator == "log-rational" else set()
+                assert unread <= allowed, (command, generator, with_k, unread)
+                accepted_by_some |= accepted
+                read_by_some |= reads
+        assert accepted_by_some - read_by_some == {"command"}, command
 
 
 def test_out_is_not_a_config_key(tmp_path):
@@ -226,41 +320,48 @@ def test_wave_key_naming_no_file_is_refused_where_it_is_parsed(tmp_path, capsys,
     "command, extra, code, err",
     [
         ("kacrice", "", 0, ""),
-        ("discrepancy", "", 0, ""),
-        ("fig1", "", 2, "planar"),
-        ("kacrice", "m = 3\n", 2, "from the wave file"),
-        ("discrepancy", "N = 16\n", 2, "from the wave file"),
+        ("discrepancy", "W = 2\nh = 0.1\ntrials = 50\n", 0, ""),
+        ("fig1", "h = 0.1\n", 2, "planar"),
+        ("kacrice", "m = 3\n", 2, "'kacrice' with generator = file does not read config key 'm'"),
+        ("discrepancy", "W = 2\nh = 0.1\ntrials = 50\nN = 16\n", 2,
+         "'discrepancy' with generator = file does not read config key 'N'"),
     ],
     ids=["kacrice", "discrepancy", "fig1", "kacrice-sets-m", "discrepancy-sets-N"],
 )
 def test_wave_file_is_the_one_source_of_m_and_n(tmp_path, capsys, command, extra, code, err):
+    # generator = file takes the wave key in place of m and N, and fig1 on
+    # the m = 3 file is refused where the config is read
     gen = write_cfg(tmp_path, "command = gen-wave\nm = 3\nN = 16\nseed = 3\n", "gen.cfg")
     assert main(["--config", gen, "--out", str(tmp_path)]) == 0
     cfgp = write_cfg(
-        tmp_path,
-        f"command = {command}\ngenerator = file\nwave = {tmp_path / 'wave.txt'}\n"
-        f"W = 2\nh = 0.1\ntrials = 50\n{extra}",
-    )
+        tmp_path, f"command = {command}\ngenerator = file\nwave = {tmp_path / 'wave.txt'}\n{extra}")
     out = tmp_path / "o"
     assert main(["--config", cfgp, "--out", str(out)]) == code
     assert err in capsys.readouterr().err
     if code == 0:
         rows = list(csv.DictReader(open(out / f"{command}.csv")))
         assert (rows[0]["m"], rows[0]["N"]) == ("3", "16")
+    else:
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command,report", [("kacrice", "kacrice.csv"), ("ns-estimate", "ns.csv")])
-def test_rotation_invariant_measure_writes_no_n(tmp_path, command, report):
+def test_rotation_invariant_measure_writes_no_n(tmp_path, capsys, command, report):
     # generator = uniform without K draws 1024 plane waves per field from the
-    # rotation-invariant measure: the config's N names no direction set here
-    cfgp = write_cfg(
-        tmp_path,
-        f"command = {command}\ngenerator = uniform\nm = 2\nN = 64\nW = 4\nh = 0.1\ntrials = 50\n",
-    )
+    # rotation-invariant measure: no direction set takes part, so the config
+    # takes no N and the report leaves N empty
+    body = f"command = {command}\ngenerator = uniform\nm = 2\n"
+    if command == "ns-estimate":
+        body += "W = 4\nh = 0.1\ntrials = 50\n"
     out = tmp_path / "o"
-    assert main(["--config", cfgp, "--out", str(out)]) == 0
+    assert main(["--config", write_cfg(tmp_path, body), "--out", str(out)]) == 0
     rows = list(csv.DictReader(open(out / report)))
     assert rows and all((r["m"], r["N"]) == ("2", "") for r in rows)
+    withn = tmp_path / "withn"
+    assert main(["--config", write_cfg(tmp_path, body + "N = 64\n", "n.cfg"),
+                 "--out", str(withn)]) == 2
+    assert "generator = uniform does not read config key 'N'" in capsys.readouterr().err
+    assert not withn.exists()
 
 
 def test_seed_flag_overrides_config(tmp_path):
@@ -492,7 +593,7 @@ def test_ns_estimate_rerun_invariance(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(stats, "check_nondegenerate",
                         lambda F, W, h: check_nondegenerate(F, W, h, tau0=0.075))
     text = (
-        "command = ns-estimate\nm = 2\nN = 64\nW = 4\nh = 0.1\n"
+        "command = ns-estimate\nm = 2\nW = 4\nh = 0.1\n"
         "trials = 50\nseed = 9\ngenerator = uniform\n"
     )
     cfgp = write_cfg(tmp_path, text)
@@ -519,7 +620,7 @@ def test_discrepancy_counts_the_ns_estimate_draws(tmp_path, capsys, monkeypatch)
     # ns-estimate's form, and its mean density is ns.csv's density mean
     monkeypatch.setattr(stats, "check_nondegenerate",
                         lambda F, W, h: check_nondegenerate(F, W, h, tau0=0.075))
-    body = "m = 2\nN = 64\nW = 4\nh = 0.1\ntrials = 50\nseed = 9\ngenerator = uniform\n"
+    body = "m = 2\nW = 4\nh = 0.1\ntrials = 50\nseed = 9\ngenerator = uniform\n"
     for command in ("ns-estimate", "discrepancy"):
         cfgp = write_cfg(tmp_path, f"command = {command}\n{body}", f"{command}.cfg")
         assert main(["--config", cfgp, "--out", str(tmp_path / command)]) == 0
@@ -566,10 +667,16 @@ def test_fig1_outputs(tmp_path):
 
 
 def test_fig1_rejects_bad_geometry(tmp_path):
+    # both rules are fig1's own, checked where the config is read
     cfgp = write_cfg(tmp_path, "command = fig1\nm = 3\nN = 9\nh = 0.25\n")
+    with pytest.raises(ValueError, match="planar"):
+        cli.load_config(cfgp)
     assert main(["--config", cfgp, "--out", str(tmp_path / "o")]) == 2
     cfgp2 = write_cfg(tmp_path, "command = fig1\nN = 9\nh = 0.25\nwavenumber = -1\n", "w.cfg")
+    with pytest.raises(ValueError, match="wavenumber must be positive"):
+        cli.load_config(cfgp2)
     assert main(["--config", cfgp2, "--out", str(tmp_path / "o2")]) == 2
+    assert not (tmp_path / "o").exists() and not (tmp_path / "o2").exists()
 
 
 def test_bessel_zero_table():

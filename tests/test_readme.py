@@ -22,11 +22,25 @@ def test_library_tour_runs():
 
 
 def test_cli_section_lists_each_commands_required_keys():
-    # one "- `command`: `key`, `key`" line per command, in the command table's order
+    # one "- `command` (input): requires `key`, ...; optional `key`, ..." line per
+    # command, in the command table's order
     text = README.read_text()
     section = text[text.index("## CLI") : text.index("## Tests")]
-    listed = {}
-    for name, keys in re.findall(r"^- `([a-z0-9-]+)`: (.+)$", section, re.M):
-        listed[name] = () if keys == "none" else tuple(re.findall(r"`([^`]+)`", keys))
-    table = {name: keys for name, (_, keys) in cli._RUNNERS.items()}
-    assert list(listed.items()) == list(table.items())
+
+    def keys(listed):
+        return () if listed == "none" else tuple(re.findall(r"`([^`]+)`", listed))
+
+    listed = [(name, source, keys(required), keys(optional)) for name, source, required, optional
+              in re.findall(r"^- `([a-z0-9-]+)` \((\w+)\): requires (.+); optional (.+)$",
+                            section, re.M)]
+    table = [(name, source, required, optional)
+             for name, (_, source, required, optional) in cli._RUNNERS.items()]
+    assert listed == table
+
+
+def test_cli_example_config_is_accepted():
+    # the example sets only keys that its command reads
+    text = README.read_text()
+    example = re.search(r"```\n(# exp\.cfg\n.*?)```", text, re.S).group(1)
+    cfg = cli.config_from_mapping(cli.parse_config_text(example))
+    assert cfg.command == "ns-estimate"
